@@ -37,12 +37,12 @@ from .geometry import (
 from .ioi import (
     IoiBreakdown,
     RecallReport,
+    crop_scores,
     ioi,
     iou_2d,
     iou_3d,
     recall_from_breakdowns,
     recall_lower_bound,
-    recall_report,
 )
 from .cropbox import (
     SCALE_SPECS,

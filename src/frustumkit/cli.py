@@ -11,7 +11,6 @@ class), 5 violated numerical invariant.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -65,9 +64,12 @@ from .manifest import (
     Manifest,
     ManifestFrame,
     ManifestObject,
+    box_from_json,
+    check_json_keys,
     iter_object_samples,
     load_manifest,
     manifest_to_json,
+    parse_json,
 )
 from .netshape import (
     NAIVE_DIM_CAP,
@@ -85,7 +87,7 @@ from .pipesim import (
     stale_frustum_experiment,
     write_trace_csv,
 )
-from .scenegen import CATEGORY_PRESETS, box_from_json, check_json_keys, random_scene, render
+from .scenegen import CATEGORY_PRESETS, random_scene, render
 from .voxelizer import VoxelGrid, voxelize, write_sparse_csv, write_voxel_grid
 
 EXIT_OK = 0
@@ -385,12 +387,7 @@ _DET_KEYS = {"category", "score", "box"}
 
 
 def _load_detections(path: str, manifest: Manifest) -> list[list[Detection]]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"detections file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ManifestError("detections top level must be a JSON object")
+    data = parse_json(Path(path).read_text(), f"detections file {path}")
     check_json_keys(data, {"frames"}, {"frames"}, "detections file")
     frames_value = data["frames"]
     if not isinstance(frames_value, list) or len(frames_value) != len(manifest.frames):
@@ -404,8 +401,6 @@ def _load_detections(path: str, manifest: Manifest) -> list[list[Detection]]:
             raise ManifestError("each detections frame must be a list")
         dets = []
         for det in entry:
-            if not isinstance(det, dict):
-                raise ManifestError("each detection must be a JSON object")
             check_json_keys(det, _DET_KEYS, _DET_KEYS, "detection")
             if det["category"] not in manifest.categories:
                 raise ManifestError(f"detection category {det['category']!r} not in vocabulary")

@@ -31,10 +31,9 @@ from .geometry import (
     RigidTransform,
     frustum_center,
     frustum_from_rect,
-    oriented_box_footprint,
     subdivide_rect,
 )
-from .ioi import IoiBreakdown, ioi, ioi_z_for_crop, _footprint_ioi
+from .ioi import IoiBreakdown, RecallReport, crop_scores
 
 
 @dataclass(frozen=True)
@@ -149,14 +148,11 @@ def best_cropbox(
     """
     if not candidates:
         raise NoCandidatesError("no candidate centers supplied")
-    best: tuple[Aabb3, IoiBreakdown] | None = None
-    for center in candidates:
-        crop = Aabb3(center=np.asarray(center, dtype=float), side=spec.crop_side, height=spec.crop_height)
-        breakdown = ioi(gt, crop)
-        if best is None or breakdown.ioi_3d > best[1].ioi_3d:
-            best = (crop, breakdown)
-    assert best is not None
-    return best
+    xy, z = crop_scores(gt, candidates, [spec.crop_side], [spec.crop_height])
+    best = int(np.argmax(xy[:, 0] * z[:, 0]))  # argmax keeps the first of tied maxima
+    crop = Aabb3(center=np.asarray(candidates[best], dtype=float), side=spec.crop_side, height=spec.crop_height)
+    ioi_xy, ioi_z = float(xy[best, 0]), float(z[best, 0])
+    return crop, IoiBreakdown(ioi_xy=ioi_xy, ioi_z=ioi_z, ioi_3d=ioi_xy * ioi_z)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +255,8 @@ def recall_curves(
     recall the best height ratio (independent of side), and volume recall the
     best product - the same candidate best_cropbox would pick. Curves are
     therefore non-decreasing in side at fixed height and vice versa.
+    Recalls, bound and bound_satisfied come from a RecallReport over the
+    integer counts.
 
     Objects whose subfrustums are all empty count as permanent misses.
     """
@@ -269,37 +267,31 @@ def recall_curves(
     t3 = cfg.threshold_xy * cfg.threshold_z
     points: list[CurvePoint] = []
     for fr, fc in cfg.fr_fc:
-        # xy_best[i, si], z_best[i, hi], vol_best[i, si, hi]
-        n = len(dataset)
-        xy_best = np.zeros((n, len(sides)))
-        z_best = np.zeros((n, len(heights)))
-        vol_best = np.zeros((n, len(sides), len(heights)))
-        for i, item in enumerate(dataset):
+        # objects recalled at each side, height and (side, height)
+        n_xy = np.zeros(len(sides), dtype=int)
+        n_z = np.zeros(len(heights), dtype=int)
+        n_vol = np.zeros((len(sides), len(heights)), dtype=int)
+        for item in dataset:
             try:
                 cands = candidate_centers(
                     item.cloud, item.rect, item.intrinsics, pose=item.pose, fr=fr, fc=fc, mode=mode
                 )
             except NoCandidatesError:
                 continue
-            quad = oriented_box_footprint(item.gt_box)
-            box_area = item.gt_box.width * item.gt_box.depth
-            xy = np.zeros((len(cands), len(sides)))
-            zz = np.zeros((len(cands), len(heights)))
-            for ci, center in enumerate(cands):
-                cx, cy, cz = float(center[0]), float(center[1]), float(center[2])
-                for si, side in enumerate(sides):
-                    xy[ci, si] = _footprint_ioi(quad, box_area, cx, cy, side)
-                for hi, height in enumerate(heights):
-                    zz[ci, hi] = ioi_z_for_crop(item.gt_box, cz, height)
-            xy_best[i] = xy.max(axis=0)
-            z_best[i] = zz.max(axis=0)
-            vol_best[i] = np.einsum("cs,ch->csh", xy, zz).max(axis=0)
+            xy, z = crop_scores(item.gt_box, cands, sides, heights)
+            n_xy += xy.max(axis=0) >= cfg.threshold_xy
+            n_z += z.max(axis=0) >= cfg.threshold_z
+            n_vol += (xy[:, :, None] * z[:, None, :]).max(axis=0) >= t3
         for si, side in enumerate(sides):
             for hi, height in enumerate(heights):
-                r_xy = float((xy_best[:, si] >= cfg.threshold_xy).mean())
-                r_z = float((z_best[:, hi] >= cfg.threshold_z).mean())
-                r_vol = float((vol_best[:, si, hi] >= t3).mean())
-                bound = max(0.0, r_xy + r_z - 1.0)
+                report = RecallReport(
+                    threshold_xy=cfg.threshold_xy,
+                    threshold_z=cfg.threshold_z,
+                    n_total=len(dataset),
+                    n_pos_xy=int(n_xy[si]),
+                    n_pos_z=int(n_z[hi]),
+                    n_pos_volume=int(n_vol[si, hi]),
+                )
                 points.append(
                     CurvePoint(
                         fr=fr,
@@ -307,11 +299,11 @@ def recall_curves(
                         mode=mode,
                         side_m=side,
                         height_m=height,
-                        recall_xy=r_xy,
-                        recall_z=r_z,
-                        recall_volume=r_vol,
-                        bound=bound,
-                        bound_satisfied=r_vol >= bound - 1e-12,
+                        recall_xy=report.recall_xy,
+                        recall_z=report.recall_z,
+                        recall_volume=report.recall_volume,
+                        bound=report.bound,
+                        bound_satisfied=report.bound_satisfied,
                     )
                 )
     return points

@@ -215,17 +215,6 @@ class Aabb3:
         hz = 0.5 * self.height
         return (float(self.center[2]) - hz, float(self.center[2]) + hz)
 
-    @property
-    def footprint_bounds(self) -> tuple[float, float, float, float]:
-        """(x_min, y_min, x_max, y_max) of the square footprint."""
-        hs = 0.5 * self.side
-        return (
-            float(self.center[0]) - hs,
-            float(self.center[1]) - hs,
-            float(self.center[0]) + hs,
-            float(self.center[1]) + hs,
-        )
-
 
 @dataclass
 class Frustum:
@@ -466,20 +455,6 @@ def clip_convex_polygons(
         if not poly:
             return []
     return poly
-
-
-def clip_footprint(box: OrientedBox3, crop: Aabb3) -> tuple[np.ndarray, float]:
-    """Clip a box footprint to a crop footprint; returns (polygon, area).
-
-    The polygon is an (n, 2) array (possibly empty) and the area is exact for
-    inputs representable in binary floating point.
-    """
-    quad = oriented_box_footprint(box)
-    x_min, y_min, x_max, y_max = crop.footprint_bounds
-    clipped = clip_polygon_to_aabb(quad, x_min, y_min, x_max, y_max)
-    if not clipped:
-        return np.zeros((0, 2), dtype=np.float64), 0.0
-    return np.asarray(clipped, dtype=np.float64), polygon_area(clipped)
 
 
 # ---------------------------------------------------------------------------

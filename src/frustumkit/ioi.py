@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,12 +48,6 @@ def _clamp01(v: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def ioi_xy_for_crop(box: OrientedBox3, crop_cx: float, crop_cy: float, side: float) -> float:
-    """Footprint IoI of `box` against a square crop footprint."""
-    quad = oriented_box_footprint(box)
-    return _footprint_ioi(quad, box.width * box.depth, crop_cx, crop_cy, side)
-
-
 def _footprint_ioi(
     quad: Sequence[tuple[float, float]], box_area: float, crop_cx: float, crop_cy: float, side: float
 ) -> float:
@@ -85,9 +79,30 @@ def ioi(box: OrientedBox3, crop: Aabb3) -> IoiBreakdown:
     The volume ratio is stored as the exact product of the two factor ratios,
     which is what makes per-axis threshold products meaningful.
     """
-    xy = ioi_xy_for_crop(box, float(crop.center[0]), float(crop.center[1]), crop.side)
+    quad = oriented_box_footprint(box)
+    xy = _footprint_ioi(quad, box.width * box.depth, float(crop.center[0]), float(crop.center[1]), crop.side)
     z = ioi_z_for_crop(box, float(crop.center[2]), crop.height)
     return IoiBreakdown(ioi_xy=xy, ioi_z=z, ioi_3d=xy * z)
+
+
+def crop_scores(
+    box: OrientedBox3,
+    centers: Sequence[np.ndarray],
+    sides: Sequence[float],
+    heights: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis IoI of `box` against every crop built from the given centers and sizes.
+
+    Returns (xy, z) with xy[c, s] the footprint IoI of a crop centered at
+    centers[c] with side sides[s], and z[c, h] the vertical IoI of one with
+    height heights[h]. The crop (centers[c], sides[s], heights[h]) has volume
+    IoI xy[c, s] * z[c, h]: each entry is exactly what ioi() reports for it.
+    """
+    quad = oriented_box_footprint(box)
+    area = box.width * box.depth
+    xy = [[_footprint_ioi(quad, area, float(c[0]), float(c[1]), s) for s in sides] for c in centers]
+    z = [[ioi_z_for_crop(box, float(c[2]), h) for h in heights] for c in centers]
+    return np.array(xy, dtype=np.float64), np.array(z, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +303,3 @@ def recall_from_breakdowns(
         # positive because the volume ratio is the exact product of factors
         raise InvariantViolation("volume recall fell below its lower bound")
     return report
-
-
-def recall_report(
-    pairs: Iterable[tuple[OrientedBox3, Aabb3]], threshold_xy: float, threshold_z: float
-) -> RecallReport:
-    """Volume and per-axis recalls of crop proposals over (box, crop) pairs.
-
-    A pair is volume-positive when ioi_3d >= threshold_xy * threshold_z; the
-    report always satisfies recall_volume >= max(0, recall_xy + recall_z - 1).
-    """
-    breakdowns = [ioi(box, crop) for box, crop in pairs]
-    return recall_from_breakdowns(breakdowns, threshold_xy, threshold_z)

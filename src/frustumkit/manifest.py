@@ -3,9 +3,10 @@
 A manifest ties together everything the crop-size search and the evaluator
 need per frame: a point-cloud file, optional range image, camera intrinsics
 and pose, and the labeled objects (category, image rect, oriented box).
-Loading is strict — unknown keys, missing files, or categories outside the
-declared vocabulary all raise :class:`ManifestError` rather than being
-silently tolerated.
+Loading is strict — unknown keys, missing files, NaN/Infinity tokens, or
+categories outside the declared vocabulary all raise :class:`ManifestError`
+rather than being silently tolerated. The same strict-JSON helpers parse the
+detections file of ``frustumkit evaluate``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 from .cropbox import ObjectSample
 from .errors import ManifestError
@@ -24,20 +27,95 @@ from .geometry import (
     RigidTransform,
     read_cloud_binary,
 )
-from .scenegen import (
-    box_from_json,
-    box_to_json,
-    check_json_keys,
-    intrinsics_from_json,
-    intrinsics_to_json,
-    pose_from_json,
-    pose_to_json,
-)
 
 _TOP_KEYS = {"categories", "anchors", "frames"}
 _FRAME_KEYS = {"cloud", "range_image", "intrinsics", "pose", "objects"}
 _OBJECT_KEYS = {"category", "rect", "box"}
 _BOX_KEYS = {"center", "width", "depth", "height", "yaw"}
+_K_KEYS = {"fx", "fy", "cx", "cy", "width", "height"}
+_POSE_KEYS = {"rotation", "translation"}
+
+
+# --- strict JSON ----------------------------------------------------------------
+
+
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+def parse_json(text: str, what: str) -> object:
+    """json.loads that raises ManifestError on malformed text and on NaN/Infinity tokens."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ManifestError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def check_json_keys(obj: dict, allowed: set, required: set, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{what} must be a JSON object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ManifestError(f"{what}: unknown keys {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise ManifestError(f"{what}: missing keys {sorted(missing)}")
+
+
+def intrinsics_from_json(obj: dict) -> CameraIntrinsics:
+    check_json_keys(obj, _K_KEYS, _K_KEYS, "intrinsics")
+    return CameraIntrinsics(
+        fx=float(obj["fx"]),
+        fy=float(obj["fy"]),
+        cx=float(obj["cx"]),
+        cy=float(obj["cy"]),
+        width=int(obj["width"]),
+        height=int(obj["height"]),
+    )
+
+
+def intrinsics_to_json(k: CameraIntrinsics) -> dict:
+    return {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy, "width": k.width, "height": k.height}
+
+
+def pose_from_json(obj: dict) -> RigidTransform:
+    check_json_keys(obj, _POSE_KEYS, _POSE_KEYS, "pose")
+    return RigidTransform(
+        rotation=np.asarray(obj["rotation"], dtype=np.float64),
+        translation=np.asarray(obj["translation"], dtype=np.float64),
+    )
+
+
+def pose_to_json(pose: RigidTransform) -> dict:
+    return {"rotation": pose.rotation.tolist(), "translation": pose.translation.tolist()}
+
+
+def box_from_json(obj: object) -> OrientedBox3:
+    """Parse a box object; wrong keys or values raise ManifestError."""
+    check_json_keys(obj, _BOX_KEYS, _BOX_KEYS, "box")
+    try:
+        return OrientedBox3(
+            center=np.asarray(obj["center"], dtype=np.float64),
+            width=float(obj["width"]),
+            depth=float(obj["depth"]),
+            height=float(obj["height"]),
+            yaw=float(obj["yaw"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"bad box: {exc}") from exc
+
+
+def box_to_json(box: OrientedBox3) -> dict:
+    return {
+        "center": [float(v) for v in box.center],
+        "width": box.width,
+        "depth": box.depth,
+        "height": box.height,
+        "yaw": box.yaw,
+    }
+
+
+# --- manifest ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -84,22 +162,13 @@ def _parse_rect(value: object) -> Rect2:
 
 
 def _parse_object(entry: object, categories: tuple[str, ...]) -> ManifestObject:
-    if not isinstance(entry, dict):
-        raise ManifestError("each object must be a JSON object")
     check_json_keys(entry, _OBJECT_KEYS, _OBJECT_KEYS, "manifest object")
     category = entry["category"]
     if category not in categories:
         raise ManifestError(
             f"category {category!r} is not in the declared vocabulary {list(categories)}"
         )
-    box_obj = entry["box"]
-    if not isinstance(box_obj, dict):
-        raise ManifestError("object box must be a JSON object")
-    check_json_keys(box_obj, _BOX_KEYS, _BOX_KEYS, "object box")
-    try:
-        box = box_from_json(box_obj)
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"bad object box: {exc}") from exc
+    box = box_from_json(entry["box"])
     return ManifestObject(category=category, rect=_parse_rect(entry["rect"]), box=box)
 
 
@@ -113,8 +182,6 @@ def _resolve_existing(root: Path, rel: object, what: str) -> Path:
 
 
 def _parse_frame(entry: object, root: Path, categories: tuple[str, ...]) -> ManifestFrame:
-    if not isinstance(entry, dict):
-        raise ManifestError("each frame must be a JSON object")
     check_json_keys(entry, _FRAME_KEYS, _FRAME_KEYS - {"range_image"}, "manifest frame")
     cloud_path = _resolve_existing(root, entry["cloud"], "frame cloud")
     range_image_path = None
@@ -145,12 +212,7 @@ def load_manifest(path: str | Path) -> Manifest:
         text = path.read_text()
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ManifestError("manifest top level must be a JSON object")
+    data = parse_json(text, f"manifest {path}")
     check_json_keys(data, _TOP_KEYS, {"categories", "frames"}, "manifest")
     categories_value = data["categories"]
     if (

@@ -24,7 +24,6 @@ import numpy as np
 from .cropbox import ObjectSample, SCALE_SPECS, ScaleSpec, best_cropbox, candidate_centers
 from .errors import EmptyFrustumError, GeometryError, NoCandidatesError
 from .geometry import Rect2
-from .ioi import RecallReport, ioi, recall_from_breakdowns
 
 Mode = Literal["sequential", "pipelined"]
 
@@ -155,6 +154,14 @@ def exact_throughput_fps(timing: StageTiming) -> Fraction:
 
 @dataclass(frozen=True)
 class DriftRow:
+    """Crop quality over all samples at one drift.
+
+    recall_volume is the fraction of samples whose best crop is positive on
+    both axes (ioi_xy >= threshold_xy and ioi_z >= threshold_z). That is
+    stricter than the volume recall of recall_curves and RecallReport, which
+    count ioi_3d >= threshold_xy * threshold_z.
+    """
+
     drift_px: float
     mean_ioi_3d: float
     recall_volume: float
@@ -191,6 +198,9 @@ def stale_frustum_experiment(
     proposals from a one-frame-old image of a laterally moving scene. A
     shifted frustum that captures no points scores zero IoI and counts as
     a lost item (it can never be recalled).
+
+    A sample counts toward recall_volume only when its best crop is positive
+    on both axes; see DriftRow.
     """
     if not samples:
         raise GeometryError("stale_frustum_experiment needs at least one sample")
@@ -229,22 +239,3 @@ def stale_frustum_experiment(
             )
         )
     return rows
-
-
-def non_stale_report(
-    samples: Sequence[ObjectSample],
-    spec: ScaleSpec | str = "medium_short",
-    threshold_xy: float = 0.90,
-    threshold_z: float = 0.90,
-) -> RecallReport:
-    """The drift = 0 reference point as a full recall report."""
-    if isinstance(spec, str):
-        spec = SCALE_SPECS[spec]
-    pairs = []
-    for sample in samples:
-        centers = candidate_centers(
-            sample.cloud, sample.rect, sample.intrinsics, sample.pose, fr=1, fc=1, mode="average"
-        )
-        crop, _ = best_cropbox(sample.gt_box, centers, spec)
-        pairs.append(ioi(sample.gt_box, crop))
-    return recall_from_breakdowns(pairs, threshold_xy, threshold_z)

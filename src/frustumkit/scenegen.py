@@ -16,7 +16,6 @@ patch order is fixed (background first, then objects in listing order).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dhs import RangeImage
-from .errors import GeometryError, ManifestError
+from .errors import GeometryError
 from .geometry import (
     CameraIntrinsics,
     OrientedBox3,
@@ -387,130 +386,3 @@ def random_scene(
         occlusion=occlusion,
         seed=seed,
     )
-
-
-# --- JSON (de)serialization --------------------------------------------------
-
-_SPEC_KEYS = {"objects", "intrinsics", "pose", "background", "occlusion", "seed", "depth_noise_sigma"}
-_OBJ_KEYS = {"category", "center", "width", "depth", "height", "yaw", "density"}
-_PATCH_KEYS = {"origin", "edge_u", "edge_v", "density"}
-_K_KEYS = {"fx", "fy", "cx", "cy", "width", "height"}
-_POSE_KEYS = {"rotation", "translation"}
-
-
-def check_json_keys(obj: dict, allowed: set, required: set, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ManifestError(f"{what} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ManifestError(f"{what}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ManifestError(f"{what}: missing keys {sorted(missing)}")
-
-
-def intrinsics_from_json(obj: dict) -> CameraIntrinsics:
-    check_json_keys(obj, _K_KEYS, _K_KEYS, "intrinsics")
-    return CameraIntrinsics(
-        fx=float(obj["fx"]),
-        fy=float(obj["fy"]),
-        cx=float(obj["cx"]),
-        cy=float(obj["cy"]),
-        width=int(obj["width"]),
-        height=int(obj["height"]),
-    )
-
-
-def intrinsics_to_json(k: CameraIntrinsics) -> dict:
-    return {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy, "width": k.width, "height": k.height}
-
-
-def pose_from_json(obj: dict) -> RigidTransform:
-    check_json_keys(obj, _POSE_KEYS, _POSE_KEYS, "pose")
-    return RigidTransform(
-        rotation=np.asarray(obj["rotation"], dtype=np.float64),
-        translation=np.asarray(obj["translation"], dtype=np.float64),
-    )
-
-
-def pose_to_json(pose: RigidTransform) -> dict:
-    return {"rotation": pose.rotation.tolist(), "translation": pose.translation.tolist()}
-
-
-def box_from_json(obj: dict) -> OrientedBox3:
-    return OrientedBox3(
-        center=np.asarray(obj["center"], dtype=np.float64),
-        width=float(obj["width"]),
-        depth=float(obj["depth"]),
-        height=float(obj["height"]),
-        yaw=float(obj["yaw"]),
-    )
-
-
-def box_to_json(box: OrientedBox3) -> dict:
-    return {
-        "center": [float(v) for v in box.center],
-        "width": box.width,
-        "depth": box.depth,
-        "height": box.height,
-        "yaw": box.yaw,
-    }
-
-
-def scene_spec_from_json(text: str) -> SceneSpec:
-    data = json.loads(text)
-    check_json_keys(data, _SPEC_KEYS, {"objects", "intrinsics", "pose", "seed"}, "scene spec")
-    objects = []
-    for entry in data["objects"]:
-        check_json_keys(entry, _OBJ_KEYS, _OBJ_KEYS - {"density"}, "scene object")
-        objects.append(
-            SceneObjectSpec(
-                category=str(entry["category"]),
-                box=box_from_json(entry),
-                density=float(entry.get("density", DEFAULT_DENSITY)),
-            )
-        )
-    background = []
-    for entry in data.get("background", []):
-        check_json_keys(entry, _PATCH_KEYS, _PATCH_KEYS, "background patch")
-        background.append(
-            SurfacePatch(
-                origin=np.asarray(entry["origin"], dtype=np.float64),
-                edge_u=np.asarray(entry["edge_u"], dtype=np.float64),
-                edge_v=np.asarray(entry["edge_v"], dtype=np.float64),
-                density=float(entry["density"]),
-            )
-        )
-    return SceneSpec(
-        objects=tuple(objects),
-        intrinsics=intrinsics_from_json(data["intrinsics"]),
-        pose=pose_from_json(data["pose"]),
-        background=tuple(background),
-        occlusion=bool(data.get("occlusion", True)),
-        seed=int(data["seed"]),
-        depth_noise_sigma=float(data.get("depth_noise_sigma", 0.0)),
-    )
-
-
-def scene_spec_to_json(spec: SceneSpec) -> str:
-    data = {
-        "objects": [
-            {"category": o.category, **box_to_json(o.box), "density": o.density}
-            for o in spec.objects
-        ],
-        "intrinsics": intrinsics_to_json(spec.intrinsics),
-        "pose": pose_to_json(spec.pose),
-        "background": [
-            {
-                "origin": p.origin.tolist(),
-                "edge_u": p.edge_u.tolist(),
-                "edge_v": p.edge_v.tolist(),
-                "density": p.density,
-            }
-            for p in spec.background
-        ],
-        "occlusion": spec.occlusion,
-        "seed": spec.seed,
-        "depth_noise_sigma": spec.depth_noise_sigma,
-    }
-    return json.dumps(data, indent=2)

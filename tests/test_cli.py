@@ -25,8 +25,7 @@ from frustumkit.cli import (
 )
 from frustumkit.errors import ManifestError
 from frustumkit.head import read_anchor_csv
-from frustumkit.manifest import iter_object_samples, load_manifest
-from frustumkit.scenegen import box_to_json
+from frustumkit.manifest import box_to_json, iter_object_samples, load_manifest
 from frustumkit.voxelizer import read_voxel_grid
 
 SEED = 7
@@ -329,6 +328,39 @@ def test_evaluate_frame_count_mismatch_is_io_error(dataset, tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda box: box.pop("yaw"), "missing keys ['yaw']"),
+        (lambda box: box.update(bogus=1.0), "unknown keys ['bogus']"),
+        (lambda box: box.update(width=float("nan")), "non-finite number NaN"),
+    ],
+    ids=["missing-key", "unknown-key", "nan-value"],
+)
+def test_evaluate_rejects_bad_detection_box(dataset, perfect_detections, tmp_path, capsys, edit, message):
+    data = json.loads(perfect_detections.read_text())
+    edit(data["frames"][0][0]["box"])
+    dets = tmp_path / "dets.json"
+    dets.write_text(json.dumps(data))
+    code = main(
+        ["evaluate", "--manifest", str(dataset), "--dets", str(dets), "--out-prefix", str(tmp_path / "e")]
+    )
+    assert code == EXIT_IO
+    assert message in capsys.readouterr().err
+
+
+def test_evaluate_rejects_non_object_detection_box(dataset, perfect_detections, tmp_path, capsys):
+    data = json.loads(perfect_detections.read_text())
+    data["frames"][0][0]["box"] = [0.0, 0.0, 0.0]
+    dets = tmp_path / "dets.json"
+    dets.write_text(json.dumps(data))
+    code = main(
+        ["evaluate", "--manifest", str(dataset), "--dets", str(dets), "--out-prefix", str(tmp_path / "e")]
+    )
+    assert code == EXIT_IO
+    assert "box must be a JSON object" in capsys.readouterr().err
+
+
 # --- pipesim -------------------------------------------------------------------------
 
 
@@ -463,3 +495,17 @@ def test_manifest_rejects_missing_cloud_file(dataset):
             load_manifest(bad)
     finally:
         bad.unlink()
+
+
+def test_anchors_rejects_nan_box_height(dataset, tmp_path, capsys):
+    data = json.loads(dataset.read_text())
+    data["frames"][0]["objects"][0]["box"]["height"] = float("nan")
+    bad = dataset.parent / "nan_height.json"
+    bad.write_text(json.dumps(data))  # json.dumps writes the bare token NaN
+    try:
+        code = main(["anchors", "--manifest", str(bad), "--out", str(tmp_path / "a.csv")])
+    finally:
+        bad.unlink()
+    assert code == EXIT_IO
+    assert "non-finite number NaN" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()

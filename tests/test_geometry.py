@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 
 from frustumkit.errors import EmptyFrustumError, GeometryError
 from frustumkit.geometry import (
-    Aabb3,
     CameraIntrinsics,
     OrientedBox3,
     Rect2,
     RigidTransform,
-    clip_footprint,
     clip_polygon_to_aabb,
     frustum_center,
     frustum_from_rect,
@@ -37,6 +35,7 @@ from frustumkit.geometry import (
     write_cloud_binary,
     write_cloud_text,
 )
+from frustumkit.ioi import crop_scores
 
 K = CameraIntrinsics(fx=520.0, fy=515.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -251,20 +250,16 @@ class TestFrustumCenter:
 class TestClipping:
     def test_fully_inside_box_keeps_exact_area(self):
         box = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
-        crop = Aabb3(center=(0.0, 0.0, 0.5), side=3.0, height=2.0)
-        poly, area = clip_footprint(box, crop)
-        assert area == 1.0
-        assert poly.shape[0] == 4
+        poly = clip_polygon_to_aabb(oriented_box_footprint(box), -1.5, -1.5, 1.5, 1.5)
+        assert polygon_area(poly) == 1.0
+        assert len(poly) == 4
 
     def test_disjoint_footprints_clip_to_nothing(self):
         box = OrientedBox3(center=(10.0, 10.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.4)
-        crop = Aabb3(center=(0.0, 0.0, 0.5), side=2.0, height=2.0)
-        poly, area = clip_footprint(box, crop)
-        assert area == 0.0
-        assert poly.shape == (0, 2)
+        assert clip_polygon_to_aabb(oriented_box_footprint(box), -1.0, -1.0, 1.0, 1.0) == []
 
     def test_area_matches_monte_carlo_oracle(self):
-        """Clipped area agrees with rejection sampling over the crop footprint."""
+        """Clipped area (scored footprint IoI times box area) agrees with rejection sampling."""
         rng = np.random.default_rng(99)
         for trial in range(25):
             box = OrientedBox3(
@@ -274,11 +269,14 @@ class TestClipping:
                 height=1.0,
                 yaw=rng.uniform(-np.pi, np.pi),
             )
-            crop = Aabb3(center=rng.uniform([-1, -1, 0], [1, 1, 1]), side=rng.uniform(0.5, 3.0), height=1.0)
-            _, area = clip_footprint(box, crop)
+            center = rng.uniform([-1, -1, 0], [1, 1, 1])
+            side = rng.uniform(0.5, 3.0)
+            xy, _ = crop_scores(box, [center], [side], [1.0])
+            area = xy[0, 0] * box.width * box.depth
 
             n = 200_000
-            x_min, y_min, x_max, y_max = crop.footprint_bounds
+            x_min, y_min = center[0] - side / 2, center[1] - side / 2
+            x_max, y_max = center[0] + side / 2, center[1] + side / 2
             xs = rng.uniform(x_min, x_max, n)
             ys = rng.uniform(y_min, y_max, n)
             # membership in the rotated box footprint, done in box-local coords
@@ -304,10 +302,8 @@ class TestClipping:
                 yaw=rng.uniform(-np.pi, np.pi),
             )
             center = rng.uniform([-1, -1, 0], [1, 1, 1])
-            areas = []
-            for side in [0.5, 1.0, 2.0, 4.0, 8.0]:
-                _, a = clip_footprint(box, Aabb3(center=center, side=side, height=1.0))
-                areas.append(a)
+            xy, _ = crop_scores(box, [center], [0.5, 1.0, 2.0, 4.0, 8.0], [1.0])
+            areas = xy[0] * box.width * box.depth
             assert all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
 
     def test_polygon_area_shoelace(self):

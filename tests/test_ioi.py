@@ -11,13 +11,13 @@ from frustumkit.errors import GeometryError
 from frustumkit.geometry import Aabb3, OrientedBox3, Rect2
 from frustumkit.ioi import (
     IoiBreakdown,
+    crop_scores,
     ioi,
     iou_2d,
     iou_3d,
     mc_intersection_volume,
     recall_from_breakdowns,
     recall_lower_bound,
-    recall_report,
     RecallReport,
 )
 
@@ -109,6 +109,29 @@ class TestFactorization:
     def test_breakdown_rejects_inconsistent_product(self):
         with pytest.raises(AssertionError):
             IoiBreakdown(ioi_xy=0.5, ioi_z=0.5, ioi_3d=0.3)
+
+
+class TestCropScores:
+    def test_every_entry_equals_the_per_pair_oracle(self):
+        """xy, z and their product equal ioi() on the crop each entry stands for."""
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            box, _ = random_pair(rng)
+            centers = [box.center + rng.uniform(-1.2, 1.2, size=3) for _ in range(rng.integers(1, 6))]
+            sides = list(rng.uniform(0.2, 3.5, size=rng.integers(1, 5)))
+            heights = list(rng.uniform(0.2, 3.0, size=rng.integers(1, 5)))
+            # a center on the box itself and a side that holds the whole footprint hit the exact paths
+            centers.append(box.center.copy())
+            sides.append(2.0 * (box.width + box.depth))
+            xy, z = crop_scores(box, centers, sides, heights)
+            assert xy.shape == (len(centers), len(sides)) and z.shape == (len(centers), len(heights))
+            for c, center in enumerate(centers):
+                for s, side in enumerate(sides):
+                    for h, height in enumerate(heights):
+                        ref = ioi(box, Aabb3(center=center, side=side, height=height))
+                        assert xy[c, s] == ref.ioi_xy
+                        assert z[c, h] == ref.ioi_z
+                        assert xy[c, s] * z[c, h] == ref.ioi_3d
 
 
 class TestMonteCarloAgreement:
@@ -204,7 +227,7 @@ class TestRecallBound:
     def test_report_on_random_geometric_pairs(self):
         rng = np.random.default_rng(8)
         pairs = [random_pair(rng) for _ in range(200)]
-        report = recall_report(pairs, threshold_xy=0.7, threshold_z=0.8)
+        report = recall_from_breakdowns([ioi(b, c) for b, c in pairs], threshold_xy=0.7, threshold_z=0.8)
         assert report.n_total == 200
         assert report.threshold_3d == pytest.approx(0.56)
         assert report.bound_satisfied
@@ -214,9 +237,7 @@ class TestRecallBound:
         """No randomized pair set and thresholds can violate the volume bound."""
         rng = np.random.default_rng(99)
         pool = [random_pair(rng) for _ in range(500)]
-        from frustumkit.ioi import ioi as compute_ioi
-
-        breakdowns = [compute_ioi(b, c) for b, c in pool]
+        breakdowns = [ioi(b, c) for b, c in pool]
         for _ in range(2000):
             k = rng.integers(5, 100)
             chosen = [breakdowns[i] for i in rng.integers(0, len(breakdowns), size=k)]
@@ -228,18 +249,18 @@ class TestRecallBound:
 
     def test_thresholds_validated(self):
         rng = np.random.default_rng(1)
-        pairs = [random_pair(rng)]
+        breakdowns = [ioi(*random_pair(rng))]
         with pytest.raises(GeometryError):
-            recall_report(pairs, threshold_xy=0.0, threshold_z=0.5)
+            recall_from_breakdowns(breakdowns, threshold_xy=0.0, threshold_z=0.5)
         with pytest.raises(GeometryError):
-            recall_report(pairs, threshold_xy=0.5, threshold_z=1.5)
+            recall_from_breakdowns(breakdowns, threshold_xy=0.5, threshold_z=1.5)
         with pytest.raises(GeometryError):
-            recall_report([], threshold_xy=0.5, threshold_z=0.5)
+            recall_from_breakdowns([], threshold_xy=0.5, threshold_z=0.5)
 
     def test_csv_row_matches_header(self):
         rng = np.random.default_rng(2)
         pairs = [random_pair(rng) for _ in range(20)]
-        report = recall_report(pairs, 0.9, 0.9)
+        report = recall_from_breakdowns([ioi(b, c) for b, c in pairs], 0.9, 0.9)
         row = report.to_csv_row()
         assert len(row.split(",")) == len(RecallReport.CSV_HEADER.split(","))
         # thresholds lead the row, flag closes it
@@ -257,7 +278,7 @@ class TestRecallBound:
             z_off = 0.8 if i == 19 else 0.0
             crop = Aabb3(center=(xy_off, 0, 0.5 + z_off), side=1.0, height=1.0)
             pairs.append((box, crop))
-        report = recall_report(pairs, threshold_xy=0.9, threshold_z=0.9)
+        report = recall_from_breakdowns([ioi(b, c) for b, c in pairs], threshold_xy=0.9, threshold_z=0.9)
         assert report.recall_xy == pytest.approx(0.90)
         assert report.recall_z == pytest.approx(0.95)
         assert report.recall_volume >= recall_lower_bound(0.90, 0.95) - 1e-12

@@ -1,19 +1,20 @@
 """Pipeline schedule arithmetic and the stale-proposal degradation sweep."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from frustumkit.cropbox import ObjectSample
+from frustumkit.cropbox import SCALE_SPECS, ObjectSample, best_cropbox, candidate_centers
 from frustumkit.errors import GeometryError
 from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, project_points
+from frustumkit.ioi import recall_from_breakdowns
 from frustumkit.pipesim import (
     DriftRow,
     StageTiming,
     drift_row_to_csv,
     exact_throughput_fps,
-    non_stale_report,
     simulate,
     stale_frustum_experiment,
     write_trace_csv,
@@ -163,13 +164,24 @@ def make_centered_samples(n=6):
 
 
 class TestStaleFrustum:
-    def test_zero_drift_matches_non_stale_report(self):
+    def test_zero_drift_recall_counts_objects_positive_on_both_axes(self):
         samples = make_centered_samples()
-        rows = stale_frustum_experiment(samples, [0.0], spec="medium_short")
-        report = non_stale_report(samples, spec="medium_short")
-        assert rows[0].recall_volume == pytest.approx(report.recall_volume)
-        assert rows[0].n_lost == 0
-        assert rows[0].mean_ioi_3d == pytest.approx(1.0, abs=1e-12)
+        # boxes taller than the 1.7 m crop: ioi_z = 0.85, below threshold_z = 0.9,
+        # while ioi_3d = 0.85 still reaches threshold_xy * threshold_z = 0.81
+        tall = [
+            dataclasses.replace(s, gt_box=OrientedBox3(s.gt_box.center, 0.8, 0.8, 2.0, 0.0)) for s in samples
+        ]
+        for data, both_axes in ((samples, 1.0), (tall, 0.0)):
+            (row,) = stale_frustum_experiment(data, [0.0], spec="medium_short")
+            spec = SCALE_SPECS["medium_short"]
+            breakdowns = [
+                best_cropbox(s.gt_box, candidate_centers(s.cloud, s.rect, s.intrinsics, s.pose), spec)[1]
+                for s in data
+            ]
+            assert recall_from_breakdowns(breakdowns, 0.9, 0.9).recall_volume == 1.0
+            assert row.recall_volume == both_axes
+            assert row.mean_ioi_3d == np.mean([b.ioi_3d for b in breakdowns])
+            assert row.n_lost == 0
 
     def test_mean_ioi_non_increasing_in_drift(self):
         samples = make_centered_samples()

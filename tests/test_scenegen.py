@@ -5,7 +5,7 @@ import pytest
 
 from frustumkit.cropbox import assign_scale
 from frustumkit.dhs import world_points
-from frustumkit.errors import GeometryError, ManifestError
+from frustumkit.errors import GeometryError
 from frustumkit.geometry import OrientedBox3, RigidTransform, oriented_box_footprint, project_points
 from frustumkit.scenegen import (
     CATEGORY_PRESETS,
@@ -17,8 +17,6 @@ from frustumkit.scenegen import (
     random_scene,
     ray_patch_depths,
     render,
-    scene_spec_from_json,
-    scene_spec_to_json,
     standard_camera,
 )
 
@@ -280,16 +278,3 @@ class TestDeterminismAndPresets:
     def test_random_scene_rejects_unknown_category(self):
         with pytest.raises(GeometryError):
             random_scene(seed=0, categories=("sofa",))
-
-    def test_spec_json_round_trip_renders_identically(self):
-        spec = random_scene(seed=9, n_objects=2)
-        back = scene_spec_from_json(scene_spec_to_json(spec))
-        a, b = render(spec), render(back)
-        np.testing.assert_array_equal(a.cloud, b.cloud)
-        np.testing.assert_array_equal(a.range_image.depth, b.range_image.depth)
-
-    def test_spec_json_unknown_key_rejected(self):
-        spec_json = scene_spec_to_json(random_scene(seed=9, n_objects=1))
-        broken = spec_json.replace('"seed"', '"sneed"', 1)
-        with pytest.raises(ManifestError):
-            scene_spec_from_json(broken)
