@@ -8,7 +8,6 @@ scene generator that make every experiment reproducible end to end.
 """
 
 from .errors import (
-    EmptyFrustumError,
     EncodeDomainError,
     FrustumKitError,
     GeometryError,
@@ -22,15 +21,12 @@ from .errors import (
 from .geometry import (
     Aabb3,
     CameraIntrinsics,
-    Frustum,
     OrientedBox3,
     Rect2,
     RigidTransform,
-    frustum_center,
-    frustum_from_rect,
-    points_in_frustum,
     read_cloud_binary,
     subdivide_rect,
+    tile_masks,
     unproject,
     write_cloud_binary,
 )

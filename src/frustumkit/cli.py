@@ -4,8 +4,8 @@ Every subcommand reads a manifest or explicit flags and writes CSV or binary
 artifacts. Output is deterministic given (manifest, config, seed): re-running
 a command produces byte-identical files. Exit codes are: 0 success, 2 usage
 or configuration error, 3 I/O or malformed manifest, 4 infeasible request
-(no candidates, empty frustum, unreachable recall target, unsupported scale
-class), 5 violated numerical invariant.
+(no candidates, unreachable recall target, unsupported scale class), 5
+violated numerical invariant.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .cropbox import (
 )
 from .dhs import depth_to_dhs, read_range_image, write_range_image
 from .errors import (
-    EmptyFrustumError,
     EncodeDomainError,
     FrustumKitError,
     InfeasibleSizeError,
@@ -387,7 +386,7 @@ _DET_KEYS = {"category", "score", "box"}
 
 
 def _load_detections(path: str, manifest: Manifest) -> list[list[Detection]]:
-    data = parse_json(Path(path).read_text(), f"detections file {path}")
+    data = parse_json(Path(path).read_bytes(), f"detections file {path}")
     check_json_keys(data, {"frames"}, {"frames"}, "detections file")
     frames_value = data["frames"]
     if not isinstance(frames_value, list) or len(frames_value) != len(manifest.frames):
@@ -404,13 +403,10 @@ def _load_detections(path: str, manifest: Manifest) -> list[list[Detection]]:
             check_json_keys(det, _DET_KEYS, _DET_KEYS, "detection")
             if det["category"] not in manifest.categories:
                 raise ManifestError(f"detection category {det['category']!r} not in vocabulary")
-            dets.append(
-                Detection(
-                    box=box_from_json(det["box"]),
-                    category=det["category"],
-                    score=float(det["score"]),
-                )
-            )
+            score = det["score"]
+            if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 1:
+                raise ManifestError(f"detection score must be a number in [0, 1], got {score!r}")
+            dets.append(Detection(box=box_from_json(det["box"]), category=det["category"], score=float(score)))
         out.append(dets)
     return out
 
@@ -478,7 +474,7 @@ def _cmd_netshape(args: argparse.Namespace) -> int:
         spec = get_scale_spec(args.scale)
         dims = spec.grid
     if args.layers_json is not None:
-        layers = layers_from_json(Path(args.layers_json).read_text())
+        layers = layers_from_json(Path(args.layers_json).read_bytes())
     else:
         layers = default_layers(args.categories)
     plan = propagate((*dims, 1), layers)
@@ -638,7 +634,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (InfeasibleSizeError, NoCandidatesError, EmptyFrustumError, UnsupportedScaleError) as exc:
+    except (InfeasibleSizeError, NoCandidatesError, UnsupportedScaleError) as exc:
         print(f"frustumkit {args.command}: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except InvariantViolation as exc:

@@ -14,7 +14,6 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import (
-    EmptyFrustumError,
     GeometryError,
     InfeasibleSizeError,
     NoCandidatesError,
@@ -29,9 +28,9 @@ from .geometry import (
     OrientedBox3,
     Rect2,
     RigidTransform,
-    frustum_center,
-    frustum_from_rect,
+    as_point_cloud,
     subdivide_rect,
+    tile_masks,
 )
 from .ioi import IoiBreakdown, RecallReport, crop_scores
 
@@ -120,18 +119,26 @@ def candidate_centers(
 ) -> list[np.ndarray]:
     """Crop-center candidates from the subfrustums of a 2D proposal.
 
-    The rect is tiled fr x fc (row-major); each non-empty subfrustum
-    contributes its point-statistic center. Empty subfrustums are dropped;
-    if every one is empty there is nothing to anchor a crop to and
-    NoCandidatesError is raised.
+    The rect is tiled fr x fc (row-major) and the cloud is projected once;
+    each non-empty subfrustum contributes the average of its points or their
+    per-coordinate median (for even counts the lower of the two middle
+    values). Empty subfrustums are dropped; if every one is empty there is
+    nothing to anchor a crop to and NoCandidatesError is raised.
     """
+    if mode not in ("average", "median"):
+        raise GeometryError(f"unknown center mode: {mode!r}")
+    pts = as_point_cloud(cloud)
+    tiles = subdivide_rect(rect, fr, fc)
+    pose = pose if pose is not None else RigidTransform.identity()
     centers: list[np.ndarray] = []
-    for tile in subdivide_rect(rect, fr, fc):
-        f = frustum_from_rect(tile, k, pose=pose, near=near, far=far)
-        try:
-            centers.append(frustum_center(cloud, f, mode))
-        except EmptyFrustumError:
+    for mask in tile_masks(pts, tiles, k, pose, near, far):
+        inside = pts[mask]
+        if inside.shape[0] == 0:
             continue
+        if mode == "average":
+            centers.append(inside.mean(axis=0))
+        else:
+            centers.append(np.sort(inside, axis=0)[(inside.shape[0] - 1) // 2])
     if not centers:
         raise NoCandidatesError(f"all {fr}x{fc} subfrustums of the rect are empty")
     return centers

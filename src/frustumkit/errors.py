@@ -14,10 +14,6 @@ class GeometryError(FrustumKitError, ValueError):
     """Invalid geometric input: bad depth, out-of-bounds pixel, degenerate rect."""
 
 
-class EmptyFrustumError(FrustumKitError, ValueError):
-    """A frustum contains no points, so no center statistic exists."""
-
-
 class NoCandidatesError(FrustumKitError, ValueError):
     """Every subfrustum of a proposal was empty; no crop candidates remain."""
 

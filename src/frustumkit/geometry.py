@@ -14,13 +14,14 @@ widened by ``BOUNDARY_TOL`` so points constructed exactly on a frustum face
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from dataclasses import dataclass
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import EmptyFrustumError, GeometryError
+from .errors import GeometryError
 
 #: Absolute tolerance applied to frustum boundary planes.
 BOUNDARY_TOL = 1e-9
@@ -60,8 +61,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if self.fx <= 0 or self.fy <= 0:
-            raise GeometryError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise GeometryError("focal lengths must be finite and positive")
         if self.width <= 0 or self.height <= 0:
             raise GeometryError("image dimensions must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -155,8 +156,8 @@ class OrientedBox3:
     """Gravity-aligned 3D box: center, width/depth/height, yaw about world +z.
 
     Width spans the box's local x axis, depth its local y axis; yaw rotates
-    local axes into the world. Dimensions must be strictly positive and yaw is
-    normalized to [-pi, pi) at construction.
+    local axes into the world. Dimensions must be finite and strictly positive;
+    yaw must be finite and is normalized to [-pi, pi) at construction.
     """
 
     center: np.ndarray
@@ -169,8 +170,10 @@ class OrientedBox3:
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(self.center)):
             raise GeometryError("box center must be finite")
-        if min(self.width, self.depth, self.height) <= 0:
-            raise GeometryError("box dimensions must be strictly positive")
+        if not all(0 < d < math.inf for d in (self.width, self.depth, self.height)):
+            raise GeometryError("box dimensions must be finite and strictly positive")
+        if not math.isfinite(self.yaw):
+            raise GeometryError("box yaw must be finite")
         self.yaw = normalize_yaw(float(self.yaw))
 
     @property
@@ -214,23 +217,6 @@ class Aabb3:
     def z_interval(self) -> tuple[float, float]:
         hz = 0.5 * self.height
         return (float(self.center[2]) - hz, float(self.center[2]) + hz)
-
-
-@dataclass
-class Frustum:
-    """Camera-space viewing volume behind a 2D rect, expressed in world frame."""
-
-    apex: np.ndarray
-    rect: Rect2
-    intrinsics: CameraIntrinsics
-    near: float
-    far: float
-    pose: RigidTransform = field(default_factory=RigidTransform.identity)
-
-    def __post_init__(self) -> None:
-        self.apex = np.asarray(self.apex, dtype=np.float64).reshape(3)
-        if not (0 < self.near < self.far):
-            raise GeometryError("need 0 < near < far")
 
 
 # ---------------------------------------------------------------------------
@@ -277,51 +263,6 @@ def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndar
 # frustums
 
 
-def frustum_from_rect(
-    rect: Rect2,
-    k: CameraIntrinsics,
-    pose: RigidTransform | None = None,
-    near: float = NEAR_DEFAULT,
-    far: float = FAR_DEFAULT,
-) -> Frustum:
-    """Build the world-frame frustum behind a pixel rect.
-
-    The apex is the sensor origin (the pose translation); the four edge rays
-    pass through the rect corners by construction of the containment test.
-    """
-    pose = pose if pose is not None else RigidTransform.identity()
-    return Frustum(apex=pose.translation.copy(), rect=rect, intrinsics=k, near=near, far=far, pose=pose)
-
-
-def frustum_contains_mask(cloud: np.ndarray, f: Frustum) -> np.ndarray:
-    """Boolean mask of world-frame points inside the frustum.
-
-    Membership: depth within (near, far) and projection within the rect, all
-    four boundaries widened by BOUNDARY_TOL so exact boundary points land
-    inside deterministically.
-    """
-    pts = as_point_cloud(cloud)
-    cam = f.pose.inverse().apply(pts)
-    u, v, z = project_points(cam, f.intrinsics)
-    tol = BOUNDARY_TOL
-    r = f.rect
-    with np.errstate(invalid="ignore"):
-        ok = (
-            (z > f.near - tol)
-            & (z < f.far + tol)
-            & (u >= r.u_min - tol)
-            & (u < r.u_max + tol)
-            & (v >= r.v_min - tol)
-            & (v < r.v_max + tol)
-        )
-    return np.asarray(ok, dtype=bool)
-
-
-def points_in_frustum(cloud: np.ndarray, f: Frustum) -> np.ndarray:
-    """Indices of cloud points inside the frustum, in input order."""
-    return np.nonzero(frustum_contains_mask(cloud, f))[0]
-
-
 def subdivide_rect(rect: Rect2, fr: int, fc: int) -> list[Rect2]:
     """Tile a rect into fr rows x fc columns, returned in row-major order.
 
@@ -340,23 +281,38 @@ def subdivide_rect(rect: Rect2, fr: int, fc: int) -> list[Rect2]:
     return tiles
 
 
-def frustum_center(cloud: np.ndarray, f: Frustum, mode: CenterMode) -> np.ndarray:
-    """Average or median world-frame center of the points inside a frustum.
+def tile_masks(
+    cloud: np.ndarray,
+    tiles: Sequence[Rect2],
+    k: CameraIntrinsics,
+    pose: RigidTransform,
+    near: float,
+    far: float,
+) -> list[np.ndarray]:
+    """Boolean mask of the world-frame cloud points inside each tile's frustum.
 
-    The median is taken per coordinate and, for even counts, is the lower of
-    the two middle values. Raises EmptyFrustumError when nothing is inside.
+    The cloud is moved into the camera frame and projected once; each tile
+    then tests those (u, v, z) arrays. Membership: depth within (near, far)
+    and projection within the tile, all four boundaries widened by
+    BOUNDARY_TOL, so exact boundary points land inside deterministically and
+    a point on (or within the tolerance of) an edge shared by two tiles
+    counts in both.
     """
-    if mode not in ("average", "median"):
-        raise GeometryError(f"unknown center mode: {mode!r}")
-    pts = as_point_cloud(cloud)
-    mask = frustum_contains_mask(pts, f)
-    inside = pts[mask]
-    if inside.shape[0] == 0:
-        raise EmptyFrustumError("frustum contains no points")
-    if mode == "average":
-        return inside.mean(axis=0)
-    lower_mid = (inside.shape[0] - 1) // 2
-    return np.sort(inside, axis=0)[lower_mid]
+    if not (0 < near < far):
+        raise GeometryError("need 0 < near < far")
+    cam = pose.inverse().apply(as_point_cloud(cloud))
+    u, v, z = project_points(cam, k)
+    tol = BOUNDARY_TOL
+    with np.errstate(invalid="ignore"):
+        in_depth = (z > near - tol) & (z < far + tol)
+        return [
+            in_depth
+            & (u >= t.u_min - tol)
+            & (u < t.u_max + tol)
+            & (v >= t.v_min - tol)
+            & (v < t.v_max + tol)
+            for t in tiles
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -484,31 +440,3 @@ def read_cloud_binary(path: str) -> np.ndarray:
         raise GeometryError(f"{path}: expected {expected} payload bytes, found {len(body)}")
     pts = np.frombuffer(body, dtype="<f4").reshape(count, 3).astype(np.float64)
     return pts
-
-
-def write_cloud_text(cloud: np.ndarray, path: str) -> None:
-    """Write one 'x y z' line per point."""
-    pts = as_point_cloud(cloud)
-    with open(path, "w", encoding="ascii") as fh:
-        for x, y, z in pts:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
-
-
-def read_cloud_text(path: str) -> np.ndarray:
-    """Read a whitespace-separated 'x y z' per-line cloud file."""
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise GeometryError(f"{path}:{line_no}: expected 3 values, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise GeometryError(f"{path}:{line_no}: {exc}") from exc
-    if not rows:
-        return np.zeros((0, 3), dtype=np.float64)
-    return np.asarray(rows, dtype=np.float64)

@@ -3,15 +3,17 @@
 A manifest ties together everything the crop-size search and the evaluator
 need per frame: a point-cloud file, optional range image, camera intrinsics
 and pose, and the labeled objects (category, image rect, oriented box).
-Loading is strict — unknown keys, missing files, NaN/Infinity tokens, or
-categories outside the declared vocabulary all raise :class:`ManifestError`
-rather than being silently tolerated. The same strict-JSON helpers parse the
-detections file of ``frustumkit evaluate``.
+Loading is strict — unknown keys, missing files, non-UTF-8 bytes,
+NaN/Infinity tokens, numbers that overflow a float, or categories outside the
+declared vocabulary all raise :class:`ManifestError` rather than being
+silently tolerated. The same strict-JSON helpers parse the detections file of
+``frustumkit evaluate`` and the layer list of ``frustumkit netshape``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -43,12 +45,37 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token} is not allowed")
 
 
-def parse_json(text: str, what: str) -> object:
-    """json.loads that raises ManifestError on malformed text and on NaN/Infinity tokens."""
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"number {token} overflows a float")
+    return value
+
+
+def _float_sized_int(token: str) -> int:
+    value = int(token)
     try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"integer of {len(token)} characters overflows a float") from None
+    return value
+
+
+def parse_json(data: str | bytes, what: str) -> object:
+    """Strict json.loads: malformed text, non-UTF-8 bytes, NaN/Infinity tokens
+    and numbers that overflow a float all raise ManifestError."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(
+            text,
+            parse_constant=_reject_constant,
+            parse_float=_finite_float,
+            parse_int=_float_sized_int,
+        )
+    except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
         raise ManifestError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ManifestError(f"{what} nests JSON arrays or objects too deeply") from None
 
 
 def check_json_keys(obj: dict, allowed: set, required: set, what: str) -> None:
@@ -175,8 +202,12 @@ def _parse_object(entry: object, categories: tuple[str, ...]) -> ManifestObject:
 def _resolve_existing(root: Path, rel: object, what: str) -> Path:
     if not isinstance(rel, str) or not rel:
         raise ManifestError(f"{what} must be a non-empty path string")
-    path = (root / rel).resolve()
-    if not path.is_file():
+    try:
+        path = (root / rel).resolve()
+        found = path.is_file()
+    except (OSError, ValueError) as exc:  # e.g. a NUL byte or a lone surrogate in the name
+        raise ManifestError(f"{what} {rel!r} is not a usable path: {exc}") from exc
+    if not found:
         raise ManifestError(f"{what} {rel!r} does not exist under {root}")
     return path
 
@@ -209,10 +240,10 @@ def load_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest; all relative paths resolve against it."""
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    data = parse_json(text, f"manifest {path}")
+    data = parse_json(raw, f"manifest {path}")
     check_json_keys(data, _TOP_KEYS, {"categories", "frames"}, "manifest")
     categories_value = data["categories"]
     if (

@@ -13,14 +13,15 @@ Tensors are laid out (x, y, z, channels). Dropout is modeled as identity
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapePlanError
+from .manifest import parse_json
 from .voxelizer import VoxelGrid
 
 LAYER_KINDS = ("conv3d", "pool3d", "dropout", "global_reduce", "dense")
@@ -31,13 +32,20 @@ LAYER_KINDS = ("conv3d", "pool3d", "dropout", "global_reduce", "dense")
 NAIVE_DIM_CAP = 32
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _as_triple(value, name: str) -> tuple[int, int, int]:
-    if isinstance(value, int):
+    if _is_int(value):
         value = (value, value, value)
-    t = tuple(int(v) for v in value)
-    if len(t) != 3 or any(v < 1 for v in t):
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 3
+        and all(_is_int(v) and v >= 1 for v in value)
+    ):
         raise ShapePlanError(f"{name} must be a positive int or 3 positive ints, got {value!r}")
-    return t
+    return tuple(int(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class LayerSpec:
             raise ShapePlanError(f"padding must be 'same' or 'valid', got {self.padding!r}")
         needs_channels = self.kind in ("conv3d", "dense")
         if needs_channels:
-            if self.channels_out is None or self.channels_out < 1:
+            if not (_is_int(self.channels_out) and self.channels_out >= 1):
                 raise ShapePlanError(f"{self.kind} requires a positive channels_out")
         elif self.channels_out is not None:
             raise ShapePlanError(f"{self.kind} preserves channels; channels_out must be omitted")
@@ -84,26 +92,18 @@ def layer_from_json(obj: dict) -> LayerSpec:
     return LayerSpec(**kwargs)
 
 
-def layers_from_json(text: str) -> tuple[LayerSpec, ...]:
-    """Parse a JSON array of layer objects; unknown keys are hard errors."""
-    data = json.loads(text)
+def layers_from_json(text: str | bytes) -> tuple[LayerSpec, ...]:
+    """Parse a JSON array of layer objects; unknown keys and bad values are hard errors.
+
+    The text goes through the strict reader (:func:`manifest.parse_json`), so
+    malformed JSON, non-UTF-8 bytes and non-finite or overflowing numbers
+    raise ManifestError; a well-formed entry with a bad field raises
+    ShapePlanError.
+    """
+    data = parse_json(text, "layer list")
     if not isinstance(data, list):
         raise ShapePlanError("layer list JSON must be a top-level array")
     return tuple(layer_from_json(entry) for entry in data)
-
-
-def layers_to_json(layers: Sequence[LayerSpec]) -> str:
-    out = []
-    for layer in layers:
-        entry: dict = {"kind": layer.kind}
-        if layer.kind in ("conv3d", "pool3d"):
-            entry["kernel"] = list(layer.kernel)
-            entry["stride"] = list(layer.stride)
-            entry["padding"] = layer.padding
-        if layer.channels_out is not None:
-            entry["channels_out"] = layer.channels_out
-        out.append(entry)
-    return json.dumps(out, indent=2)
 
 
 @dataclass(frozen=True)

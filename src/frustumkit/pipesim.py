@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .cropbox import ObjectSample, SCALE_SPECS, ScaleSpec, best_cropbox, candidate_centers
-from .errors import EmptyFrustumError, GeometryError, NoCandidatesError
+from .errors import GeometryError, NoCandidatesError
 from .geometry import Rect2
 
 Mode = Literal["sequential", "pipelined"]
@@ -222,7 +222,7 @@ def stale_frustum_experiment(
                     sample.cloud, shifted, sample.intrinsics, sample.pose, fr=1, fc=1, mode="average"
                 )
                 _, breakdown = best_cropbox(sample.gt_box, centers, spec)
-            except (EmptyFrustumError, NoCandidatesError):
+            except NoCandidatesError:
                 n_lost += 1
                 iois.append(0.0)
                 continue

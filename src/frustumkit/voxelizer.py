@@ -154,19 +154,3 @@ def write_sparse_csv(grid: VoxelGrid, path: str) -> None:
         nonzero = np.argwhere(grid.data > 0)
         for ix, iy, iz in nonzero:
             writer.writerow([int(ix), int(iy), int(iz), int(grid.data[ix, iy, iz])])
-
-
-def read_sparse_csv(path: str, dims: tuple[int, int, int], cell, origin) -> VoxelGrid:
-    """Rebuild a grid from its sparse CSV plus the geometry sidecar values."""
-    data = np.zeros(tuple(dims), dtype=np.int64)
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["ix", "iy", "iz", "count"]:
-            raise GeometryError(f"{path}: unexpected sparse CSV header {header}")
-        for row in reader:
-            if len(row) != 4:
-                raise GeometryError(f"{path}: malformed row {row}")
-            ix, iy, iz, count = (int(v) for v in row)
-            data[ix, iy, iz] = count
-    return VoxelGrid(dims=tuple(dims), cell=cell, origin=origin, data=data)

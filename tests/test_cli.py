@@ -509,3 +509,108 @@ def test_anchors_rejects_nan_box_height(dataset, tmp_path, capsys):
     assert code == EXIT_IO
     assert "non-finite number NaN" in capsys.readouterr().err
     assert not (tmp_path / "a.csv").exists()
+
+
+def _run_anchors_on_manifest_text(dataset, tmp_path, text: bytes) -> int:
+    bad = dataset.parent / "edited_manifest.json"
+    bad.write_bytes(text)
+    try:
+        return main(["anchors", "--manifest", str(bad), "--out", str(tmp_path / "a.csv")])
+    finally:
+        bad.unlink()
+
+
+@pytest.mark.parametrize(
+    "path, literal, message",
+    [
+        (("objects", 0, "box", "height"), "1e999", "number 1e999 overflows a float"),
+        (("objects", 0, "box", "width"), "1" * 400, "integer of 400 characters overflows a float"),
+        (("intrinsics", "height"), "1e999", "number 1e999 overflows a float"),
+    ],
+    ids=["box-height-1e999", "box-width-400-digits", "intrinsics-height-1e999"],
+)
+def test_manifest_rejects_overflowing_numbers(dataset, tmp_path, capsys, path, literal, message):
+    data = json.loads(dataset.read_text())
+    target = data["frames"][0]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "OVERFLOW_SENTINEL"
+    text = json.dumps(data).replace('"OVERFLOW_SENTINEL"', literal)
+    assert _run_anchors_on_manifest_text(dataset, tmp_path, text.encode()) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("frustumkit anchors: ") and message in err
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_manifest_that_is_not_utf8_is_io_error(dataset, tmp_path, capsys):
+    text = dataset.read_text().replace('"categories"', '"categories\xe9"', 1).encode("latin-1")
+    assert _run_anchors_on_manifest_text(dataset, tmp_path, text) == EXIT_IO
+    assert "'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "score, message",
+    [
+        ("abc", "score must be a number in [0, 1], got 'abc'"),
+        (True, "score must be a number in [0, 1], got True"),
+        (1.5, "score must be a number in [0, 1], got 1.5"),
+        (-0.25, "score must be a number in [0, 1], got -0.25"),
+        (None, "score must be a number in [0, 1], got None"),
+    ],
+    ids=["string", "bool", "above-one", "negative", "null"],
+)
+def test_evaluate_rejects_bad_detection_score(dataset, perfect_detections, tmp_path, capsys, score, message):
+    data = json.loads(perfect_detections.read_text())
+    data["frames"][0][0]["score"] = score
+    dets = tmp_path / "dets.json"
+    dets.write_text(json.dumps(data))
+    code = main(
+        ["evaluate", "--manifest", str(dataset), "--dets", str(dets), "--out-prefix", str(tmp_path / "e")]
+    )
+    assert code == EXIT_IO
+    assert message in capsys.readouterr().err
+
+
+def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
+    dets = tmp_path / "dets.json"
+    dets.write_bytes(b'{"frames": [["\xff"]]}')
+    code = main(
+        ["evaluate", "--manifest", str(dataset), "--dets", str(dets), "--out-prefix", str(tmp_path / "e")]
+    )
+    assert code == EXIT_IO
+    assert "'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (b'[{"kind": "dropout"', EXIT_IO, "layer list is not valid JSON"),
+        (b'[{"kind": "pool3d", "kernel": NaN, "stride": 2}]', EXIT_IO, "non-finite number NaN"),
+        (b'[{"kind": "pool3d", "kernel": 1e999, "stride": 2}]', EXIT_IO, "number 1e999 overflows a float"),
+        (b'[{"kind": "dropout", "padding": "\xff"}]', EXIT_IO, "'utf-8' codec can't decode"),
+        (b'[{"kind": "pool3d", "kernel": "abc", "stride": 2}]', EXIT_USAGE, "kernel must be a positive int"),
+        (b'[{"kind": "pool3d", "kernel": [2, 2.5, 2], "stride": 2}]', EXIT_USAGE, "kernel must be a positive int"),
+        (b'[{"kind": "conv3d", "channels_out": "8"}]', EXIT_USAGE, "conv3d requires a positive channels_out"),
+    ],
+    ids=["truncated", "nan-kernel", "overflowing-kernel", "not-utf8", "string-kernel", "float-kernel", "string-channels"],
+)
+def test_netshape_rejects_bad_layers_json(tmp_path, capsys, text, code, message):
+    layers = tmp_path / "layers.json"
+    layers.write_bytes(text)
+    assert main(["netshape", "check", "--grid", "16x16x16", "--layers-json", str(layers)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("frustumkit netshape: ") and message in err
+
+
+@pytest.mark.parametrize("name", ["a\x00b.cloud", "\ud800.cloud"], ids=["nul-byte", "lone-surrogate"])
+def test_manifest_rejects_unusable_cloud_path(dataset, tmp_path, capsys, name):
+    data = json.loads(dataset.read_text())
+    data["frames"][0]["cloud"] = name
+    assert _run_anchors_on_manifest_text(dataset, tmp_path, json.dumps(data).encode()) == EXIT_IO
+    assert "is not a usable path" in capsys.readouterr().err
+
+
+def test_manifest_nested_too_deeply_is_io_error(dataset, tmp_path, capsys):
+    text = b'{"categories": ["a"], "frames": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    assert _run_anchors_on_manifest_text(dataset, tmp_path, text) == EXIT_IO
+    assert "nests JSON arrays or objects too deeply" in capsys.readouterr().err

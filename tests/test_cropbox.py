@@ -29,7 +29,19 @@ from frustumkit.errors import (
     NoCandidatesError,
     UnsupportedScaleError,
 )
-from frustumkit.geometry import Aabb3, CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, unproject
+from frustumkit import geometry
+from frustumkit.geometry import (
+    BOUNDARY_TOL,
+    FAR_DEFAULT,
+    NEAR_DEFAULT,
+    Aabb3,
+    CameraIntrinsics,
+    OrientedBox3,
+    Rect2,
+    RigidTransform,
+    subdivide_rect,
+    unproject,
+)
 from frustumkit.ioi import ioi
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60)
@@ -135,6 +147,92 @@ class TestCandidateCenters:
         rect = Rect2(0.0, 0.0, 80.0, 60.0)
         with pytest.raises(NoCandidatesError):
             candidate_centers(cloud, rect, K, fr=3, fc=3)
+
+
+def reference_centers(cloud, rect, k, pose, fr, fc, mode, near=NEAR_DEFAULT, far=FAR_DEFAULT):
+    """Candidate centers the per-tile way: re-project the whole cloud for every tile."""
+    tol = BOUNDARY_TOL
+    centers = []
+    for t in subdivide_rect(rect, fr, fc):
+        cam = pose.inverse().apply(cloud)
+        z = cam[:, 2]
+        u = k.fx * cam[:, 0] / z + k.cx
+        v = k.fy * cam[:, 1] / z + k.cy
+        inside = cloud[
+            (z > near - tol)
+            & (z < far + tol)
+            & (u >= t.u_min - tol)
+            & (u < t.u_max + tol)
+            & (v >= t.v_min - tol)
+            & (v < t.v_max + tol)
+        ]
+        if len(inside) == 0:
+            continue
+        if mode == "average":
+            centers.append(inside.mean(axis=0))
+        else:
+            centers.append(np.sort(inside, axis=0)[(len(inside) - 1) // 2])
+    return centers
+
+
+class TestCandidateCentersAgainstPerTileReference:
+    POSE = RigidTransform(
+        np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]) @ np.array(
+            [[math.cos(0.4), 0.0, math.sin(0.4)], [0.0, 1.0, 0.0], [-math.sin(0.4), 0.0, math.cos(0.4)]]
+        ),
+        np.array([0.3, -0.2, 1.2]),
+    )
+    RECT = Rect2(10.3, 7.1, 70.9, 52.4)
+
+    def _cloud(self, seed, fr, fc):
+        """Random points plus points on, and within and beyond the tolerance of, every tile edge."""
+        rng = np.random.default_rng(seed)
+        r = self.RECT
+        pixels = list(zip(rng.uniform(r.u_min - 3, r.u_max + 3, 300), rng.uniform(r.v_min - 3, r.v_max + 3, 300)))
+        tiles = subdivide_rect(r, fr, fc)
+        u_edges = sorted({t.u_min for t in tiles} | {t.u_max for t in tiles})
+        v_edges = sorted({t.v_min for t in tiles} | {t.v_max for t in tiles})
+        offsets = [0.0, 0.5 * BOUNDARY_TOL, -0.5 * BOUNDARY_TOL, 2 * BOUNDARY_TOL, -2 * BOUNDARY_TOL]
+        for d in offsets:
+            for e in u_edges:
+                pixels += [(e + d, v) for v in rng.uniform(r.v_min, r.v_max, 12)]
+            for e in v_edges:
+                pixels += [(u, e + d) for u in rng.uniform(r.u_min, r.u_max, 12)]
+        depths = rng.uniform(0.5, 9.5, len(pixels))
+        # a few depths straddling the near and far planes
+        depths[:8] = [NEAR_DEFAULT + d for d in (0.0, 5e-10, -5e-10, -2e-9)] + [
+            FAR_DEFAULT + d for d in (0.0, 5e-10, -5e-10, 2e-9)
+        ]
+        cam = np.stack([unproject(p, z, K) for p, z in zip(pixels, depths)])
+        return self.POSE.apply(cam[rng.permutation(len(cam))])
+
+    @pytest.mark.parametrize("mode", ["average", "median"])
+    @pytest.mark.parametrize("fr_fc", [(1, 1), (3, 3), (5, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exactly_equal_to_reference(self, seed, fr_fc, mode):
+        fr, fc = fr_fc
+        cloud = self._cloud(seed, fr, fc)
+        got = candidate_centers(cloud, self.RECT, K, pose=self.POSE, fr=fr, fc=fc, mode=mode)
+        want = reference_centers(cloud, self.RECT, K, self.POSE, fr, fc, mode)
+        assert len(got) == len(want) > 0
+        assert np.array_equal(np.stack(got), np.stack(want))
+
+    def test_projects_once_per_call(self, monkeypatch):
+        calls = {"inverse": 0, "project": 0}
+        inverse, project = RigidTransform.inverse, geometry.project_points
+
+        def counting_inverse(pose):
+            calls["inverse"] += 1
+            return inverse(pose)
+
+        def counting_project(*args):
+            calls["project"] += 1
+            return project(*args)
+
+        monkeypatch.setattr(RigidTransform, "inverse", counting_inverse)
+        monkeypatch.setattr(geometry, "project_points", counting_project)
+        candidate_centers(self._cloud(0, 5, 5), self.RECT, K, pose=self.POSE, fr=5, fc=5)
+        assert calls == {"inverse": 1, "project": 1}
 
 
 class TestBestCropbox:

@@ -14,26 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frustumkit.errors import EmptyFrustumError, GeometryError
+from frustumkit.cropbox import candidate_centers
+from frustumkit.errors import GeometryError, NoCandidatesError
 from frustumkit.geometry import (
+    BOUNDARY_TOL,
     CameraIntrinsics,
     OrientedBox3,
     Rect2,
     RigidTransform,
     clip_polygon_to_aabb,
-    frustum_center,
-    frustum_from_rect,
     normalize_yaw,
     oriented_box_footprint,
-    points_in_frustum,
     polygon_area,
     project_points,
     read_cloud_binary,
-    read_cloud_text,
     subdivide_rect,
+    tile_masks,
     unproject,
     write_cloud_binary,
-    write_cloud_text,
 )
 from frustumkit.ioi import crop_scores
 
@@ -80,6 +78,22 @@ class TestUnproject:
             unproject((10.0, K.height + 0.5), 1.0, K)
 
 
+class TestNonFiniteConstructorValues:
+    @pytest.mark.parametrize("field", ["width", "depth", "height", "yaw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_box_rejects_non_finite_dimension_or_yaw(self, field, value):
+        fields = {"width": 1.0, "depth": 1.0, "height": 1.0, "yaw": 0.0, field: value}
+        with pytest.raises(GeometryError):
+            OrientedBox3(center=(0.0, 0.0, 0.5), **fields)
+
+    @pytest.mark.parametrize("field", ["fx", "fy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_intrinsics_reject_non_finite_focal_length(self, field, value):
+        fields = {"fx": 520.0, "fy": 515.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480, field: value}
+        with pytest.raises(GeometryError):
+            CameraIntrinsics(**fields)
+
+
 class TestRect2:
     def test_degenerate_rect_is_an_error(self):
         with pytest.raises(GeometryError):
@@ -110,54 +124,69 @@ class TestRigidTransform:
 
 class TestFrustumMembership:
     def test_matches_per_point_oracle(self):
-        """Vectorized membership agrees with a scalar per-point loop."""
+        """Vectorized per-tile membership agrees with a scalar per-point loop."""
         pose = make_pose()
         rect = Rect2(120.0, 90.0, 420.0, 360.0)
-        f = frustum_from_rect(rect, K, pose=pose, near=0.2, far=6.0)
+        tiles = subdivide_rect(rect, 3, 3)
         rng = np.random.default_rng(11)
         cloud = rng.uniform(low=[-4, -4, -1], high=[6, 6, 3], size=(2000, 3))
+        masks = tile_masks(cloud, tiles, K, pose, 0.2, 6.0)
+        assert len(masks) == len(tiles)
 
         inv = pose.inverse()
-        expected = []
-        for i, p in enumerate(cloud):
-            q = inv.apply(p)
-            z = q[2]
-            if not (0.2 - 1e-9 < z < 6.0 + 1e-9):
-                continue
-            u = K.fx * q[0] / z + K.cx
-            v = K.fy * q[1] / z + K.cy
-            if rect.u_min - 1e-9 <= u < rect.u_max + 1e-9 and rect.v_min - 1e-9 <= v < rect.v_max + 1e-9:
-                expected.append(i)
-
-        got = points_in_frustum(cloud, f)
-        assert got.tolist() == expected
+        for tile, mask in zip(tiles, masks):
+            expected = []
+            for i, p in enumerate(cloud):
+                q = inv.apply(p)
+                z = q[2]
+                if not (0.2 - 1e-9 < z < 6.0 + 1e-9):
+                    continue
+                u = K.fx * q[0] / z + K.cx
+                v = K.fy * q[1] / z + K.cy
+                if tile.u_min - 1e-9 <= u < tile.u_max + 1e-9 and tile.v_min - 1e-9 <= v < tile.v_max + 1e-9:
+                    expected.append(i)
+            assert np.nonzero(mask)[0].tolist() == expected
 
     def test_corner_ray_point_is_inside(self):
         """A point built on the ray through a rect corner classifies inside."""
         pose = make_pose()
         rect = Rect2(100.0, 80.0, 300.0, 260.0)
-        f = frustum_from_rect(rect, K, pose=pose, near=0.1, far=10.0)
         for corner in [(rect.u_min, rect.v_min), (rect.u_max, rect.v_max), (rect.u_min, rect.v_max)]:
             p_cam = unproject(corner, 3.0, K)
             p_world = pose.apply(p_cam)
-            assert points_in_frustum(p_world.reshape(1, 3), f).tolist() == [0]
+            assert tile_masks(p_world.reshape(1, 3), [rect], K, pose, 0.1, 10.0)[0].tolist() == [True]
+
+    def test_point_within_tolerance_of_shared_edge_counts_in_both_tiles(self):
+        pose = make_pose()
+        left, right = subdivide_rect(Rect2(100.0, 80.0, 300.0, 260.0), 1, 2)
+        edge = left.u_max
+        offsets = [0.0, 0.5 * BOUNDARY_TOL, -0.5 * BOUNDARY_TOL, 3 * BOUNDARY_TOL, -3 * BOUNDARY_TOL]
+        cloud = np.stack([pose.apply(unproject((edge + d, 170.0), 3.0, K)) for d in offsets])
+        in_left, in_right = tile_masks(cloud, [left, right], K, pose, 0.1, 10.0)
+        assert in_left.tolist() == [True, True, True, False, True]
+        assert in_right.tolist() == [True, True, True, True, False]
 
     def test_membership_is_permutation_equivariant(self):
         pose = make_pose()
         rect = Rect2(200.0, 150.0, 440.0, 330.0)
-        f = frustum_from_rect(rect, K, pose=pose)
         rng = np.random.default_rng(5)
         cloud = rng.uniform(low=[-2, -2, 0], high=[5, 5, 2], size=(500, 3))
         perm = rng.permutation(500)
-        base = set(points_in_frustum(cloud, f).tolist())
-        shuffled = points_in_frustum(cloud[perm], f)
+        base = set(np.nonzero(tile_masks(cloud, [rect], K, pose, 0.1, 10.0)[0])[0].tolist())
+        shuffled = np.nonzero(tile_masks(cloud[perm], [rect], K, pose, 0.1, 10.0)[0])[0]
         assert {perm[i] for i in shuffled} == base
 
     def test_depth_limits_respected(self):
         rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
-        f = frustum_from_rect(rect, K, near=1.0, far=2.0)
         cloud = np.array([[0, 0, 0.5], [0, 0, 1.5], [0, 0, 2.5]])
-        assert points_in_frustum(cloud, f).tolist() == [1]
+        mask = tile_masks(cloud, [rect], K, RigidTransform.identity(), 1.0, 2.0)[0]
+        assert mask.tolist() == [False, True, False]
+
+    def test_rejects_bad_depth_range(self):
+        rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
+        for near, far in [(0.0, 1.0), (2.0, 1.0)]:
+            with pytest.raises(GeometryError):
+                tile_masks(np.zeros((1, 3)), [rect], K, RigidTransform.identity(), near, far)
 
 
 class TestSubdivide:
@@ -204,47 +233,44 @@ class TestSubdivide:
 
 
 class TestFrustumCenter:
-    def _frustum(self):
+    """The 1x1 candidate center: the statistic of one whole-image frustum."""
+
+    POSE = make_pose(0.0, (0, 0, 1.0))
+
+    def _center(self, cloud, mode):
         rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
-        return frustum_from_rect(rect, K, pose=make_pose(0.0, (0, 0, 1.0)), near=0.1, far=10.0)
+        (center,) = candidate_centers(cloud, rect, K, pose=self.POSE, mode=mode)
+        return center
 
     def test_average_of_known_points(self):
-        f = self._frustum()
-        pose = f.pose
         pts_cam = np.array([[0.1, 0.0, 2.0], [-0.1, 0.1, 3.0], [0.0, -0.1, 4.0]])
-        cloud = pose.apply(pts_cam)
-        c = frustum_center(cloud, f, "average")
+        cloud = self.POSE.apply(pts_cam)
+        c = self._center(cloud, "average")
         np.testing.assert_allclose(c, cloud.mean(axis=0), atol=1e-12)
 
     def test_median_even_count_takes_lower_middle(self):
-        f = self._frustum()
-        pose = f.pose
         zs = [1.0, 2.0, 3.0, 4.0]
-        cloud = pose.apply(np.array([[0.0, 0.0, z] for z in zs]))
-        c = frustum_center(cloud, f, "median")
+        cloud = self.POSE.apply(np.array([[0.0, 0.0, z] for z in zs]))
+        c = self._center(cloud, "median")
         # per coordinate the lower of the two middle values
         expected = np.sort(cloud, axis=0)[1]
         np.testing.assert_allclose(c, expected, atol=0)
 
     def test_median_is_permutation_invariant(self):
-        f = self._frustum()
-        pose = f.pose
         rng = np.random.default_rng(23)
-        cloud = pose.apply(rng.uniform([-0.5, -0.5, 0.5], [0.5, 0.5, 6.0], size=(101, 3)))
-        c1 = frustum_center(cloud, f, "median")
-        c2 = frustum_center(cloud[rng.permutation(101)], f, "median")
+        cloud = self.POSE.apply(rng.uniform([-0.5, -0.5, 0.5], [0.5, 0.5, 6.0], size=(101, 3)))
+        c1 = self._center(cloud, "median")
+        c2 = self._center(cloud[rng.permutation(101)], "median")
         np.testing.assert_allclose(c1, c2, atol=0)
 
     def test_empty_frustum_raises(self):
-        f = self._frustum()
         cloud = np.array([[0.0, 0.0, 50.0]])  # far behind the far plane
-        with pytest.raises(EmptyFrustumError):
-            frustum_center(cloud, f, "average")
+        with pytest.raises(NoCandidatesError):
+            self._center(cloud, "average")
 
     def test_unknown_mode_rejected(self):
-        f = self._frustum()
         with pytest.raises(GeometryError):
-            frustum_center(np.zeros((1, 3)), f, "centroid")
+            self._center(np.zeros((1, 3)), "centroid")
 
 
 class TestClipping:
@@ -354,22 +380,6 @@ class TestCloudIO:
             fh.truncate(8 + 3 * 4 * 3 + 2)
         with pytest.raises(GeometryError):
             read_cloud_binary(path)
-
-    def test_text_round_trip_and_blank_lines(self, tmp_path):
-        cloud = np.array([[1.0, 2.0, 3.0], [-0.25, 0.5, 9.75]])
-        path = str(tmp_path / "pts.txt")
-        write_cloud_text(cloud, path)
-        with open(path, "a") as fh:
-            fh.write("\n")
-        back = read_cloud_text(path)
-        np.testing.assert_allclose(back, cloud, atol=1e-9)
-
-    def test_text_rejects_malformed_line(self, tmp_path):
-        path = str(tmp_path / "bad.txt")
-        with open(path, "w") as fh:
-            fh.write("1.0 2.0\n")
-        with pytest.raises(GeometryError):
-            read_cloud_text(path)
 
     def test_empty_binary_cloud(self, tmp_path):
         path = str(tmp_path / "empty.cloud")

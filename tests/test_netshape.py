@@ -14,7 +14,6 @@ from frustumkit.netshape import (
     forward_with_weights,
     init_weights,
     layers_from_json,
-    layers_to_json,
     propagate,
 )
 from frustumkit.voxelizer import VoxelGrid
@@ -124,10 +123,21 @@ class TestLayerSpecValidation:
         assert layer.kernel == (3, 3, 3)
         assert layer.stride == (2, 2, 2)
 
-    def test_json_round_trip(self):
-        layers = default_layers(3)
-        back = layers_from_json(layers_to_json(layers))
-        assert back == layers
+    def test_json_layer_list_parses_to_specs(self):
+        text = """[
+            {"kind": "conv3d", "kernel": [3, 3, 3], "stride": [2, 2, 2], "padding": "same", "channels_out": 8},
+            {"kind": "dropout"},
+            {"kind": "pool3d", "kernel": 2, "stride": 2, "padding": "valid"},
+            {"kind": "global_reduce"},
+            {"kind": "dense", "channels_out": 21}
+        ]"""
+        assert layers_from_json(text) == (
+            LayerSpec("conv3d", kernel=3, stride=2, channels_out=8),
+            LayerSpec("dropout"),
+            LayerSpec("pool3d", kernel=2, stride=2, padding="valid"),
+            LayerSpec("global_reduce"),
+            LayerSpec("dense", channels_out=21),
+        )
 
     def test_json_unknown_key_rejected(self):
         with pytest.raises(ShapePlanError, match="unknown layer keys"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from frustumkit.geometry import Aabb3
 from frustumkit.voxelizer import (
     VoxelGrid,
     augment,
-    read_sparse_csv,
     read_voxel_grid,
     rotate_about_vertical,
     voxelize,
@@ -166,8 +167,14 @@ class TestSerialization:
         grid = self._grid()
         path = str(tmp_path / "grid.csv")
         write_sparse_csv(grid, path)
-        back = read_sparse_csv(path, grid.dims, grid.cell, grid.origin)
-        np.testing.assert_array_equal(back.data, grid.data)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["ix", "iy", "iz", "count"]
+        back = np.zeros(grid.dims, dtype=np.int64)
+        for ix, iy, iz, count in rows[1:]:
+            back[int(ix), int(iy), int(iz)] = int(count)
+        np.testing.assert_array_equal(back, grid.data)
+        assert len(rows) - 1 == np.count_nonzero(grid.data)
 
     def test_counts_over_u32_rejected_on_write(self, tmp_path):
         data = np.zeros((1, 1, 1), dtype=np.int64)
