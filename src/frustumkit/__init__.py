@@ -27,7 +27,6 @@ from .geometry import (
     read_cloud_binary,
     subdivide_rect,
     tile_masks,
-    unproject,
     write_cloud_binary,
 )
 from .ioi import (
@@ -57,7 +56,6 @@ from .cropbox import (
 from .voxelizer import (
     VoxelGrid,
     augment,
-    read_voxel_grid,
     rotate_about_vertical,
     voxelize,
     write_voxel_grid,
@@ -90,7 +88,6 @@ from .evalkit import (
     LabeledBox,
     MetricsRow,
     average_precision,
-    center_baseline_compare,
     center_size_metrics,
     evaluate,
     match,

@@ -155,6 +155,16 @@ def _samples(manifest: Manifest) -> list:
     return samples
 
 
+def _anchors_from_labels(manifest: Manifest) -> dict[str, Anchor]:
+    boxes_by_category: dict[str, list] = {}
+    for frame in manifest.frames:
+        for obj in frame.objects:
+            boxes_by_category.setdefault(obj.category, []).append(obj.box)
+    if not boxes_by_category:
+        raise FrustumKitError("manifest contains no labeled objects")
+    return compute_anchors(boxes_by_category)
+
+
 def _search_config(args: argparse.Namespace) -> SizeSearchConfig:
     return SizeSearchConfig(
         side_candidates=_parse_floats(args.sides, "--sides"),
@@ -293,13 +303,7 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
 
 def _cmd_anchors(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    boxes_by_category: dict[str, list] = {}
-    for frame in manifest.frames:
-        for obj in frame.objects:
-            boxes_by_category.setdefault(obj.category, []).append(obj.box)
-    if not boxes_by_category:
-        raise FrustumKitError("manifest contains no labeled objects")
-    anchors = compute_anchors(boxes_by_category)
+    anchors = _anchors_from_labels(manifest)
     write_anchor_csv(anchors, args.out)
     for name in sorted(anchors):
         a = anchors[name]
@@ -310,14 +314,11 @@ def _cmd_anchors(args: argparse.Namespace) -> int:
 
 def _cmd_encode_check(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    if args.anchors is not None:
-        anchors = read_anchor_csv(args.anchors)
+    anchors_path = args.anchors if args.anchors is not None else manifest.anchors_path
+    if anchors_path is not None:
+        anchors = read_anchor_csv(anchors_path)
     else:
-        boxes_by_category: dict[str, list] = {}
-        for frame in manifest.frames:
-            for obj in frame.objects:
-                boxes_by_category.setdefault(obj.category, []).append(obj.box)
-        anchors = compute_anchors(boxes_by_category)
+        anchors = _anchors_from_labels(manifest)
     worst_round_trip = 0.0
     n_checked = 0
     n_skipped = 0
@@ -579,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode-check", help="round-trip and gradient checks on manifest labels")
     _add_manifest_flag(p)
-    p.add_argument("--anchors", default=None, help="anchor CSV (default: compute from manifest)")
+    p.add_argument("--anchors", default=None, help="anchor CSV (default: the manifest's, else from its labels)")
     p.add_argument("--seed", type=int, required=True, help="seed for gradient-check vectors")
     p.add_argument("--fd-cases", type=int, default=50)
     p.add_argument("--tolerance", type=float, default=1e-9, help="round-trip tolerance")

@@ -114,12 +114,11 @@ def candidate_centers(
     fr: int = 1,
     fc: int = 1,
     mode: CenterMode = "average",
-    near: float = NEAR_DEFAULT,
-    far: float = FAR_DEFAULT,
 ) -> list[np.ndarray]:
     """Crop-center candidates from the subfrustums of a 2D proposal.
 
-    The rect is tiled fr x fc (row-major) and the cloud is projected once;
+    The rect is tiled fr x fc (row-major) and the cloud is projected once,
+    with depth bounded by NEAR_DEFAULT and FAR_DEFAULT;
     each non-empty subfrustum contributes the average of its points or their
     per-coordinate median (for even counts the lower of the two middle
     values). Empty subfrustums are dropped; if every one is empty there is
@@ -131,7 +130,7 @@ def candidate_centers(
     tiles = subdivide_rect(rect, fr, fc)
     pose = pose if pose is not None else RigidTransform.identity()
     centers: list[np.ndarray] = []
-    for mask in tile_masks(pts, tiles, k, pose, near, far):
+    for mask in tile_masks(pts, tiles, k, pose, NEAR_DEFAULT, FAR_DEFAULT):
         inside = pts[mask]
         if inside.shape[0] == 0:
             continue

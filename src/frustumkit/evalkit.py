@@ -18,7 +18,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cropbox import ObjectSample, candidate_centers
 from .errors import GeometryError
 from .geometry import OrientedBox3
 from .ioi import iou_3d
@@ -244,89 +243,11 @@ def write_category_csv(rows: Sequence[CategoryEval], path: str) -> None:
             )
 
 
-def write_histogram_csv(values: Sequence[float], path: str, n_bins: int = 10) -> None:
-    """Histogram of values over [0, 1] as (bin_lo, bin_hi, count) rows."""
-    counts, edges = np.histogram(np.asarray(values, dtype=np.float64), bins=n_bins, range=(0.0, 1.0))
+def write_histogram_csv(values: Sequence[float], path: str) -> None:
+    """Ten-bin histogram of values over [0, 1] as (bin_lo, bin_hi, count) rows."""
+    counts, edges = np.histogram(np.asarray(values, dtype=np.float64), bins=10, range=(0.0, 1.0))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HIST_CSV_HEADER.split(","))
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):
             writer.writerow([format(lo, ".12g"), format(hi, ".12g"), int(c)])
-
-
-@dataclass(frozen=True)
-class CenterCompareRow:
-    """Per-category mean signed center errors (estimate minus truth) and D_xyz."""
-
-    category: str
-    n: int
-    frustum_bias: tuple[float, float, float]
-    frustum_d_xyz: float
-    predicted_bias: tuple[float, float, float]
-    predicted_d_xyz: float
-
-
-CENTER_COMPARE_CSV_HEADER = (
-    "category,n,frustum_bias_x,frustum_bias_y,frustum_bias_z,frustum_d_xyz,"
-    "predicted_bias_x,predicted_bias_y,predicted_bias_z,predicted_d_xyz"
-)
-
-
-def center_baseline_compare(
-    samples: Sequence[ObjectSample],
-    predicted_centers: Sequence[np.ndarray] | None = None,
-) -> list[CenterCompareRow]:
-    """Compare the frustum average center against a predicted center per category.
-
-    The signed error convention is estimate minus ground truth, so a frustum
-    center biased toward the sensor shows up as a positive component along
-    the direction from object to sensor. With predicted_centers omitted the
-    predicted column degenerates to the ground truth itself (all zeros) and
-    the table reads as the frustum baseline alone.
-    """
-    if not samples:
-        raise GeometryError("center_baseline_compare needs at least one sample")
-    if predicted_centers is None:
-        predicted_centers = [np.asarray(s.gt_box.center, dtype=np.float64) for s in samples]
-    if len(predicted_centers) != len(samples):
-        raise GeometryError("predicted_centers must align one-to-one with samples")
-
-    by_cat: dict[str, dict] = {}
-    for sample, pred in zip(samples, predicted_centers):
-        frustum = candidate_centers(
-            sample.cloud, sample.rect, sample.intrinsics, sample.pose, fr=1, fc=1, mode="average"
-        )[0]
-        gt = np.asarray(sample.gt_box.center, dtype=np.float64)
-        b = by_cat.setdefault(sample.category, {"f": [], "p": []})
-        b["f"].append(frustum - gt)
-        b["p"].append(np.asarray(pred, dtype=np.float64) - gt)
-
-    rows = []
-    for name in sorted(by_cat):
-        f = np.array(by_cat[name]["f"])
-        p = np.array(by_cat[name]["p"])
-        rows.append(
-            CenterCompareRow(
-                category=name,
-                n=len(f),
-                frustum_bias=tuple(float(v) for v in f.mean(axis=0)),
-                frustum_d_xyz=float(np.linalg.norm(f, axis=1).mean()),
-                predicted_bias=tuple(float(v) for v in p.mean(axis=0)),
-                predicted_d_xyz=float(np.linalg.norm(p, axis=1).mean()),
-            )
-        )
-    return rows
-
-
-def write_center_compare_csv(rows: Sequence[CenterCompareRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CENTER_COMPARE_CSV_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [r.category, r.n]
-                + [format(v, ".12g") for v in r.frustum_bias]
-                + [format(r.frustum_d_xyz, ".12g")]
-                + [format(v, ".12g") for v in r.predicted_bias]
-                + [format(r.predicted_d_xyz, ".12g")]
-            )

@@ -26,7 +26,7 @@ from .errors import GeometryError
 #: Absolute tolerance applied to frustum boundary planes.
 BOUNDARY_TOL = 1e-9
 
-#: Default near / far clipping depths in meters for indoor sensors.
+#: Near / far depth limits in meters of every candidate-center frustum.
 NEAR_DEFAULT = 0.1
 FAR_DEFAULT = 10.0
 
@@ -223,23 +223,8 @@ class Aabb3:
 # projection
 
 
-def unproject(pixel: tuple[float, float], depth: float, k: CameraIntrinsics) -> np.ndarray:
-    """Lift one pixel plus metric depth to a camera-frame 3D point.
-
-    Raises GeometryError for non-positive depth or a pixel outside the image.
-    """
-    u, v = float(pixel[0]), float(pixel[1])
-    if depth <= 0:
-        raise GeometryError(f"depth must be positive, got {depth}")
-    if not (0.0 <= u <= k.width and 0.0 <= v <= k.height):
-        raise GeometryError(f"pixel ({u}, {v}) outside image {k.width}x{k.height}")
-    x = (u - k.cx) * depth / k.fx
-    y = (v - k.cy) * depth / k.fy
-    return np.array([x, y, depth], dtype=np.float64)
-
-
 def unproject_grid(us: np.ndarray, vs: np.ndarray, depth: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Vectorized unprojection; no bounds checks (callers own pixel validity)."""
+    """Lift pixels plus metric depth to camera-frame points; no bounds checks."""
     x = (us - k.cx) * depth / k.fx
     y = (vs - k.cy) * depth / k.fy
     return np.stack([x, y, depth], axis=-1)

@@ -105,11 +105,6 @@ class HeadVector:
             [self.ori_cos, self.ori_sin, self.tx, self.ty, self.tz, self.lw, self.ld, self.lh]
         )
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "HeadVector":
-        a = np.asarray(arr, dtype=np.float64).reshape(8)
-        return cls(*(float(v) for v in a))
-
 
 @dataclass(frozen=True)
 class LossWeights:

@@ -225,10 +225,6 @@ class RecallReport:
     n_pos_volume: int
 
     @property
-    def threshold_3d(self) -> float:
-        return self.threshold_xy * self.threshold_z
-
-    @property
     def recall_xy(self) -> float:
         return self.n_pos_xy / self.n_total
 
@@ -249,28 +245,6 @@ class RecallReport:
         # integer form of recall_volume >= recall_xy + recall_z - 1, immune to
         # float rounding in the division
         return self.n_pos_volume >= max(0, self.n_pos_xy + self.n_pos_z - self.n_total)
-
-    CSV_HEADER = (
-        "threshold_xy,threshold_z,threshold_3d,n_total,n_pos_xy,n_pos_z,"
-        "n_pos_volume,recall_xy,recall_z,recall_volume,bound,bound_satisfied"
-    )
-
-    def to_csv_row(self) -> str:
-        cols = [
-            format(self.threshold_xy, ".12g"),
-            format(self.threshold_z, ".12g"),
-            format(self.threshold_3d, ".12g"),
-            str(self.n_total),
-            str(self.n_pos_xy),
-            str(self.n_pos_z),
-            str(self.n_pos_volume),
-            format(self.recall_xy, ".12g"),
-            format(self.recall_z, ".12g"),
-            format(self.recall_volume, ".12g"),
-            format(self.bound, ".12g"),
-            "1" if self.bound_satisfied else "0",
-        ]
-        return ",".join(cols)
 
 
 def _validate_threshold(name: str, value: float) -> None:

@@ -4,9 +4,9 @@ A manifest ties together everything the crop-size search and the evaluator
 need per frame: a point-cloud file, optional range image, camera intrinsics
 and pose, and the labeled objects (category, image rect, oriented box).
 Loading is strict — unknown keys, missing files, non-UTF-8 bytes,
-NaN/Infinity tokens, numbers that overflow a float, or categories outside the
-declared vocabulary all raise :class:`ManifestError` rather than being
-silently tolerated. The same strict-JSON helpers parse the detections file of
+NaN/Infinity tokens, numbers that overflow a float, a bool or string where a
+number belongs, or categories outside the declared vocabulary all raise
+:class:`ManifestError` rather than being silently tolerated. The same strict-JSON helpers parse the detections file of
 ``frustumkit evaluate`` and the layer list of ``frustumkit netshape``.
 """
 
@@ -89,15 +89,41 @@ def check_json_keys(obj: dict, allowed: set, required: set, what: str) -> None:
         raise ManifestError(f"{what}: missing keys {sorted(missing)}")
 
 
+def _number(value: object, what: str) -> float:
+    """A JSON number as a float; bools, strings, null and containers raise ManifestError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ManifestError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _number_array(value: object, what: str) -> np.ndarray:
+    """A (nested) JSON list of numbers as a float64 array; see :func:`_number`."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        else:
+            _number(item, f"{what} entry")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _pixel_count(value: object, what: str) -> int:
+    number = _number(value, what)
+    if not number.is_integer():
+        raise ManifestError(f"{what} must be a whole number of pixels, got {value!r}")
+    return int(number)
+
+
 def intrinsics_from_json(obj: dict) -> CameraIntrinsics:
     check_json_keys(obj, _K_KEYS, _K_KEYS, "intrinsics")
     return CameraIntrinsics(
-        fx=float(obj["fx"]),
-        fy=float(obj["fy"]),
-        cx=float(obj["cx"]),
-        cy=float(obj["cy"]),
-        width=int(obj["width"]),
-        height=int(obj["height"]),
+        fx=_number(obj["fx"], "intrinsics fx"),
+        fy=_number(obj["fy"], "intrinsics fy"),
+        cx=_number(obj["cx"], "intrinsics cx"),
+        cy=_number(obj["cy"], "intrinsics cy"),
+        width=_pixel_count(obj["width"], "intrinsics width"),
+        height=_pixel_count(obj["height"], "intrinsics height"),
     )
 
 
@@ -108,8 +134,8 @@ def intrinsics_to_json(k: CameraIntrinsics) -> dict:
 def pose_from_json(obj: dict) -> RigidTransform:
     check_json_keys(obj, _POSE_KEYS, _POSE_KEYS, "pose")
     return RigidTransform(
-        rotation=np.asarray(obj["rotation"], dtype=np.float64),
-        translation=np.asarray(obj["translation"], dtype=np.float64),
+        rotation=_number_array(obj["rotation"], "pose rotation"),
+        translation=_number_array(obj["translation"], "pose translation"),
     )
 
 
@@ -122,11 +148,11 @@ def box_from_json(obj: object) -> OrientedBox3:
     check_json_keys(obj, _BOX_KEYS, _BOX_KEYS, "box")
     try:
         return OrientedBox3(
-            center=np.asarray(obj["center"], dtype=np.float64),
-            width=float(obj["width"]),
-            depth=float(obj["depth"]),
-            height=float(obj["height"]),
-            yaw=float(obj["yaw"]),
+            center=_number_array(obj["center"], "box center"),
+            width=_number(obj["width"], "box width"),
+            depth=_number(obj["depth"], "box depth"),
+            height=_number(obj["height"], "box height"),
+            yaw=_number(obj["yaw"], "box yaw"),
         )
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"bad box: {exc}") from exc
@@ -183,7 +209,7 @@ def _parse_rect(value: object) -> Rect2:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise ManifestError("rect must be a list [u_min, v_min, u_max, v_max]")
     try:
-        return Rect2(*(float(v) for v in value))
+        return Rect2(*(_number(v, "rect entry") for v in value))
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"bad rect {value!r}: {exc}") from exc
 

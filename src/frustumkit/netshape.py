@@ -26,10 +26,15 @@ from .voxelizer import VoxelGrid
 
 LAYER_KINDS = ("conv3d", "pool3d", "dropout", "global_reduce", "dense")
 
-#: Largest spatial dimension forward_naive will accept. The direct
+#: Largest grid or kernel dimension forward_naive will accept. The direct
 #: convolution loop is meant for desk-scale verification grids, not for
 #: the full Table-sized inputs (those are covered by shape propagation).
 NAIVE_DIM_CAP = 32
+
+#: Largest element count forward_naive will allocate: for all of a plan's
+#: weights together, and for any one array a layer builds (its padded input,
+#: its window copy, its output). 2**24 float64 values are 128 MiB.
+NAIVE_ELEMENT_CAP = 1 << 24
 
 
 def _is_int(value) -> bool:
@@ -214,12 +219,51 @@ def default_plan(grid_dims: Sequence[int], n_categories: int) -> ShapePlan:
 # --- naive forward pass ---------------------------------------------------
 
 
+def _check_naive_size(plan: ShapePlan) -> None:
+    """Refuse, before anything is allocated, a plan too big for the naive pass."""
+    if max(plan.input_shape[:3]) > NAIVE_DIM_CAP:
+        raise ShapePlanError(
+            f"forward_naive is capped at {NAIVE_DIM_CAP}^3 grids; got dims {plan.input_shape[:3]}"
+        )
+    n_weights = 0
+    shape_in: tuple[int, ...] = plan.input_shape
+    for i, (layer, shape_out) in enumerate(zip(plan.layers, plan.shapes)):
+        where = f"layer {i} ({layer.kind})"
+        largest = math.prod(shape_out)
+        if layer.kind in ("conv3d", "pool3d"):
+            if max(layer.kernel) > NAIVE_DIM_CAP:
+                raise ShapePlanError(
+                    f"{where}: forward_naive caps kernel dims at {NAIVE_DIM_CAP}, got {layer.kernel}"
+                )
+            padded = math.prod(
+                max(dim, (out - 1) * s + k)
+                for dim, out, k, s in zip(shape_in[:3], shape_out[:3], layer.kernel, layer.stride)
+            )
+            windows = math.prod(shape_out[:3]) * math.prod(layer.kernel)
+            largest = max(largest, max(padded, windows) * shape_in[3])
+        if layer.kind == "conv3d":
+            n_weights += math.prod(layer.kernel) * shape_in[3] * layer.channels_out
+        elif layer.kind == "dense":
+            n_weights += shape_in[0] * layer.channels_out
+        if largest > NAIVE_ELEMENT_CAP:
+            raise ShapePlanError(
+                f"{where}: an array of {largest} elements exceeds forward_naive's cap of {NAIVE_ELEMENT_CAP}"
+            )
+        shape_in = shape_out
+    if n_weights > NAIVE_ELEMENT_CAP:
+        raise ShapePlanError(
+            f"plan has {n_weights} weights; forward_naive is capped at {NAIVE_ELEMENT_CAP}"
+        )
+
+
 def init_weights(plan: ShapePlan, seed: int) -> list[dict | None]:
     """Seeded random weights per layer: N(0, 1)/sqrt(fan_in), zero biases.
 
     Entries are None for weight-free layers. Draw order is plan order, so a
-    fixed seed fixes every array bitwise.
+    fixed seed fixes every array bitwise. Plans beyond the naive pass's caps
+    raise ShapePlanError before any weight is drawn.
     """
+    _check_naive_size(plan)
     rng = np.random.default_rng(seed)
     weights: list[dict | None] = []
     shape_in: tuple[int, ...] = plan.input_shape
@@ -282,10 +326,7 @@ def forward_with_weights(grid: VoxelGrid, plan: ShapePlan, weights: Sequence[dic
         raise ShapePlanError(
             f"grid dims {tuple(grid.dims)} do not match plan input {plan.input_shape}"
         )
-    if max(grid.dims) > NAIVE_DIM_CAP:
-        raise ShapePlanError(
-            f"forward_naive is capped at {NAIVE_DIM_CAP}^3 grids; got dims {tuple(grid.dims)}"
-        )
+    _check_naive_size(plan)
     if len(weights) != len(plan.layers):
         raise ShapePlanError(f"expected {len(plan.layers)} weight entries, got {len(weights)}")
     x = grid.data.astype(np.float64)[..., None]

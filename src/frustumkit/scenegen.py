@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -159,13 +158,6 @@ class SceneSpec:
     background: tuple[SurfacePatch, ...] = ()
     occlusion: bool = True
     seed: int = 0
-    #: optional iid Gaussian noise on valid range-image depths (meters).
-    #: The on-surface unprojection guarantee only holds at sigma = 0.
-    depth_noise_sigma: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.depth_noise_sigma < 0:
-            raise GeometryError("depth_noise_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -265,10 +257,6 @@ def render(spec: SceneSpec) -> Scene:
     for patch in patches:
         depth = np.minimum(depth, ray_patch_depths(camera_pos, dirs, patch))
     depth = np.where(np.isfinite(depth), depth, 0.0).reshape(k.height, k.width)
-    if spec.depth_noise_sigma > 0.0:
-        valid = depth > 0.0
-        noise = rng.normal(0.0, spec.depth_noise_sigma, size=int(valid.sum()))
-        depth[valid] = np.maximum(depth[valid] + noise, 1e-6)
     range_image = RangeImage(depth=depth, intrinsics=k, pose=spec.pose)
 
     # per-object ground truth rects
@@ -316,28 +304,21 @@ def render(spec: SceneSpec) -> Scene:
 # --- ready-made cameras, categories, and random scenes ----------------------
 
 
-def standard_camera(
-    height: float = 1.2,
-    fx: float = 120.0,
-    fy: float = 120.0,
-    width: int = 160,
-    height_px: int = 120,
-) -> tuple[CameraIntrinsics, RigidTransform]:
-    """A camera at (0, 0, height) looking along world +x, image y down."""
-    k = CameraIntrinsics(fx=fx, fy=fy, cx=width / 2.0, cy=height_px / 2.0, width=width, height=height_px)
+def standard_camera() -> tuple[CameraIntrinsics, RigidTransform]:
+    """A 160x120 camera (f = 120 px) at (0, 0, 1.2) looking along world +x, image y down."""
+    k = CameraIntrinsics(fx=120.0, fy=120.0, cx=80.0, cy=60.0, width=160, height=120)
     rotation = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-    pose = RigidTransform(rotation=rotation, translation=np.array([0.0, 0.0, height]))
+    pose = RigidTransform(rotation=rotation, translation=np.array([0.0, 0.0, 1.2]))
     return k, pose
 
 
-def floor_patch(x_range=(0.5, 9.0), y_range=(-4.0, 4.0), density: float = 30.0) -> SurfacePatch:
-    x0, x1 = x_range
-    y0, y1 = y_range
+def floor_patch() -> SurfacePatch:
+    """The floor in front of the standard camera: x in [0.5, 9], y in [-4, 4], 30 samples/m^2."""
     return SurfacePatch(
-        origin=np.array([x0, y0, 0.0]),
-        edge_u=np.array([x1 - x0, 0.0, 0.0]),
-        edge_v=np.array([0.0, y1 - y0, 0.0]),
-        density=density,
+        origin=np.array([0.5, -4.0, 0.0]),
+        edge_u=np.array([8.5, 0.0, 0.0]),
+        edge_v=np.array([0.0, 8.0, 0.0]),
+        density=30.0,
     )
 
 
@@ -353,7 +334,6 @@ CATEGORY_PRESETS: dict[str, tuple[float, float, float]] = {
 def random_scene(
     seed: int,
     n_objects: int = 3,
-    categories: Sequence[str] = tuple(sorted(CATEGORY_PRESETS)),
     occlusion: bool = True,
     density: float = DEFAULT_DENSITY,
     with_floor: bool = True,
@@ -361,9 +341,7 @@ def random_scene(
     """A seeded scene: preset-sized boxes on the floor in front of the camera."""
     if n_objects < 1:
         raise GeometryError("n_objects must be >= 1")
-    unknown = [c for c in categories if c not in CATEGORY_PRESETS]
-    if unknown:
-        raise GeometryError(f"no presets for categories {unknown}")
+    categories = sorted(CATEGORY_PRESETS)
     k, pose = standard_camera()
     rng = np.random.default_rng(seed)
     objects = []

@@ -1,4 +1,4 @@
-"""Point-count voxelization of crop boxes, augmentation, and grid file formats.
+"""Point-count voxelization of crop boxes, augmentation, and grid file writers.
 
 Cells are half-open along every axis; the crop's maximum face belongs to the
 last cell so the grid covers the crop exactly and a point on a shared interior
@@ -72,17 +72,16 @@ def voxelize(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> VoxelGrid:
             f"spec ({spec.crop_side}, {spec.crop_height})"
         )
     cell = np.array([extent[0] / nx, extent[1] / ny, extent[2] / nz])
-    data = np.zeros((nx, ny, nz), dtype=np.int64)
-    if pts.shape[0]:
-        rel = pts - origin
-        inside = np.all((rel >= 0.0) & (rel <= extent), axis=1)
-        rel = rel[inside]
-        if rel.shape[0]:
-            idx = np.floor(rel / cell).astype(np.int64)
-            # the crop max face (and float roundoff at it) folds into the last cell
-            idx = np.minimum(idx, np.array([nx - 1, ny - 1, nz - 1]))
-            flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
-            data = np.bincount(flat, minlength=nx * ny * nz).reshape(nx, ny, nz).astype(np.int64)
+    rel = pts - origin
+    rel = rel[np.all((rel >= 0.0) & (rel <= extent), axis=1)]
+    if rel.shape[0]:
+        idx = np.floor(rel / cell).astype(np.int64)
+        # the crop max face (and float roundoff at it) folds into the last cell
+        idx = np.minimum(idx, np.array([nx - 1, ny - 1, nz - 1]))
+        flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
+        data = np.bincount(flat, minlength=nx * ny * nz).reshape(nx, ny, nz)  # already intp: no copy
+    else:
+        data = np.zeros((nx, ny, nz), dtype=np.int64)
     return VoxelGrid(dims=(nx, ny, nz), cell=tuple(cell), origin=origin, data=data)
 
 
@@ -130,20 +129,6 @@ def write_voxel_grid(grid: VoxelGrid, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(grid.data.astype("<u4").tobytes(order="C"))
-
-
-def read_voxel_grid(path: str) -> VoxelGrid:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:8] != _MAGIC:
-        raise GeometryError(f"{path}: not a voxel grid file")
-    magic, nx, ny, nz, cx, cy, cz, ox, oy, oz = _HEADER.unpack_from(raw, 0)
-    body = raw[_HEADER.size :]
-    expected = nx * ny * nz * 4
-    if len(body) != expected:
-        raise GeometryError(f"{path}: expected {expected} count bytes, found {len(body)}")
-    data = np.frombuffer(body, dtype="<u4").reshape(nx, ny, nz).astype(np.int64)
-    return VoxelGrid(dims=(nx, ny, nz), cell=(cx, cy, cz), origin=np.array([ox, oy, oz]), data=data)
 
 
 def write_sparse_csv(grid: VoxelGrid, path: str) -> None:

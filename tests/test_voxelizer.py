@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from frustumkit.geometry import Aabb3
 from frustumkit.voxelizer import (
     VoxelGrid,
     augment,
-    read_voxel_grid,
     rotate_about_vertical,
     voxelize,
     write_sparse_csv,
@@ -138,30 +138,17 @@ class TestSerialization:
 
     def test_binary_round_trip(self, tmp_path):
         grid = self._grid()
-        path = str(tmp_path / "grid.vox")
-        write_voxel_grid(grid, path)
-        back = read_voxel_grid(path)
-        assert back.dims == grid.dims
-        np.testing.assert_allclose(back.cell, grid.cell, atol=0)
-        np.testing.assert_allclose(back.origin, grid.origin, atol=0)
-        np.testing.assert_array_equal(back.data, grid.data)
-
-    def test_binary_rejects_wrong_magic(self, tmp_path):
-        path = str(tmp_path / "bogus.vox")
-        with open(path, "wb") as fh:
-            fh.write(b"NOTAGRID" + b"\x00" * 64)
-        with pytest.raises(GeometryError):
-            read_voxel_grid(path)
-
-    def test_binary_rejects_truncation(self, tmp_path):
-        grid = self._grid()
-        path = str(tmp_path / "grid.vox")
-        write_voxel_grid(grid, path)
-        size = (tmp_path / "grid.vox").stat().st_size
-        with open(path, "r+b") as fh:
-            fh.truncate(size - 5)
-        with pytest.raises(GeometryError):
-            read_voxel_grid(path)
+        path = tmp_path / "grid.vox"
+        write_voxel_grid(grid, str(path))
+        raw = path.read_bytes()
+        header = struct.Struct("<8s3i3d3d")
+        magic, nx, ny, nz, *cell_origin = header.unpack_from(raw, 0)
+        assert magic == b"FVGRID01"
+        assert (nx, ny, nz) == grid.dims
+        assert tuple(cell_origin[:3]) == grid.cell
+        assert cell_origin[3:] == grid.origin.tolist()
+        data = np.frombuffer(raw[header.size :], dtype="<u4").reshape(grid.dims)
+        np.testing.assert_array_equal(data, grid.data)
 
     def test_sparse_round_trip(self, tmp_path):
         grid = self._grid()
