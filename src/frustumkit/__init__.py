@@ -25,7 +25,6 @@ from .geometry import (
     Rect2,
     RigidTransform,
     read_cloud_binary,
-    subdivide_rect,
     tile_masks,
     write_cloud_binary,
 )

@@ -11,6 +11,7 @@ violated numerical invariant.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -313,6 +314,8 @@ def _cmd_anchors(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode_check(args: argparse.Namespace) -> int:
+    if not (0 <= args.tolerance < math.inf):
+        raise FrustumKitError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     manifest = load_manifest(args.manifest)
     anchors_path = args.anchors if args.anchors is not None else manifest.anchors_path
     if anchors_path is not None:

@@ -8,6 +8,7 @@ against per-axis intersection-over-itself thresholds to pick minimal sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -29,10 +30,9 @@ from .geometry import (
     Rect2,
     RigidTransform,
     as_point_cloud,
-    subdivide_rect,
     tile_masks,
 )
-from .ioi import IoiBreakdown, RecallReport, crop_scores
+from .ioi import IoiBreakdown, RecallReport, crop_scores, validate_threshold
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,9 @@ def candidate_centers(
     if mode not in ("average", "median"):
         raise GeometryError(f"unknown center mode: {mode!r}")
     pts = as_point_cloud(cloud)
-    tiles = subdivide_rect(rect, fr, fc)
     pose = pose if pose is not None else RigidTransform.identity()
     centers: list[np.ndarray] = []
-    for mask in tile_masks(pts, tiles, k, pose, NEAR_DEFAULT, FAR_DEFAULT):
+    for mask in tile_masks(pts, rect, fr, fc, k, pose, NEAR_DEFAULT, FAR_DEFAULT):
         inside = pts[mask]
         if inside.shape[0] == 0:
             continue
@@ -199,11 +198,10 @@ class SizeSearchConfig:
     def __post_init__(self) -> None:
         if not self.side_candidates or not self.height_candidates:
             raise GeometryError("need at least one side and one height candidate")
-        if any(s <= 0 for s in self.side_candidates) or any(h <= 0 for h in self.height_candidates):
-            raise GeometryError("size candidates must be positive")
-        for t in (self.threshold_xy, self.threshold_z, self.target_xy, self.target_z):
-            if not (0.0 < t <= 1.0):
-                raise GeometryError(f"thresholds and targets must lie in (0, 1], got {t}")
+        if not all(0 < s < math.inf for s in [*self.side_candidates, *self.height_candidates]):
+            raise GeometryError("size candidates must be finite and positive")
+        for name in ("threshold_xy", "threshold_z", "target_xy", "target_z"):
+            validate_threshold(name, getattr(self, name))
         allowed = {(1, 1), (3, 3), (5, 5)}
         for pair in self.fr_fc:
             if tuple(pair) not in allowed:
@@ -326,9 +324,8 @@ def select_min_size(
     """
     if not curves:
         raise GeometryError("no curve points supplied")
-    for t in (target_xy, target_z):
-        if not (0.0 < t <= 1.0):
-            raise GeometryError(f"targets must lie in (0, 1], got {t}")
+    validate_threshold("target_xy", target_xy)
+    validate_threshold("target_z", target_z)
     best_xy_per_side: dict[float, float] = {}
     best_z_per_height: dict[float, float] = {}
     for p in curves:

@@ -13,13 +13,14 @@ Missing pixels (and pixels whose right neighbor is missing, for s) encode 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import CameraIntrinsics, RigidTransform, unproject_grid
+from .geometry import CameraIntrinsics, RigidTransform, unproject_depth_image
 
 D_MAX_DEFAULT = 10.0
 H_MIN_DEFAULT = -0.5
@@ -92,12 +93,9 @@ class DhsImage:
 
 def world_points(img: RangeImage) -> np.ndarray:
     """Unproject every pixel center to the world frame; missing pixels give NaN."""
-    h, w = img.depth.shape
-    us, vs = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
     depth = np.where(img.missing_mask, np.nan, img.depth)
-    cam = unproject_grid(us, vs, depth, img.intrinsics)
-    flat = cam.reshape(-1, 3) @ img.pose.rotation.T + img.pose.translation
-    return flat.reshape(h, w, 3)
+    cam = unproject_depth_image(depth, img.intrinsics)
+    return img.pose.apply(cam.reshape(-1, 3)).reshape(cam.shape)
 
 
 def depth_to_dhs(
@@ -113,10 +111,10 @@ def depth_to_dhs(
     neighbor (u+1, v), mapped linearly from [-pi/2, pi/2] to [0, 1]. The last
     column has no right-hand neighbor and copies its left neighbor's value.
     """
-    if d_max <= 0:
-        raise GeometryError("d_max must be positive")
-    if not (h_min < h_max):
-        raise GeometryError("need h_min < h_max")
+    if not (0 < d_max < math.inf):
+        raise GeometryError(f"d_max must be finite and positive, got {d_max}")
+    if not (-math.inf < h_min < h_max < math.inf):
+        raise GeometryError(f"need finite h_min < h_max, got {h_min}, {h_max}")
     missing = img.missing_mask
     d = np.clip(img.depth / d_max, 0.0, 1.0)
     d[missing] = 0.0

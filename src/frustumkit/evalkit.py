@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import OrientedBox3
-from .ioi import iou_3d
+from .ioi import iou_3d, validate_threshold
 
 IOU_THRESH_DEFAULT = 0.25
 
@@ -56,6 +56,7 @@ def match(
     iou_thresh: float = IOU_THRESH_DEFAULT,
 ) -> MatchResult:
     """Greedy score-ordered matching of one category's detections to its gts."""
+    validate_threshold("iou_thresh", iou_thresh)
     if len({d.category for d in dets}) > 1:
         raise GeometryError("match expects detections of a single category")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
@@ -169,6 +170,7 @@ Frame = tuple[Sequence[Detection], Sequence[LabeledBox]]
 
 def evaluate(frames: Sequence[Frame], iou_thresh: float = IOU_THRESH_DEFAULT) -> EvalReport:
     """Pool per-frame, per-category matches into category AP and mean metrics."""
+    validate_threshold("iou_thresh", iou_thresh)
     categories: dict[str, dict] = {}
 
     def bucket(name: str) -> dict:

@@ -230,6 +230,13 @@ def unproject_grid(us: np.ndarray, vs: np.ndarray, depth: np.ndarray, k: CameraI
     return np.stack([x, y, depth], axis=-1)
 
 
+def unproject_depth_image(depth: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame points (rows, cols, 3) of a depth image, each on the ray
+    through its pixel center u = column + 0.5, v = row + 0.5."""
+    rows, cols = depth.shape
+    return unproject_grid(np.arange(cols) + 0.5, (np.arange(rows) + 0.5)[:, None], depth, k)
+
+
 def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project camera-frame points; returns (u, v, depth) arrays.
 
@@ -248,56 +255,43 @@ def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndar
 # frustums
 
 
-def subdivide_rect(rect: Rect2, fr: int, fc: int) -> list[Rect2]:
-    """Tile a rect into fr rows x fc columns, returned in row-major order.
-
-    Edges are computed with an endpoint-exact interpolation so the union of
-    tiles reproduces the input rect boundary bit-for-bit and adjacent tiles
-    share identical edge coordinates.
-    """
-    if fr < 1 or fc < 1:
-        raise GeometryError("subdivision counts must be >= 1")
-    u_edges = [rect.u_min * (1.0 - j / fc) + rect.u_max * (j / fc) for j in range(fc + 1)]
-    v_edges = [rect.v_min * (1.0 - i / fr) + rect.v_max * (i / fr) for i in range(fr + 1)]
-    tiles = []
-    for i in range(fr):
-        for j in range(fc):
-            tiles.append(Rect2(u_edges[j], v_edges[i], u_edges[j + 1], v_edges[i + 1]))
-    return tiles
-
-
 def tile_masks(
     cloud: np.ndarray,
-    tiles: Sequence[Rect2],
+    rect: Rect2,
+    fr: int,
+    fc: int,
     k: CameraIntrinsics,
     pose: RigidTransform,
     near: float,
     far: float,
 ) -> list[np.ndarray]:
-    """Boolean mask of the world-frame cloud points inside each tile's frustum.
+    """Masks of the world-frame cloud points in each of the fr x fc subfrustums of a rect.
 
-    The cloud is moved into the camera frame and projected once; each tile
-    then tests those (u, v, z) arrays. Membership: depth within (near, far)
-    and projection within the tile, all four boundaries widened by
-    BOUNDARY_TOL, so exact boundary points land inside deterministically and
-    a point on (or within the tolerance of) an edge shared by two tiles
-    counts in both.
+    The rect's fr + 1 row edges and fc + 1 column edges come from an
+    endpoint-exact interpolation, so the outer edges reproduce the rect
+    bit-for-bit and neighbouring tiles read one shared edge value. The cloud
+    is moved into the camera frame and projected once; each column band and
+    each depth-gated row band is then tested once, and tile (i, j) is row
+    band i & column band j, returned in row-major order. Membership: depth
+    within (near, far) and projection within the tile, all four boundaries
+    widened by BOUNDARY_TOL, so exact boundary points land inside
+    deterministically and a point on (or within the tolerance of) an edge
+    shared by two tiles counts in both.
     """
+    if fr < 1 or fc < 1:
+        raise GeometryError("subdivision counts must be >= 1")
     if not (0 < near < far):
         raise GeometryError("need 0 < near < far")
+    u_edges = [rect.u_min * (1.0 - j / fc) + rect.u_max * (j / fc) for j in range(fc + 1)]
+    v_edges = [rect.v_min * (1.0 - i / fr) + rect.v_max * (i / fr) for i in range(fr + 1)]
     cam = pose.inverse().apply(as_point_cloud(cloud))
     u, v, z = project_points(cam, k)
     tol = BOUNDARY_TOL
     with np.errstate(invalid="ignore"):
         in_depth = (z > near - tol) & (z < far + tol)
-        return [
-            in_depth
-            & (u >= t.u_min - tol)
-            & (u < t.u_max + tol)
-            & (v >= t.v_min - tol)
-            & (v < t.v_max + tol)
-            for t in tiles
-        ]
+        cols = [(u >= u_edges[j] - tol) & (u < u_edges[j + 1] + tol) for j in range(fc)]
+        rows = [in_depth & (v >= v_edges[i] - tol) & (v < v_edges[i + 1] + tol) for i in range(fr)]
+    return [row & col for row in rows for col in cols]
 
 
 # ---------------------------------------------------------------------------

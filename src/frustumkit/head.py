@@ -31,8 +31,8 @@ class Anchor:
     a_h: float
 
     def __post_init__(self) -> None:
-        if min(self.a_w, self.a_d, self.a_h) <= 0:
-            raise GeometryError(f"anchor dimensions must be positive: {self}")
+        if not all(0 < a < math.inf for a in (self.a_w, self.a_d, self.a_h)):
+            raise GeometryError(f"anchor dimensions must be finite and positive: {self}")
 
 
 def compute_anchors(boxes_by_category: Mapping[str, Sequence[OrientedBox3]]) -> dict[str, Anchor]:
@@ -72,7 +72,10 @@ def read_anchor_csv(path: str) -> dict[str, Anchor]:
         for row in reader:
             if len(row) != 4:
                 raise GeometryError(f"{path}: malformed anchor row {row}")
-            anchors[row[0]] = Anchor(row[0], float(row[1]), float(row[2]), float(row[3]))
+            try:
+                anchors[row[0]] = Anchor(row[0], float(row[1]), float(row[2]), float(row[3]))
+            except (ValueError, GeometryError) as exc:
+                raise GeometryError(f"{path}: bad anchor row {row}: {exc}") from exc
     return anchors
 
 

@@ -247,7 +247,8 @@ class RecallReport:
         return self.n_pos_volume >= max(0, self.n_pos_xy + self.n_pos_z - self.n_total)
 
 
-def _validate_threshold(name: str, value: float) -> None:
+def validate_threshold(name: str, value: float) -> None:
+    """Require 0 < value <= 1; NaN fails the chained comparison and is rejected too."""
     if not (0.0 < value <= 1.0):
         raise GeometryError(f"{name} must lie in (0, 1], got {value}")
 
@@ -256,8 +257,8 @@ def recall_from_breakdowns(
     breakdowns: Sequence[IoiBreakdown], threshold_xy: float, threshold_z: float
 ) -> RecallReport:
     """Build a RecallReport from precomputed IoI breakdowns."""
-    _validate_threshold("threshold_xy", threshold_xy)
-    _validate_threshold("threshold_z", threshold_z)
+    validate_threshold("threshold_xy", threshold_xy)
+    validate_threshold("threshold_z", threshold_z)
     if not breakdowns:
         raise GeometryError("need at least one (box, crop) pair")
     t3 = threshold_xy * threshold_z

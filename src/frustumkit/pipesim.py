@@ -15,6 +15,7 @@ stage times are inputs, the schedule is the artifact.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -24,6 +25,7 @@ import numpy as np
 from .cropbox import ObjectSample, SCALE_SPECS, ScaleSpec, best_cropbox, candidate_centers
 from .errors import GeometryError, NoCandidatesError
 from .geometry import Rect2
+from .ioi import validate_threshold
 
 Mode = Literal["sequential", "pipelined"]
 
@@ -36,8 +38,8 @@ class StageTiming:
     t_3d: float
 
     def __post_init__(self) -> None:
-        if self.t_2d < 0 or self.t_3d < 0:
-            raise GeometryError("stage times must be >= 0")
+        if not (0 <= self.t_2d < math.inf and 0 <= self.t_3d < math.inf):
+            raise GeometryError(f"stage times must be finite and >= 0, got {self.t_2d}, {self.t_3d}")
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,10 @@ def stale_frustum_experiment(
     """
     if not samples:
         raise GeometryError("stale_frustum_experiment needs at least one sample")
-    if any(d < 0 for d in drifts_px):
-        raise GeometryError("drift values must be >= 0")
+    if not all(0 <= d < math.inf for d in drifts_px):
+        raise GeometryError("drift values must be finite and >= 0")
+    validate_threshold("threshold_xy", threshold_xy)
+    validate_threshold("threshold_z", threshold_z)
     if isinstance(spec, str):
         spec = SCALE_SPECS[spec]
 

@@ -30,6 +30,7 @@ from .geometry import (
     RigidTransform,
     oriented_box_footprint,
     project_points,
+    unproject_depth_image,
 )
 
 #: relative slack for "strictly nearer" in occlusion tests and for the
@@ -52,8 +53,8 @@ class SurfacePatch:
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3))
         object.__setattr__(self, "edge_u", np.asarray(self.edge_u, dtype=np.float64).reshape(3))
         object.__setattr__(self, "edge_v", np.asarray(self.edge_v, dtype=np.float64).reshape(3))
-        if self.density <= 0:
-            raise GeometryError("patch density must be positive")
+        if not (0 < self.density < math.inf):
+            raise GeometryError(f"patch density must be finite and positive, got {self.density}")
         if np.linalg.norm(self.normal) == 0.0:
             raise GeometryError("patch edges must be linearly independent")
 
@@ -185,10 +186,7 @@ def _pixel_rays(k: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
     hit IS the pinhole depth of the hit point, which is exactly what the
     range image stores.
     """
-    us = (np.arange(k.width) + 0.5 - k.cx) / k.fx
-    vs = (np.arange(k.height) + 0.5 - k.cy) / k.fy
-    uu, vv = np.meshgrid(us, vs)
-    dirs_cam = np.stack([uu, vv, np.ones_like(uu)], axis=-1).reshape(-1, 3)
+    dirs_cam = unproject_depth_image(np.ones((k.height, k.width)), k).reshape(-1, 3)
     return dirs_cam @ pose.rotation.T
 
 

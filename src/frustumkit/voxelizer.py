@@ -74,14 +74,12 @@ def voxelize(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> VoxelGrid:
     cell = np.array([extent[0] / nx, extent[1] / ny, extent[2] / nz])
     rel = pts - origin
     rel = rel[np.all((rel >= 0.0) & (rel <= extent), axis=1)]
-    if rel.shape[0]:
-        idx = np.floor(rel / cell).astype(np.int64)
-        # the crop max face (and float roundoff at it) folds into the last cell
-        idx = np.minimum(idx, np.array([nx - 1, ny - 1, nz - 1]))
-        flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
-        data = np.bincount(flat, minlength=nx * ny * nz).reshape(nx, ny, nz)  # already intp: no copy
-    else:
-        data = np.zeros((nx, ny, nz), dtype=np.int64)
+    idx = np.floor(rel / cell).astype(np.int64)
+    # the crop max face (and float roundoff at it) folds into the last cell
+    idx = np.minimum(idx, np.array([nx - 1, ny - 1, nz - 1]))
+    flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
+    # already intp, with no copy; an empty crop gives the all-zero grid
+    data = np.bincount(flat, minlength=nx * ny * nz).reshape(nx, ny, nz)
     return VoxelGrid(dims=(nx, ny, nz), cell=tuple(cell), origin=origin, data=data)
 
 

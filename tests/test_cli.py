@@ -8,6 +8,7 @@ exercised exactly as a shell user would hit them.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import struct
@@ -22,6 +23,7 @@ from frustumkit.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from frustumkit.errors import ManifestError
@@ -720,3 +722,104 @@ def test_manifest_nested_too_deeply_is_io_error(dataset, tmp_path, capsys):
     text = b'{"categories": ["a"], "frames": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     assert _run_anchors_on_manifest_text(dataset, tmp_path, text) == EXIT_IO
     assert "nests JSON arrays or objects too deeply" in capsys.readouterr().err
+
+
+# --- out-of-range flag values and anchor rows ------------------------------------------
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+#: every float flag, plus the flags that parse comma-separated floats
+NUMBER_FLAGS = sorted(
+    (command, action.option_strings[0])
+    for command, parser in _subcommands().items()
+    for action in parser._actions
+    if action.type is float or action.dest in ("sides", "heights", "drifts")
+)
+
+
+def _argv(command, dataset, dets, tmp_path, flag, value) -> list[str]:
+    """argv for `command` with `flag value` and every other required flag filled in."""
+    defaults = {
+        "--manifest": str(dataset),
+        "--out": str(tmp_path / "out"),
+        "--out-prefix": str(tmp_path / "e"),
+        "--dets": str(dets),
+        "--count": "1",
+        "--seed": "3",
+        "--sides": "1.6",
+        "--heights": "1.5",
+        "--drifts": "0,2",
+        "--t2d": "10",
+        "--t3d": "20",
+        "--mode": "pipelined",
+    }
+    argv = [command]
+    for action in _subcommands()[command]._actions:
+        if action.required and action.option_strings and action.option_strings[0] != flag:
+            argv += [action.option_strings[0], defaults[action.option_strings[0]]]
+    return argv + [flag, value]
+
+
+@pytest.mark.parametrize("command, flag", NUMBER_FLAGS, ids=[f"{c} {f}" for c, f in NUMBER_FLAGS])
+def test_every_number_flag_rejects_nan(dataset, perfect_detections, tmp_path, capsys, command, flag):
+    argv = _argv(command, dataset, perfect_detections, tmp_path, flag, "nan")
+    assert main(argv) == EXIT_USAGE
+    assert f"frustumkit {command}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("evaluate", "--iou", "0", "iou_thresh must lie in (0, 1], got 0.0"),
+        ("evaluate", "--iou", "2", "iou_thresh must lie in (0, 1], got 2.0"),
+        ("pipesim", "--t3d", "inf", "stage times must be finite and >= 0, got 10.0, inf"),
+        ("stale-sweep", "--threshold-z", "7", "threshold_z must lie in (0, 1], got 7.0"),
+        ("recall-curves", "--sides", "1,nan", "size candidates must be finite and positive"),
+        ("gen-scenes", "--density", "inf", "patch density must be finite and positive, got inf"),
+        ("dhs", "--h-max", "inf", "need finite h_min < h_max, got -0.5, inf"),
+        ("encode-check", "--tolerance", "-1", "--tolerance must be finite and >= 0, got -1.0"),
+        ("encode-check", "--tolerance", "inf", "--tolerance must be finite and >= 0, got inf"),
+    ],
+    ids=[
+        "evaluate-iou-0",
+        "evaluate-iou-2",
+        "pipesim-t3d-inf",
+        "stale-sweep-threshold-z-7",
+        "recall-curves-sides-nan-entry",
+        "gen-scenes-density-inf",
+        "dhs-h-max-inf",
+        "encode-check-tolerance-negative",
+        "encode-check-tolerance-inf",
+    ],
+)
+def test_out_of_range_value_is_usage_error(
+    dataset, perfect_detections, tmp_path, capsys, command, flag, value, message
+):
+    argv = _argv(command, dataset, perfect_detections, tmp_path, flag, value)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"frustumkit {command}: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("abc,1,1", "could not convert string to float: 'abc'"),
+        ("inf,1,1", "anchor dimensions must be finite and positive"),
+    ],
+    ids=["not-a-number", "infinite"],
+)
+def test_encode_check_rejects_bad_anchor_row(dataset, tmp_path, capsys, values, message):
+    anchors_csv = tmp_path / "anchors.csv"
+    assert main(["anchors", "--manifest", str(dataset), "--out", str(anchors_csv)]) == EXIT_OK
+    header, first, *rest = anchors_csv.read_text().splitlines()
+    row = f"{first.split(',')[0]},{values}"  # a category the dataset has objects of
+    anchors_csv.write_text("\n".join([header, row, *rest]) + "\n")
+    code = main(["encode-check", "--manifest", str(dataset), "--seed", "3", "--anchors", str(anchors_csv)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{anchors_csv}: bad anchor row {row.split(',')}" in err and message in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,6 @@ from frustumkit.geometry import (
     OrientedBox3,
     Rect2,
     RigidTransform,
-    subdivide_rect,
     unproject_grid,
 )
 from frustumkit.ioi import ioi
@@ -149,11 +149,17 @@ class TestCandidateCenters:
             candidate_centers(cloud, rect, K, fr=3, fc=3)
 
 
+def edges(lo, hi, n):
+    """The n + 1 endpoint-exact band edges candidate_centers splits [lo, hi] into."""
+    return [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)]
+
+
 def reference_centers(cloud, rect, k, pose, fr, fc, mode, near=NEAR_DEFAULT, far=FAR_DEFAULT):
     """Candidate centers the per-tile way: re-project the whole cloud for every tile."""
     tol = BOUNDARY_TOL
+    u_edges, v_edges = edges(rect.u_min, rect.u_max, fc), edges(rect.v_min, rect.v_max, fr)
     centers = []
-    for t in subdivide_rect(rect, fr, fc):
+    for i, j in itertools.product(range(fr), range(fc)):  # row-major
         cam = pose.inverse().apply(cloud)
         z = cam[:, 2]
         u = k.fx * cam[:, 0] / z + k.cx
@@ -161,10 +167,10 @@ def reference_centers(cloud, rect, k, pose, fr, fc, mode, near=NEAR_DEFAULT, far
         inside = cloud[
             (z > near - tol)
             & (z < far + tol)
-            & (u >= t.u_min - tol)
-            & (u < t.u_max + tol)
-            & (v >= t.v_min - tol)
-            & (v < t.v_max + tol)
+            & (u >= u_edges[j] - tol)
+            & (u < u_edges[j + 1] + tol)
+            & (v >= v_edges[i] - tol)
+            & (v < v_edges[i + 1] + tol)
         ]
         if len(inside) == 0:
             continue
@@ -189,9 +195,7 @@ class TestCandidateCentersAgainstPerTileReference:
         rng = np.random.default_rng(seed)
         r = self.RECT
         pixels = list(zip(rng.uniform(r.u_min - 3, r.u_max + 3, 300), rng.uniform(r.v_min - 3, r.v_max + 3, 300)))
-        tiles = subdivide_rect(r, fr, fc)
-        u_edges = sorted({t.u_min for t in tiles} | {t.u_max for t in tiles})
-        v_edges = sorted({t.v_min for t in tiles} | {t.v_max for t in tiles})
+        u_edges, v_edges = edges(r.u_min, r.u_max, fc), edges(r.v_min, r.v_max, fr)
         offsets = [0.0, 0.5 * BOUNDARY_TOL, -0.5 * BOUNDARY_TOL, 2 * BOUNDARY_TOL, -2 * BOUNDARY_TOL]
         for d in offsets:
             for e in u_edges:

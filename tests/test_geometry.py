@@ -28,7 +28,6 @@ from frustumkit.geometry import (
     polygon_area,
     project_points,
     read_cloud_binary,
-    subdivide_rect,
     tile_masks,
     unproject_grid,
     write_cloud_binary,
@@ -36,6 +35,11 @@ from frustumkit.geometry import (
 from frustumkit.ioi import crop_scores
 
 K = CameraIntrinsics(fx=520.0, fy=515.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+def edges(lo: float, hi: float, n: int) -> list[float]:
+    """The n + 1 endpoint-exact band edges that tile_masks splits [lo, hi] into."""
+    return [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)]
 
 
 def make_pose(yaw: float = 0.3, position=(0.2, -0.1, 1.1)) -> RigidTransform:
@@ -115,14 +119,16 @@ class TestFrustumMembership:
         """Vectorized per-tile membership agrees with a scalar per-point loop."""
         pose = make_pose()
         rect = Rect2(120.0, 90.0, 420.0, 360.0)
-        tiles = subdivide_rect(rect, 3, 3)
         rng = np.random.default_rng(11)
         cloud = rng.uniform(low=[-4, -4, -1], high=[6, 6, 3], size=(2000, 3))
-        masks = tile_masks(cloud, tiles, K, pose, 0.2, 6.0)
-        assert len(masks) == len(tiles)
+        masks = tile_masks(cloud, rect, 3, 3, K, pose, 0.2, 6.0)
+        assert len(masks) == 9
 
         inv = pose.inverse()
-        for tile, mask in zip(tiles, masks):
+        u_edges = edges(rect.u_min, rect.u_max, 3)
+        v_edges = edges(rect.v_min, rect.v_max, 3)
+        tiles = [(u_edges[j], v_edges[i], u_edges[j + 1], v_edges[i + 1]) for i in range(3) for j in range(3)]
+        for (u_min, v_min, u_max, v_max), mask in zip(tiles, masks):
             expected = []
             for i, p in enumerate(cloud):
                 q = inv.apply(p)
@@ -131,7 +137,7 @@ class TestFrustumMembership:
                     continue
                 u = K.fx * q[0] / z + K.cx
                 v = K.fy * q[1] / z + K.cy
-                if tile.u_min - 1e-9 <= u < tile.u_max + 1e-9 and tile.v_min - 1e-9 <= v < tile.v_max + 1e-9:
+                if u_min - 1e-9 <= u < u_max + 1e-9 and v_min - 1e-9 <= v < v_max + 1e-9:
                     expected.append(i)
             assert np.nonzero(mask)[0].tolist() == expected
 
@@ -142,15 +148,15 @@ class TestFrustumMembership:
         for corner in [(rect.u_min, rect.v_min), (rect.u_max, rect.v_max), (rect.u_min, rect.v_max)]:
             p_cam = unproject_grid(corner[0], corner[1], 3.0, K)
             p_world = pose.apply(p_cam)
-            assert tile_masks(p_world.reshape(1, 3), [rect], K, pose, 0.1, 10.0)[0].tolist() == [True]
+            assert tile_masks(p_world.reshape(1, 3), rect, 1, 1, K, pose, 0.1, 10.0)[0].tolist() == [True]
 
     def test_point_within_tolerance_of_shared_edge_counts_in_both_tiles(self):
         pose = make_pose()
-        left, right = subdivide_rect(Rect2(100.0, 80.0, 300.0, 260.0), 1, 2)
-        edge = left.u_max
+        rect = Rect2(100.0, 80.0, 300.0, 260.0)
+        edge = 200.0  # the column edge of a 1x2 split
         offsets = [0.0, 0.5 * BOUNDARY_TOL, -0.5 * BOUNDARY_TOL, 3 * BOUNDARY_TOL, -3 * BOUNDARY_TOL]
         cloud = pose.apply(unproject_grid(edge + np.array(offsets), 170.0, np.full(len(offsets), 3.0), K))
-        in_left, in_right = tile_masks(cloud, [left, right], K, pose, 0.1, 10.0)
+        in_left, in_right = tile_masks(cloud, rect, 1, 2, K, pose, 0.1, 10.0)
         assert in_left.tolist() == [True, True, True, False, True]
         assert in_right.tolist() == [True, True, True, True, False]
 
@@ -160,24 +166,26 @@ class TestFrustumMembership:
         rng = np.random.default_rng(5)
         cloud = rng.uniform(low=[-2, -2, 0], high=[5, 5, 2], size=(500, 3))
         perm = rng.permutation(500)
-        base = set(np.nonzero(tile_masks(cloud, [rect], K, pose, 0.1, 10.0)[0])[0].tolist())
-        shuffled = np.nonzero(tile_masks(cloud[perm], [rect], K, pose, 0.1, 10.0)[0])[0]
+        base = set(np.nonzero(tile_masks(cloud, rect, 1, 1, K, pose, 0.1, 10.0)[0])[0].tolist())
+        shuffled = np.nonzero(tile_masks(cloud[perm], rect, 1, 1, K, pose, 0.1, 10.0)[0])[0]
         assert {perm[i] for i in shuffled} == base
 
     def test_depth_limits_respected(self):
         rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
         cloud = np.array([[0, 0, 0.5], [0, 0, 1.5], [0, 0, 2.5]])
-        mask = tile_masks(cloud, [rect], K, RigidTransform.identity(), 1.0, 2.0)[0]
+        mask = tile_masks(cloud, rect, 1, 1, K, RigidTransform.identity(), 1.0, 2.0)[0]
         assert mask.tolist() == [False, True, False]
 
     def test_rejects_bad_depth_range(self):
         rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
         for near, far in [(0.0, 1.0), (2.0, 1.0)]:
             with pytest.raises(GeometryError):
-                tile_masks(np.zeros((1, 3)), [rect], K, RigidTransform.identity(), near, far)
+                tile_masks(np.zeros((1, 3)), rect, 1, 1, K, RigidTransform.identity(), near, far)
 
 
-class TestSubdivide:
+class TestTileBands:
+    """Tile layout of tile_masks: row-major bands that share their edges."""
+
     @given(
         u0=st.floats(-500, 500),
         v0=st.floats(-500, 500),
@@ -187,37 +195,35 @@ class TestSubdivide:
         fc=st.integers(1, 6),
     )
     @settings(max_examples=150, deadline=None)
-    def test_tiles_exactly(self, u0, v0, w, h, fr, fc):
+    def test_edge_points_land_on_both_sides(self, u0, v0, w, h, fr, fc):
+        """Points on every outer and shared edge, and at band midpoints, land in exactly the adjacent tiles."""
         rect = Rect2(u0, v0, u0 + w, v0 + h)
-        tiles = subdivide_rect(rect, fr, fc)
-        assert len(tiles) == fr * fc
-        # outer edges are reproduced bit-for-bit
-        assert min(t.u_min for t in tiles) == rect.u_min
-        assert max(t.u_max for t in tiles) == rect.u_max
-        assert min(t.v_min for t in tiles) == rect.v_min
-        assert max(t.v_max for t in tiles) == rect.v_max
-        # adjacent tiles share identical edges (row-major layout)
-        for i in range(fr):
-            for j in range(fc):
-                t = tiles[i * fc + j]
-                if j + 1 < fc:
-                    assert t.u_max == tiles[i * fc + j + 1].u_min
-                if i + 1 < fr:
-                    assert t.v_max == tiles[(i + 1) * fc + j].v_min
-        total = sum(t.area for t in tiles)
-        assert total == pytest.approx(rect.area, rel=1e-12)
+        u_edges, v_edges = edges(rect.u_min, rect.u_max, fc), edges(rect.v_min, rect.v_max, fr)
+        # (pixel coordinate, bands it belongs to): every edge, then every band midpoint
+        us = [(e, {j - 1, j} & set(range(fc))) for j, e in enumerate(u_edges)]
+        us += [(0.5 * (u_edges[j] + u_edges[j + 1]), {j}) for j in range(fc)]
+        vs = [(e, {i - 1, i} & set(range(fr))) for i, e in enumerate(v_edges)]
+        vs += [(0.5 * (v_edges[i] + v_edges[i + 1]), {i}) for i in range(fr)]
+        pixels = np.array([(u, v) for u, _ in us for v, _ in vs])
+        cloud = unproject_grid(pixels[:, 0], pixels[:, 1], np.full(len(pixels), 3.0), K)
+        masks = tile_masks(cloud, rect, fr, fc, K, RigidTransform.identity(), 0.1, 10.0)
+        assert len(masks) == fr * fc
+        inside = np.stack(masks, axis=1)
+        for p, ((_, cols), (_, rows)) in enumerate((cu, rv) for cu in us for rv in vs):
+            assert set(np.nonzero(inside[p])[0].tolist()) == {i * fc + j for i in rows for j in cols}
 
     def test_row_major_order(self):
         rect = Rect2(0.0, 0.0, 30.0, 20.0)
-        tiles = subdivide_rect(rect, 2, 3)
-        # first row spans v in [0, 10), columns left to right
-        assert [t.u_min for t in tiles[:3]] == [0.0, 10.0, 20.0]
-        assert all(t.v_min == 0.0 for t in tiles[:3])
-        assert all(t.v_min == 10.0 for t in tiles[3:])
+        # one point at the center of each tile of a 2x3 split, listed row by row
+        us, vs = np.meshgrid([5.0, 15.0, 25.0], [5.0, 15.0])
+        cloud = unproject_grid(us.ravel(), vs.ravel(), np.full(6, 2.0), K)
+        masks = tile_masks(cloud, rect, 2, 3, K, RigidTransform.identity(), 0.1, 10.0)
+        assert [np.nonzero(m)[0].tolist() for m in masks] == [[0], [1], [2], [3], [4], [5]]
 
-    def test_counts_must_be_positive(self):
+    @pytest.mark.parametrize("fr, fc", [(0, 3), (3, 0)])
+    def test_counts_must_be_positive(self, fr, fc):
         with pytest.raises(GeometryError):
-            subdivide_rect(Rect2(0, 0, 10, 10), 0, 3)
+            tile_masks(np.zeros((1, 3)), Rect2(0, 0, 10, 10), fr, fc, K, RigidTransform.identity(), 0.1, 10.0)
 
 
 class TestFrustumCenter:

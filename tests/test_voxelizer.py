@@ -80,6 +80,7 @@ class TestVoxelize:
         grid = voxelize(np.zeros((0, 3)), CROP, SPEC)
         assert grid.total_points == 0
         assert grid.dims == SPEC.grid
+        assert grid.data.dtype == np.int64
 
 
 class TestAugment:
