@@ -296,7 +296,7 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
         written.append(args.sparse)
     print(
         f"voxelize: {obj.category} grid {grid.dims[0]}x{grid.dims[1]}x{grid.dims[2]}, "
-        f"{grid.total_points} points in {int(np.count_nonzero(grid.data))} cells, "
+        f"{grid.total_points} points in {grid.cells.size} cells, "
         f"ioi_3d={breakdown.ioi_3d:.6g}, wrote {', '.join(written)}"
     )
     return EXIT_OK

@@ -76,7 +76,7 @@ class DhsImage:
             arr = np.asarray(ch, dtype=np.float64)
             if arr.ndim != 2:
                 raise GeometryError(f"channel {name} must be 2D")
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise GeometryError(f"channel {name} leaves [0, 1]")
         if not (self.d.shape == self.h.shape == self.s.shape):
             raise GeometryError("channels must share one shape")

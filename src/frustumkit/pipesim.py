@@ -73,7 +73,8 @@ class FrameTrace:
     @property
     def throughput_fps(self) -> float:
         period = self.steady_period
-        if period == 0:
+        # a subnormal period overflows 1000 / period to inf
+        if period == 0 or 1000.0 / period == math.inf:
             raise GeometryError("zero-cost stages have unbounded throughput")
         return 1000.0 / period
 
@@ -103,6 +104,9 @@ def simulate(n_frames: int, timing: StageTiming, mode: Mode) -> FrameTrace:
         raise GeometryError("n_frames must be >= 1")
     if mode not in ("sequential", "pipelined"):
         raise GeometryError(f"unknown mode {mode!r}")
+    # every clock value in both modes stays below this bound
+    if not math.isfinite((n_frames + 1) * (timing.t_2d + timing.t_3d)):
+        raise GeometryError(f"stage times {timing.t_2d}, {timing.t_3d} overflow the clock over {n_frames} frames")
     t2, t3 = timing.t_2d, timing.t_3d
     frames: list[FrameRecord] = []
     if mode == "sequential":

@@ -446,6 +446,20 @@ def test_pipesim_sequential_period_line(capsys):
     assert "period=77 ms" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+def test_pipesim_rejects_clock_overflow(tmp_path, capsys, mode):
+    trace_csv = tmp_path / "p.csv"
+    argv = ["pipesim", "--t2d", "1e308", "--t3d", "1e308", "--mode", mode, "--frames", "3", "--csv", str(trace_csv)]
+    assert main(argv) == EXIT_USAGE
+    assert "overflow the clock over 3 frames" in capsys.readouterr().err
+    assert not trace_csv.exists()
+
+
+def test_pipesim_rejects_unbounded_throughput(capsys):
+    assert main(["pipesim", "--t2d", "5e-324", "--t3d", "0", "--mode", "sequential"]) == EXIT_USAGE
+    assert "unbounded throughput" in capsys.readouterr().err
+
+
 # --- stale-sweep ------------------------------------------------------------------------
 
 

@@ -180,6 +180,13 @@ class TestExports:
         with pytest.raises(GeometryError):
             DhsImage(d=np.array([[1.2]]), h=np.zeros((1, 1)), s=np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("channel", ["d", "h", "s"])
+    def test_nan_channel_rejected(self, channel):
+        planes = {name: np.full((2, 3), 0.5) for name in "dhs"}
+        planes[channel][1, 2] = np.nan
+        with pytest.raises(GeometryError, match=f"channel {channel} leaves"):
+            DhsImage(**planes)
+
 
 class TestRangeImageIO:
     def test_round_trip(self, tmp_path):

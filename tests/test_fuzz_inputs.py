@@ -5,7 +5,11 @@ Each example replaces one node of one of them (a leaf or a whole subtree)
 with a random JSON value, or splices random bytes into the file where that
 node was, then runs a subcommand on the result. Whatever the input,
 ``cli.main`` must return one of the documented exit codes without raising,
-and every failure must name its subcommand on stderr.
+and every failure must name its subcommand on stderr. A run that exits 0
+must write only finite numbers: every CSV field that parses as a float is
+finite, and so is every value of a float32 plane file. The one exception is
+``nan`` in evaluate's mean columns for a category with no matched pair. The stage-time flags
+of ``pipesim`` are fuzzed the same way.
 
 The examples are derandomized so the suite is reproducible; raise
 ``max_examples`` locally to search further.
@@ -14,10 +18,13 @@ The examples are derandomized so the suite is reproducible; raise
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,13 +118,45 @@ def fuzzed_file(draw, doc):
     return text.replace(json.dumps(SENTINEL).encode(), draw(st.binary(max_size=12)))
 
 
-def _check_main(argv: list[str]) -> None:
+def _number_files(out: Path) -> list[Path]:
+    return sorted(p for p in out.rglob("*") if p.suffix in (".csv", ".f32"))
+
+
+# evaluate writes these as nan for a category with no matched pair (recall 0)
+NO_MATCH_MEANS = {"mean_d_xyz", "mean_d_wdh", "mean_orientation_score"}
+
+
+def _assert_finite_outputs(out: Path) -> None:
+    for path in _number_files(out):
+        if path.suffix == ".f32":
+            assert np.all(np.isfinite(np.fromfile(path, dtype="<f4"))), path
+            continue
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        for row in rows:
+            fields = dict(zip(header, row))
+            no_match = fields.get("recall") == "0"
+            for name, field in fields.items():
+                if no_match and name in NO_MATCH_MEANS and field == "nan":
+                    continue
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue  # a category name
+                assert math.isfinite(value), (path, name, field)
+
+
+def _check_main(argv: list[str], out: Path) -> None:
+    for stale in _number_files(out):  # so only this run's outputs are checked
+        stale.unlink()
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in DOCUMENTED_EXIT_CODES, (code, err.getvalue())
     if code != EXIT_OK:
         assert err.getvalue().startswith(f"frustumkit {argv[0]}: "), err.getvalue()
+    else:
+        _assert_finite_outputs(out)
 
 
 MANIFEST_COMMANDS = ["anchors", "recall-curves", "voxelize", "encode-check", "dhs", "stale-sweep", "evaluate"]
@@ -143,7 +182,7 @@ def test_fuzzed_manifest_exits_with_a_documented_code(base, data, command):
     manifest.write_bytes(data.draw(fuzzed_file(base["manifest"])))
     dets = base["out"] / "dets.json"
     dets.write_text(json.dumps(base["detections"]))
-    _check_main(_manifest_argv(command, manifest, dets, base["out"]))
+    _check_main(_manifest_argv(command, manifest, dets, base["out"]), base["out"])
 
 
 @FUZZ_SETTINGS
@@ -151,7 +190,7 @@ def test_fuzzed_manifest_exits_with_a_documented_code(base, data, command):
 def test_fuzzed_detections_exit_with_a_documented_code(base, data):
     dets = base["out"] / "fuzzed_dets.json"
     dets.write_bytes(data.draw(fuzzed_file(base["detections"])))
-    _check_main(_manifest_argv("evaluate", base["dir"] / "manifest.json", dets, base["out"]))
+    _check_main(_manifest_argv("evaluate", base["dir"] / "manifest.json", dets, base["out"]), base["out"])
 
 
 @FUZZ_SETTINGS
@@ -159,4 +198,19 @@ def test_fuzzed_detections_exit_with_a_documented_code(base, data):
 def test_fuzzed_layer_list_exits_with_a_documented_code(base, data):
     layers = base["out"] / "fuzzed_layers.json"
     layers.write_bytes(data.draw(fuzzed_file(base["layers"])))
-    _check_main(["netshape", "check", "--grid", "16x16x16", "--layers-json", str(layers)])
+    _check_main(["netshape", "check", "--grid", "16x16x16", "--layers-json", str(layers)], base["out"])
+
+
+_stage_times = st.floats(min_value=0.0) | st.sampled_from([1e308, 1.7e308, 5e-324, 1e-320, 0.0, 29.0, 48.0])
+
+
+@FUZZ_SETTINGS
+@given(
+    t2d=_stage_times,
+    t3d=_stage_times,
+    mode=st.sampled_from(["sequential", "pipelined"]),
+    frames=st.integers(min_value=-1, max_value=40),
+)
+def test_fuzzed_pipesim_times_exit_with_a_documented_code(base, t2d, t3d, mode, frames):
+    argv = ["pipesim", "--t2d", repr(t2d), "--t3d", repr(t3d), "--mode", mode, "--frames", str(frames)]
+    _check_main([*argv, "--csv", str(base["out"] / "p.csv")], base["out"])

@@ -119,6 +119,16 @@ class TestPipelined:
         with pytest.raises(GeometryError):
             _ = trace.throughput_fps
 
+    @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+    def test_clock_overflow_rejected_and_bound_is_enough(self, mode):
+        with pytest.raises(GeometryError, match="overflow the clock"):
+            simulate(3, StageTiming(1e308, 1e308), mode)
+        # (n + 1) * (t_2d + t_3d) = 1.6e308 is finite, so every clock value and latency is too
+        trace = simulate(3, StageTiming(1e307, 3e307), mode)
+        keys = ("start_2d", "done_2d", "start_3d", "done_3d", "latency")
+        values = [getattr(f, k) for f in trace.frames for k in keys]
+        assert all(np.isfinite(values))
+
     def test_bad_inputs_rejected(self):
         with pytest.raises(GeometryError):
             simulate(0, YOLO_FCN6, "pipelined")
