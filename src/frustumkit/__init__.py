@@ -24,8 +24,9 @@ from .geometry import (
     OrientedBox3,
     Rect2,
     RigidTransform,
+    project_cloud,
     read_cloud_binary,
-    tile_masks,
+    tile_points,
     write_cloud_binary,
 )
 from .ioi import (
@@ -47,15 +48,12 @@ from .cropbox import (
     assign_scale,
     best_cropbox,
     candidate_centers,
-    double_frustum,
     get_scale_spec,
     recall_curves,
     select_min_size,
 )
 from .voxelizer import (
     VoxelGrid,
-    augment,
-    rotate_about_vertical,
     voxelize,
     write_voxel_grid,
 )

@@ -4,13 +4,15 @@ Objects are binned by average physical size into four scale classes, each with
 a fixed crop extent and voxel grid. Candidate crop centers come from point
 statistics of subdivided frustums; recall curves sweep crop side and height
 against per-axis intersection-over-itself thresholds to pick minimal sizes.
+Recall curves walk the dataset frame by frame: a frame's cloud is projected
+once for all its objects, and candidates are scored in batches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,15 +26,14 @@ from .geometry import (
     Aabb3,
     CameraIntrinsics,
     CenterMode,
-    FAR_DEFAULT,
-    NEAR_DEFAULT,
+    CloudProjection,
     OrientedBox3,
     Rect2,
     RigidTransform,
-    as_point_cloud,
-    tile_masks,
+    project_cloud,
+    tile_points,
 )
-from .ioi import IoiBreakdown, RecallReport, crop_scores, validate_threshold
+from .ioi import IoiBreakdown, RecallReport, crop_scores, ioi, validate_threshold
 
 
 @dataclass(frozen=True)
@@ -114,32 +115,44 @@ def candidate_centers(
     fr: int = 1,
     fc: int = 1,
     mode: CenterMode = "average",
+    projection: CloudProjection | None = None,
 ) -> list[np.ndarray]:
     """Crop-center candidates from the subfrustums of a 2D proposal.
 
-    The rect is tiled fr x fc (row-major) and the cloud is projected once,
-    with depth bounded by NEAR_DEFAULT and FAR_DEFAULT;
+    The rect is tiled fr x fc (row-major) over one projection of the cloud,
+    with depth bounded by NEAR_DEFAULT and FAR_DEFAULT (see tile_points);
     each non-empty subfrustum contributes the average of its points or their
     per-coordinate median (for even counts the lower of the two middle
     values). Empty subfrustums are dropped; if every one is empty there is
     nothing to anchor a crop to and NoCandidatesError is raised.
+
+    ``projection`` is a project_cloud of this very cloud, camera and pose (by
+    identity), so that the objects of one frame share one projection;
+    without it the cloud is projected here.
     """
     if mode not in ("average", "median"):
         raise GeometryError(f"unknown center mode: {mode!r}")
-    pts = as_point_cloud(cloud)
-    pose = pose if pose is not None else RigidTransform.identity()
-    centers: list[np.ndarray] = []
-    for mask in tile_masks(pts, rect, fr, fc, k, pose, NEAR_DEFAULT, FAR_DEFAULT):
-        inside = pts[mask]
-        if inside.shape[0] == 0:
-            continue
-        if mode == "average":
-            centers.append(inside.mean(axis=0))
-        else:
-            centers.append(np.sort(inside, axis=0)[(inside.shape[0] - 1) // 2])
-    if not centers:
+    if projection is None:
+        projection = project_cloud(cloud, k, pose)
+    elif projection.cloud is not cloud or projection.k is not k or projection.pose is not pose:
+        raise GeometryError("projection was made from another cloud, camera or pose")
+    tiles, point = tile_points(projection, rect, fr, fc)
+    n_tiles = fr * fc
+    counts = np.bincount(tiles, minlength=n_tiles)
+    full = np.flatnonzero(counts)
+    if full.size == 0:
         raise NoCandidatesError(f"all {fr}x{fc} subfrustums of the rect are empty")
-    return centers
+    inside = projection.points[point]
+    if mode == "average":
+        # bin (tile, coordinate) adds the tile's points in point order, as x[mask].mean(axis=0) does
+        bins = (3 * tiles[:, None] + np.arange(3)).ravel()
+        sums = np.bincount(bins, weights=inside.ravel(), minlength=3 * n_tiles).reshape(n_tiles, 3)
+        centers = sums[full] / counts[full, None]
+    else:
+        # sorted by (tile, coordinate), each tile's lower middle sits at start + (count - 1) // 2
+        middle = (np.cumsum(counts) - counts + (counts - 1) // 2)[full]
+        centers = np.stack([inside[np.lexsort((inside[:, c], tiles))[middle], c] for c in range(3)], axis=1)
+    return list(centers)
 
 
 def best_cropbox(
@@ -153,11 +166,10 @@ def best_cropbox(
     """
     if not candidates:
         raise NoCandidatesError("no candidate centers supplied")
-    xy, z = crop_scores(gt, candidates, [spec.crop_side], [spec.crop_height])
-    best = int(np.argmax(xy[:, 0] * z[:, 0]))  # argmax keeps the first of tied maxima
-    crop = Aabb3(center=np.asarray(candidates[best], dtype=float), side=spec.crop_side, height=spec.crop_height)
-    ioi_xy, ioi_z = float(xy[best, 0]), float(z[best, 0])
-    return crop, IoiBreakdown(ioi_xy=ioi_xy, ioi_z=ioi_z, ioi_3d=ioi_xy * ioi_z)
+    crops = [Aabb3(center=np.asarray(c, dtype=float), side=spec.crop_side, height=spec.crop_height) for c in candidates]
+    scores = [ioi(gt, crop) for crop in crops]
+    best = max(range(len(crops)), key=lambda i: scores[i].ioi_3d)  # max keeps the first of tied maxima
+    return crops[best], scores[best]
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +258,48 @@ def curve_point_to_csv_row(p: CurvePoint) -> str:
     )
 
 
+#: Candidate centers gathered before they are scored together. A batch closes
+#: at the first frame boundary past this count, so the scorer's arrays (about
+#: 2.5 kB per center at three sides) stay bounded however large the dataset.
+_SCORE_BATCH = 1024
+
+
+def split_frames(samples: Sequence[ObjectSample]) -> Iterator[list[ObjectSample]]:
+    """Runs of consecutive samples that share one cloud, camera and pose, by identity.
+
+    iter_object_samples yields each frame's objects this way, so a run is a
+    frame whose cloud can be projected once for all its objects.
+    """
+    run: list[ObjectSample] = []
+    for s in samples:
+        if run and not (s.cloud is run[0].cloud and s.intrinsics is run[0].intrinsics and s.pose is run[0].pose):
+            yield run
+            run = []
+        run.append(s)
+    if run:
+        yield run
+
+
+def _frame_candidates(
+    frame: list[ObjectSample], fr_fc: Sequence[tuple[int, int]], mode: CenterMode
+) -> list[tuple[int, OrientedBox3, np.ndarray]]:
+    """(config position, box, centers) of every object of one frame with candidates, one projection."""
+    first = frame[0]
+    projection = project_cloud(first.cloud, first.intrinsics, first.pose)
+    rows = []
+    for ci, (fr, fc) in enumerate(fr_fc):
+        for item in frame:
+            try:
+                cands = candidate_centers(
+                    item.cloud, item.rect, item.intrinsics, pose=item.pose, fr=fr, fc=fc, mode=mode,
+                    projection=projection,
+                )
+            except NoCandidatesError:
+                continue
+            rows.append((ci, item.gt_box, np.array(cands)))
+    return rows
+
+
 def recall_curves(
     dataset: Sequence[ObjectSample],
     cfg: SizeSearchConfig,
@@ -262,6 +316,10 @@ def recall_curves(
     Recalls, bound and bound_satisfied come from a RecallReport over the
     integer counts.
 
+    The dataset is walked frame by frame (split_frames): each frame's cloud
+    is projected once for all its objects and configurations, and the
+    candidates are scored in batches of about _SCORE_BATCH centers.
+
     Objects whose subfrustums are all empty count as permanent misses.
     """
     if not dataset:
@@ -269,32 +327,44 @@ def recall_curves(
     sides = cfg.side_candidates
     heights = cfg.height_candidates
     t3 = cfg.threshold_xy * cfg.threshold_z
+    # objects recalled at each side, height and (side, height), per position in
+    # cfg.fr_fc (a configuration listed twice gets its rows twice)
+    n_xy = np.zeros((len(cfg.fr_fc), len(sides)), dtype=int)
+    n_z = np.zeros((len(cfg.fr_fc), len(heights)), dtype=int)
+    n_vol = np.zeros((len(cfg.fr_fc), len(sides), len(heights)), dtype=int)
+
+    def score(batch: list[tuple[int, OrientedBox3, np.ndarray]]) -> None:
+        config = [ci for ci, _, _ in batch]
+        xy, z = crop_scores([box for _, box, _ in batch], [c for _, _, c in batch], sides, heights)
+        starts = np.cumsum([0] + [len(c) for _, _, c in batch[:-1]])
+        # each object's best over its candidates
+        np.add.at(n_xy, config, np.maximum.reduceat(xy, starts) >= cfg.threshold_xy)
+        np.add.at(n_z, config, np.maximum.reduceat(z, starts) >= cfg.threshold_z)
+        np.add.at(n_vol, config, np.maximum.reduceat(xy[:, :, None] * z[:, None, :], starts) >= t3)
+
+    batch: list[tuple[int, OrientedBox3, np.ndarray]] = []
+    n_centers = 0
+    for frame in split_frames(dataset):
+        rows = _frame_candidates(frame, cfg.fr_fc, mode)
+        batch += rows
+        n_centers += sum(len(c) for _, _, c in rows)
+        if n_centers >= _SCORE_BATCH:
+            score(batch)
+            batch, n_centers = [], 0
+    if batch:
+        score(batch)
+
     points: list[CurvePoint] = []
-    for fr, fc in cfg.fr_fc:
-        # objects recalled at each side, height and (side, height)
-        n_xy = np.zeros(len(sides), dtype=int)
-        n_z = np.zeros(len(heights), dtype=int)
-        n_vol = np.zeros((len(sides), len(heights)), dtype=int)
-        for item in dataset:
-            try:
-                cands = candidate_centers(
-                    item.cloud, item.rect, item.intrinsics, pose=item.pose, fr=fr, fc=fc, mode=mode
-                )
-            except NoCandidatesError:
-                continue
-            xy, z = crop_scores(item.gt_box, cands, sides, heights)
-            n_xy += xy.max(axis=0) >= cfg.threshold_xy
-            n_z += z.max(axis=0) >= cfg.threshold_z
-            n_vol += (xy[:, :, None] * z[:, None, :]).max(axis=0) >= t3
+    for ci, (fr, fc) in enumerate(cfg.fr_fc):
         for si, side in enumerate(sides):
             for hi, height in enumerate(heights):
                 report = RecallReport(
                     threshold_xy=cfg.threshold_xy,
                     threshold_z=cfg.threshold_z,
                     n_total=len(dataset),
-                    n_pos_xy=int(n_xy[si]),
-                    n_pos_z=int(n_z[hi]),
-                    n_pos_volume=int(n_vol[si, hi]),
+                    n_pos_xy=int(n_xy[ci, si]),
+                    n_pos_z=int(n_z[ci, hi]),
+                    n_pos_volume=int(n_vol[ci, si, hi]),
                 )
                 points.append(
                     CurvePoint(
@@ -341,43 +411,3 @@ def select_min_size(
             missing.append(f"vertical recall never reaches {target_z}")
         raise InfeasibleSizeError("; ".join(missing))
     return side, height
-
-
-# ---------------------------------------------------------------------------
-# double frustum
-
-
-#: Maximum random enlargement of the outer rect during training (per axis).
-TRAIN_ENLARGE_MAX = 0.15
-#: Maximum random shrink of the center rect during training (per axis).
-TRAIN_SHRINK_MAX = 0.10
-#: Fixed symmetric enlargement applied at inference time.
-INFERENCE_ENLARGE = 0.05
-
-Phase = Literal["train", "inference"]
-
-
-def double_frustum(rect: Rect2, phase: Phase, rng_seed: int | None = None) -> tuple[Rect2, Rect2]:
-    """Derive the (center_rect, large_rect) pair backing a two-frustum crop.
-
-    The large rect widens the 2D proposal so the 3D crop keeps points a
-    too-tight detection would lose; the center rect is what the crop center
-    statistic is computed from. Training jitters both independently per axis
-    (enlarge up to +15%, shrink down to -10%), deterministically per seed;
-    inference enlarges by a fixed 5% and keeps the center rect as given.
-
-    The nesting center_rect <= rect <= large_rect holds by construction.
-    """
-    if phase == "inference":
-        large = rect.scaled_about_center(1.0 + INFERENCE_ENLARGE, 1.0 + INFERENCE_ENLARGE)
-        return rect, large
-    if phase != "train":
-        raise GeometryError(f"unknown phase: {phase!r}")
-    if rng_seed is None:
-        raise GeometryError("training-phase jitter requires an explicit rng_seed")
-    rng = np.random.default_rng(rng_seed)
-    # draw order is part of the contract: large u, large v, small u, small v
-    draws = rng.random(4)
-    large = rect.scaled_about_center(1.0 + TRAIN_ENLARGE_MAX * draws[0], 1.0 + TRAIN_ENLARGE_MAX * draws[1])
-    center = rect.scaled_about_center(1.0 - TRAIN_SHRINK_MAX * draws[2], 1.0 - TRAIN_SHRINK_MAX * draws[3])
-    return center, large

@@ -10,6 +10,9 @@ Conventions used throughout the package:
 Boundary handling is deterministic: frustum membership uses half-open tests
 widened by ``BOUNDARY_TOL`` so points constructed exactly on a frustum face
 (e.g. on an edge ray) classify as inside on every platform.
+
+A frame's cloud is projected once (``project_cloud``); the subfrustums of any
+rect are then row and column bands over that projection (``tile_points``).
 """
 
 from __future__ import annotations
@@ -100,15 +103,6 @@ class Rect2:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.u_min + self.u_max), 0.5 * (self.v_min + self.v_max))
 
-    def scaled_about_center(self, factor_u: float, factor_v: float) -> "Rect2":
-        """Return a copy scaled about its own center by per-axis factors."""
-        if factor_u <= 0 or factor_v <= 0:
-            raise GeometryError("scale factors must be positive")
-        cu, cv = self.center
-        hw = 0.5 * self.width * factor_u
-        hh = 0.5 * self.height * factor_v
-        return Rect2(cu - hw, cv - hh, cu + hw, cv + hh)
-
 
 @dataclass
 class RigidTransform:
@@ -138,8 +132,12 @@ class RigidTransform:
         return pts @ self.rotation.T + self.translation
 
     def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
+        # the transpose of a checked rotation passes the same checks, so the
+        # inverse skips them (they cost more than the projection they precede)
+        inv = object.__new__(RigidTransform)
+        inv.rotation = self.rotation.T
+        inv.translation = -inv.rotation @ self.translation
+        return inv
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -255,43 +253,86 @@ def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndar
 # frustums
 
 
-def tile_masks(
-    cloud: np.ndarray,
-    rect: Rect2,
-    fr: int,
-    fc: int,
-    k: CameraIntrinsics,
-    pose: RigidTransform,
-    near: float,
-    far: float,
-) -> list[np.ndarray]:
-    """Masks of the world-frame cloud points in each of the fr x fc subfrustums of a rect.
+@dataclass(frozen=True, eq=False)
+class CloudProjection:
+    """A world-frame cloud projected once into one camera, kept to its in-depth points.
 
-    The rect's fr + 1 row edges and fc + 1 column edges come from an
-    endpoint-exact interpolation, so the outer edges reproduce the rect
-    bit-for-bit and neighbouring tiles read one shared edge value. The cloud
-    is moved into the camera frame and projected once; each column band and
-    each depth-gated row band is then tested once, and tile (i, j) is row
-    band i & column band j, returned in row-major order. Membership: depth
-    within (near, far) and projection within the tile, all four boundaries
-    widened by BOUNDARY_TOL, so exact boundary points land inside
-    deterministically and a point on (or within the tolerance of) an edge
-    shared by two tiles counts in both.
+    ``index`` holds the ascending cloud indices of the points whose depth lies
+    within (NEAR_DEFAULT, FAR_DEFAULT), both limits widened by BOUNDARY_TOL,
+    and ``u``/``v`` their pixel coordinates. ``cloud``, ``k`` and ``pose`` are
+    the objects it was made from, kept for identity checks; ``points`` is the
+    validated float64 cloud.
+    """
+
+    cloud: object
+    points: np.ndarray
+    k: CameraIntrinsics
+    pose: RigidTransform | None
+    index: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform | None = None) -> CloudProjection:
+    """Move the cloud into the camera frame (identity pose when None) and project it once."""
+    pts = as_point_cloud(cloud)
+    cam = (pose if pose is not None else RigidTransform.identity()).inverse().apply(pts)
+    u, v, z = project_points(cam, k)
+    tol = BOUNDARY_TOL
+    index = np.flatnonzero((z > NEAR_DEFAULT - tol) & (z < FAR_DEFAULT + tol))
+    return CloudProjection(cloud, pts, k, pose, index, u[index], v[index])
+
+
+def _band_limits(lo: float, hi: float, n: int) -> tuple[list[float], list[float]]:
+    # band j of [lo, hi] split n ways holds lower[j] <= x < upper[j]; the
+    # endpoint-exact edges make the outer edges reproduce lo and hi bit for
+    # bit and let neighbouring bands read one shared edge value
+    edges = [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)]
+    lower = [e - BOUNDARY_TOL for e in edges[:-1]]
+    upper = [e + BOUNDARY_TOL for e in edges[1:]]
+    if lower != sorted(lower) or upper != sorted(upper):
+        # only a side a few ulps wide rounds its edges out of order
+        raise GeometryError(f"rect side [{lo!r}, {hi!r}] is too narrow to split into {n} bands")
+    return lower, upper
+
+
+def _band_runs(x: np.ndarray, lower: list[float], upper: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    # Both limits rise with the band index, so the bands holding x are one
+    # run: from the first band with x < upper to the last with lower <= x.
+    # Returns (first band, run length) per point of x, which all lie in
+    # [lower[0], upper[-1]).
+    first = np.searchsorted(upper, x, side="right")
+    return first, np.searchsorted(lower, x, side="right") - first
+
+
+def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tile, point) pairs of the projected points in the fr x fc subfrustums of a rect.
+
+    Tile (i, j) is row band i and column band j, numbered i * fc + j
+    (row-major). Membership: the point is in depth (see CloudProjection) and
+    each pixel coordinate lies in its band, with both band limits widened by
+    BOUNDARY_TOL, so exact boundary points land inside deterministically and
+    a point on (or within the tolerance of) an edge shared by two tiles counts
+    in both. Returns (tiles, points), two int arrays of one length, in
+    point-major order: ascending cloud index, then ascending tile.
     """
     if fr < 1 or fc < 1:
         raise GeometryError("subdivision counts must be >= 1")
-    if not (0 < near < far):
-        raise GeometryError("need 0 < near < far")
-    u_edges = [rect.u_min * (1.0 - j / fc) + rect.u_max * (j / fc) for j in range(fc + 1)]
-    v_edges = [rect.v_min * (1.0 - i / fr) + rect.v_max * (i / fr) for i in range(fr + 1)]
-    cam = pose.inverse().apply(as_point_cloud(cloud))
-    u, v, z = project_points(cam, k)
-    tol = BOUNDARY_TOL
-    with np.errstate(invalid="ignore"):
-        in_depth = (z > near - tol) & (z < far + tol)
-        cols = [(u >= u_edges[j] - tol) & (u < u_edges[j + 1] + tol) for j in range(fc)]
-        rows = [in_depth & (v >= v_edges[i] - tol) & (v < v_edges[i + 1] + tol) for i in range(fr)]
-    return [row & col for row in rows for col in cols]
+    u_lo, u_hi = _band_limits(rect.u_min, rect.u_max, fc)
+    v_lo, v_hi = _band_limits(rect.v_min, rect.v_max, fr)
+    u, v = proj.u, proj.v
+    inside = np.flatnonzero((u >= u_lo[0]) & (u < u_hi[-1]) & (v >= v_lo[0]) & (v < v_hi[-1]))
+    col, n_cols = _band_runs(u[inside], u_lo, u_hi)
+    row, n_rows = _band_runs(v[inside], v_lo, v_hi)
+    point = proj.index[inside]
+    per_point = n_rows * n_cols
+    if per_point.max(initial=1) == 1:
+        return row * fc + col, point
+    # points on shared edges: enumerate each point's rows x columns, row-major
+    step = np.arange(per_point.sum()) - np.repeat(np.cumsum(per_point) - per_point, per_point)
+    width = np.repeat(n_cols, per_point)
+    tiles = (np.repeat(row, per_point) + step // width) * fc + np.repeat(col, per_point) + step % width
+    return tiles, np.repeat(point, per_point)
 
 
 # ---------------------------------------------------------------------------

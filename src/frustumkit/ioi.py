@@ -6,6 +6,10 @@ design: a huge crop fully covering a small box scores 1.0. Because crops are
 vertical extrusions of their square footprint, the 3D ratio factors exactly
 into a footprint term and a height term, and per-axis positivity thresholds
 multiply into a volume positivity threshold.
+
+``ioi()`` scores one crop; ``crop_scores`` scores many boxes against their
+candidate crops in one vectorized pass with the same arithmetic, so each of
+its entries equals what ``ioi()`` reports.
 """
 
 from __future__ import annotations
@@ -85,24 +89,108 @@ def ioi(box: OrientedBox3, crop: Aabb3) -> IoiBreakdown:
     return IoiBreakdown(ioi_xy=xy, ioi_z=z, ioi_3d=xy * z)
 
 
+def _clip_pass(
+    px: np.ndarray, py: np.ndarray, n: np.ndarray, axis: int, bound: np.ndarray, keep_le: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # _clip_halfplane_axis on every row at once: row r holds the polygon
+    # (px[r, :n[r]], py[r, :n[r]]), zero-padded; the output keeps the scalar
+    # pass's vertex order and arithmetic
+    a, o = (px, py) if axis == 0 else (py, px)
+    rows = np.arange(len(n))[:, None]
+    j = np.arange(a.shape[1])
+    vertex = j < n[:, None]
+    nxt = np.where(j + 1 < n[:, None], j + 1, 0)
+    b = bound[:, None]
+    cur_in = ((a <= b) if keep_le else (a >= b)) & vertex
+    cross = vertex & (cur_in != cur_in[rows, nxt])
+    a_nxt, o_nxt = a[rows, nxt], o[rows, nxt]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (b - a) / (a_nxt - a)
+        cut = o + t * (o_nxt - o)
+    emit = cur_in.astype(np.int64) + cross
+    pos = np.cumsum(emit, axis=1) - emit
+    n_out = emit.sum(axis=1)
+    out_a = np.zeros((len(n), int(n_out.max(initial=1))))
+    out_o = np.zeros_like(out_a)
+    r, c = np.nonzero(cur_in)
+    out_a[r, pos[r, c]] = a[r, c]
+    out_o[r, pos[r, c]] = o[r, c]
+    r, c = np.nonzero(cross)
+    at = pos[r, c] + cur_in[r, c]
+    out_a[r, at] = bound[r]
+    out_o[r, at] = cut[r, c]
+    return (out_a, out_o, n_out) if axis == 0 else (out_o, out_a, n_out)
+
+
+def _footprint_iois(
+    quads: np.ndarray, box_areas: np.ndarray, crop_cx: np.ndarray, crop_cy: np.ndarray, sides: np.ndarray
+) -> np.ndarray:
+    # _footprint_ioi on every row at once: the same fast path, clip order,
+    # shoelace sum and clamp, so each entry equals the scalar result
+    hs = 0.5 * sides
+    x_min, x_max = crop_cx - hs, crop_cx + hs
+    y_min, y_max = crop_cy - hs, crop_cy + hs
+    qx, qy = quads[:, :, 0], quads[:, :, 1]
+    whole = np.all(
+        (x_min[:, None] <= qx) & (qx <= x_max[:, None]) & (y_min[:, None] <= qy) & (qy <= y_max[:, None]), axis=1
+    )
+    out = np.ones(len(sides))
+    clip = np.flatnonzero(~whole)
+    px, py, n = qx[clip], qy[clip], np.full(clip.size, 4)
+    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
+        px, py, n = _clip_pass(px, py, n, axis, bound[clip], keep_le)
+    rows = np.arange(clip.size)
+    acc = np.zeros(clip.size)
+    for i in range(px.shape[1]):
+        nxt = np.where(i + 1 < n, i + 1, 0)
+        term = px[:, i] * py[rows, nxt] - px[rows, nxt] * py[:, i]
+        acc = acc + np.where(i < n, term, 0.0)
+    area = np.where(n >= 3, np.abs(acc) * 0.5, 0.0)
+    ratio = area / box_areas[clip]
+    out[clip] = np.where(ratio > 1.0, 1.0, ratio)
+    return out
+
+
 def crop_scores(
-    box: OrientedBox3,
+    boxes: Sequence[OrientedBox3],
     centers: Sequence[np.ndarray],
     sides: Sequence[float],
     heights: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis IoI of `box` against every crop built from the given centers and sizes.
+    """Per-axis IoI of each box against every crop built from its own centers and the given sizes.
 
-    Returns (xy, z) with xy[c, s] the footprint IoI of a crop centered at
-    centers[c] with side sides[s], and z[c, h] the vertical IoI of one with
-    height heights[h]. The crop (centers[c], sides[s], heights[h]) has volume
-    IoI xy[c, s] * z[c, h]: each entry is exactly what ioi() reports for it.
+    centers[b] holds box b's crop centers, an (n_b, 3) array. Rows run box by
+    box, then center by center: with row r standing for center c of its box,
+    xy[r, s] is the footprint IoI of the crop at c with side sides[s], and
+    z[r, h] the vertical IoI of the one with height heights[h]. The crop
+    (c, sides[s], heights[h]) has volume IoI xy[r, s] * z[r, h]: each entry is
+    exactly what ioi() reports for it. All rows are scored in one vectorized
+    pass, so callers batch many boxes per call.
     """
-    quad = oriented_box_footprint(box)
-    area = box.width * box.depth
-    xy = [[_footprint_ioi(quad, area, float(c[0]), float(c[1]), s) for s in sides] for c in centers]
-    z = [[ioi_z_for_crop(box, float(c[2]), h) for h in heights] for c in centers]
-    return np.array(xy, dtype=np.float64), np.array(z, dtype=np.float64)
+    sides = np.asarray(sides, dtype=np.float64)
+    heights = np.asarray(heights, dtype=np.float64)
+    per_box = [np.asarray(c, dtype=np.float64).reshape(-1, 3) for c in centers]
+    if len(per_box) != len(boxes):
+        raise GeometryError(f"{len(boxes)} boxes but {len(per_box)} center sets")
+    owner = np.repeat(np.arange(len(boxes)), [len(c) for c in per_box])
+    crop = np.concatenate(per_box) if per_box else np.zeros((0, 3))
+    n_rows, n_sides = len(crop), len(sides)
+
+    quads = np.array([oriented_box_footprint(b) for b in boxes]).reshape(-1, 4, 2)
+    areas = np.array([b.width * b.depth for b in boxes], dtype=np.float64)
+    row_box = np.repeat(owner, n_sides)
+    xy = _footprint_iois(
+        quads[row_box], areas[row_box], np.repeat(crop[:, 0], n_sides), np.repeat(crop[:, 1], n_sides),
+        np.tile(sides, n_rows),
+    ).reshape(n_rows, n_sides)
+
+    # ioi_z_for_crop, broadcast over (row, height)
+    b_z = np.array([(*b.z_interval, b.height) for b in boxes], dtype=np.float64).reshape(-1, 3)[owner]
+    c_lo, c_hi = crop[:, 2, None] - 0.5 * heights, crop[:, 2, None] + 0.5 * heights
+    overlap = np.minimum(b_z[:, 1, None], c_hi) - np.maximum(b_z[:, 0, None], c_lo)
+    ratio = overlap / b_z[:, 2, None]
+    z = np.where(overlap <= 0.0, 0.0, np.where(ratio > 1.0, 1.0, ratio))
+    return xy, z
 
 
 # ---------------------------------------------------------------------------

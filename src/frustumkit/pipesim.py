@@ -22,12 +22,16 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .cropbox import ObjectSample, SCALE_SPECS, ScaleSpec, best_cropbox, candidate_centers
+from .cropbox import ObjectSample, SCALE_SPECS, ScaleSpec, best_cropbox, candidate_centers, split_frames
 from .errors import GeometryError, NoCandidatesError
-from .geometry import Rect2
-from .ioi import validate_threshold
+from .geometry import Rect2, project_cloud
+from .ioi import IoiBreakdown, validate_threshold
 
 Mode = Literal["sequential", "pipelined"]
+
+#: Most frames simulate() schedules. It keeps one FrameRecord per frame in
+#: memory; a trace at the bound, written with --csv, adds about 26 MB to peak RSS.
+MAX_FRAMES = 100_000
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,8 @@ def simulate(n_frames: int, timing: StageTiming, mode: Mode) -> FrameTrace:
     consumes frame i-1's 2D output (frame 0 has no predecessor and uses its
     own), starting as soon as that input and the 3D stage are both free.
     """
-    if n_frames < 1:
-        raise GeometryError("n_frames must be >= 1")
+    if not 1 <= n_frames <= MAX_FRAMES:
+        raise GeometryError(f"n_frames must lie in [1, {MAX_FRAMES}], got {n_frames}")
     if mode not in ("sequential", "pipelined"):
         raise GeometryError(f"unknown mode {mode!r}")
     # every clock value in both modes stays below this bound
@@ -206,7 +210,8 @@ def stale_frustum_experiment(
     a lost item (it can never be recalled).
 
     A sample counts toward recall_volume only when its best crop is positive
-    on both axes; see DriftRow.
+    on both axes; see DriftRow. Samples are walked frame by frame
+    (split_frames), and each frame's cloud is projected once for every drift.
     """
     if not samples:
         raise GeometryError("stale_frustum_experiment needs at least one sample")
@@ -217,33 +222,47 @@ def stale_frustum_experiment(
     if isinstance(spec, str):
         spec = SCALE_SPECS[spec]
 
+    # breakdowns[d] holds each sample's best-crop breakdown at drifts_px[d], None when lost
+    breakdowns: list[list[IoiBreakdown | None]] = [[] for _ in drifts_px]
+    for frame in split_frames(samples):
+        for per_drift, frame_rows in zip(breakdowns, _sweep_frame(frame, drifts_px, spec)):
+            per_drift += frame_rows
     rows: list[DriftRow] = []
-    for drift in drifts_px:
-        iois: list[float] = []
-        n_pos = 0
-        n_lost = 0
-        for sample in samples:
-            rect = sample.rect
-            shifted = Rect2(rect.u_min + drift, rect.v_min, rect.u_max + drift, rect.v_max)
-            try:
-                centers = candidate_centers(
-                    sample.cloud, shifted, sample.intrinsics, sample.pose, fr=1, fc=1, mode="average"
-                )
-                _, breakdown = best_cropbox(sample.gt_box, centers, spec)
-            except NoCandidatesError:
-                n_lost += 1
-                iois.append(0.0)
-                continue
-            iois.append(breakdown.ioi_3d)
-            if breakdown.ioi_xy >= threshold_xy and breakdown.ioi_z >= threshold_z:
-                n_pos += 1
+    for drift, found in zip(drifts_px, breakdowns):
+        iois = [0.0 if b is None else b.ioi_3d for b in found]
+        n_pos = sum(1 for b in found if b is not None and b.ioi_xy >= threshold_xy and b.ioi_z >= threshold_z)
         rows.append(
             DriftRow(
                 drift_px=float(drift),
                 mean_ioi_3d=float(np.mean(iois)),
                 recall_volume=n_pos / len(samples),
                 n_items=len(samples),
-                n_lost=n_lost,
+                n_lost=sum(b is None for b in found),
             )
         )
     return rows
+
+
+def _sweep_frame(
+    frame: list[ObjectSample], drifts_px: Sequence[float], spec: ScaleSpec
+) -> list[list[IoiBreakdown | None]]:
+    """Per drift, each sample's best-crop breakdown (None when its shifted frustum is empty), one projection."""
+    first = frame[0]
+    projection = project_cloud(first.cloud, first.intrinsics, first.pose)
+    out = []
+    for drift in drifts_px:
+        row: list[IoiBreakdown | None] = []
+        for sample in frame:
+            rect = sample.rect
+            shifted = Rect2(rect.u_min + drift, rect.v_min, rect.u_max + drift, rect.v_max)
+            try:
+                centers = candidate_centers(
+                    sample.cloud, shifted, sample.intrinsics, sample.pose, fr=1, fc=1, mode="average",
+                    projection=projection,
+                )
+            except NoCandidatesError:
+                row.append(None)
+                continue
+            row.append(best_cropbox(sample.gt_box, centers, spec)[1])
+        out.append(row)
+    return out

@@ -1,4 +1,4 @@
-"""Point-count voxelization of crop boxes, augmentation, and grid file writers.
+"""Point-count voxelization of crop boxes and the grid file writers.
 
 A grid is stored as its occupied cells only: the sorted C-order flat indices
 of the cells that hold points, and their counts. A crop grid is ~1e-4
@@ -121,38 +121,6 @@ def voxelize(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> VoxelGrid:
     # sorted flat C order is x-major, the order both writers emit
     cells, counts = np.unique(flat, return_counts=True)
     return VoxelGrid._from_cells((nx, ny, nz), tuple(cell), origin, cells, counts)
-
-
-def rotate_about_vertical(cloud: np.ndarray, axis_xy: tuple[float, float], yaw: float) -> np.ndarray:
-    """Rotate points by yaw about the vertical line through (x, y); z unchanged."""
-    pts = as_point_cloud(cloud).copy()
-    if yaw == 0.0:
-        return pts
-    ax, ay = float(axis_xy[0]), float(axis_xy[1])
-    c, s = np.cos(yaw), np.sin(yaw)
-    dx = pts[:, 0] - ax
-    dy = pts[:, 1] - ay
-    pts[:, 0] = ax + c * dx - s * dy
-    pts[:, 1] = ay + s * dx + c * dy
-    return pts
-
-
-def augment(cloud: np.ndarray, crop: Aabb3, rng_seed: int, jitter_sigma: float = 0.01) -> np.ndarray:
-    """Training-time cloud augmentation: random yaw about the crop axis + jitter.
-
-    Draws one uniform yaw in [0, 2*pi) about the crop's vertical center axis,
-    then adds iid Gaussian noise per coordinate (skipped when sigma is 0).
-    Deterministic for a fixed seed; the input cloud is never mutated.
-    """
-    if jitter_sigma < 0:
-        raise GeometryError("jitter_sigma must be non-negative")
-    pts = as_point_cloud(cloud)
-    rng = np.random.default_rng(rng_seed)
-    yaw = rng.uniform(0.0, 2.0 * np.pi)
-    out = rotate_about_vertical(pts, (float(crop.center[0]), float(crop.center[1])), yaw)
-    if jitter_sigma > 0.0:
-        out = out + rng.normal(0.0, jitter_sigma, size=out.shape)
-    return out
 
 
 # ---------------------------------------------------------------------------

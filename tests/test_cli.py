@@ -455,6 +455,15 @@ def test_pipesim_rejects_clock_overflow(tmp_path, capsys, mode):
     assert not trace_csv.exists()
 
 
+@pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+def test_pipesim_rejects_frame_count_above_the_bound(tmp_path, capsys, mode):
+    trace_csv = tmp_path / "p.csv"
+    argv = ["pipesim", "--t2d", "29", "--t3d", "48", "--mode", mode, "--frames", "100001", "--csv", str(trace_csv)]
+    assert main(argv) == EXIT_USAGE
+    assert "n_frames must lie in [1, 100000], got 100001" in capsys.readouterr().err
+    assert not trace_csv.exists()
+
+
 def test_pipesim_rejects_unbounded_throughput(capsys):
     assert main(["pipesim", "--t2d", "5e-324", "--t3d", "0", "--mode", "sequential"]) == EXIT_USAGE
     assert "unbounded throughput" in capsys.readouterr().err

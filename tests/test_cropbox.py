@@ -7,8 +7,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from frustumkit.cropbox import (
     CurvePoint,
@@ -19,10 +17,10 @@ from frustumkit.cropbox import (
     assign_scale,
     best_cropbox,
     candidate_centers,
-    double_frustum,
     get_scale_spec,
     recall_curves,
     select_min_size,
+    split_frames,
 )
 from frustumkit.errors import (
     GeometryError,
@@ -390,6 +388,21 @@ class TestRecallCurves:
             recall_curves([], cfg)
 
 
+class TestSplitFrames:
+    def test_runs_share_cloud_camera_and_pose_by_identity(self):
+        rng = np.random.default_rng(8)
+        a, b = make_sample(rng), make_sample(rng)
+        pose = RigidTransform.identity()
+        same = [ObjectSample("obj", a.cloud, a.rect, a.gt_box, K, pose) for _ in range(3)]
+        equal_copy = ObjectSample("obj", a.cloud.copy(), a.rect, a.gt_box, K, pose)
+        other_pose = ObjectSample("obj", a.cloud, a.rect, a.gt_box, K, RigidTransform.identity())
+        other_k = ObjectSample("obj", a.cloud, a.rect, a.gt_box, CameraIntrinsics(100.0, 100.0, 40.0, 30.0, 80, 60), pose)
+        samples = [*same, equal_copy, other_pose, other_k, b, same[0]]
+        runs = list(split_frames(samples))
+        assert [len(r) for r in runs] == [3, 1, 1, 1, 1, 1]
+        assert [s for r in runs for s in r] == samples
+
+
 class TestSizeSearchConfig:
     def test_rejects_unknown_subdivisions(self):
         with pytest.raises(GeometryError):
@@ -452,54 +465,3 @@ class TestSelectMinSize:
     def test_empty_rows_rejected(self):
         with pytest.raises(GeometryError):
             select_min_size([])
-
-
-class TestDoubleFrustum:
-    RECT = Rect2(100.0, 80.0, 300.0, 240.0)
-
-    def test_inference_is_fixed_five_percent(self):
-        center, large = double_frustum(self.RECT, "inference")
-        assert center == self.RECT
-        assert large.width == pytest.approx(self.RECT.width * 1.05, rel=1e-12)
-        assert large.height == pytest.approx(self.RECT.height * 1.05, rel=1e-12)
-        assert large.center == pytest.approx(self.RECT.center)
-
-    def test_train_is_deterministic_per_seed(self):
-        a = double_frustum(self.RECT, "train", rng_seed=42)
-        b = double_frustum(self.RECT, "train", rng_seed=42)
-        c = double_frustum(self.RECT, "train", rng_seed=43)
-        assert a == b
-        assert a != c
-
-    def test_train_jitter_ranges(self):
-        for seed in range(200):
-            center, large = double_frustum(self.RECT, "train", rng_seed=seed)
-            assert 1.0 <= large.width / self.RECT.width <= 1.15 + 1e-12
-            assert 1.0 <= large.height / self.RECT.height <= 1.15 + 1e-12
-            assert 0.90 - 1e-12 <= center.width / self.RECT.width <= 1.0
-            assert 0.90 - 1e-12 <= center.height / self.RECT.height <= 1.0
-
-    @given(
-        u0=st.floats(-100, 100),
-        v0=st.floats(-100, 100),
-        w=st.floats(1.0, 500.0),
-        h=st.floats(1.0, 500.0),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_nesting_invariant(self, u0, v0, w, h, seed):
-        rect = Rect2(u0, v0, u0 + w, v0 + h)
-        center, large = double_frustum(rect, "train", rng_seed=seed)
-        tol = 1e-9 * max(1.0, abs(u0) + w, abs(v0) + h)
-        assert center.u_min >= rect.u_min - tol and center.u_max <= rect.u_max + tol
-        assert center.v_min >= rect.v_min - tol and center.v_max <= rect.v_max + tol
-        assert large.u_min <= rect.u_min + tol and large.u_max >= rect.u_max - tol
-        assert large.v_min <= rect.v_min + tol and large.v_max >= rect.v_max - tol
-
-    def test_train_requires_seed(self):
-        with pytest.raises(GeometryError):
-            double_frustum(self.RECT, "train")
-
-    def test_unknown_phase(self):
-        with pytest.raises(GeometryError):
-            double_frustum(self.RECT, "test")

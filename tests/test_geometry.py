@@ -18,6 +18,8 @@ from frustumkit.cropbox import candidate_centers
 from frustumkit.errors import GeometryError, NoCandidatesError
 from frustumkit.geometry import (
     BOUNDARY_TOL,
+    FAR_DEFAULT,
+    NEAR_DEFAULT,
     CameraIntrinsics,
     OrientedBox3,
     Rect2,
@@ -26,9 +28,10 @@ from frustumkit.geometry import (
     normalize_yaw,
     oriented_box_footprint,
     polygon_area,
+    project_cloud,
     project_points,
     read_cloud_binary,
-    tile_masks,
+    tile_points,
     unproject_grid,
     write_cloud_binary,
 )
@@ -38,8 +41,16 @@ K = CameraIntrinsics(fx=520.0, fy=515.0, cx=320.0, cy=240.0, width=640, height=4
 
 
 def edges(lo: float, hi: float, n: int) -> list[float]:
-    """The n + 1 endpoint-exact band edges that tile_masks splits [lo, hi] into."""
+    """The n + 1 endpoint-exact band edges that tile_points splits [lo, hi] into."""
     return [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)]
+
+
+def tile_masks(cloud, rect, fr, fc, pose) -> list[np.ndarray]:
+    """Per-tile boolean masks over the cloud, built from tile_points' (tile, point) pairs."""
+    tiles, points = tile_points(project_cloud(cloud, K, pose), rect, fr, fc)
+    masks = np.zeros((fr * fc, len(cloud)), dtype=bool)
+    masks[tiles, points] = True
+    return list(masks)
 
 
 def make_pose(yaw: float = 0.3, position=(0.2, -0.1, 1.1)) -> RigidTransform:
@@ -93,13 +104,6 @@ class TestRect2:
         with pytest.raises(GeometryError):
             Rect2(0.0, 9.0, 5.0, 9.0)
 
-    def test_scaled_about_center_keeps_center(self):
-        r = Rect2(10, 20, 50, 100)
-        s = r.scaled_about_center(1.3, 0.7)
-        assert s.center == pytest.approx(r.center)
-        assert s.width == pytest.approx(r.width * 1.3)
-        assert s.height == pytest.approx(r.height * 0.7)
-
 
 class TestRigidTransform:
     def test_inverse_round_trip(self):
@@ -121,7 +125,7 @@ class TestFrustumMembership:
         rect = Rect2(120.0, 90.0, 420.0, 360.0)
         rng = np.random.default_rng(11)
         cloud = rng.uniform(low=[-4, -4, -1], high=[6, 6, 3], size=(2000, 3))
-        masks = tile_masks(cloud, rect, 3, 3, K, pose, 0.2, 6.0)
+        masks = tile_masks(cloud, rect, 3, 3, pose)
         assert len(masks) == 9
 
         inv = pose.inverse()
@@ -133,7 +137,7 @@ class TestFrustumMembership:
             for i, p in enumerate(cloud):
                 q = inv.apply(p)
                 z = q[2]
-                if not (0.2 - 1e-9 < z < 6.0 + 1e-9):
+                if not (NEAR_DEFAULT - 1e-9 < z < FAR_DEFAULT + 1e-9):
                     continue
                 u = K.fx * q[0] / z + K.cx
                 v = K.fy * q[1] / z + K.cy
@@ -148,7 +152,7 @@ class TestFrustumMembership:
         for corner in [(rect.u_min, rect.v_min), (rect.u_max, rect.v_max), (rect.u_min, rect.v_max)]:
             p_cam = unproject_grid(corner[0], corner[1], 3.0, K)
             p_world = pose.apply(p_cam)
-            assert tile_masks(p_world.reshape(1, 3), rect, 1, 1, K, pose, 0.1, 10.0)[0].tolist() == [True]
+            assert tile_masks(p_world.reshape(1, 3), rect, 1, 1, pose)[0].tolist() == [True]
 
     def test_point_within_tolerance_of_shared_edge_counts_in_both_tiles(self):
         pose = make_pose()
@@ -156,7 +160,7 @@ class TestFrustumMembership:
         edge = 200.0  # the column edge of a 1x2 split
         offsets = [0.0, 0.5 * BOUNDARY_TOL, -0.5 * BOUNDARY_TOL, 3 * BOUNDARY_TOL, -3 * BOUNDARY_TOL]
         cloud = pose.apply(unproject_grid(edge + np.array(offsets), 170.0, np.full(len(offsets), 3.0), K))
-        in_left, in_right = tile_masks(cloud, rect, 1, 2, K, pose, 0.1, 10.0)
+        in_left, in_right = tile_masks(cloud, rect, 1, 2, pose)
         assert in_left.tolist() == [True, True, True, False, True]
         assert in_right.tolist() == [True, True, True, True, False]
 
@@ -166,25 +170,23 @@ class TestFrustumMembership:
         rng = np.random.default_rng(5)
         cloud = rng.uniform(low=[-2, -2, 0], high=[5, 5, 2], size=(500, 3))
         perm = rng.permutation(500)
-        base = set(np.nonzero(tile_masks(cloud, rect, 1, 1, K, pose, 0.1, 10.0)[0])[0].tolist())
-        shuffled = np.nonzero(tile_masks(cloud[perm], rect, 1, 1, K, pose, 0.1, 10.0)[0])[0]
+        base = set(np.nonzero(tile_masks(cloud, rect, 1, 1, pose)[0])[0].tolist())
+        shuffled = np.nonzero(tile_masks(cloud[perm], rect, 1, 1, pose)[0])[0]
         assert {perm[i] for i in shuffled} == base
 
     def test_depth_limits_respected(self):
+        """Depth must lie within (NEAR_DEFAULT, FAR_DEFAULT), both limits widened by BOUNDARY_TOL."""
         rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
-        cloud = np.array([[0, 0, 0.5], [0, 0, 1.5], [0, 0, 2.5]])
-        mask = tile_masks(cloud, rect, 1, 1, K, RigidTransform.identity(), 1.0, 2.0)[0]
-        assert mask.tolist() == [False, True, False]
-
-    def test_rejects_bad_depth_range(self):
-        rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
-        for near, far in [(0.0, 1.0), (2.0, 1.0)]:
-            with pytest.raises(GeometryError):
-                tile_masks(np.zeros((1, 3)), rect, 1, 1, K, RigidTransform.identity(), near, far)
+        depths = [NEAR_DEFAULT - 2e-9, NEAR_DEFAULT - 5e-10, 1.5, FAR_DEFAULT + 5e-10, FAR_DEFAULT + 2e-9]
+        cloud = np.array([[0.0, 0.0, z] for z in depths])
+        projection = project_cloud(cloud, K, RigidTransform.identity())
+        assert projection.index.tolist() == [1, 2, 3]
+        mask = tile_masks(cloud, rect, 1, 1, RigidTransform.identity())[0]
+        assert mask.tolist() == [False, True, True, True, False]
 
 
 class TestTileBands:
-    """Tile layout of tile_masks: row-major bands that share their edges."""
+    """Tile layout of tile_points: row-major bands that share their edges."""
 
     @given(
         u0=st.floats(-500, 500),
@@ -206,7 +208,7 @@ class TestTileBands:
         vs += [(0.5 * (v_edges[i] + v_edges[i + 1]), {i}) for i in range(fr)]
         pixels = np.array([(u, v) for u, _ in us for v, _ in vs])
         cloud = unproject_grid(pixels[:, 0], pixels[:, 1], np.full(len(pixels), 3.0), K)
-        masks = tile_masks(cloud, rect, fr, fc, K, RigidTransform.identity(), 0.1, 10.0)
+        masks = tile_masks(cloud, rect, fr, fc, RigidTransform.identity())
         assert len(masks) == fr * fc
         inside = np.stack(masks, axis=1)
         for p, ((_, cols), (_, rows)) in enumerate((cu, rv) for cu in us for rv in vs):
@@ -217,13 +219,34 @@ class TestTileBands:
         # one point at the center of each tile of a 2x3 split, listed row by row
         us, vs = np.meshgrid([5.0, 15.0, 25.0], [5.0, 15.0])
         cloud = unproject_grid(us.ravel(), vs.ravel(), np.full(6, 2.0), K)
-        masks = tile_masks(cloud, rect, 2, 3, K, RigidTransform.identity(), 0.1, 10.0)
+        masks = tile_masks(cloud, rect, 2, 3, RigidTransform.identity())
         assert [np.nonzero(m)[0].tolist() for m in masks] == [[0], [1], [2], [3], [4], [5]]
+
+    def test_pairs_are_point_major(self):
+        """Pairs come by ascending point, then ascending tile; edge points bring several tiles."""
+        rect = Rect2(0.0, 0.0, 30.0, 30.0)
+        rng = np.random.default_rng(4)
+        # random pixels plus pixels on the shared edges and the shared corners of a 3x3 split
+        pixels = list(rng.uniform(-2.0, 32.0, size=(200, 2))) + [(10.0, 5.0), (20.0, 20.0), (5.0, 10.0)]
+        us, vs = np.array(pixels).T
+        cloud = unproject_grid(us, vs, np.full(len(pixels), 2.0), K)[rng.permutation(len(pixels))]
+        tiles, points = tile_points(project_cloud(cloud, K), rect, 3, 3)
+        pairs = list(zip(points.tolist(), tiles.tolist()))
+        assert pairs == sorted(set(pairs))
+        assert max(np.bincount(points)) == 4  # a shared corner is in four tiles
 
     @pytest.mark.parametrize("fr, fc", [(0, 3), (3, 0)])
     def test_counts_must_be_positive(self, fr, fc):
         with pytest.raises(GeometryError):
-            tile_masks(np.zeros((1, 3)), Rect2(0, 0, 10, 10), fr, fc, K, RigidTransform.identity(), 0.1, 10.0)
+            tile_points(project_cloud(np.zeros((1, 3)), K), Rect2(0, 0, 10, 10), fr, fc)
+
+    def test_side_too_narrow_to_order_its_edges_rejected(self):
+        """A side a few ulps wide rounds its band edges out of order; that is an error, not a wrong split."""
+        lo, hi = 197.038194886327, 197.03819488632706
+        assert sorted(edges(lo, hi, 5)) != edges(lo, hi, 5)
+        with pytest.raises(GeometryError, match="too narrow"):
+            tile_points(project_cloud(np.zeros((1, 3)), K), Rect2(lo, 0.0, hi, 10.0), 1, 5)
+        tile_points(project_cloud(np.zeros((1, 3)), K), Rect2(lo, 0.0, hi, 10.0), 1, 1)  # one band is fine
 
 
 class TestFrustumCenter:
@@ -291,7 +314,7 @@ class TestClipping:
             )
             center = rng.uniform([-1, -1, 0], [1, 1, 1])
             side = rng.uniform(0.5, 3.0)
-            xy, _ = crop_scores(box, [center], [side], [1.0])
+            xy, _ = crop_scores([box], [[center]], [side], [1.0])
             area = xy[0, 0] * box.width * box.depth
 
             n = 200_000
@@ -322,7 +345,7 @@ class TestClipping:
                 yaw=rng.uniform(-np.pi, np.pi),
             )
             center = rng.uniform([-1, -1, 0], [1, 1, 1])
-            xy, _ = crop_scores(box, [center], [0.5, 1.0, 2.0, 4.0, 8.0], [1.0])
+            xy, _ = crop_scores([box], [[center]], [0.5, 1.0, 2.0, 4.0, 8.0], [1.0])
             areas = xy[0] * box.width * box.depth
             assert all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
 

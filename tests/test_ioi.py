@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frustumkit.errors import GeometryError
-from frustumkit.geometry import Aabb3, OrientedBox3, Rect2
+from frustumkit.geometry import Aabb3, OrientedBox3, Rect2, clip_polygon_to_aabb, oriented_box_footprint
 from frustumkit.ioi import (
     IoiBreakdown,
     crop_scores,
@@ -112,25 +114,56 @@ class TestFactorization:
 
 class TestCropScores:
     def test_every_entry_equals_the_per_pair_oracle(self):
-        """xy, z and their product equal ioi() on the crop each entry stands for."""
+        """Over several boxes per call, xy, z and their product equal ioi() on the crop each entry stands for."""
         rng = np.random.default_rng(31)
-        for _ in range(60):
-            box, _ = random_pair(rng)
-            centers = [box.center + rng.uniform(-1.2, 1.2, size=3) for _ in range(rng.integers(1, 6))]
+        clip_sizes = Counter()
+        for _ in range(40):
+            boxes = [random_pair(rng)[0] for _ in range(rng.integers(1, 5))]
+            centers = []
+            for box in boxes:
+                own = [box.center + rng.uniform(-1.2, 1.2, size=3) for _ in range(rng.integers(1, 6))]
+                own.append(box.center.copy())  # a center on the box itself
+                centers.append(np.array(own))
             sides = list(rng.uniform(0.2, 3.5, size=rng.integers(1, 5)))
+            sides.append(2.0 * max(b.width + b.depth for b in boxes))  # holds every footprint whole
             heights = list(rng.uniform(0.2, 3.0, size=rng.integers(1, 5)))
-            # a center on the box itself and a side that holds the whole footprint hit the exact paths
-            centers.append(box.center.copy())
-            sides.append(2.0 * (box.width + box.depth))
-            xy, z = crop_scores(box, centers, sides, heights)
-            assert xy.shape == (len(centers), len(sides)) and z.shape == (len(centers), len(heights))
-            for c, center in enumerate(centers):
+            xy, z = crop_scores(boxes, centers, sides, heights)
+            n_rows = sum(len(c) for c in centers)
+            assert xy.shape == (n_rows, len(sides)) and z.shape == (n_rows, len(heights))
+            rows = [(box, center) for box, own in zip(boxes, centers) for center in own]
+            for r, (box, center) in enumerate(rows):
                 for s, side in enumerate(sides):
+                    hs = 0.5 * side
+                    bounds = (center[0] - hs, center[1] - hs, center[0] + hs, center[1] + hs)
+                    clip_sizes[len(clip_polygon_to_aabb(oriented_box_footprint(box), *bounds))] += 1
                     for h, height in enumerate(heights):
                         ref = ioi(box, Aabb3(center=center, side=side, height=height))
-                        assert xy[c, s] == ref.ioi_xy
-                        assert z[c, h] == ref.ioi_z
-                        assert xy[c, s] * z[c, h] == ref.ioi_3d
+                        assert xy[r, s] == ref.ioi_xy
+                        assert z[r, h] == ref.ioi_z
+                        assert xy[r, s] * z[r, h] == ref.ioi_3d
+        # the batch covered empty clips and clips of 5 or more vertices
+        assert clip_sizes[0] > 0 and sum(n for k, n in clip_sizes.items() if k >= 5) > 0
+
+    def test_octagon_and_empty_clips_in_one_call(self):
+        """A square box turned 45 degrees under a smaller centered crop clips to 8 vertices."""
+        diamond = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=np.pi / 4)
+        far = OrientedBox3(center=(5.0, 5.0, 0.5), width=0.5, depth=0.4, height=1.0, yaw=0.3)
+        centers = [np.array([[0.0, 0.0, 0.5], [0.3, 0.1, 0.5]]), np.array([[0.0, 0.0, 0.5]])]
+        xy, z = crop_scores([diamond, far], centers, [0.9, 1.2], [1.0])
+        assert len(clip_polygon_to_aabb(oriented_box_footprint(diamond), -0.45, -0.45, 0.45, 0.45)) == 8
+        for r, (box, center) in enumerate([(diamond, centers[0][0]), (diamond, centers[0][1]), (far, centers[1][0])]):
+            for s, side in enumerate([0.9, 1.2]):
+                assert xy[r, s] == ioi(box, Aabb3(center=center, side=side, height=1.0)).ioi_xy
+        assert xy[2].tolist() == [0.0, 0.0]
+
+    def test_no_boxes_gives_empty_scores(self):
+        xy, z = crop_scores([], [], [1.0, 2.0], [1.0])
+        assert xy.shape == (0, 2) and z.shape == (0, 1)
+
+    def test_one_center_set_per_box(self):
+        box = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
+        with pytest.raises(GeometryError):
+            crop_scores([box, box], [np.zeros((1, 3))], [1.0], [1.0])
 
 
 class TestMonteCarloAgreement:

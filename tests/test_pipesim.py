@@ -11,6 +11,7 @@ from frustumkit.errors import GeometryError
 from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, project_points
 from frustumkit.ioi import recall_from_breakdowns
 from frustumkit.pipesim import (
+    MAX_FRAMES,
     DriftRow,
     StageTiming,
     drift_row_to_csv,
@@ -136,6 +137,11 @@ class TestPipelined:
             simulate(3, YOLO_FCN6, "parallel")
         with pytest.raises(GeometryError):
             StageTiming(-1.0, 5.0)
+
+    @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+    def test_frame_count_above_the_bound_rejected(self, mode):
+        with pytest.raises(GeometryError, match=f"n_frames must lie in \\[1, {MAX_FRAMES}\\]"):
+            simulate(MAX_FRAMES + 1, YOLO_FCN6, mode)
 
     def test_trace_csv_deterministic(self, tmp_path):
         trace = simulate(6, YOLO_FCN6, "pipelined")

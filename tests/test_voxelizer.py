@@ -1,4 +1,4 @@
-"""Tests for voxel counting, augmentation, and grid serialization."""
+"""Tests for voxel counting and grid serialization."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from frustumkit.errors import GeometryError
 from frustumkit.geometry import Aabb3
 from frustumkit.voxelizer import (
     VoxelGrid,
-    augment,
-    rotate_about_vertical,
     voxelize,
     write_sparse_csv,
     write_voxel_grid,
@@ -82,54 +80,6 @@ class TestVoxelize:
         assert grid.total_points == 0
         assert grid.dims == SPEC.grid
         assert grid.data.dtype == np.int64
-
-
-class TestAugment:
-    def test_zero_yaw_rotation_is_identity(self):
-        rng = np.random.default_rng(3)
-        cloud = rng.normal(size=(100, 3))
-        out = rotate_about_vertical(cloud, (0.3, -0.2), 0.0)
-        np.testing.assert_array_equal(out, cloud)
-
-    def test_augment_equals_drawn_rotation_plus_jitter(self):
-        """The augmentation is exactly its documented draw sequence."""
-        rng = np.random.default_rng(11)
-        cloud = rng.uniform(-1, 1, size=(50, 3))
-        seed = 77
-        out = augment(cloud, CROP, rng_seed=seed, jitter_sigma=0.0)
-        check = np.random.default_rng(seed)
-        yaw = check.uniform(0.0, 2.0 * np.pi)
-        expected = rotate_about_vertical(cloud, (CROP.center[0], CROP.center[1]), yaw)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_rotation_preserves_z_and_axis_distance(self):
-        rng = np.random.default_rng(13)
-        cloud = rng.uniform(-2, 2, size=(200, 3))
-        out = augment(cloud, CROP, rng_seed=5, jitter_sigma=0.0)
-        np.testing.assert_array_equal(out[:, 2], cloud[:, 2])
-        ax, ay = CROP.center[0], CROP.center[1]
-        r_in = np.hypot(cloud[:, 0] - ax, cloud[:, 1] - ay)
-        r_out = np.hypot(out[:, 0] - ax, out[:, 1] - ay)
-        np.testing.assert_allclose(r_out, r_in, atol=1e-12)
-
-    def test_deterministic_per_seed(self):
-        rng = np.random.default_rng(17)
-        cloud = rng.normal(size=(64, 3))
-        a = augment(cloud, CROP, rng_seed=123, jitter_sigma=0.02)
-        b = augment(cloud, CROP, rng_seed=123, jitter_sigma=0.02)
-        c = augment(cloud, CROP, rng_seed=124, jitter_sigma=0.02)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_input_not_mutated(self):
-        cloud = np.ones((10, 3))
-        snapshot = cloud.copy()
-        augment(cloud, CROP, rng_seed=1, jitter_sigma=0.05)
-        np.testing.assert_array_equal(cloud, snapshot)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(GeometryError):
-            augment(np.zeros((1, 3)), CROP, rng_seed=1, jitter_sigma=-0.1)
 
 
 class TestSerialization:
