@@ -28,8 +28,10 @@ from .cropbox import (
     get_scale_spec,
     recall_curves,
     select_min_size,
+    split_frames,
     CURVE_CSV_HEADER,
     SCALE_SPECS,
+    SUBDIVISIONS,
 )
 from .dhs import depth_to_dhs, read_range_image, write_range_image
 from .errors import (
@@ -141,6 +143,13 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return dims  # type: ignore[return-value]
 
 
+def _check_non_negative(args: argparse.Namespace) -> None:
+    # every int option is a count, an index or a seed
+    for name, value in vars(args).items():
+        if type(value) is int and value < 0:
+            raise FrustumKitError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _get_frame(manifest: Manifest, index: int) -> ManifestFrame:
     if not 0 <= index < len(manifest.frames):
         raise FrustumKitError(
@@ -172,8 +181,6 @@ def _search_config(args: argparse.Namespace) -> SizeSearchConfig:
         height_candidates=_parse_floats(args.heights, "--heights"),
         threshold_xy=args.threshold_xy,
         threshold_z=args.threshold_z,
-        target_xy=args.target_xy,
-        target_z=args.target_z,
         fr_fc=_parse_fr_fc(args.fr_fc),
     )
 
@@ -279,6 +286,8 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
             f"object index {args.object} out of range (frame has {len(frame.objects)} objects)"
         )
     obj = frame.objects[args.object]
+    if (args.fr, args.fc) not in SUBDIVISIONS:
+        raise FrustumKitError(f"--fr/--fc subdivision ({args.fr}, {args.fc}) not in {list(SUBDIVISIONS)}")
     if args.scale == "auto":
         spec = get_scale_spec(assign_scale(obj.box.width, obj.box.depth, obj.box.height))
     else:
@@ -325,33 +334,34 @@ def _cmd_encode_check(args: argparse.Namespace) -> int:
     worst_round_trip = 0.0
     n_checked = 0
     n_skipped = 0
-    for sample in _samples(manifest):
-        if sample.category not in anchors:
-            raise FrustumKitError(f"no anchor for category {sample.category!r}")
-        anchor = anchors[sample.category]
-        spec = get_scale_spec(
-            assign_scale(sample.gt_box.width, sample.gt_box.depth, sample.gt_box.height)
-        )
-        candidates = candidate_centers(
-            sample.cloud, sample.rect, sample.intrinsics, pose=sample.pose
-        )
-        crop, _ = best_cropbox(sample.gt_box, candidates, spec)
-        try:
-            vec = encode(sample.gt_box, crop, anchor)
-        except EncodeDomainError:
-            n_skipped += 1
-            continue
-        back = decode(vec, crop, anchor)
-        err = max(
-            float(np.max(np.abs(back.center - sample.gt_box.center))),
-            abs(back.width - sample.gt_box.width),
-            abs(back.depth - sample.gt_box.depth),
-            abs(back.height - sample.gt_box.height),
-            abs(float(np.cos(back.yaw) - np.cos(sample.gt_box.yaw))),
-            abs(float(np.sin(back.yaw) - np.sin(sample.gt_box.yaw))),
-        )
-        worst_round_trip = max(worst_round_trip, err)
-        n_checked += 1
+    for frame, projection in split_frames(_samples(manifest)):
+        for sample in frame:
+            if sample.category not in anchors:
+                raise FrustumKitError(f"no anchor for category {sample.category!r}")
+            anchor = anchors[sample.category]
+            spec = get_scale_spec(
+                assign_scale(sample.gt_box.width, sample.gt_box.depth, sample.gt_box.height)
+            )
+            candidates = candidate_centers(
+                sample.cloud, sample.rect, sample.intrinsics, pose=sample.pose, projection=projection
+            )
+            crop, _ = best_cropbox(sample.gt_box, candidates, spec)
+            try:
+                vec = encode(sample.gt_box, crop, anchor)
+            except EncodeDomainError:
+                n_skipped += 1
+                continue
+            back = decode(vec, crop, anchor)
+            err = max(
+                float(np.max(np.abs(back.center - sample.gt_box.center))),
+                abs(back.width - sample.gt_box.width),
+                abs(back.depth - sample.gt_box.depth),
+                abs(back.height - sample.gt_box.height),
+                abs(float(np.cos(back.yaw) - np.cos(sample.gt_box.yaw))),
+                abs(float(np.sin(back.yaw) - np.sin(sample.gt_box.yaw))),
+            )
+            worst_round_trip = max(worst_round_trip, err)
+            n_checked += 1
     rng = np.random.default_rng(args.seed)
     weights = LossWeights()
     worst_fd = 0.0
@@ -517,8 +527,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["average", "median"], default="average")
     p.add_argument("--threshold-xy", type=float, default=0.90, help="per-object footprint IoI threshold")
     p.add_argument("--threshold-z", type=float, default=0.90, help="per-object vertical IoI threshold")
-    p.add_argument("--target-xy", type=float, default=0.90, help="footprint recall target")
-    p.add_argument("--target-z", type=float, default=0.95, help="vertical recall target")
     p.add_argument("--fr-fc", default="1x1,3x3", help="subdivision grids to sweep, e.g. 1x1,3x3")
 
 
@@ -557,6 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-size", help="smallest crop side/height reaching the recall targets")
     _add_search_flags(p)
+    p.add_argument("--target-xy", type=float, default=0.90, help="footprint recall target")
+    p.add_argument("--target-z", type=float, default=0.95, help="vertical recall target")
     p.set_defaults(func=_cmd_select_size)
 
     p = sub.add_parser("voxelize", help="voxelize one labeled object's best crop")
@@ -637,6 +647,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
+        _check_non_negative(args)
         return args.func(args)
     except (InfeasibleSizeError, NoCandidatesError, UnsupportedScaleError) as exc:
         print(f"frustumkit {args.command}: infeasible: {exc}", file=sys.stderr)

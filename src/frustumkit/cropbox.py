@@ -4,8 +4,9 @@ Objects are binned by average physical size into four scale classes, each with
 a fixed crop extent and voxel grid. Candidate crop centers come from point
 statistics of subdivided frustums; recall curves sweep crop side and height
 against per-axis intersection-over-itself thresholds to pick minimal sizes.
-Recall curves walk the dataset frame by frame: a frame's cloud is projected
-once for all its objects, and candidates are scored in batches.
+Dataset passes walk the samples frame by frame (split_frames): a frame's
+cloud is projected once for all its objects, and recall curves score the
+candidates in batches.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def candidate_centers(
         raise GeometryError(f"unknown center mode: {mode!r}")
     if projection is None:
         projection = project_cloud(cloud, k, pose)
-    elif projection.cloud is not cloud or projection.k is not k or projection.pose is not pose:
+    elif not projection.made_from(cloud, k, pose):
         raise GeometryError("projection was made from another cloud, camera or pose")
     tiles, point = tile_points(projection, rect, fr, fc)
     n_tiles = fr * fc
@@ -188,23 +189,22 @@ class ObjectSample:
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
 
 
+#: The frustum subdivisions (fr, fc) that recall curves sweep and voxelize accepts.
+SUBDIVISIONS = ((1, 1), (3, 3), (5, 5))
+
+
 @dataclass
 class SizeSearchConfig:
-    """Sweep configuration for recall curves and minimal-size selection.
+    """Sweep configuration for recall curves.
 
     Positivity thresholds (threshold_xy / threshold_z) decide when one crop
-    counts as recalling its object; target recalls (target_xy / target_z)
-    are the levels the selected sizes must reach. The defaults keep both
-    per-axis positivity thresholds at 0.90 and ask the selected sizes to
-    reach 0.90 recall in the footprint and 0.95 vertically.
+    counts as recalling its object; both default to 0.90.
     """
 
     side_candidates: list[float]
     height_candidates: list[float]
     threshold_xy: float = 0.90
     threshold_z: float = 0.90
-    target_xy: float = 0.90
-    target_z: float = 0.95
     fr_fc: list[tuple[int, int]] = field(default_factory=lambda: [(1, 1), (3, 3)])
 
     def __post_init__(self) -> None:
@@ -212,12 +212,11 @@ class SizeSearchConfig:
             raise GeometryError("need at least one side and one height candidate")
         if not all(0 < s < math.inf for s in [*self.side_candidates, *self.height_candidates]):
             raise GeometryError("size candidates must be finite and positive")
-        for name in ("threshold_xy", "threshold_z", "target_xy", "target_z"):
+        for name in ("threshold_xy", "threshold_z"):
             validate_threshold(name, getattr(self, name))
-        allowed = {(1, 1), (3, 3), (5, 5)}
         for pair in self.fr_fc:
-            if tuple(pair) not in allowed:
-                raise GeometryError(f"subdivision {pair} not in {sorted(allowed)}")
+            if tuple(pair) not in SUBDIVISIONS:
+                raise GeometryError(f"subdivision {pair} not in {list(SUBDIVISIONS)}")
         self.side_candidates = sorted(float(s) for s in self.side_candidates)
         self.height_candidates = sorted(float(h) for h in self.height_candidates)
 
@@ -264,40 +263,23 @@ def curve_point_to_csv_row(p: CurvePoint) -> str:
 _SCORE_BATCH = 1024
 
 
-def split_frames(samples: Sequence[ObjectSample]) -> Iterator[list[ObjectSample]]:
-    """Runs of consecutive samples that share one cloud, camera and pose, by identity.
+def split_frames(samples: Sequence[ObjectSample]) -> Iterator[tuple[list[ObjectSample], CloudProjection]]:
+    """(frame, projection) per run of consecutive samples that share one cloud, camera and pose.
 
-    iter_object_samples yields each frame's objects this way, so a run is a
-    frame whose cloud can be projected once for all its objects.
+    Sharing is by identity (CloudProjection.made_from), as iter_object_samples
+    yields each frame's objects, and ``projection`` is the run's one
+    project_cloud, to be passed to candidate_centers for each of its objects.
     """
-    run: list[ObjectSample] = []
+    frame: list[ObjectSample] = []
     for s in samples:
-        if run and not (s.cloud is run[0].cloud and s.intrinsics is run[0].intrinsics and s.pose is run[0].pose):
-            yield run
-            run = []
-        run.append(s)
-    if run:
-        yield run
-
-
-def _frame_candidates(
-    frame: list[ObjectSample], fr_fc: Sequence[tuple[int, int]], mode: CenterMode
-) -> list[tuple[int, OrientedBox3, np.ndarray]]:
-    """(config position, box, centers) of every object of one frame with candidates, one projection."""
-    first = frame[0]
-    projection = project_cloud(first.cloud, first.intrinsics, first.pose)
-    rows = []
-    for ci, (fr, fc) in enumerate(fr_fc):
-        for item in frame:
-            try:
-                cands = candidate_centers(
-                    item.cloud, item.rect, item.intrinsics, pose=item.pose, fr=fr, fc=fc, mode=mode,
-                    projection=projection,
-                )
-            except NoCandidatesError:
-                continue
-            rows.append((ci, item.gt_box, np.array(cands)))
-    return rows
+        if frame and not projection.made_from(s.cloud, s.intrinsics, s.pose):
+            yield frame, projection
+            frame = []
+        if not frame:
+            projection = project_cloud(s.cloud, s.intrinsics, s.pose)
+        frame.append(s)
+    if frame:
+        yield frame, projection
 
 
 def recall_curves(
@@ -342,12 +324,21 @@ def recall_curves(
         np.add.at(n_z, config, np.maximum.reduceat(z, starts) >= cfg.threshold_z)
         np.add.at(n_vol, config, np.maximum.reduceat(xy[:, :, None] * z[:, None, :], starts) >= t3)
 
+    # (config position, box, centers) of every object with candidates
     batch: list[tuple[int, OrientedBox3, np.ndarray]] = []
     n_centers = 0
-    for frame in split_frames(dataset):
-        rows = _frame_candidates(frame, cfg.fr_fc, mode)
-        batch += rows
-        n_centers += sum(len(c) for _, _, c in rows)
+    for frame, projection in split_frames(dataset):
+        for ci, (fr, fc) in enumerate(cfg.fr_fc):
+            for item in frame:
+                try:
+                    centers = candidate_centers(
+                        item.cloud, item.rect, item.intrinsics, pose=item.pose, fr=fr, fc=fc, mode=mode,
+                        projection=projection,
+                    )
+                except NoCandidatesError:
+                    continue
+                batch.append((ci, item.gt_box, np.array(centers)))
+                n_centers += len(centers)
         if n_centers >= _SCORE_BATCH:
             score(batch)
             batch, n_centers = [], 0

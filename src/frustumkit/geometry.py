@@ -272,6 +272,10 @@ class CloudProjection:
     u: np.ndarray
     v: np.ndarray
 
+    def made_from(self, cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform | None) -> bool:
+        """Whether this is the projection of this very cloud, camera and pose (by identity)."""
+        return self.cloud is cloud and self.k is k and self.pose is pose
+
 
 def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform | None = None) -> CloudProjection:
     """Move the cloud into the camera frame (identity pose when None) and project it once."""

@@ -111,19 +111,17 @@ class HeadVector:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights: orientation, center, size, plus an optional category term."""
+    """Term weights: orientation, center, size."""
 
     w_orientation: float = 1.0
     w_center: float = 1.0
     w_size: float = 1.0
-    w_category: float = 0.0
 
     def __post_init__(self) -> None:
         for name, w in (
             ("w_orientation", self.w_orientation),
             ("w_center", self.w_center),
             ("w_size", self.w_size),
-            ("w_category", self.w_category),
         ):
             if w < 0 or not math.isfinite(w):
                 raise GeometryError(f"{name} must be finite and non-negative")
@@ -180,7 +178,6 @@ class LossBreakdown(NamedTuple):
     orientation: float
     xyz: float
     wdh: float
-    category: float = 0.0
 
 
 def _loss_terms(pred: np.ndarray, target: np.ndarray) -> tuple[float, float, float]:
@@ -191,37 +188,16 @@ def _loss_terms(pred: np.ndarray, target: np.ndarray) -> tuple[float, float, flo
     return orientation, xyz, wdh
 
 
-def loss(
-    pred: HeadVector,
-    target: HeadVector,
-    weights: LossWeights = LossWeights(),
-    pred_category: np.ndarray | None = None,
-    target_category: np.ndarray | None = None,
-) -> LossBreakdown:
+def loss(pred: HeadVector, target: HeadVector, weights: LossWeights = LossWeights()) -> LossBreakdown:
     """Weighted squared-error loss over the three component groups.
 
     The orientation term is the squared Euclidean distance between the two
-    unit heading vectors (equivalently 2 - 2 cos(delta yaw)). The optional
-    category term is a plain L2 on probability vectors, weighted by
-    w_category (0 by default, so it normally contributes nothing).
+    unit heading vectors (equivalently 2 - 2 cos(delta yaw)). The total is
+    the function fd_check differentiates.
     """
-    orientation, xyz, wdh = _loss_terms(pred.as_array(), target.as_array())
-    category = 0.0
-    if (pred_category is None) != (target_category is None):
-        raise GeometryError("category probabilities must be given for both or neither")
-    if pred_category is not None:
-        pc = np.asarray(pred_category, dtype=np.float64)
-        tc = np.asarray(target_category, dtype=np.float64)
-        if pc.shape != tc.shape:
-            raise GeometryError("category probability shapes differ")
-        category = float(np.sum((pc - tc) ** 2))
-    total = (
-        weights.w_orientation * orientation
-        + weights.w_center * xyz
-        + weights.w_size * wdh
-        + weights.w_category * category
-    )
-    return LossBreakdown(total=total, orientation=orientation, xyz=xyz, wdh=wdh, category=category)
+    p, t = pred.as_array(), target.as_array()
+    orientation, xyz, wdh = _loss_terms(p, t)
+    return LossBreakdown(total=_raw_total(p, t, weights), orientation=orientation, xyz=xyz, wdh=wdh)
 
 
 def _raw_total(pred: np.ndarray, target: np.ndarray, weights: LossWeights) -> float:

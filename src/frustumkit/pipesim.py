@@ -24,7 +24,7 @@ import numpy as np
 
 from .cropbox import ObjectSample, SCALE_SPECS, ScaleSpec, best_cropbox, candidate_centers, split_frames
 from .errors import GeometryError, NoCandidatesError
-from .geometry import Rect2, project_cloud
+from .geometry import Rect2
 from .ioi import IoiBreakdown, validate_threshold
 
 Mode = Literal["sequential", "pipelined"]
@@ -224,9 +224,20 @@ def stale_frustum_experiment(
 
     # breakdowns[d] holds each sample's best-crop breakdown at drifts_px[d], None when lost
     breakdowns: list[list[IoiBreakdown | None]] = [[] for _ in drifts_px]
-    for frame in split_frames(samples):
-        for per_drift, frame_rows in zip(breakdowns, _sweep_frame(frame, drifts_px, spec)):
-            per_drift += frame_rows
+    for frame, projection in split_frames(samples):
+        for drift, found in zip(drifts_px, breakdowns):
+            for sample in frame:
+                rect = sample.rect
+                shifted = Rect2(rect.u_min + drift, rect.v_min, rect.u_max + drift, rect.v_max)
+                try:
+                    centers = candidate_centers(
+                        sample.cloud, shifted, sample.intrinsics, sample.pose, fr=1, fc=1, mode="average",
+                        projection=projection,
+                    )
+                except NoCandidatesError:
+                    found.append(None)
+                    continue
+                found.append(best_cropbox(sample.gt_box, centers, spec)[1])
     rows: list[DriftRow] = []
     for drift, found in zip(drifts_px, breakdowns):
         iois = [0.0 if b is None else b.ioi_3d for b in found]
@@ -241,28 +252,3 @@ def stale_frustum_experiment(
             )
         )
     return rows
-
-
-def _sweep_frame(
-    frame: list[ObjectSample], drifts_px: Sequence[float], spec: ScaleSpec
-) -> list[list[IoiBreakdown | None]]:
-    """Per drift, each sample's best-crop breakdown (None when its shifted frustum is empty), one projection."""
-    first = frame[0]
-    projection = project_cloud(first.cloud, first.intrinsics, first.pose)
-    out = []
-    for drift in drifts_px:
-        row: list[IoiBreakdown | None] = []
-        for sample in frame:
-            rect = sample.rect
-            shifted = Rect2(rect.u_min + drift, rect.v_min, rect.u_max + drift, rect.v_max)
-            try:
-                centers = candidate_centers(
-                    sample.cloud, shifted, sample.intrinsics, sample.pose, fr=1, fc=1, mode="average",
-                    projection=projection,
-                )
-            except NoCandidatesError:
-                row.append(None)
-                continue
-            row.append(best_cropbox(sample.gt_box, centers, spec)[1])
-        out.append(row)
-    return out

@@ -232,6 +232,15 @@ def test_select_size_reports_crossing(dataset, capsys):
     assert "side_m=" in out and "height_m=" in out
 
 
+def test_target_flags_belong_to_select_size_only(dataset, tmp_path, capsys):
+    search = ["--manifest", str(dataset), "--sides", "1.6,3.2,4.8", "--heights", "1.5,1.7,2.2"]
+    curves = ["recall-curves", *search, "--out", str(tmp_path / "c.csv")]
+    assert main([*curves, "--target-xy", "0.5"]) == EXIT_USAGE
+    assert "unrecognized arguments: --target-xy 0.5" in capsys.readouterr().err
+    assert main(["select-size", *search, "--target-xy", "0.01", "--target-z", "0.01"]) == EXIT_OK
+    assert "select-size: side_m=1.6 height_m=1.5" in capsys.readouterr().out
+
+
 def test_select_size_infeasible_exit_code(dataset, capsys):
     code = main(
         [
@@ -278,6 +287,16 @@ def test_voxelize_writes_readable_grid(dataset, tmp_path):
     assert counts.sum() > 0
     header = sparse.read_text().splitlines()[0]
     assert header == "ix,iy,iz,count"
+
+
+@pytest.mark.parametrize("fr, fc", [(2, 2), (1, 3), (7, 7)])
+def test_voxelize_accepts_only_the_swept_subdivisions(dataset, tmp_path, capsys, fr, fc):
+    vox = tmp_path / "obj.vox"
+    argv = ["voxelize", "--manifest", str(dataset), "--out", str(vox), "--fr", str(fr), "--fc", str(fc)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"frustumkit voxelize: --fr/--fc subdivision ({fr}, {fc}) not in [(1, 1), (3, 3), (5, 5)]" in err
+    assert not vox.exists()
 
 
 def test_voxelize_object_index_out_of_range(dataset, tmp_path):
@@ -755,17 +774,27 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
     return sub.choices
 
 
+def _options(keep) -> list[tuple[str, str]]:
+    """(command, flag) of every option of build_parser() whose action `keep` accepts."""
+    return sorted(
+        (command, action.option_strings[0])
+        for command, parser in _subcommands().items()
+        for action in parser._actions
+        if action.option_strings and keep(action)
+    )
+
+
 #: every float flag, plus the flags that parse comma-separated floats
-NUMBER_FLAGS = sorted(
-    (command, action.option_strings[0])
-    for command, parser in _subcommands().items()
-    for action in parser._actions
-    if action.type is float or action.dest in ("sides", "heights", "drifts")
-)
+NUMBER_FLAGS = _options(lambda a: a.type is float or a.dest in ("sides", "heights", "drifts"))
+INT_FLAGS = _options(lambda a: a.type is int)
 
 
 def _argv(command, dataset, dets, tmp_path, flag, value) -> list[str]:
-    """argv for `command` with `flag value` and every other required flag filled in."""
+    """argv for `command` with `flag value` and every other required argument filled in.
+
+    netshape also gets a grid small enough for its naive forward pass, so
+    that --forward-seed reaches the code that reads it.
+    """
     defaults = {
         "--manifest": str(dataset),
         "--out": str(tmp_path / "out"),
@@ -782,8 +811,12 @@ def _argv(command, dataset, dets, tmp_path, flag, value) -> list[str]:
     }
     argv = [command]
     for action in _subcommands()[command]._actions:
-        if action.required and action.option_strings and action.option_strings[0] != flag:
+        if not action.option_strings:
+            argv.append(action.choices[0])  # netshape's action
+        elif action.required and action.option_strings[0] != flag:
             argv += [action.option_strings[0], defaults[action.option_strings[0]]]
+    if command == "netshape":
+        argv += ["--grid", "8x8x8"]
     return argv + [flag, value]
 
 
@@ -792,6 +825,17 @@ def test_every_number_flag_rejects_nan(dataset, perfect_detections, tmp_path, ca
     argv = _argv(command, dataset, perfect_detections, tmp_path, flag, "nan")
     assert main(argv) == EXIT_USAGE
     assert f"frustumkit {command}: " in capsys.readouterr().err
+
+
+def test_int_flags_are_listed():
+    assert len(INT_FLAGS) == 13 and ("netshape", "--forward-seed") in INT_FLAGS
+
+
+@pytest.mark.parametrize("command, flag", INT_FLAGS, ids=[f"{c} {f}" for c, f in INT_FLAGS])
+def test_every_int_flag_rejects_negative(dataset, perfect_detections, tmp_path, capsys, command, flag):
+    argv = _argv(command, dataset, perfect_detections, tmp_path, flag, "-1")
+    assert main(argv) == EXIT_USAGE
+    assert f"frustumkit {command}: {flag} must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

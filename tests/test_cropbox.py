@@ -399,8 +399,9 @@ class TestSplitFrames:
         other_k = ObjectSample("obj", a.cloud, a.rect, a.gt_box, CameraIntrinsics(100.0, 100.0, 40.0, 30.0, 80, 60), pose)
         samples = [*same, equal_copy, other_pose, other_k, b, same[0]]
         runs = list(split_frames(samples))
-        assert [len(r) for r in runs] == [3, 1, 1, 1, 1, 1]
-        assert [s for r in runs for s in r] == samples
+        assert [len(r) for r, _ in runs] == [3, 1, 1, 1, 1, 1]
+        assert [s for r, _ in runs for s in r] == samples
+        assert all(p.made_from(s.cloud, s.intrinsics, s.pose) for r, p in runs for s in r)
 
 
 class TestSizeSearchConfig:

@@ -1,7 +1,8 @@
 """Frame-batched sizing against the per-object loops it replaced.
 
-``recall_curves`` and ``stale_frustum_experiment`` project each frame's cloud
-once and score candidate crops in batches. The references below are the
+``recall_curves``, ``stale_frustum_experiment`` and ``encode-check`` walk the
+samples with ``split_frames``, which projects each frame's cloud once, and
+recall curves score candidate crops in batches. The references below are the
 per-object loops they replaced: ``candidate_centers`` without a projection
 for every object, subdivision and drift, and ``ioi()`` for every crop.
 """
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frustumkit import cropbox
+from frustumkit import cli, cropbox, geometry, pipesim
 from frustumkit.cropbox import (
     CurvePoint,
     ObjectSample,
@@ -26,6 +27,7 @@ from frustumkit.cropbox import (
 from frustumkit.errors import GeometryError, NoCandidatesError
 from frustumkit.geometry import Aabb3, CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, project_cloud
 from frustumkit.ioi import RecallReport, ioi
+from frustumkit.manifest import load_manifest
 from frustumkit.pipesim import DriftRow, stale_frustum_experiment
 
 K = CameraIntrinsics(fx=150.0, fy=150.0, cx=80.0, cy=60.0, width=160, height=120)
@@ -215,6 +217,43 @@ def test_projection_of_another_cloud_camera_or_pose_is_rejected(dataset):
     ]:
         with pytest.raises(GeometryError, match="another cloud, camera or pose"):
             candidate_centers(cloud, s.rect, k, pose=pose, projection=projection)
+
+
+@pytest.fixture
+def projections(monkeypatch) -> list[int]:
+    """One entry per project_cloud call, made through any module that holds the name."""
+    calls = []
+
+    def counting(cloud, k, pose=None):
+        calls.append(len(cloud))
+        return project_cloud(cloud, k, pose)
+
+    for module in (geometry, cropbox, pipesim, cli):
+        if hasattr(module, "project_cloud"):
+            monkeypatch.setattr(module, "project_cloud", counting)
+    return calls
+
+
+def test_recall_curves_and_stale_sweep_project_each_frame_once(dataset, projections):
+    n_frames = 16
+    assert len(dataset) == 4 * n_frames
+    recall_curves(dataset, SizeSearchConfig([0.9], [0.8], fr_fc=[(1, 1), (3, 3), (5, 5)]))
+    assert len(projections) == n_frames
+    projections.clear()
+    stale_frustum_experiment(dataset, [0.0, 3.0, 250.0], "small_short")
+    assert len(projections) == n_frames
+
+
+def test_encode_check_projects_each_frame_once(tmp_path, projections, capsys):
+    out = tmp_path / "data"
+    assert cli.main(["gen-scenes", "--out", str(out), "--count", "8", "--seed", "5"]) == cli.EXIT_OK
+    manifest = load_manifest(out / "manifest.json")
+    n_frames = sum(1 for frame in manifest.frames if frame.objects)
+    assert manifest.n_objects > n_frames
+    projections.clear()
+    assert cli.main(["encode-check", "--manifest", str(out / "manifest.json"), "--seed", "3"]) == cli.EXIT_OK
+    assert f"encode-check: {manifest.n_objects} objects round-trip" in capsys.readouterr().out
+    assert len(projections) == n_frames
 
 
 #: tracemalloc peak allowed for one 5x5 recall_curves call over MEMORY_FRAMES

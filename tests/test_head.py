@@ -189,26 +189,6 @@ class TestLoss:
         b = loss(v, v)
         assert b.total == 0.0 and b.orientation == 0.0 and b.xyz == 0.0 and b.wdh == 0.0
 
-    def test_category_term_optional_and_weighted(self):
-        v = random_head_vector(np.random.default_rng(1))
-        w = random_head_vector(np.random.default_rng(2))
-        pc = np.array([0.7, 0.2, 0.1])
-        tc = np.array([1.0, 0.0, 0.0])
-        expected_cat = float(np.sum((pc - tc) ** 2))
-        no_cat = loss(v, w)
-        assert no_cat.category == 0.0
-        with_cat = loss(v, w, LossWeights(w_category=2.0), pc, tc)
-        assert with_cat.category == pytest.approx(expected_cat, rel=1e-12)
-        assert with_cat.total == pytest.approx(no_cat.total + 2.0 * expected_cat, rel=1e-12)
-        # default weight of zero keeps the category term out of the total
-        zero_w = loss(v, w, LossWeights(), pc, tc)
-        assert zero_w.total == pytest.approx(no_cat.total, rel=1e-12)
-
-    def test_mismatched_category_args_rejected(self):
-        v = random_head_vector(np.random.default_rng(1))
-        with pytest.raises(GeometryError):
-            loss(v, v, pred_category=np.array([1.0]))
-
     def test_negative_weight_rejected(self):
         with pytest.raises(GeometryError):
             LossWeights(w_center=-1.0)
