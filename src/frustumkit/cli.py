@@ -90,7 +90,7 @@ from .pipesim import (
     write_trace_csv,
 )
 from .scenegen import CATEGORY_PRESETS, random_scene, render
-from .voxelizer import VoxelGrid, voxelize, write_sparse_csv, write_voxel_grid
+from .voxelizer import voxelize, write_sparse_csv, write_voxel_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -498,14 +498,8 @@ def _cmd_netshape(args: argparse.Namespace) -> int:
             raise FrustumKitError(
                 f"--forward-seed needs every grid dimension <= {NAIVE_DIM_CAP}, got {dims}"
             )
-        rng = np.random.default_rng(args.forward_seed)
-        grid = VoxelGrid(
-            dims=dims,
-            cell=(0.05, 0.05, 0.05),
-            origin=np.zeros(3),
-            data=rng.poisson(0.5, size=dims).astype(np.int64),
-        )
-        out = forward_naive(grid, plan, weights_seed=args.forward_seed)
+        counts = np.random.default_rng(args.forward_seed).poisson(0.5, size=dims)
+        out = forward_naive(counts, plan, weights_seed=args.forward_seed)
         print(
             f"netshape: forward ok, output length {out.size}, "
             f"checksum {float(np.abs(out).sum()):.12g}"

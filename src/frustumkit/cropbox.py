@@ -257,9 +257,12 @@ def curve_point_to_csv_row(p: CurvePoint) -> str:
     )
 
 
-#: Candidate centers gathered before they are scored together. A batch closes
-#: at the first frame boundary past this count, so the scorer's arrays (about
-#: 2.5 kB per center at three sides) stay bounded however large the dataset.
+#: Candidate centers scored together at 3 sides x 3 heights. The scorer's
+#: arrays are centers x sides (crop_scores) and centers x sides x heights (the
+#: volume maxima), so a batch closes at the first frame boundary past
+#: 3 * _SCORE_BATCH (center, side) pairs or 9 * _SCORE_BATCH (center, side,
+#: height) triples; its memory stays bounded however large the dataset or the
+#: size sweep.
 _SCORE_BATCH = 1024
 
 
@@ -300,7 +303,8 @@ def recall_curves(
 
     The dataset is walked frame by frame (split_frames): each frame's cloud
     is projected once for all its objects and configurations, and the
-    candidates are scored in batches of about _SCORE_BATCH centers.
+    candidates are scored in batches of about _SCORE_BATCH centers at 3x3
+    sizes, fewer for larger size sweeps.
 
     Objects whose subfrustums are all empty count as permanent misses.
     """
@@ -339,7 +343,8 @@ def recall_curves(
                     continue
                 batch.append((ci, item.gt_box, np.array(centers)))
                 n_centers += len(centers)
-        if n_centers >= _SCORE_BATCH:
+        pairs = n_centers * len(sides)
+        if pairs >= 3 * _SCORE_BATCH or pairs * len(heights) >= 9 * _SCORE_BATCH:
             score(batch)
             batch, n_centers = [], 0
     if batch:

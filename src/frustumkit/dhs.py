@@ -98,6 +98,14 @@ def world_points(img: RangeImage) -> np.ndarray:
     return img.pose.apply(cam.reshape(-1, 3)).reshape(cam.shape)
 
 
+def _unit_ramp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """clip((x - lo) / (hi - lo), 0, 1) with NaN as 0, dividing only inside
+    (lo, hi) so that a tiny hi - lo cannot overflow."""
+    out = (x >= hi).astype(np.float64)
+    np.divide(x - lo, hi - lo, out=out, where=(x > lo) & (x < hi))
+    return out
+
+
 def depth_to_dhs(
     img: RangeImage,
     d_max: float = D_MAX_DEFAULT,
@@ -116,12 +124,10 @@ def depth_to_dhs(
     if not (-math.inf < h_min < h_max < math.inf):
         raise GeometryError(f"need finite h_min < h_max, got {h_min}, {h_max}")
     missing = img.missing_mask
-    d = np.clip(img.depth / d_max, 0.0, 1.0)
-    d[missing] = 0.0
+    d = _unit_ramp(img.depth, 0.0, d_max)  # missing depths (<= 0) encode 0
 
     pts = world_points(img)
-    with np.errstate(invalid="ignore"):
-        h = np.clip((pts[:, :, 2] - h_min) / (h_max - h_min), 0.0, 1.0)
+    h = _unit_ramp(pts[:, :, 2], h_min, h_max)
     h[missing] = 0.0
 
     rows, cols = img.depth.shape

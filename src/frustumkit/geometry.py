@@ -99,10 +99,6 @@ class Rect2:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.u_min + self.u_max), 0.5 * (self.v_min + self.v_max))
-
 
 @dataclass
 class RigidTransform:
@@ -116,7 +112,13 @@ class RigidTransform:
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if self.rotation.shape != (3, 3):
             raise GeometryError("rotation must be a 3x3 matrix")
-        if not np.allclose(self.rotation @ self.rotation.T, np.eye(3), atol=1e-6):
+        if not (np.all(np.isfinite(self.rotation)) and np.all(np.isfinite(self.translation))):
+            raise GeometryError("rotation and translation must be finite")
+        # an orthonormal matrix has no entry above 1; bounding the entries
+        # first keeps R @ R.T from overflowing
+        if np.abs(self.rotation).max() > 2.0 or not np.allclose(
+            self.rotation @ self.rotation.T, np.eye(3), atol=1e-6
+        ):
             raise GeometryError("rotation must be orthonormal")
         if np.linalg.det(self.rotation) < 0:
             raise GeometryError("rotation must be proper (det +1)")

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ShapePlanError
 from .manifest import parse_json
-from .voxelizer import VoxelGrid
 
 LAYER_KINDS = ("conv3d", "pool3d", "dropout", "global_reduce", "dense")
 
@@ -320,16 +319,17 @@ def _apply_layer(x: np.ndarray, layer: LayerSpec, w: dict | None, out_shape: tup
     return win.max(axis=(4, 5, 6))
 
 
-def forward_with_weights(grid: VoxelGrid, plan: ShapePlan, weights: Sequence[dict | None]) -> np.ndarray:
-    """Execute the plan on a voxel grid with explicit per-layer weights."""
-    if tuple(grid.dims) != plan.input_shape[:3] or plan.input_shape[3] != 1:
+def forward_with_weights(counts: np.ndarray, plan: ShapePlan, weights: Sequence[dict | None]) -> np.ndarray:
+    """Execute the plan on a dense (x, y, z) count array with explicit per-layer weights."""
+    counts = np.asarray(counts)
+    if counts.shape != plan.input_shape[:3] or plan.input_shape[3] != 1:
         raise ShapePlanError(
-            f"grid dims {tuple(grid.dims)} do not match plan input {plan.input_shape}"
+            f"grid dims {counts.shape} do not match plan input {plan.input_shape}"
         )
     _check_naive_size(plan)
     if len(weights) != len(plan.layers):
         raise ShapePlanError(f"expected {len(plan.layers)} weight entries, got {len(weights)}")
-    x = grid.data.astype(np.float64)[..., None]
+    x = counts.astype(np.float64)[..., None]
     for layer, w, shape_out in zip(plan.layers, weights, plan.shapes):
         x = _apply_layer(x, layer, w, shape_out)
         if x.shape != shape_out:
@@ -339,6 +339,6 @@ def forward_with_weights(grid: VoxelGrid, plan: ShapePlan, weights: Sequence[dic
     return x
 
 
-def forward_naive(grid: VoxelGrid, plan: ShapePlan, weights_seed: int) -> np.ndarray:
+def forward_naive(counts: np.ndarray, plan: ShapePlan, weights_seed: int) -> np.ndarray:
     """Seeded-random-weight forward pass; the shape witness for the plan."""
-    return forward_with_weights(grid, plan, init_weights(plan, weights_seed))
+    return forward_with_weights(counts, plan, init_weights(plan, weights_seed))

@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .cropbox import ObjectSample, SCALE_SPECS, ScaleSpec, best_cropbox, candidate_centers, split_frames
+from .cropbox import ObjectSample, ScaleSpec, best_cropbox, candidate_centers, get_scale_spec, split_frames
 from .errors import GeometryError, NoCandidatesError
 from .geometry import Rect2
 from .ioi import IoiBreakdown, validate_threshold
@@ -220,7 +220,7 @@ def stale_frustum_experiment(
     validate_threshold("threshold_xy", threshold_xy)
     validate_threshold("threshold_z", threshold_z)
     if isinstance(spec, str):
-        spec = SCALE_SPECS[spec]
+        spec = get_scale_spec(spec)
 
     # breakdowns[d] holds each sample's best-crop breakdown at drifts_px[d], None when lost
     breakdowns: list[list[IoiBreakdown | None]] = [[] for _ in drifts_px]

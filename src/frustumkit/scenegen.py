@@ -39,6 +39,11 @@ _RAY_TOL = 1e-9
 
 DEFAULT_DENSITY = 120.0  # surface samples per square meter
 
+#: Largest patch density accepted, in samples per square meter. A patch draws
+#: density * area points at once, so an unbounded density ends in numpy's
+#: allocation errors instead of a usage error.
+MAX_DENSITY = 10_000.0
+
 
 @dataclass(frozen=True)
 class SurfacePatch:
@@ -55,6 +60,8 @@ class SurfacePatch:
         object.__setattr__(self, "edge_v", np.asarray(self.edge_v, dtype=np.float64).reshape(3))
         if not (0 < self.density < math.inf):
             raise GeometryError(f"patch density must be finite and positive, got {self.density}")
+        if self.density > MAX_DENSITY:
+            raise GeometryError(f"patch density must be at most {MAX_DENSITY:g} samples per m^2, got {self.density}")
         if np.linalg.norm(self.normal) == 0.0:
             raise GeometryError("patch edges must be linearly independent")
 

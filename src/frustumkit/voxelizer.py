@@ -33,31 +33,10 @@ class VoxelGrid:
     The grid has shape ``dims`` = (nx, ny, nz) in C order, so the serialized
     stream is x-major, then y, then z. ``cells`` holds the flat C-order
     indices of the occupied cells, strictly increasing, and ``counts`` their
-    positive point counts (both int64, read-only). The constructor takes a
-    dense integer array and keeps only its nonzero cells.
+    positive point counts (both int64, read-only).
     """
 
-    def __init__(self, dims, cell, origin, data) -> None:
-        self._set_geometry(dims, cell, origin)
-        data = np.asarray(data)
-        if data.shape != self.dims:
-            raise GeometryError(f"data shape {data.shape} does not match dims {self.dims}")
-        if not np.issubdtype(data.dtype, np.integer):
-            raise GeometryError("counts must be integers")
-        if data.size and int(data.min()) < 0:
-            raise GeometryError("counts must be non-negative")
-        flat = data.reshape(-1)
-        cells = np.flatnonzero(flat)
-        self._set_cells(cells, flat[cells])
-
-    @classmethod
-    def _from_cells(cls, dims, cell, origin, cells: np.ndarray, counts: np.ndarray) -> VoxelGrid:
-        grid = cls.__new__(cls)
-        grid._set_geometry(dims, cell, origin)
-        grid._set_cells(cells, counts)
-        return grid
-
-    def _set_geometry(self, dims, cell, origin) -> None:
+    def __init__(self, dims, cell, origin, cells, counts) -> None:
         self.dims = tuple(int(d) for d in dims)
         self.cell = tuple(float(c) for c in cell)
         self.origin = np.asarray(origin, dtype=np.float64).reshape(3)
@@ -65,8 +44,6 @@ class VoxelGrid:
             raise GeometryError("grid dims must be positive")
         if any(c <= 0 for c in self.cell):
             raise GeometryError("cell sizes must be positive")
-
-    def _set_cells(self, cells: np.ndarray, counts: np.ndarray) -> None:
         cells, counts = np.asarray(cells), np.asarray(counts)
         if not (np.issubdtype(cells.dtype, np.integer) and np.issubdtype(counts.dtype, np.integer)):
             raise GeometryError("cells and counts must be integers")
@@ -120,7 +97,7 @@ def voxelize(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> VoxelGrid:
     flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
     # sorted flat C order is x-major, the order both writers emit
     cells, counts = np.unique(flat, return_counts=True)
-    return VoxelGrid._from_cells((nx, ny, nz), tuple(cell), origin, cells, counts)
+    return VoxelGrid((nx, ny, nz), tuple(cell), origin, cells, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -872,6 +872,16 @@ def test_out_of_range_value_is_usage_error(
     assert err.startswith(f"frustumkit {command}: ") and message in err
 
 
+@pytest.mark.parametrize("density", ["1e308", "10000.5"])
+def test_gen_scenes_rejects_density_above_the_bound(tmp_path, capsys, density):
+    out = tmp_path / "scenes"
+    code = main(["gen-scenes", "--out", str(out), "--count", "1", "--seed", "0", "--density", density])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("frustumkit gen-scenes: patch density must be at most 10000 samples per m^2, got ")
+    assert not list(out.glob("scene_*"))
+
+
 @pytest.mark.parametrize(
     "values, message",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,34 @@ class TestDhsChannels:
         img = RangeImage(depth=depth, intrinsics=K)
         out = depth_to_dhs(img, d_max=10.0)
         np.testing.assert_allclose(out.d, 1.0, atol=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, channel",
+        [({"d_max": 5e-324}, "d"), ({"h_min": 0.0, "h_max": 5e-324}, "h")],
+        ids=["d-max", "h-span"],
+    )
+    def test_subnormal_range_saturates_without_warnings(self, kwargs, channel):
+        # every pixel lies 2 m away, between 0.7 m and 1.7 m above the floor
+        img = RangeImage(np.full((K.height, K.width), 2.0), K, pose=horizontal_pose())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the unclipped quotient would overflow
+            out = depth_to_dhs(img, **kwargs)
+        np.testing.assert_array_equal(getattr(out, channel), 1.0)
+
+    def test_d_and_h_equal_the_clipped_quotients(self):
+        rng = np.random.default_rng(7)
+        depth = rng.uniform(-1.0, 20.0, size=(K.height, K.width))
+        depth[rng.random(depth.shape) < 0.2] = 0.0
+        depth[0, :4] = [10.0, np.nextafter(10.0, 0.0), np.nextafter(10.0, 20.0), -0.0]
+        img = RangeImage(depth, K, pose=horizontal_pose())
+        out = depth_to_dhs(img, d_max=10.0, h_min=-0.5, h_max=1.0)
+        with np.errstate(invalid="ignore"):
+            z = world_points(img)[:, :, 2]
+            want_d = np.where(img.missing_mask, 0.0, np.clip(depth / 10.0, 0.0, 1.0))
+            want_h = np.where(img.missing_mask, 0.0, np.clip((z + 0.5) / 1.5, 0.0, 1.0))
+        assert np.array_equal(out.d, want_d)
+        assert np.array_equal(out.h, want_h)
+        assert np.any((want_h > 0.0) & (want_h < 1.0)) and np.any(want_h == 1.0)
 
     def test_d_monotone_below_max_range(self):
         rng = np.random.default_rng(5)

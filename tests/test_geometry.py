@@ -8,6 +8,7 @@ constants, so the implementation and the check never share code paths.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,25 @@ class TestRigidTransform:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(GeometryError):
             RigidTransform(np.eye(3) * 2.0, np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_translation(self, value):
+        with pytest.raises(GeometryError, match="must be finite"):
+            RigidTransform(np.eye(3), [value, 0.0, 0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_rotation(self, value):
+        rotation = np.eye(3)
+        rotation[1, 2] = value
+        with pytest.raises(GeometryError, match="must be finite"):
+            RigidTransform(rotation, np.zeros(3))
+
+    def test_huge_rotation_entry_rejected_as_non_orthonormal(self):
+        rotation = np.eye(3)
+        rotation[0, 1] = 1e200  # its square would overflow in R @ R.T
+        with warnings.catch_warnings(), pytest.raises(GeometryError, match="orthonormal"):
+            warnings.simplefilter("error")
+            RigidTransform(rotation, np.zeros(3))
 
 
 class TestFrustumMembership:

@@ -16,19 +16,13 @@ from frustumkit.netshape import (
     layers_from_json,
     propagate,
 )
-from frustumkit.voxelizer import VoxelGrid
 
 
-def make_grid(dims, data=None, cell=0.1):
-    dims = tuple(dims)
+def make_grid(dims, data=None):
+    """The dense int64 (x, y, z) count array the forward pass takes."""
     if data is None:
-        data = np.zeros(dims, dtype=np.int64)
-    return VoxelGrid(
-        dims=dims,
-        cell=(cell, cell, cell),
-        origin=(0.0, 0.0, 0.0),
-        data=np.asarray(data, dtype=np.int64),
-    )
+        return np.zeros(tuple(dims), dtype=np.int64)
+    return np.asarray(data, dtype=np.int64)
 
 
 class TestPropagate:
@@ -205,7 +199,7 @@ class TestForwardNaive:
         weights = init_weights(plan, seed=9)
         got = forward_with_weights(grid, plan, weights)
         w = weights[0]["weight"]  # (2, 2, 2, 1, 3)
-        x = grid.data.astype(float)
+        x = grid.astype(float)
         expected = np.zeros((4, 3, 5, 3))
         for ix in range(4):
             for iy in range(3):
@@ -225,7 +219,7 @@ class TestForwardNaive:
         weights = init_weights(plan, seed=4)
         got = forward_with_weights(grid, plan, weights)
         # same output dim: ceil(5/2) = 3; pad total = (3-1)*2 + 3 - 5 = 2 -> 1 each side
-        x = np.pad(grid.data.astype(float), 1)
+        x = np.pad(grid.astype(float), 1)
         w = weights[0]["weight"]
         expected = np.zeros((3, 3, 3, 2))
         for ix in range(3):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frustumkit.cropbox import SCALE_SPECS, ObjectSample, best_cropbox, candidate_centers
-from frustumkit.errors import GeometryError
+from frustumkit.errors import GeometryError, UnsupportedScaleError
 from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, project_points
 from frustumkit.ioi import recall_from_breakdowns
 from frustumkit.pipesim import (
@@ -222,6 +222,10 @@ class TestStaleFrustum:
     def test_empty_dataset_rejected(self):
         with pytest.raises(GeometryError):
             stale_frustum_experiment([], [0.0])
+
+    def test_unknown_scale_name_rejected(self):
+        with pytest.raises(UnsupportedScaleError, match="unknown scale class: 'bogus'"):
+            stale_frustum_experiment(make_centered_samples(2), [0.0], spec="bogus")
 
     def test_csv_row_format(self):
         row = DriftRow(drift_px=4.0, mean_ioi_3d=0.75, recall_volume=0.5, n_items=8, n_lost=1)

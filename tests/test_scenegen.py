@@ -9,6 +9,7 @@ from frustumkit.errors import GeometryError
 from frustumkit.geometry import OrientedBox3, RigidTransform, oriented_box_footprint, project_points
 from frustumkit.scenegen import (
     CATEGORY_PRESETS,
+    MAX_DENSITY,
     SceneObjectSpec,
     SceneSpec,
     SurfacePatch,
@@ -83,6 +84,13 @@ class TestSurfacePatch:
     def test_degenerate_edges_rejected(self):
         with pytest.raises(GeometryError):
             SurfacePatch(np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 0, 0]))
+
+    def test_density_bound_is_inclusive(self):
+        edges = np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
+        assert SurfacePatch(*edges, density=MAX_DENSITY).density == MAX_DENSITY
+        for density in (np.nextafter(MAX_DENSITY, np.inf), 1e308):
+            with pytest.raises(GeometryError, match="at most 10000 samples per m"):
+                SurfacePatch(*edges, density=density)
 
     def test_ray_hit_depth_known_case(self):
         # unit square in the x=2 plane, ray along +x from origin

@@ -116,17 +116,9 @@ class TestSerialization:
         assert len(rows) - 1 == np.count_nonzero(grid.data)
 
     def test_counts_over_u32_rejected_on_write(self, tmp_path):
-        data = np.zeros((1, 1, 1), dtype=np.int64)
-        data[0, 0, 0] = 2**33
-        grid = VoxelGrid(dims=(1, 1, 1), cell=(1.0, 1.0, 1.0), origin=np.zeros(3), data=data)
+        grid = VoxelGrid(dims=(1, 1, 1), cell=(1.0, 1.0, 1.0), origin=np.zeros(3), cells=[0], counts=[2**33])
         with pytest.raises(GeometryError):
             write_voxel_grid(grid, str(tmp_path / "big.vox"))
-
-    def test_grid_validation(self):
-        with pytest.raises(GeometryError):
-            VoxelGrid(dims=(2, 2, 2), cell=(1, 1, 1), origin=np.zeros(3), data=np.zeros((2, 2, 1), dtype=np.int64))
-        with pytest.raises(GeometryError):
-            VoxelGrid(dims=(1, 1, 1), cell=(1, 1, 1), origin=np.zeros(3), data=np.zeros((1, 1, 1)))
 
 
 def dense_reference(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> np.ndarray:
@@ -200,13 +192,6 @@ class TestSparseGridAgainstDenseReference:
         expected = [[str(int(v)) for v in (*ix, ref[tuple(ix)])] for ix in np.argwhere(ref)]
         assert rows == [["ix", "iy", "iz", "count"], *expected]
 
-    def test_dense_constructor_keeps_the_nonzero_cells(self):
-        ref = dense_reference(face_cloud(5, CROP, SPEC), CROP, SPEC)
-        grid = VoxelGrid(dims=SPEC.grid, cell=SPEC.cell_size, origin=CROP.min_corner, data=ref)
-        np.testing.assert_array_equal(grid.cells, np.flatnonzero(ref))
-        np.testing.assert_array_equal(grid.counts, ref[ref > 0])
-        np.testing.assert_array_equal(grid.data, ref)
-
     def test_cells_and_data_are_read_only(self):
         grid = voxelize(face_cloud(6, CROP, SPEC), CROP, SPEC)
         for arr in (grid.cells, grid.counts, grid.data):
@@ -229,7 +214,17 @@ class TestSparseGridAgainstDenseReference:
     )
     def test_bad_cells_rejected(self, cells, counts):
         with pytest.raises(GeometryError):
-            VoxelGrid._from_cells(SPEC.grid, SPEC.cell_size, np.zeros(3), np.array(cells), np.array(counts))
+            VoxelGrid(SPEC.grid, SPEC.cell_size, np.zeros(3), np.array(cells), np.array(counts))
+
+    @pytest.mark.parametrize("dims", [(0, 8, 6), (8, -1, 6), (8, 8, 0)])
+    def test_non_positive_dims_rejected(self, dims):
+        with pytest.raises(GeometryError, match="grid dims must be positive"):
+            VoxelGrid(dims, SPEC.cell_size, np.zeros(3), [], [])
+
+    @pytest.mark.parametrize("cell", [(0.0, 0.25, 0.25), (0.25, -0.25, 0.25), (0.25, 0.25, -0.0)])
+    def test_non_positive_cell_sizes_rejected(self, cell):
+        with pytest.raises(GeometryError, match="cell sizes must be positive"):
+            VoxelGrid(SPEC.grid, cell, np.zeros(3), [], [])
 
     def test_no_dense_int64_grid_is_allocated(self, tmp_path):
         """voxelize and both writers on a 198x198x102 grid stay far below its 32 MB int64 form."""
