@@ -61,7 +61,6 @@ from .dhs import DhsImage, RangeImage, depth_to_dhs, read_range_image, world_poi
 from .head import (
     Anchor,
     HeadVector,
-    LossBreakdown,
     LossWeights,
     compute_anchors,
     decode,

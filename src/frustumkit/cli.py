@@ -190,7 +190,6 @@ def _search_config(args: argparse.Namespace) -> SizeSearchConfig:
 
 def _cmd_gen_scenes(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     frames: list[ManifestFrame] = []
     n_rendered = 0
     n_kept = 0
@@ -203,6 +202,8 @@ def _cmd_gen_scenes(args: argparse.Namespace) -> int:
             with_floor=not args.no_floor,
         )
         scene = render(spec)
+        # made once a scene has rendered, so a run rejected by its first scene leaves nothing behind
+        out.mkdir(parents=True, exist_ok=True)
         cloud_path = (out / f"scene_{i:04d}.cloud").resolve()
         write_cloud_binary(scene.cloud, cloud_path)
         range_path = None
@@ -225,6 +226,7 @@ def _cmd_gen_scenes(args: argparse.Namespace) -> int:
                 objects=objects,
             )
         )
+    out.mkdir(parents=True, exist_ok=True)  # --count 0 still writes an empty manifest
     manifest = Manifest(
         root=out.resolve(),
         categories=tuple(sorted(CATEGORY_PRESETS)),
@@ -232,7 +234,7 @@ def _cmd_gen_scenes(args: argparse.Namespace) -> int:
         frames=tuple(frames),
     )
     manifest_file = out / "manifest.json"
-    manifest_file.write_text(manifest_to_json(manifest))
+    manifest_file.write_text(manifest_to_json(manifest), encoding="utf-8")
     print(
         f"gen-scenes: wrote {args.count} scenes, kept {n_kept}/{n_rendered} "
         f"labeled objects -> {manifest_file}"
@@ -264,7 +266,7 @@ def _cmd_recall_curves(args: argparse.Namespace) -> int:
     cfg = _search_config(args)
     curves = recall_curves(_samples(manifest), cfg, mode=args.mode)
     lines = [CURVE_CSV_HEADER] + [curve_point_to_csv_row(p) for p in curves]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"recall-curves: wrote {len(curves)} rows over {manifest.n_objects} objects -> {args.out}")
     return EXIT_OK
 
@@ -472,7 +474,7 @@ def _cmd_stale_sweep(args: argparse.Namespace) -> int:
         threshold_z=args.threshold_z,
     )
     lines = [DRIFT_CSV_HEADER] + [drift_row_to_csv(r) for r in rows]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     first, last = rows[0], rows[-1]
     print(
         f"stale-sweep: mean ioi_3d {first.mean_ioi_3d:.4f} @ drift {first.drift_px:g}px -> "

@@ -112,7 +112,7 @@ def candidate_centers(
     cloud: np.ndarray,
     rect: Rect2,
     k: CameraIntrinsics,
-    pose: RigidTransform | None = None,
+    pose: RigidTransform,
     fr: int = 1,
     fc: int = 1,
     mode: CenterMode = "average",

@@ -157,7 +157,7 @@ def write_range_image(img: RangeImage, path: str) -> None:
         fh.write(img.depth.astype("<f4").tobytes(order="C"))
 
 
-def read_range_image(path: str, intrinsics: CameraIntrinsics, pose: RigidTransform | None = None) -> RangeImage:
+def read_range_image(path: str, intrinsics: CameraIntrinsics, pose: RigidTransform) -> RangeImage:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _RANGE_HEADER.size or raw[:8] != _RANGE_MAGIC:
@@ -172,4 +172,4 @@ def read_range_image(path: str, intrinsics: CameraIntrinsics, pose: RigidTransfo
             f"{intrinsics.width}x{intrinsics.height}"
         )
     depth = np.frombuffer(body, dtype="<f4").reshape(height, width).astype(np.float64)
-    return RangeImage(depth=depth, intrinsics=intrinsics, pose=pose or RigidTransform.identity())
+    return RangeImage(depth=depth, intrinsics=intrinsics, pose=pose)

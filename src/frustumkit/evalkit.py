@@ -44,10 +44,9 @@ class LabeledBox(NamedTuple):
 
 
 class MatchResult(NamedTuple):
-    order: tuple[int, ...]  # detection indices, descending score (stable)
-    tp: tuple[bool, ...]  # aligned with order
-    scores: tuple[float, ...]  # aligned with order
-    pairs: tuple[tuple[int, int], ...]  # (detection index, gt index) for TPs
+    tp: tuple[bool, ...]  # detections in descending score order (stable)
+    scores: tuple[float, ...]  # aligned with tp
+    pairs: tuple[tuple[int, int, float], ...]  # (detection index, gt index, IoU) for TPs
 
 
 def match(
@@ -62,7 +61,7 @@ def match(
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     taken = [False] * len(gts)
     tp: list[bool] = []
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int, float]] = []
     for di in order:
         best_gi = -1
         best_iou = 0.0
@@ -76,11 +75,10 @@ def match(
         if best_gi >= 0:
             taken[best_gi] = True
             tp.append(True)
-            pairs.append((di, best_gi))
+            pairs.append((di, best_gi, best_iou))
         else:
             tp.append(False)
     return MatchResult(
-        order=tuple(order),
         tp=tuple(tp),
         scores=tuple(dets[i].score for i in order),
         pairs=tuple(pairs),
@@ -115,32 +113,18 @@ def average_precision(scored_flags: Sequence[tuple[float, bool]], n_gt: int) -> 
 
 
 class MetricsRow(NamedTuple):
-    """Absolute per-axis errors, Euclidean aggregates, and |cos(yaw delta)|."""
+    """Euclidean center and size errors, and |cos(yaw delta)|."""
 
-    d_x: float
-    d_y: float
-    d_z: float
     d_xyz: float
-    d_w: float
-    d_d: float
-    d_h: float
     d_wdh: float
     orientation_score: float
 
 
 def center_size_metrics(pred: OrientedBox3, gt: OrientedBox3) -> MetricsRow:
-    dc = np.abs(np.asarray(pred.center) - np.asarray(gt.center))
-    ds = np.abs(
-        np.array([pred.width - gt.width, pred.depth - gt.depth, pred.height - gt.height])
-    )
+    dc = np.asarray(pred.center) - np.asarray(gt.center)
+    ds = np.array([pred.width - gt.width, pred.depth - gt.depth, pred.height - gt.height])
     return MetricsRow(
-        d_x=float(dc[0]),
-        d_y=float(dc[1]),
-        d_z=float(dc[2]),
         d_xyz=float(np.linalg.norm(dc)),
-        d_w=float(ds[0]),
-        d_d=float(ds[1]),
-        d_h=float(ds[2]),
         d_wdh=float(np.linalg.norm(ds)),
         orientation_score=abs(math.cos(pred.yaw - gt.yaw)),
     )
@@ -191,10 +175,10 @@ def evaluate(frames: Sequence[Frame], iou_thresh: float = IOU_THRESH_DEFAULT) ->
             result = match(cat_dets, cat_gts, iou_thresh)
             b["flags"].extend(zip(result.scores, result.tp))
             b["n_tp"] += len(result.pairs)
-            for di, gi in result.pairs:
+            for di, gi, iou in result.pairs:
                 row = center_size_metrics(cat_dets[di].box, cat_gts[gi])
                 b["metrics"].append(row)
-                iou_values.append(iou_3d(cat_dets[di].box, cat_gts[gi]))
+                iou_values.append(iou)
                 orientation_values.append(row.orientation_score)
 
     rows = []
@@ -227,7 +211,7 @@ HIST_CSV_HEADER = "bin_lo,bin_hi,count"
 
 
 def write_category_csv(rows: Sequence[CategoryEval], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVAL_CSV_HEADER.split(","))
         for r in rows:
@@ -248,7 +232,7 @@ def write_category_csv(rows: Sequence[CategoryEval], path: str) -> None:
 def write_histogram_csv(values: Sequence[float], path: str) -> None:
     """Ten-bin histogram of values over [0, 1] as (bin_lo, bin_hi, count) rows."""
     counts, edges = np.histogram(np.asarray(values, dtype=np.float64), bins=10, range=(0.0, 1.0))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HIST_CSV_HEADER.split(","))
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):

@@ -128,10 +128,7 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            return self.rotation @ pts + self.translation
-        return pts @ self.rotation.T + self.translation
+        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
     def inverse(self) -> "RigidTransform":
         # the transpose of a checked rotation passes the same checks, so the
@@ -209,15 +206,6 @@ class Aabb3:
     def max_corner(self) -> np.ndarray:
         return self.center + np.array([0.5 * self.side, 0.5 * self.side, 0.5 * self.height])
 
-    @property
-    def volume(self) -> float:
-        return self.side * self.side * self.height
-
-    @property
-    def z_interval(self) -> tuple[float, float]:
-        hz = 0.5 * self.height
-        return (float(self.center[2]) - hz, float(self.center[2]) + hz)
-
 
 # ---------------------------------------------------------------------------
 # projection
@@ -269,20 +257,20 @@ class CloudProjection:
     cloud: object
     points: np.ndarray
     k: CameraIntrinsics
-    pose: RigidTransform | None
+    pose: RigidTransform
     index: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
-    def made_from(self, cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform | None) -> bool:
+    def made_from(self, cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform) -> bool:
         """Whether this is the projection of this very cloud, camera and pose (by identity)."""
         return self.cloud is cloud and self.k is k and self.pose is pose
 
 
-def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform | None = None) -> CloudProjection:
-    """Move the cloud into the camera frame (identity pose when None) and project it once."""
+def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform) -> CloudProjection:
+    """Move the cloud into the camera frame and project it once."""
     pts = as_point_cloud(cloud)
-    cam = (pose if pose is not None else RigidTransform.identity()).inverse().apply(pts)
+    cam = pose.inverse().apply(pts)
     u, v, z = project_points(cam, k)
     tol = BOUNDARY_TOL
     index = np.flatnonzero((z > NEAR_DEFAULT - tol) & (z < FAR_DEFAULT + tol))

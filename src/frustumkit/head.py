@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ ANCHOR_CSV_HEADER = "category,a_w,a_d,a_h"
 
 
 def write_anchor_csv(anchors: Mapping[str, Anchor], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ANCHOR_CSV_HEADER.split(","))
         for category in sorted(anchors):
@@ -63,19 +63,25 @@ def write_anchor_csv(anchors: Mapping[str, Anchor], path: str) -> None:
 
 
 def read_anchor_csv(path: str) -> dict[str, Anchor]:
+    """Anchors from a UTF-8 CSV with one row per category; any other content is a GeometryError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise GeometryError(f"{path}: unreadable anchor CSV: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != ANCHOR_CSV_HEADER.split(","):
+        raise GeometryError(f"{path}: unexpected anchor CSV header {header}")
     anchors: dict[str, Anchor] = {}
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ANCHOR_CSV_HEADER.split(","):
-            raise GeometryError(f"{path}: unexpected anchor CSV header {header}")
-        for row in reader:
-            if len(row) != 4:
-                raise GeometryError(f"{path}: malformed anchor row {row}")
-            try:
-                anchors[row[0]] = Anchor(row[0], float(row[1]), float(row[2]), float(row[3]))
-            except (ValueError, GeometryError) as exc:
-                raise GeometryError(f"{path}: bad anchor row {row}: {exc}") from exc
+    for row in rows[1:]:
+        if len(row) != 4:
+            raise GeometryError(f"{path}: malformed anchor row {row}")
+        if row[0] in anchors:
+            raise GeometryError(f"{path}: duplicate anchor row for category {row[0]!r}")
+        try:
+            anchors[row[0]] = Anchor(row[0], float(row[1]), float(row[2]), float(row[3]))
+        except (ValueError, GeometryError) as exc:
+            raise GeometryError(f"{path}: bad anchor row {row}: {exc}") from exc
     return anchors
 
 
@@ -173,35 +179,21 @@ def decode(v: HeadVector, crop: Aabb3, anchor: Anchor) -> OrientedBox3:
     )
 
 
-class LossBreakdown(NamedTuple):
-    total: float
-    orientation: float
-    xyz: float
-    wdh: float
-
-
-def _loss_terms(pred: np.ndarray, target: np.ndarray) -> tuple[float, float, float]:
-    d = pred - target
-    orientation = float(d[0] * d[0] + d[1] * d[1])
-    xyz = float(d[2] * d[2] + d[3] * d[3] + d[4] * d[4])
-    wdh = float(d[5] * d[5] + d[6] * d[6] + d[7] * d[7])
-    return orientation, xyz, wdh
-
-
-def loss(pred: HeadVector, target: HeadVector, weights: LossWeights = LossWeights()) -> LossBreakdown:
+def loss(pred: HeadVector, target: HeadVector, weights: LossWeights = LossWeights()) -> float:
     """Weighted squared-error loss over the three component groups.
 
     The orientation term is the squared Euclidean distance between the two
     unit heading vectors (equivalently 2 - 2 cos(delta yaw)). The total is
     the function fd_check differentiates.
     """
-    p, t = pred.as_array(), target.as_array()
-    orientation, xyz, wdh = _loss_terms(p, t)
-    return LossBreakdown(total=_raw_total(p, t, weights), orientation=orientation, xyz=xyz, wdh=wdh)
+    return _raw_total(pred.as_array(), target.as_array(), weights)
 
 
 def _raw_total(pred: np.ndarray, target: np.ndarray, weights: LossWeights) -> float:
-    orientation, xyz, wdh = _loss_terms(pred, target)
+    d = pred - target
+    orientation = float(d[0] * d[0] + d[1] * d[1])
+    xyz = float(d[2] * d[2] + d[3] * d[3] + d[4] * d[4])
+    wdh = float(d[5] * d[5] + d[6] * d[6] + d[7] * d[7])
     return weights.w_orientation * orientation + weights.w_center * xyz + weights.w_size * wdh
 
 

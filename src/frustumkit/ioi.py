@@ -232,27 +232,16 @@ def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
 # Monte Carlo cross-check
 
 
-def _shape_volume(shape) -> float:
-    if isinstance(shape, (OrientedBox3, Aabb3)):
-        return shape.volume
-    raise GeometryError(f"unsupported shape type: {type(shape).__name__}")
-
-
-def _sample_inside(shape, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_inside(box: OrientedBox3, n: int, rng: np.random.Generator) -> np.ndarray:
     unit = rng.random((n, 3)) - 0.5
-    if isinstance(shape, OrientedBox3):
-        lx = unit[:, 0] * shape.width
-        ly = unit[:, 1] * shape.depth
-        lz = unit[:, 2] * shape.height
-        c, s = math.cos(shape.yaw), math.sin(shape.yaw)
-        x = shape.center[0] + c * lx - s * ly
-        y = shape.center[1] + s * lx + c * ly
-        z = shape.center[2] + lz
-        return np.stack([x, y, z], axis=1)
-    if isinstance(shape, Aabb3):
-        extent = np.array([shape.side, shape.side, shape.height])
-        return shape.min_corner + (unit + 0.5) * extent
-    raise GeometryError(f"unsupported shape type: {type(shape).__name__}")
+    lx = unit[:, 0] * box.width
+    ly = unit[:, 1] * box.depth
+    lz = unit[:, 2] * box.height
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    x = box.center[0] + c * lx - s * ly
+    y = box.center[1] + s * lx + c * ly
+    z = box.center[2] + lz
+    return np.stack([x, y, z], axis=1)
 
 
 def _contains(shape, pts: np.ndarray) -> np.ndarray:
@@ -274,19 +263,19 @@ def _contains(shape, pts: np.ndarray) -> np.ndarray:
     raise GeometryError(f"unsupported shape type: {type(shape).__name__}")
 
 
-def mc_intersection_volume(a, b, n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the intersection volume of two box-like shapes.
+def mc_intersection_volume(a: OrientedBox3, b, n_samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of the intersection volume of box `a` and a box or crop `b`.
 
-    Samples uniformly inside shape `a` (its own volume is the tightest
-    bounding region) and scores membership in `b`. Returns (estimate, stderr)
-    where stderr is the binomial standard error scaled by volume(a).
+    Samples uniformly inside `a` (its own volume is the tightest bounding
+    region) and scores membership in `b`. Returns (estimate, stderr) where
+    stderr is the binomial standard error scaled by volume(a).
     """
     if n_samples < 1000:
         raise GeometryError("n_samples must be at least 1000 for a stable estimate")
     rng = np.random.default_rng(seed)
     pts = _sample_inside(a, n_samples, rng)
     p = float(_contains(b, pts).mean())
-    vol = _shape_volume(a)
+    vol = a.volume
     est = vol * p
     stderr = vol * math.sqrt(p * (1.0 - p) / n_samples)
     return est, stderr

@@ -141,7 +141,7 @@ TRACE_CSV_HEADER = "frame,start_2d,done_2d,start_3d,done_3d,latency"
 
 
 def write_trace_csv(trace: FrameTrace, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_CSV_HEADER.split(","))
         for f in trace.frames:

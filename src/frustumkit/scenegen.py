@@ -173,8 +173,6 @@ class RenderedObject:
     category: str
     box: OrientedBox3
     rect: Rect2 | None  # None when unobservable or its projection has zero area
-    visible: bool
-    behind_camera: bool  # warning flag: every corner is behind the camera
     n_points: int  # this object's samples present in the cloud
 
 
@@ -240,12 +238,10 @@ def render(spec: SceneSpec) -> Scene:
     labels = np.concatenate(sample_owner) if sample_owner else np.zeros(0, dtype=np.int64)
 
     # in-front test in camera coordinates
-    cam_pts = world_to_cam.apply(samples) if len(samples) else samples
-    in_front = cam_pts[:, 2] > _RAY_TOL if len(samples) else np.zeros(0, dtype=bool)
+    keep = world_to_cam.apply(samples)[:, 2] > _RAY_TOL
 
     # occlusion: a sample dies if any patch cuts its camera ray strictly earlier
-    keep = in_front.copy()
-    if spec.occlusion and len(samples):
+    if spec.occlusion:
         dirs = samples - camera_pos  # sample itself sits at t = 1
         nearest = np.full(len(samples), np.inf)
         for patch in patches:
@@ -292,8 +288,6 @@ def render(spec: SceneSpec) -> Scene:
                 category=obj.category,
                 box=obj.box,
                 rect=rect,
-                visible=rect is not None and n_points > 0,
-                behind_camera=behind,
                 n_points=n_points,
             )
         )

@@ -122,7 +122,7 @@ def write_voxel_grid(grid: VoxelGrid, path: str) -> None:
 def write_sparse_csv(grid: VoxelGrid, path: str) -> None:
     """Nonzero cells as 'ix,iy,iz,count' rows in x-major traversal order."""
     ix, iy, iz = (a.tolist() for a in np.unravel_index(grid.cells, grid.dims))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ix", "iy", "iz", "count"])
         writer.writerows(zip(ix, iy, iz, grid.counts.tolist()))

@@ -11,12 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frustumkit
 from frustumkit.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVARIANT,
@@ -432,6 +436,46 @@ def test_evaluate_rejects_non_object_detection_box(dataset, perfect_detections, 
     )
     assert code == EXIT_IO
     assert "box must be a JSON object" in capsys.readouterr().err
+
+
+def test_anchors_and_evaluate_write_the_same_bytes_under_an_ascii_locale(tmp_path):
+    """Files are UTF-8 whatever the locale: a non-ASCII category name is written, not an error."""
+    data_dir = tmp_path / "data"
+    assert main(["gen-scenes", "--out", str(data_dir), "--count", "2", "--seed", "3"]) == EXIT_OK
+    manifest_path = data_dir / "manifest.json"
+    data = json.loads(manifest_path.read_text(encoding="utf-8"))
+    data["categories"] = [c + "\u00e9" for c in data["categories"]]
+    for frame in data["frames"]:
+        for obj in frame["objects"]:
+            obj["category"] += "\u00e9"
+    manifest_path.write_text(json.dumps(data), encoding="utf-8")
+    dets = [[{"category": o["category"], "score": 0.9, "box": o["box"]} for o in f["objects"]] for f in data["frames"]]
+    dets_path = tmp_path / "dets.json"
+    dets_path.write_text(json.dumps({"frames": dets}), encoding="utf-8")
+    src = str(Path(frustumkit.__file__).resolve().parents[1])
+
+    def run(locale_env: dict[str, str], name: str) -> tuple[list[bytes], dict[str, bytes]]:
+        out = tmp_path / name
+        out.mkdir()
+        # stdout is pinned to UTF-8, so only the encoding of the files differs between runs
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8", **locale_env}
+        stdout = []
+        for argv in (
+            ["anchors", "--manifest", str(manifest_path), "--out", "anchors.csv"],
+            ["evaluate", "--manifest", str(manifest_path), "--dets", str(dets_path), "--out-prefix", "eval"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "frustumkit.cli", *argv], cwd=out, env=env, capture_output=True, timeout=120
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
+            stdout.append(proc.stdout)
+        return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    ascii_run = run({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, "ascii")
+    utf8_run = run({"PYTHONUTF8": "1"}, "utf8")
+    assert ascii_run == utf8_run
+    assert "\u00e9".encode("utf-8") in utf8_run[1]["anchors.csv"]
+    assert "\u00e9".encode("utf-8") in utf8_run[1]["eval_categories.csv"]
 
 
 # --- pipesim -------------------------------------------------------------------------
@@ -874,12 +918,20 @@ def test_out_of_range_value_is_usage_error(
 
 @pytest.mark.parametrize("density", ["1e308", "10000.5"])
 def test_gen_scenes_rejects_density_above_the_bound(tmp_path, capsys, density):
-    out = tmp_path / "scenes"
+    out = tmp_path / "gx" / "sub"
     code = main(["gen-scenes", "--out", str(out), "--count", "1", "--seed", "0", "--density", density])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("frustumkit gen-scenes: patch density must be at most 10000 samples per m^2, got ")
-    assert not list(out.glob("scene_*"))
+    assert not (tmp_path / "gx").exists()
+
+
+def test_gen_scenes_rejects_zero_objects_and_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "gx" / "sub"
+    code = main(["gen-scenes", "--out", str(out), "--count", "1", "--seed", "0", "--objects", "0"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("frustumkit gen-scenes: n_objects must be >= 1")
+    assert not (tmp_path / "gx").exists()
 
 
 @pytest.mark.parametrize(
@@ -900,3 +952,22 @@ def test_encode_check_rejects_bad_anchor_row(dataset, tmp_path, capsys, values, 
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"{anchors_csv}: bad anchor row {row.split(',')}" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "extra_row, message",
+    [
+        (lambda row: row, "duplicate anchor row for category "),
+        (lambda row: b"\xff" + row, "unreadable anchor CSV: 'utf-8' codec can't decode byte 0xff"),
+        (lambda row: b"x," + b"1" * 200_000 + b",1,1", "unreadable anchor CSV: field larger than field limit"),
+    ],
+    ids=["duplicate-category", "not-utf-8", "field-over-the-csv-limit"],
+)
+def test_encode_check_rejects_unreadable_or_duplicate_anchors_file(dataset, tmp_path, capsys, extra_row, message):
+    anchors_csv = tmp_path / "anchors.csv"
+    assert main(["anchors", "--manifest", str(dataset), "--out", str(anchors_csv)]) == EXIT_OK
+    rows = anchors_csv.read_bytes().splitlines()
+    anchors_csv.write_bytes(b"\n".join([*rows, extra_row(rows[1])]) + b"\n")
+    code = main(["encode-check", "--manifest", str(dataset), "--seed", "3", "--anchors", str(anchors_csv)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"frustumkit encode-check: {anchors_csv}: {message}")

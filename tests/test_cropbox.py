@@ -120,7 +120,7 @@ class TestCandidateCenters:
         p_r2 = unproject_grid(60.0, 45.0, 5.0, K)
         cloud = np.stack([p_left, p_r1, p_r2])
         rect = Rect2(0.0, 0.0, 80.0, 60.0)
-        centers = candidate_centers(cloud, rect, K, fr=1, fc=2, mode="average")
+        centers = candidate_centers(cloud, rect, K, RigidTransform.identity(), fr=1, fc=2, mode="average")
         assert len(centers) == 2
         np.testing.assert_allclose(centers[0], p_left, atol=1e-12)
         np.testing.assert_allclose(centers[1], 0.5 * (p_r1 + p_r2), atol=1e-12)
@@ -130,21 +130,21 @@ class TestCandidateCenters:
         p_r2 = unproject_grid(60.0, 45.0, 5.0, K)
         cloud = np.stack([p_r1, p_r2])
         rect = Rect2(40.0, 0.0, 80.0, 60.0)
-        centers = candidate_centers(cloud, rect, K, fr=1, fc=1, mode="median")
+        centers = candidate_centers(cloud, rect, K, RigidTransform.identity(), fr=1, fc=1, mode="median")
         np.testing.assert_allclose(centers[0], np.minimum(p_r1, p_r2), atol=0)
 
     def test_empty_tiles_are_dropped(self):
         p_left = unproject_grid(10.0, 30.0, 2.0, K)
         cloud = p_left.reshape(1, 3)
         rect = Rect2(0.0, 0.0, 80.0, 60.0)
-        centers = candidate_centers(cloud, rect, K, fr=3, fc=3, mode="average")
+        centers = candidate_centers(cloud, rect, K, RigidTransform.identity(), fr=3, fc=3, mode="average")
         assert len(centers) == 1
 
     def test_all_empty_raises(self):
         cloud = np.array([[0.0, 0.0, -5.0]])  # behind the camera
         rect = Rect2(0.0, 0.0, 80.0, 60.0)
         with pytest.raises(NoCandidatesError):
-            candidate_centers(cloud, rect, K, fr=3, fc=3)
+            candidate_centers(cloud, rect, K, RigidTransform.identity(), fr=3, fc=3)
 
 
 def edges(lo, hi, n):

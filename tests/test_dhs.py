@@ -232,7 +232,7 @@ class TestRangeImageIO:
         with open(path, "wb") as fh:
             fh.write(b"JUNKJUNK" + b"\x00" * 32)
         with pytest.raises(GeometryError):
-            read_range_image(path, K)
+            read_range_image(path, K, RigidTransform.identity())
 
     def test_rejects_size_mismatch(self, tmp_path):
         img = RangeImage(np.zeros((K.height, K.width)), K)
@@ -240,4 +240,4 @@ class TestRangeImageIO:
         write_range_image(img, path)
         other = CameraIntrinsics(fx=60, fy=60, cx=10, cy=10, width=21, height=30)
         with pytest.raises(GeometryError):
-            read_range_image(path, other)
+            read_range_image(path, other, RigidTransform.identity())

@@ -62,30 +62,31 @@ class TestMatch:
         dets = [Detection(gts[0], "chair", 0.9), Detection(gts[1], "chair", 0.8)]
         result = match(dets, gts)
         assert result.tp == (True, True)
-        assert set(result.pairs) == {(0, 0), (1, 1)}
+        assert result.scores == (0.9, 0.8)
+        assert set(result.pairs) == {(0, 0, iou_3d(gts[0], gts[0])), (1, 1, iou_3d(gts[1], gts[1]))}
 
     def test_two_detections_one_gt_keeps_higher_score(self):
         gt = box(0, 0, 0)
         dets = [Detection(box(0.05, 0, 0), "chair", 0.4), Detection(box(0.02, 0, 0), "chair", 0.7)]
         result = match(dets, [gt])
         # detection 1 (score 0.7) is evaluated first and claims the gt
-        assert result.order == (1, 0)
+        assert result.scores == (0.7, 0.4)
         assert result.tp == (True, False)
-        assert result.pairs == ((1, 0),)
+        assert result.pairs == ((1, 0, iou_3d(dets[1].box, gt)),)
 
     def test_equal_scores_break_by_input_index(self):
         gt = box(0, 0, 0)
         dets = [Detection(box(0.3, 0, 0), "chair", 0.5), Detection(box(0.01, 0, 0), "chair", 0.5)]
         result = match(dets, [gt])
-        assert result.order == (0, 1)
         # det 0 claims the only gt despite the lower IoU; det 1 is an FP
         assert result.tp == (True, False)
+        assert result.pairs == ((0, 0, iou_3d(dets[0].box, gt)),)
 
     def test_gt_iou_ties_pick_lowest_index(self):
         gts = [box(0, 0, 0), box(0, 0, 0)]
         dets = [Detection(box(0, 0, 0), "chair", 0.9)]
         result = match(dets, gts)
-        assert result.pairs == ((0, 0),)
+        assert [(di, gi) for di, gi, _ in result.pairs] == [(0, 0)]
 
     def test_mixed_categories_rejected(self):
         dets = [Detection(box(0, 0, 0), "chair", 0.5), Detection(box(0, 0, 0), "table", 0.5)]
@@ -108,9 +109,9 @@ class TestMatch:
                 dets.append(Detection(random_box(rng), "c", float(rng.integers(0, 5)) / 4.0))
             got = match(dets, gts, 0.25)
             order, tp, pairs = greedy_match_oracle(dets, gts, 0.25)
-            assert got.order == tuple(order)
+            assert got.scores == tuple(dets[i].score for i in order)
             assert got.tp == tuple(tp)
-            assert got.pairs == tuple(pairs)
+            assert got.pairs == tuple((di, gi, iou_3d(dets[di].box, gts[gi])) for di, gi in pairs)
 
 
 class TestAveragePrecision:
@@ -162,14 +163,13 @@ class TestCenterSizeMetrics:
     def test_identical_boxes_zero_errors_full_orientation(self):
         b = box(1, 2, 3, 0.8, 0.7, 0.6, 0.4)
         m = center_size_metrics(b, b)
-        assert m.d_x == m.d_y == m.d_z == m.d_xyz == 0.0
-        assert m.d_w == m.d_d == m.d_h == m.d_wdh == 0.0
+        assert m.d_xyz == m.d_wdh == 0.0
         assert m.orientation_score == pytest.approx(1.0)
 
     def test_three_four_zero_offset_gives_five(self):
-        m = center_size_metrics(box(3, 4, 0), box(0, 0, 0))
+        m = center_size_metrics(box(3, 4, 0, w=1.5, d=1.0, h=3.0), box(0, 0, 0, w=0.5, d=1.0, h=1.0))
         assert m.d_xyz == pytest.approx(5.0, abs=1e-12)
-        assert (m.d_x, m.d_y, m.d_z) == (3.0, 4.0, 0.0)
+        assert m.d_wdh == pytest.approx(math.sqrt(5.0), abs=1e-12)
 
     def test_pi_yaw_difference_scores_one(self):
         m = center_size_metrics(box(0, 0, 0, yaw=math.pi / 2 - math.pi), box(0, 0, 0, yaw=math.pi / 2))
@@ -182,10 +182,15 @@ class TestCenterSizeMetrics:
     def test_triangle_relation_and_nonnegativity_fuzzed(self):
         rng = np.random.default_rng(29)
         for _ in range(300):
-            m = center_size_metrics(random_box(rng), random_box(rng))
+            pred, gt = random_box(rng), random_box(rng)
+            m = center_size_metrics(pred, gt)
+            dc = np.abs(pred.center - gt.center)
+            ds = np.abs([pred.width - gt.width, pred.depth - gt.depth, pred.height - gt.height])
             assert all(v >= 0 for v in m)
-            assert m.d_xyz <= m.d_x + m.d_y + m.d_z + 1e-12
-            assert m.d_wdh <= m.d_w + m.d_d + m.d_h + 1e-12
+            assert m.d_xyz == pytest.approx(math.sqrt(np.sum(dc * dc)), rel=1e-12)
+            assert m.d_wdh == pytest.approx(math.sqrt(np.sum(ds * ds)), rel=1e-12)
+            assert m.d_xyz <= dc.sum() + 1e-12
+            assert m.d_wdh <= ds.sum() + 1e-12
             assert 0.0 <= m.orientation_score <= 1.0
 
 

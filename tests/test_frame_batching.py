@@ -224,7 +224,7 @@ def projections(monkeypatch) -> list[int]:
     """One entry per project_cloud call, made through any module that holds the name."""
     calls = []
 
-    def counting(cloud, k, pose=None):
+    def counting(cloud, k, pose):
         calls.append(len(cloud))
         return project_cloud(cloud, k, pose)
 

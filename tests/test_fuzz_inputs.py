@@ -1,11 +1,12 @@
-"""Fuzz the command line's JSON inputs.
+"""Fuzz the command line's JSON and CSV inputs.
 
-A small valid manifest, detections file and layer list are generated once.
-Each example replaces one node of one of them (a leaf or a whole subtree)
-with a random JSON value, or splices random bytes into the file where that
-node was, then runs a subcommand on the result. Whatever the input,
-``cli.main`` must return one of the documented exit codes without raising,
-and every failure must name its subcommand on stderr. A run that exits 0
+A small valid manifest, detections file, layer list and anchors CSV are
+generated once. Each example replaces one node of one of them (a leaf or a
+whole subtree of the JSON, a field of the CSV) with a random value, or
+splices random bytes into the file where that node was, then runs a
+subcommand on the result. Whatever the input, ``cli.main`` must return one
+of the documented exit codes without raising, and every failure must name
+its subcommand on stderr. A run that exits 0
 must write only finite numbers: every CSV field that parses as a float is
 finite, and so is every value of a float32 plane file. The one exception is
 ``nan`` in evaluate's mean columns for a category with no matched pair. The stage-time flags
@@ -47,6 +48,9 @@ def base(tmp_path_factory) -> dict:
         assert main(argv) == EXIT_OK
     (root / "out").mkdir()
     manifest_path = data / "manifest.json"
+    anchors_path = root / "anchors.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["anchors", "--manifest", str(manifest_path), "--out", str(anchors_path)]) == EXIT_OK
     manifest = load_manifest(manifest_path)
     detections = {
         "frames": [
@@ -67,6 +71,7 @@ def base(tmp_path_factory) -> dict:
         "manifest": json.loads(manifest_path.read_text()),
         "detections": detections,
         "layers": layers,
+        "anchors": [line.split(",") for line in anchors_path.read_text(encoding="utf-8").splitlines()],
     }
 
 
@@ -116,6 +121,26 @@ def fuzzed_file(draw, doc):
         return json.dumps(_replaced(doc, path, draw(json_values))).encode()
     text = json.dumps(_replaced(doc, path, SENTINEL)).encode()
     return text.replace(json.dumps(SENTINEL).encode(), draw(st.binary(max_size=12)))
+
+
+_anchor_fields = (
+    st.text(max_size=8)
+    | st.floats().map(repr)
+    | st.sampled_from(["", "nan", "-inf", "0", "-1", "1e308", "1e-320", "a_w", "table", "lamp", '"', "1,2"])
+)
+
+
+@st.composite
+def fuzzed_csv(draw, rows):
+    """Bytes of a CSV whose rows are `rows`, with one field replaced by a random value or random bytes."""
+    r = draw(st.integers(0, len(rows) - 1))
+    c = draw(st.integers(0, len(rows[r]) - 1))
+    edited = [list(row) for row in rows]
+    edited[r][c] = SENTINEL
+    text = ("\n".join(",".join(row) for row in edited) + "\n").encode("utf-8")
+    if draw(st.booleans()):
+        return text.replace(SENTINEL.encode("utf-8"), draw(_anchor_fields).encode("utf-8"))
+    return text.replace(SENTINEL.encode("utf-8"), draw(st.binary(max_size=12)))
 
 
 def _number_files(out: Path) -> list[Path]:
@@ -199,6 +224,15 @@ def test_fuzzed_layer_list_exits_with_a_documented_code(base, data):
     layers = base["out"] / "fuzzed_layers.json"
     layers.write_bytes(data.draw(fuzzed_file(base["layers"])))
     _check_main(["netshape", "check", "--grid", "16x16x16", "--layers-json", str(layers)], base["out"])
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_anchors_csv_exits_with_a_documented_code(base, data):
+    anchors = base["dir"] / "fuzzed_anchors.csv"  # outside "out", whose CSVs are outputs
+    anchors.write_bytes(data.draw(fuzzed_csv(base["anchors"])))
+    argv = ["encode-check", "--manifest", str(base["dir"] / "manifest.json"), "--seed", "1", "--fd-cases", "1"]
+    _check_main([*argv, "--anchors", str(anchors)], base["out"])
 
 
 _stage_times = st.floats(min_value=0.0) | st.sampled_from([1e308, 1.7e308, 5e-324, 1e-320, 0.0, 29.0, 48.0])

@@ -250,7 +250,7 @@ class TestTileBands:
         pixels = list(rng.uniform(-2.0, 32.0, size=(200, 2))) + [(10.0, 5.0), (20.0, 20.0), (5.0, 10.0)]
         us, vs = np.array(pixels).T
         cloud = unproject_grid(us, vs, np.full(len(pixels), 2.0), K)[rng.permutation(len(pixels))]
-        tiles, points = tile_points(project_cloud(cloud, K), rect, 3, 3)
+        tiles, points = tile_points(project_cloud(cloud, K, RigidTransform.identity()), rect, 3, 3)
         pairs = list(zip(points.tolist(), tiles.tolist()))
         assert pairs == sorted(set(pairs))
         assert max(np.bincount(points)) == 4  # a shared corner is in four tiles
@@ -258,15 +258,16 @@ class TestTileBands:
     @pytest.mark.parametrize("fr, fc", [(0, 3), (3, 0)])
     def test_counts_must_be_positive(self, fr, fc):
         with pytest.raises(GeometryError):
-            tile_points(project_cloud(np.zeros((1, 3)), K), Rect2(0, 0, 10, 10), fr, fc)
+            tile_points(project_cloud(np.zeros((1, 3)), K, RigidTransform.identity()), Rect2(0, 0, 10, 10), fr, fc)
 
     def test_side_too_narrow_to_order_its_edges_rejected(self):
         """A side a few ulps wide rounds its band edges out of order; that is an error, not a wrong split."""
         lo, hi = 197.038194886327, 197.03819488632706
         assert sorted(edges(lo, hi, 5)) != edges(lo, hi, 5)
+        projection = project_cloud(np.zeros((1, 3)), K, RigidTransform.identity())
         with pytest.raises(GeometryError, match="too narrow"):
-            tile_points(project_cloud(np.zeros((1, 3)), K), Rect2(lo, 0.0, hi, 10.0), 1, 5)
-        tile_points(project_cloud(np.zeros((1, 3)), K), Rect2(lo, 0.0, hi, 10.0), 1, 1)  # one band is fine
+            tile_points(projection, Rect2(lo, 0.0, hi, 10.0), 1, 5)
+        tile_points(projection, Rect2(lo, 0.0, hi, 10.0), 1, 1)  # one band is fine
 
 
 class TestFrustumCenter:

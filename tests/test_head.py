@@ -165,15 +165,14 @@ class TestLoss:
         for _ in range(300):
             p = random_head_vector(rng)
             t = random_head_vector(rng)
-            got = loss(p, t, weights)
             dp = p.as_array() - t.as_array()
             ori = dp[0] ** 2 + dp[1] ** 2
             xyz = float(np.sum(dp[2:5] ** 2))
             wdh = float(np.sum(dp[5:8] ** 2))
-            assert got.orientation == pytest.approx(ori, rel=1e-12)
-            assert got.xyz == pytest.approx(xyz, rel=1e-12)
-            assert got.wdh == pytest.approx(wdh, rel=1e-12)
-            assert got.total == pytest.approx(2.0 * ori + 0.5 * xyz + 3.0 * wdh, rel=1e-12)
+            assert loss(p, t, LossWeights(1, 0, 0)) == pytest.approx(ori, rel=1e-12)
+            assert loss(p, t, LossWeights(0, 1, 0)) == pytest.approx(xyz, rel=1e-12)
+            assert loss(p, t, LossWeights(0, 0, 1)) == pytest.approx(wdh, rel=1e-12)
+            assert loss(p, t, weights) == pytest.approx(2.0 * ori + 0.5 * xyz + 3.0 * wdh, rel=1e-12)
 
     def test_orientation_term_equals_two_minus_two_cos(self):
         rng = np.random.default_rng(3)
@@ -181,13 +180,12 @@ class TestLoss:
             ya, yb = rng.uniform(-math.pi, math.pi, size=2)
             p = HeadVector(math.cos(ya), math.sin(ya), 0.5, 0.5, 0.5, 0, 0, 0)
             t = HeadVector(math.cos(yb), math.sin(yb), 0.5, 0.5, 0.5, 0, 0, 0)
-            got = loss(p, t).orientation
+            got = loss(p, t, LossWeights(1, 0, 0))
             assert got == pytest.approx(2.0 - 2.0 * math.cos(ya - yb), abs=1e-12)
 
     def test_identical_vectors_give_zero(self):
         v = random_head_vector(np.random.default_rng(0))
-        b = loss(v, v)
-        assert b.total == 0.0 and b.orientation == 0.0 and b.xyz == 0.0 and b.wdh == 0.0
+        assert loss(v, v) == 0.0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(GeometryError):

@@ -225,8 +225,6 @@ class TestOcclusion:
         far = scene.objects[1]
         assert far.n_points == 0
         assert far.rect is None
-        assert not far.visible
-        assert not far.behind_camera
 
     def test_occluded_points_fail_a_brute_force_ray_check(self):
         spec = self.two_box_spec((1.2, 1.2, 1.0), occlusion=True)
@@ -255,9 +253,23 @@ class TestBehindCamera:
         )
         scene = render(spec)
         (obj,) = scene.objects
-        assert obj.behind_camera
-        assert obj.rect is None and not obj.visible and obj.n_points == 0
+        assert obj.rect is None and obj.n_points == 0
         assert len(scene.cloud) == 0
+
+
+class TestEmptyScene:
+    @pytest.mark.parametrize("occlusion", [True, False])
+    def test_scene_without_front_facing_patches_renders_nothing(self, occlusion):
+        k, pose = standard_camera()
+        # the floor's rectangle with its edges swapped: the normal points down, away from the camera
+        floor = floor_patch()
+        underside = SurfacePatch(floor.origin, floor.edge_v, floor.edge_u, floor.density)
+        spec = SceneSpec(objects=(), intrinsics=k, pose=pose, background=(underside,), occlusion=occlusion)
+        scene = render(spec)
+        assert scene.cloud.shape == (0, 3) and scene.point_labels.shape == (0,)
+        assert scene.objects == ()
+        assert scene.range_image.depth.shape == (k.height, k.width)
+        assert not scene.range_image.depth.any()
 
 
 class TestDeterminismAndPresets:
