@@ -11,6 +11,7 @@ violated numerical invariant.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from fractions import Fraction
@@ -637,6 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # stdout follows the terminal's encoding: a category name it cannot
+    # encode is printed as backslash escapes instead of ending the run
+    for stream in (sys.stdout, sys.stderr):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

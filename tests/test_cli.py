@@ -438,8 +438,8 @@ def test_evaluate_rejects_non_object_detection_box(dataset, perfect_detections, 
     assert "box must be a JSON object" in capsys.readouterr().err
 
 
-def test_anchors_and_evaluate_write_the_same_bytes_under_an_ascii_locale(tmp_path):
-    """Files are UTF-8 whatever the locale: a non-ASCII category name is written, not an error."""
+def _accented_dataset(tmp_path: Path) -> tuple[Path, Path]:
+    """A 2-frame manifest whose category names end in e-acute, and detections for it."""
     data_dir = tmp_path / "data"
     assert main(["gen-scenes", "--out", str(data_dir), "--count", "2", "--seed", "3"]) == EXIT_OK
     manifest_path = data_dir / "manifest.json"
@@ -452,30 +452,55 @@ def test_anchors_and_evaluate_write_the_same_bytes_under_an_ascii_locale(tmp_pat
     dets = [[{"category": o["category"], "score": 0.9, "box": o["box"]} for o in f["objects"]] for f in data["frames"]]
     dets_path = tmp_path / "dets.json"
     dets_path.write_text(json.dumps({"frames": dets}), encoding="utf-8")
+    return manifest_path, dets_path
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _run_anchors_and_evaluate(
+    dataset: tuple[Path, Path], out: Path, env_overrides: dict[str, str], unset: tuple[str, ...] = ()
+) -> tuple[list[bytes], dict[str, bytes]]:
+    """(stdout of each run, files written to out) of `anchors` and `evaluate` in a subprocess."""
+    manifest_path, dets_path = dataset
+    out.mkdir()
     src = str(Path(frustumkit.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key not in unset}
+    env.update({"PYTHONPATH": src, **env_overrides})
+    stdout = []
+    for argv in (
+        ["anchors", "--manifest", str(manifest_path), "--out", "anchors.csv"],
+        ["evaluate", "--manifest", str(manifest_path), "--dets", str(dets_path), "--out-prefix", "eval"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frustumkit.cli", *argv], cwd=out, env=env, capture_output=True, timeout=120
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
+        assert proc.stderr == b""
+        stdout.append(proc.stdout)
+    return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    def run(locale_env: dict[str, str], name: str) -> tuple[list[bytes], dict[str, bytes]]:
-        out = tmp_path / name
-        out.mkdir()
-        # stdout is pinned to UTF-8, so only the encoding of the files differs between runs
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8", **locale_env}
-        stdout = []
-        for argv in (
-            ["anchors", "--manifest", str(manifest_path), "--out", "anchors.csv"],
-            ["evaluate", "--manifest", str(manifest_path), "--dets", str(dets_path), "--out-prefix", "eval"],
-        ):
-            proc = subprocess.run(
-                [sys.executable, "-m", "frustumkit.cli", *argv], cwd=out, env=env, capture_output=True, timeout=120
-            )
-            assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
-            stdout.append(proc.stdout)
-        return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    ascii_run = run({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, "ascii")
-    utf8_run = run({"PYTHONUTF8": "1"}, "utf8")
+def test_anchors_and_evaluate_write_the_same_bytes_under_an_ascii_locale(tmp_path):
+    """Files are UTF-8 whatever the locale: a non-ASCII category name is written, not an error."""
+    dataset = _accented_dataset(tmp_path)
+    # stdout is pinned to UTF-8, so only the encoding of the files differs between runs
+    ascii_run = _run_anchors_and_evaluate(dataset, tmp_path / "ascii", {**ASCII_LOCALE, "PYTHONIOENCODING": "utf-8"})
+    utf8_run = _run_anchors_and_evaluate(dataset, tmp_path / "utf8", {"PYTHONUTF8": "1", "PYTHONIOENCODING": "utf-8"})
     assert ascii_run == utf8_run
     assert "\u00e9".encode("utf-8") in utf8_run[1]["anchors.csv"]
     assert "\u00e9".encode("utf-8") in utf8_run[1]["eval_categories.csv"]
+
+
+def test_ascii_stdout_escapes_category_names_instead_of_failing(tmp_path):
+    """With stdout in the locale's ASCII encoding, a name it cannot encode is printed as escapes."""
+    dataset = _accented_dataset(tmp_path)
+    unset = ("PYTHONIOENCODING",)
+    ascii_stdout, ascii_files = _run_anchors_and_evaluate(dataset, tmp_path / "ascii", ASCII_LOCALE, unset)
+    utf8_stdout, utf8_files = _run_anchors_and_evaluate(dataset, tmp_path / "utf8", {"PYTHONUTF8": "1"}, unset)
+    assert ascii_files == utf8_files
+    assert b"\\xe9" in ascii_stdout[0]
+    assert ascii_stdout == [out.decode("utf-8").replace("\u00e9", "\\xe9").encode("ascii") for out in utf8_stdout]
 
 
 # --- pipesim -------------------------------------------------------------------------
