@@ -34,7 +34,7 @@ from .cropbox import (
     SCALE_SPECS,
     SUBDIVISIONS,
 )
-from .dhs import depth_to_dhs, read_range_image, write_range_image
+from .dhs import D_MAX_DEFAULT, H_MAX_DEFAULT, H_MIN_DEFAULT, depth_to_dhs, read_range_image, write_range_image
 from .errors import (
     EncodeDomainError,
     FrustumKitError,
@@ -45,6 +45,7 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .evalkit import (
+    IOU_THRESH_DEFAULT,
     Detection,
     LabeledBox,
     evaluate,
@@ -90,7 +91,7 @@ from .pipesim import (
     stale_frustum_experiment,
     write_trace_csv,
 )
-from .scenegen import CATEGORY_PRESETS, random_scene, render
+from .scenegen import CATEGORY_PRESETS, DEFAULT_DENSITY, random_scene, render
 from .voxelizer import voxelize, write_sparse_csv, write_voxel_grid
 
 EXIT_OK = 0
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True, help="number of scenes")
     p.add_argument("--seed", type=int, required=True, help="base seed; scene i uses seed+i")
     p.add_argument("--objects", type=int, default=3, help="objects per scene")
-    p.add_argument("--density", type=float, default=120.0, help="surface samples per m^2")
+    p.add_argument("--density", type=float, default=DEFAULT_DENSITY, help="surface samples per m^2")
     p.add_argument("--no-occlusion", action="store_true", help="disable occlusion testing")
     p.add_argument("--no-floor", action="store_true", help="omit the floor patch")
     p.add_argument("--no-range-images", action="store_true", help="skip .rng files")
@@ -549,9 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manifest_flag(p)
     p.add_argument("--frame", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix (.f32 appended)")
-    p.add_argument("--d-max", type=float, default=10.0)
-    p.add_argument("--h-min", type=float, default=-0.5)
-    p.add_argument("--h-max", type=float, default=2.5)
+    p.add_argument("--d-max", type=float, default=D_MAX_DEFAULT)
+    p.add_argument("--h-min", type=float, default=H_MIN_DEFAULT)
+    p.add_argument("--h-max", type=float, default=H_MAX_DEFAULT)
     p.add_argument("--uint8", action="store_true", help="also write a .u8 byte image")
     p.set_defaults(func=_cmd_dhs)
 
@@ -600,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manifest_flag(p)
     p.add_argument("--dets", required=True, help='detections JSON: {"frames": [[{category,score,box}...]...]}')
     p.add_argument("--out-prefix", required=True, help="prefix for the three output CSVs")
-    p.add_argument("--iou", type=float, default=0.25)
+    p.add_argument("--iou", type=float, default=IOU_THRESH_DEFAULT)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("pipesim", help="two-stage latency/throughput simulation")

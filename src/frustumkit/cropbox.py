@@ -186,7 +186,7 @@ class ObjectSample:
     rect: Rect2
     gt_box: OrientedBox3
     intrinsics: CameraIntrinsics
-    pose: RigidTransform = field(default_factory=RigidTransform.identity)
+    pose: RigidTransform
 
 
 #: The frustum subdivisions (fr, fc) that recall curves sweep and voxelize accepts.

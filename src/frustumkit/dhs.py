@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class RangeImage:
 
     depth: np.ndarray
     intrinsics: CameraIntrinsics
-    pose: RigidTransform = field(default_factory=RigidTransform.identity)
+    pose: RigidTransform
 
     def __post_init__(self) -> None:
         self.depth = np.asarray(self.depth, dtype=np.float64)

@@ -67,16 +67,6 @@ def _footprint_ioi(
     return _clamp01(polygon_area(clipped) / box_area)
 
 
-def ioi_z_for_crop(box: OrientedBox3, crop_cz: float, height: float) -> float:
-    """Vertical-extent IoI of `box` against a crop z-interval."""
-    b_lo, b_hi = box.z_interval
-    c_lo, c_hi = crop_cz - 0.5 * height, crop_cz + 0.5 * height
-    overlap = min(b_hi, c_hi) - max(b_lo, c_lo)
-    if overlap <= 0.0:
-        return 0.0
-    return _clamp01(overlap / box.height)
-
-
 def ioi(box: OrientedBox3, crop: Aabb3) -> IoiBreakdown:
     """Full IoI breakdown of a ground-truth box against an axis-aligned crop.
 
@@ -85,7 +75,11 @@ def ioi(box: OrientedBox3, crop: Aabb3) -> IoiBreakdown:
     """
     quad = oriented_box_footprint(box)
     xy = _footprint_ioi(quad, box.width * box.depth, float(crop.center[0]), float(crop.center[1]), crop.side)
-    z = ioi_z_for_crop(box, float(crop.center[2]), crop.height)
+    # vertical extent: the share of the box's z-interval inside the crop's
+    b_lo, b_hi = box.z_interval
+    crop_cz = float(crop.center[2])
+    overlap = min(b_hi, crop_cz + 0.5 * crop.height) - max(b_lo, crop_cz - 0.5 * crop.height)
+    z = 0.0 if overlap <= 0.0 else _clamp01(overlap / box.height)
     return IoiBreakdown(ioi_xy=xy, ioi_z=z, ioi_3d=xy * z)
 
 
@@ -184,7 +178,7 @@ def crop_scores(
         np.tile(sides, n_rows),
     ).reshape(n_rows, n_sides)
 
-    # ioi_z_for_crop, broadcast over (row, height)
+    # ioi()'s z rule, broadcast over (row, height)
     b_z = np.array([(*b.z_interval, b.height) for b in boxes], dtype=np.float64).reshape(-1, 3)[owner]
     c_lo, c_hi = crop[:, 2, None] - 0.5 * heights, crop[:, 2, None] + 0.5 * heights
     overlap = np.minimum(b_z[:, 1, None], c_hi) - np.maximum(b_z[:, 0, None], c_lo)

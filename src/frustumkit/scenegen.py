@@ -9,12 +9,12 @@ back on a generated surface to float precision. Point visibility uses the
 same ray test: a sample survives occlusion if no patch intersects the
 camera-to-sample ray strictly in front of it.
 
+Pixel rays and sample rays are cast together, in one pass over the patches.
 Each patch is tested only against the rays that can hit it: the pixel rays,
 and the rays of in-front samples, that pass through the box of its projected
-corners widened by 2 px. Two cases fall back to testing every ray: a patch
-with a corner at or behind the near plane, whose projection the corners do
-not bound, and a box that holds exactly one ray (see _take_nearest_hits).
-The culled test gives the same bits as testing every ray.
+corners widened by 2 px. A patch with a corner at or behind the near plane,
+and a box that holds exactly one ray, fall back to testing every ray (see
+render). The culled test gives the same bits as testing every ray.
 
 Everything is deterministic in the scene seed: patch corners are always
 sampled, interior samples are drawn once from a seeded generator, and the
@@ -37,7 +37,7 @@ from .geometry import (
     RigidTransform,
     oriented_box_footprint,
     project_points,
-    unproject_depth_image,
+    unproject_grid,
 )
 
 #: relative slack for "strictly nearer" in occlusion tests and for the
@@ -198,17 +198,6 @@ class Scene:
     objects: tuple[RenderedObject, ...]
 
 
-def _pixel_rays(k: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
-    """World-frame ray directions through all pixel centers, camera z = 1.
-
-    With the camera-frame z component fixed at 1, the ray parameter t of a
-    hit IS the pinhole depth of the hit point, which is exactly what the
-    range image stores.
-    """
-    dirs_cam = unproject_depth_image(np.ones((k.height, k.width)), k).reshape(-1, 3)
-    return dirs_cam @ pose.rotation.T
-
-
 def _extent_rect(u: np.ndarray, v: np.ndarray) -> Rect2 | None:
     """Bounding rect of projected points, or None for a degenerate extent.
 
@@ -243,22 +232,6 @@ def _in_box(u: np.ndarray, v: np.ndarray, box: tuple[float, float, float, float]
     return ((u >= u_min) & (u <= u_max)) & ((v >= v_min) & (v <= v_max))
 
 
-def _take_nearest_hits(
-    nearest: np.ndarray, origin: np.ndarray, dirs: np.ndarray, patch: SurfacePatch, rows: np.ndarray | None
-) -> None:
-    """nearest = min(nearest, the patch's hit depths), in place, on the given rows.
-
-    rows=None tests every ray. So does a single row: numpy multiplies a
-    one-row matrix by a vector with another kernel, whose last bits can
-    differ from the same row's inside a larger product, while any subset of
-    two or more rows matches the full product bit for bit.
-    """
-    if rows is None or len(rows) == 1:
-        np.minimum(nearest, ray_patch_depths(origin, dirs, patch), out=nearest)
-    else:
-        nearest[rows] = np.minimum(nearest[rows], ray_patch_depths(origin, dirs[rows], patch))
-
-
 def render(spec: SceneSpec) -> Scene:
     rng = np.random.default_rng(spec.seed)
     camera_pos = np.asarray(spec.pose.translation, dtype=np.float64)
@@ -291,32 +264,43 @@ def render(spec: SceneSpec) -> Scene:
     samples_cam = world_to_cam.apply(samples)
     keep = samples_cam[:, 2] > _RAY_TOL
 
-    # each patch's projected box (None: a corner at or behind the near plane)
+    # One ray set, cast in one pass: the pixel rays, then, with occlusion, the
+    # ray to each sample. A pixel ray has camera-frame z = 1, so the t of its
+    # hit IS the pinhole depth the range image stores; a sample sits at t = 1.
     k = spec.intrinsics
-    boxes = [_pixel_box(world_to_cam.apply(patch.corners()), k) for patch in patches]
-
-    # occlusion: a sample dies if any patch cuts its camera ray strictly earlier.
-    # Samples behind the camera are already dropped, and a patch can only cut
-    # the rays of samples that project inside its box.
+    center_u, center_v = np.arange(k.width) + 0.5, (np.arange(k.height) + 0.5)[:, None]
+    dirs = unproject_grid(center_u, center_v, np.ones((k.height, k.width)), k).reshape(-1, 3) @ spec.pose.rotation.T
+    n_pixels = len(dirs)
     if spec.occlusion:
-        dirs = samples - camera_pos  # sample itself sits at t = 1
+        dirs = np.vstack([dirs, samples - camera_pos])
         u, v, _ = project_points(samples_cam, k)
-        nearest = np.full(len(samples), np.inf)
-        for patch, box in zip(patches, boxes):
-            rows = None if box is None else np.flatnonzero(keep & _in_box(u, v, box))
-            _take_nearest_hits(nearest, camera_pos, dirs, patch, rows)
-        keep &= ~(nearest < 1.0 - 1e-6)
+    nearest = np.full(len(dirs), np.inf)
+    for patch in patches:
+        # a patch can only cut the pixel rays in its projected box and the
+        # rays of the in-front samples that project there
+        box = _pixel_box(world_to_cam.apply(patch.corners()), k)
+        if box is not None:
+            rows = np.flatnonzero(_in_box(center_u, center_v, box))
+            if spec.occlusion:
+                rows = np.concatenate([rows, n_pixels + np.flatnonzero(keep & _in_box(u, v, box))])
+        # Two cases test every ray. A corner at or behind the near plane
+        # (box None) leaves the projection unbounded by the corners. A single
+        # row: numpy multiplies a one-row matrix by a vector with another
+        # kernel, whose last bits can differ from the same row's inside a
+        # larger product, while any subset of two or more rows matches the
+        # full product bit for bit.
+        if box is None or len(rows) == 1:
+            np.minimum(nearest, ray_patch_depths(camera_pos, dirs, patch), out=nearest)
+        else:
+            nearest[rows] = np.minimum(nearest[rows], ray_patch_depths(camera_pos, dirs[rows], patch))
 
+    # occlusion: a sample dies if any patch cuts its camera ray strictly earlier
+    if spec.occlusion:
+        keep &= ~(nearest[n_pixels:] < 1.0 - 1e-6)
     cloud = samples[keep]
     cloud_labels = labels[keep]
 
-    # range image: each patch is tested against the pixel rays inside its box
-    dirs = _pixel_rays(k, spec.pose)
-    center_u, center_v = np.arange(k.width) + 0.5, (np.arange(k.height) + 0.5)[:, None]
-    depth = np.full(dirs.shape[0], np.inf)
-    for patch, box in zip(patches, boxes):
-        rows = None if box is None else np.flatnonzero(_in_box(center_u, center_v, box))
-        _take_nearest_hits(depth, camera_pos, dirs, patch, rows)
+    depth = nearest[:n_pixels]
     depth = np.where(np.isfinite(depth), depth, 0.0).reshape(k.height, k.width)
     range_image = RangeImage(depth=depth, intrinsics=k, pose=spec.pose)
 

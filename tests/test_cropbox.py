@@ -308,7 +308,7 @@ def make_sample(rng, center=None, yaw=None) -> ObjectSample:
     u = K.fx * cloud[:, 0] / cloud[:, 2] + K.cx
     v = K.fy * cloud[:, 1] / cloud[:, 2] + K.cy
     rect = Rect2(u.min() - 0.5, v.min() - 0.5, u.max() + 0.5, v.max() + 0.5)
-    return ObjectSample(category="obj", cloud=cloud, rect=rect, gt_box=box, intrinsics=K)
+    return ObjectSample("obj", cloud, rect, box, K, RigidTransform.identity())
 
 
 class TestRecallCurves:
@@ -353,7 +353,7 @@ class TestRecallCurves:
                 box = OrientedBox3(center=(0.0, 0.0, 2.5), width=w, depth=d, height=0.8, yaw=yaw)
                 cloud = box.center.reshape(1, 3)  # single point exactly at the center
                 rect = Rect2(K.cx - 1.0, K.cy - 1.0, K.cx + 1.0, K.cy + 1.0)
-                dataset.append(ObjectSample("obj", cloud, rect, box, K))
+                dataset.append(ObjectSample("obj", cloud, rect, box, K, RigidTransform.identity()))
             cfg = SizeSearchConfig(
                 side_candidates=[s_star * (1 - 1e-6), s_star * (1 + 1e-9)],
                 height_candidates=[1.0],
@@ -376,6 +376,7 @@ class TestRecallCurves:
             rect=Rect2(30.0, 20.0, 50.0, 40.0),
             gt_box=good.gt_box,
             intrinsics=K,
+            pose=RigidTransform.identity(),
         )
         cfg = SizeSearchConfig(side_candidates=[5.0], height_candidates=[5.0], fr_fc=[(1, 1)])
         points = recall_curves([good, bad], cfg)

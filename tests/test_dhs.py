@@ -42,13 +42,13 @@ def floor_range_image(cam_height: float = 1.2) -> RangeImage:
 class TestRangeImage:
     def test_shape_must_match_intrinsics(self):
         with pytest.raises(GeometryError):
-            RangeImage(depth=np.zeros((10, 10)), intrinsics=K)
+            RangeImage(depth=np.zeros((10, 10)), intrinsics=K, pose=RigidTransform.identity())
 
     def test_depth_must_be_finite(self):
         depth = np.zeros((K.height, K.width))
         depth[0, 0] = np.inf
         with pytest.raises(GeometryError):
-            RangeImage(depth=depth, intrinsics=K)
+            RangeImage(depth=depth, intrinsics=K, pose=RigidTransform.identity())
 
     def test_world_points_land_on_the_floor(self):
         img = floor_range_image()
@@ -60,13 +60,13 @@ class TestRangeImage:
 class TestDhsChannels:
     def test_d_is_scaled_depth(self):
         depth = np.full((K.height, K.width), 2.0)
-        img = RangeImage(depth=depth, intrinsics=K)
+        img = RangeImage(depth=depth, intrinsics=K, pose=RigidTransform.identity())
         out = depth_to_dhs(img, d_max=10.0)
         np.testing.assert_allclose(out.d, 0.2, atol=0)
 
     def test_d_clamps_beyond_max_range(self):
         depth = np.full((K.height, K.width), 50.0)
-        img = RangeImage(depth=depth, intrinsics=K)
+        img = RangeImage(depth=depth, intrinsics=K, pose=RigidTransform.identity())
         out = depth_to_dhs(img, d_max=10.0)
         np.testing.assert_allclose(out.d, 1.0, atol=0)
 
@@ -102,8 +102,8 @@ class TestDhsChannels:
         rng = np.random.default_rng(5)
         d1 = rng.uniform(0.5, 4.0, size=(K.height, K.width))
         d2 = d1 + rng.uniform(0.1, 2.0, size=d1.shape)
-        out1 = depth_to_dhs(RangeImage(d1, K), d_max=10.0)
-        out2 = depth_to_dhs(RangeImage(d2, K), d_max=10.0)
+        out1 = depth_to_dhs(RangeImage(d1, K, RigidTransform.identity()), d_max=10.0)
+        out2 = depth_to_dhs(RangeImage(d2, K, RigidTransform.identity()), d_max=10.0)
         assert np.all(out2.d >= out1.d)
 
     def test_floor_plane_slope_is_half(self):
@@ -151,7 +151,7 @@ class TestDhsChannels:
         assert out.s[4, 9] == 0.0  # step into the hole is also undefined
 
     def test_all_missing_image_is_all_zero(self):
-        img = RangeImage(depth=np.zeros((K.height, K.width)), intrinsics=K)
+        img = RangeImage(depth=np.zeros((K.height, K.width)), intrinsics=K, pose=RigidTransform.identity())
         out = depth_to_dhs(img)
         assert not out.d.any() and not out.h.any() and not out.s.any()
 
@@ -173,7 +173,7 @@ class TestDhsChannels:
                 assert ch.min() >= 0.0 and ch.max() <= 1.0
 
     def test_parameter_validation(self):
-        img = RangeImage(np.zeros((K.height, K.width)), K)
+        img = RangeImage(np.zeros((K.height, K.width)), K, RigidTransform.identity())
         with pytest.raises(GeometryError):
             depth_to_dhs(img, d_max=0.0)
         with pytest.raises(GeometryError):
@@ -235,7 +235,7 @@ class TestRangeImageIO:
             read_range_image(path, K, RigidTransform.identity())
 
     def test_rejects_size_mismatch(self, tmp_path):
-        img = RangeImage(np.zeros((K.height, K.width)), K)
+        img = RangeImage(np.zeros((K.height, K.width)), K, RigidTransform.identity())
         path = str(tmp_path / "img.rimg")
         write_range_image(img, path)
         other = CameraIntrinsics(fx=60, fy=60, cx=10, cy=10, width=21, height=30)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from frustumkit.cropbox import ObjectSample, SizeSearchConfig, recall_curves
-from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2
+from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTransform
 from frustumkit.pipesim import stale_frustum_experiment
 
 INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
@@ -26,11 +26,12 @@ INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
 def _samples(n):
     """n point cubes straight ahead of an identity-pose camera, each inside its rect."""
     k = CameraIntrinsics(fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120)
+    pose = RigidTransform.identity()
     xs = np.linspace(-0.4, 0.4, 5)
     cube = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
     rect = Rect2(40.0, 20.0, 120.0, 100.0)
     centers = [np.array([0.0, 0.0, 3.0 + i]) for i in range(n)]
-    return [ObjectSample("chair", cube + c, rect, OrientedBox3(c, 0.8, 0.8, 0.8, 0.0), k) for c in centers]
+    return [ObjectSample("chair", cube + c, rect, OrientedBox3(c, 0.8, 0.8, 0.8, 0.0), k, pose) for c in centers]
 
 
 def _instrument():

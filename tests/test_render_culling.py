@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from frustumkit import scenegen
-from frustumkit.geometry import OrientedBox3, oriented_box_footprint, project_points
+from frustumkit.geometry import OrientedBox3, oriented_box_footprint, project_points, unproject_depth_image
 from frustumkit.scenegen import (
     _RAY_TOL,
     RenderedObject,
@@ -18,7 +18,6 @@ from frustumkit.scenegen import (
     SurfacePatch,
     _extent_rect,
     _front_facing,
-    _pixel_rays,
     box_face_patches,
     floor_patch,
     random_scene,
@@ -57,7 +56,7 @@ def unculled_render(spec):
     cloud, cloud_labels = samples[keep], labels[keep]
 
     k = spec.intrinsics
-    dirs = _pixel_rays(k, spec.pose)
+    dirs = unproject_depth_image(np.ones((k.height, k.width)), k).reshape(-1, 3) @ spec.pose.rotation.T
     depth = np.full(dirs.shape[0], np.inf)
     for patch in patches:
         depth = np.minimum(depth, ray_patch_depths(camera_pos, dirs, patch))
@@ -290,3 +289,12 @@ def test_patches_in_front_of_the_camera_are_tested_against_their_box_only(monkey
     assert max(counts) < k.width * k.height
     # unculled, each patch would test every pixel ray (plus every sample with occlusion)
     assert sum(counts) < 0.1 * len(boxes) * k.width * k.height
+
+
+@pytest.mark.parametrize("occlusion", [True, False], ids=["occlusion", "no-occlusion"])
+@pytest.mark.parametrize("name", ["random", "floor-under-camera", "one-ray-box"])
+def test_each_front_facing_patch_is_cast_once_per_render(monkeypatch, name, occlusion):
+    # pixel rays and sample rays reach ray_patch_depths in one call per patch,
+    # culled or not
+    spec = random_scene(5, n_objects=6, occlusion=occlusion) if name == "random" else SCENES[name](occlusion)
+    assert len(ray_counts(monkeypatch, spec)) == len(visible_patch_boxes(spec))
