@@ -21,6 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .cropbox import (
+    TARGET_XY_DEFAULT,
+    TARGET_Z_DEFAULT,
+    THRESHOLD_DEFAULT,
     SizeSearchConfig,
     assign_scale,
     best_cropbox,
@@ -84,6 +87,7 @@ from .netshape import (
 )
 from .pipesim import (
     DRIFT_CSV_HEADER,
+    STALE_SWEEP_SCALE,
     StageTiming,
     drift_row_to_csv,
     exact_throughput_fps,
@@ -523,8 +527,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sides", required=True, help="comma-separated crop side candidates (m)")
     p.add_argument("--heights", required=True, help="comma-separated crop height candidates (m)")
     p.add_argument("--mode", choices=["average", "median"], default="average")
-    p.add_argument("--threshold-xy", type=float, default=0.90, help="per-object footprint IoI threshold")
-    p.add_argument("--threshold-z", type=float, default=0.90, help="per-object vertical IoI threshold")
+    p.add_argument("--threshold-xy", type=float, default=THRESHOLD_DEFAULT, help="per-object footprint IoI threshold")
+    p.add_argument("--threshold-z", type=float, default=THRESHOLD_DEFAULT, help="per-object vertical IoI threshold")
     p.add_argument("--fr-fc", default="1x1,3x3", help="subdivision grids to sweep, e.g. 1x1,3x3")
 
 
@@ -563,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-size", help="smallest crop side/height reaching the recall targets")
     _add_search_flags(p)
-    p.add_argument("--target-xy", type=float, default=0.90, help="footprint recall target")
-    p.add_argument("--target-z", type=float, default=0.95, help="vertical recall target")
+    p.add_argument("--target-xy", type=float, default=TARGET_XY_DEFAULT, help="footprint recall target")
+    p.add_argument("--target-z", type=float, default=TARGET_Z_DEFAULT, help="vertical recall target")
     p.set_defaults(func=_cmd_select_size)
 
     p = sub.add_parser("voxelize", help="voxelize one labeled object's best crop")
@@ -616,9 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manifest_flag(p)
     p.add_argument("--drifts", required=True, help="comma-separated pixel drifts, e.g. 0,2,4,8")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--scale", default="medium_short", choices=sorted(SCALE_SPECS))
-    p.add_argument("--threshold-xy", type=float, default=0.90)
-    p.add_argument("--threshold-z", type=float, default=0.90)
+    p.add_argument("--scale", default=STALE_SWEEP_SCALE, choices=sorted(SCALE_SPECS))
+    p.add_argument("--threshold-xy", type=float, default=THRESHOLD_DEFAULT)
+    p.add_argument("--threshold-z", type=float, default=THRESHOLD_DEFAULT)
     p.set_defaults(func=_cmd_stale_sweep)
 
     p = sub.add_parser("netshape", help="network shape arithmetic")

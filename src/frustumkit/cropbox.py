@@ -70,6 +70,12 @@ FOOTPRINT_SMALL_MAX = 0.3
 FOOTPRINT_MEDIUM_MAX = 0.55
 HEIGHT_SHORT_MAX = 0.55
 
+#: Defaults: the IoI a crop needs on each axis to count as positive, and the
+#: footprint and vertical recall targets of select_min_size.
+THRESHOLD_DEFAULT = 0.90
+TARGET_XY_DEFAULT = 0.90
+TARGET_Z_DEFAULT = 0.95
+
 
 def get_scale_spec(name: str) -> ScaleSpec:
     try:
@@ -198,13 +204,13 @@ class SizeSearchConfig:
     """Sweep configuration for recall curves.
 
     Positivity thresholds (threshold_xy / threshold_z) decide when one crop
-    counts as recalling its object; both default to 0.90.
+    counts as recalling its object; both default to THRESHOLD_DEFAULT.
     """
 
     side_candidates: list[float]
     height_candidates: list[float]
-    threshold_xy: float = 0.90
-    threshold_z: float = 0.90
+    threshold_xy: float = THRESHOLD_DEFAULT
+    threshold_z: float = THRESHOLD_DEFAULT
     fr_fc: list[tuple[int, int]] = field(default_factory=lambda: [(1, 1), (3, 3)])
 
     def __post_init__(self) -> None:
@@ -380,7 +386,7 @@ def recall_curves(
 
 
 def select_min_size(
-    curves: Sequence[CurvePoint], target_xy: float = 0.90, target_z: float = 0.95
+    curves: Sequence[CurvePoint], target_xy: float = TARGET_XY_DEFAULT, target_z: float = TARGET_Z_DEFAULT
 ) -> tuple[float, float]:
     """Smallest crop side and height whose recalls meet the targets.
 

@@ -218,22 +218,29 @@ def unproject_grid(us: np.ndarray, vs: np.ndarray, depth: np.ndarray, k: CameraI
     return np.stack([x, y, depth], axis=-1)
 
 
+def pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel centers of a width x height image: the u row (column + 0.5) and
+    the v column (row + 0.5), which broadcast together to the full grid."""
+    return np.arange(width) + 0.5, (np.arange(height) + 0.5)[:, None]
+
+
 def unproject_depth_image(depth: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     """Camera-frame points (rows, cols, 3) of a depth image, each on the ray
-    through its pixel center u = column + 0.5, v = row + 0.5."""
+    through its pixel center (see pixel_centers)."""
     rows, cols = depth.shape
-    return unproject_grid(np.arange(cols) + 0.5, (np.arange(rows) + 0.5)[:, None], depth, k)
+    return unproject_grid(*pixel_centers(cols, rows), depth, k)
 
 
 def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project camera-frame points; returns (u, v, depth) arrays.
 
-    Points at or behind the camera plane yield non-finite pixel coordinates,
-    which downstream containment tests treat as outside.
+    Points at or behind the camera plane, and points so close to it that the
+    division overflows, yield non-finite pixel coordinates, which downstream
+    containment tests treat as outside.
     """
     pts = as_point_cloud(points_cam)
     z = pts[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = k.fx * pts[:, 0] / z + k.cx
         v = k.fy * pts[:, 1] / z + k.cy
     return u, v, z

@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .cropbox import ObjectSample, ScaleSpec, best_cropbox, candidate_centers, get_scale_spec, split_frames
+from .cropbox import THRESHOLD_DEFAULT, ObjectSample, best_cropbox, candidate_centers, get_scale_spec, split_frames
 from .errors import GeometryError, NoCandidatesError
 from .geometry import Rect2
 from .ioi import IoiBreakdown, validate_threshold
@@ -32,6 +32,9 @@ Mode = Literal["sequential", "pipelined"]
 #: Most frames simulate() schedules. It keeps one FrameRecord per frame in
 #: memory; a trace at the bound, written with --csv, adds about 26 MB to peak RSS.
 MAX_FRAMES = 100_000
+
+#: Scale class whose crop the stale-proposal sweep scores by default.
+STALE_SWEEP_SCALE = "medium_short"
 
 
 @dataclass(frozen=True)
@@ -112,29 +115,20 @@ def simulate(n_frames: int, timing: StageTiming, mode: Mode) -> FrameTrace:
     if not math.isfinite((n_frames + 1) * (timing.t_2d + timing.t_3d)):
         raise GeometryError(f"stage times {timing.t_2d}, {timing.t_3d} overflow the clock over {n_frames} frames")
     t2, t3 = timing.t_2d, timing.t_3d
-    frames: list[FrameRecord] = []
-    if mode == "sequential":
-        clock = 0.0
-        for i in range(n_frames):
-            start_2d = clock
-            done_2d = start_2d + t2
-            done_3d = done_2d + t3
-            frames.append(FrameRecord(i, start_2d, done_2d, done_2d, done_3d))
-            clock = done_3d
-        return FrameTrace("sequential", timing, tuple(frames), staleness_frames=0)
-
+    pipelined = mode == "pipelined"
     period = max(t2, t3)
-    prev_done_3d = 0.0
+    frames: list[FrameRecord] = []
+    done_3d = 0.0  # the previous frame's 3D completion
     for i in range(n_frames):
-        start_2d = i * period
+        start_2d = i * period if pipelined else done_3d
         done_2d = start_2d + t2
-        # 3D input: own 2D output for the very first frame, else frame i-1's
-        input_ready = done_2d if i == 0 else frames[i - 1].done_2d
-        start_3d = max(input_ready, prev_done_3d)
+        # 3D input: the frame's own 2D output, except that a pipelined frame
+        # after the first consumes frame i-1's
+        input_ready = frames[i - 1].done_2d if pipelined and i > 0 else done_2d
+        start_3d = max(input_ready, done_3d)
         done_3d = start_3d + t3
         frames.append(FrameRecord(i, start_2d, done_2d, start_3d, done_3d))
-        prev_done_3d = done_3d
-    return FrameTrace("pipelined", timing, tuple(frames), staleness_frames=1)
+    return FrameTrace(mode, timing, tuple(frames), staleness_frames=1 if pipelined else 0)
 
 
 TRACE_CSV_HEADER = "frame,start_2d,done_2d,start_3d,done_3d,latency"
@@ -197,9 +191,9 @@ def drift_row_to_csv(row: DriftRow) -> str:
 def stale_frustum_experiment(
     samples: Sequence[ObjectSample],
     drifts_px: Sequence[float],
-    spec: ScaleSpec | str = "medium_short",
-    threshold_xy: float = 0.90,
-    threshold_z: float = 0.90,
+    spec: str = STALE_SWEEP_SCALE,
+    threshold_xy: float = THRESHOLD_DEFAULT,
+    threshold_z: float = THRESHOLD_DEFAULT,
 ) -> list[DriftRow]:
     """Recall/IoI degradation when 2D rects lag the scene by one frame.
 
@@ -207,7 +201,8 @@ def stale_frustum_experiment(
     the frustum, crop center, and crop box are recomputed, simulating
     proposals from a one-frame-old image of a laterally moving scene. A
     shifted frustum that captures no points scores zero IoI and counts as
-    a lost item (it can never be recalled).
+    a lost item (it can never be recalled). Crops take the size of the
+    scale class named spec.
 
     A sample counts toward recall_volume only when its best crop is positive
     on both axes; see DriftRow. Samples are walked frame by frame
@@ -219,8 +214,7 @@ def stale_frustum_experiment(
         raise GeometryError("drift values must be finite and >= 0")
     validate_threshold("threshold_xy", threshold_xy)
     validate_threshold("threshold_z", threshold_z)
-    if isinstance(spec, str):
-        spec = get_scale_spec(spec)
+    scale = get_scale_spec(spec)
 
     # breakdowns[d] holds each sample's best-crop breakdown at drifts_px[d], None when lost
     breakdowns: list[list[IoiBreakdown | None]] = [[] for _ in drifts_px]
@@ -237,7 +231,7 @@ def stale_frustum_experiment(
                 except NoCandidatesError:
                     found.append(None)
                     continue
-                found.append(best_cropbox(sample.gt_box, centers, spec)[1])
+                found.append(best_cropbox(sample.gt_box, centers, scale)[1])
     rows: list[DriftRow] = []
     for drift, found in zip(drifts_px, breakdowns):
         iois = [0.0 if b is None else b.ioi_3d for b in found]

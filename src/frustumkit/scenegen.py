@@ -9,12 +9,13 @@ back on a generated surface to float precision. Point visibility uses the
 same ray test: a sample survives occlusion if no patch intersects the
 camera-to-sample ray strictly in front of it.
 
-Pixel rays and sample rays are cast together, in one pass over the patches.
-Each patch is tested only against the rays that can hit it: the pixel rays,
-and the rays of in-front samples, that pass through the box of its projected
-corners widened by 2 px. A patch with a corner at or behind the near plane,
-and a box that holds exactly one ray, fall back to testing every ray (see
-render). The culled test gives the same bits as testing every ray.
+The samples are projected once, and the in-front test, the patch boxes, the
+ray cull and the object rects all read that projection. Pixel and sample rays
+are cast together, in one pass over the patches. Each patch is tested only
+against the rays, of pixels and of in-front samples, that pass through the
+box of its sampled corners widened by 2 px. A patch with a corner at or
+behind the near plane, and a box that holds exactly one ray, test every ray
+(see render). The culled test gives the same bits as testing every ray.
 
 Everything is deterministic in the scene seed: patch corners are always
 sampled, interior samples are drawn once from a seeded generator, and the
@@ -36,6 +37,7 @@ from .geometry import (
     Rect2,
     RigidTransform,
     oriented_box_footprint,
+    pixel_centers,
     project_points,
     unproject_grid,
 )
@@ -92,7 +94,7 @@ class SurfacePatch:
         return np.array([o, o + u, o + u + v, o + v])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """The 4 corners plus round(density * area) uniform interior points."""
+        """The 4 corners first, in corners() order (render relies on it), then round(density * area) interior points."""
         n_interior = int(round(self.density * self.area))
         pts = [self.corners()]
         if n_interior > 0:
@@ -212,14 +214,13 @@ def _extent_rect(u: np.ndarray, v: np.ndarray) -> Rect2 | None:
     return Rect2(u_min, v_min, u_max, v_max)
 
 
-def _pixel_box(corners_cam: np.ndarray, k: CameraIntrinsics) -> tuple[float, float, float, float] | None:
-    """(u_min, u_max, v_min, v_max) of a patch's projected corners, widened by
-    _CULL_MARGIN_PX; None when a corner is at or behind the near plane.
+def _pixel_box(u: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[float, float, float, float] | None:
+    """(u_min, u_max, v_min, v_max) of a patch's corners projected to (u, v),
+    widened by _CULL_MARGIN_PX; None when a corner's depth z is at or behind the near plane.
 
     A patch in front of the camera projects inside the hull of its corners'
     projections, so every ray that hits it passes through this box.
     """
-    u, v, z = project_points(corners_cam, k)
     if np.any(z <= _RAY_TOL):
         return None
     m = _CULL_MARGIN_PX
@@ -238,47 +239,36 @@ def render(spec: SceneSpec) -> Scene:
     world_to_cam = spec.pose.inverse()
 
     # visible-face patch list, with provenance (-1 = background)
-    patches: list[SurfacePatch] = []
-    owners: list[int] = []
-    for patch in spec.background:
-        if _front_facing(patch, camera_pos):
-            patches.append(patch)
-            owners.append(-1)
-    for oi, obj in enumerate(spec.objects):
-        for patch in box_face_patches(obj.box, obj.density):
-            if _front_facing(patch, camera_pos):
-                patches.append(patch)
-                owners.append(oi)
+    faces = [(p, -1) for p in spec.background]
+    faces += [(p, oi) for oi, obj in enumerate(spec.objects) for p in box_face_patches(obj.box, obj.density)]
+    visible = [(p, owner) for p, owner in faces if _front_facing(p, camera_pos)]
+    patches = [p for p, _ in visible]
 
     # surface samples (corners always present; interiors seeded)
-    sample_blocks: list[np.ndarray] = []
-    sample_owner: list[np.ndarray] = []
-    for patch, owner in zip(patches, owners):
-        pts = patch.sample(rng)
-        sample_blocks.append(pts)
-        sample_owner.append(np.full(len(pts), owner, dtype=np.int64))
-    samples = np.vstack(sample_blocks) if sample_blocks else np.zeros((0, 3))
-    labels = np.concatenate(sample_owner) if sample_owner else np.zeros(0, dtype=np.int64)
+    blocks = [patch.sample(rng) for patch in patches]
+    sizes = [len(b) for b in blocks]
+    samples = np.vstack(blocks) if blocks else np.zeros((0, 3))
+    labels = np.repeat(np.array([owner for _, owner in visible], dtype=np.int64), sizes)
 
-    # in-front test in camera coordinates
-    samples_cam = world_to_cam.apply(samples)
-    keep = samples_cam[:, 2] > _RAY_TOL
+    # the one projection of the samples, and the in-front test
+    k = spec.intrinsics
+    u, v, z = project_points(world_to_cam.apply(samples), k)
+    keep = z > _RAY_TOL
 
     # One ray set, cast in one pass: the pixel rays, then, with occlusion, the
     # ray to each sample. A pixel ray has camera-frame z = 1, so the t of its
     # hit IS the pinhole depth the range image stores; a sample sits at t = 1.
-    k = spec.intrinsics
-    center_u, center_v = np.arange(k.width) + 0.5, (np.arange(k.height) + 0.5)[:, None]
+    center_u, center_v = pixel_centers(k.width, k.height)
     dirs = unproject_grid(center_u, center_v, np.ones((k.height, k.width)), k).reshape(-1, 3) @ spec.pose.rotation.T
     n_pixels = len(dirs)
     if spec.occlusion:
         dirs = np.vstack([dirs, samples - camera_pos])
-        u, v, _ = project_points(samples_cam, k)
     nearest = np.full(len(dirs), np.inf)
-    for patch in patches:
+    for patch, start in zip(patches, np.cumsum([0, *sizes])):
         # a patch can only cut the pixel rays in its projected box and the
-        # rays of the in-front samples that project there
-        box = _pixel_box(world_to_cam.apply(patch.corners()), k)
+        # rays of the in-front samples that project there; the box bounds its
+        # first four samples, which are its corners (SurfacePatch.sample)
+        box = _pixel_box(u[start : start + 4], v[start : start + 4], z[start : start + 4])
         if box is not None:
             rows = np.flatnonzero(_in_box(center_u, center_v, box))
             if spec.occlusion:
@@ -305,28 +295,21 @@ def render(spec: SceneSpec) -> Scene:
     range_image = RangeImage(depth=depth, intrinsics=k, pose=spec.pose)
 
     # per-object ground truth rects
+    cloud_u, cloud_v = u[keep], v[keep]
     objects: list[RenderedObject] = []
     for oi, obj in enumerate(spec.objects):
-        corners2d = oriented_box_footprint(obj.box)
-        z0, z1 = obj.box.z_interval
-        corners = np.array([[x, y, z] for x, y in corners2d for z in (z0, z1)])
-        corner_cam = world_to_cam.apply(corners)
-        behind = bool(np.all(corner_cam[:, 2] <= _RAY_TOL))
-        all_front = bool(np.all(corner_cam[:, 2] > _RAY_TOL))
         own = cloud_labels == oi
         n_points = int(own.sum())
-
-        rect = None
-        if not behind:
-            if spec.occlusion or not all_front:
-                # bounds of this object's surviving sample projections
-                if n_points:
-                    u, v, _ = project_points(world_to_cam.apply(cloud[own]), k)
-                    rect = _extent_rect(u, v)
-            else:
-                # unoccluded and fully in front: exact projected extent
-                u, v, _ = project_points(corner_cam, k)
-                rect = _extent_rect(u, v)
+        # bounds of this object's surviving sample projections; an object
+        # behind the camera keeps no samples
+        rect = _extent_rect(cloud_u[own], cloud_v[own]) if n_points else None
+        if not spec.occlusion:
+            z0, z1 = obj.box.z_interval
+            corners = np.array([[x, y, z] for x, y in oriented_box_footprint(obj.box) for z in (z0, z1)])
+            box_u, box_v, box_z = project_points(world_to_cam.apply(corners), k)
+            if np.all(box_z > _RAY_TOL):
+                # unoccluded and fully in front: the exact projected extent
+                rect = _extent_rect(box_u, box_v)
         objects.append(
             RenderedObject(
                 category=obj.category,

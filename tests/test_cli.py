@@ -31,6 +31,7 @@ from frustumkit.cli import (
     main,
 )
 from frustumkit.errors import ManifestError
+from frustumkit.geometry import read_cloud_binary, write_cloud_binary
 from frustumkit.head import read_anchor_csv
 from frustumkit.manifest import box_to_json, iter_object_samples, load_manifest
 
@@ -501,6 +502,31 @@ def test_ascii_stdout_escapes_category_names_instead_of_failing(tmp_path):
     assert ascii_files == utf8_files
     assert b"\\xe9" in ascii_stdout[0]
     assert ascii_stdout == [out.decode("utf-8").replace("\u00e9", "\\xe9").encode("ascii") for out in utf8_stdout]
+
+
+def test_cloud_point_at_subnormal_camera_depth_runs_without_warnings(dataset, tmp_path):
+    """A camera 1e-310 m behind the plane x = 0 sees a cloud point on that plane at
+    depth 1e-310: its pixel coordinates overflow to inf, outside the depth range and every rect."""
+    data = json.loads(dataset.read_text())
+    frame = data["frames"][0]
+    cloud = np.vstack([read_cloud_binary(str(dataset.parent / frame["cloud"])), [[0.0, 0.5, 1.0]]])
+    write_cloud_binary(cloud, str(tmp_path / "cloud.bin"))
+    frame["cloud"] = "cloud.bin"
+    frame.pop("range_image", None)
+    frame["pose"]["translation"] = [-1e-310, 0.0, 1.2]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"categories": data["categories"], "frames": [frame]}))
+    src = str(Path(frustumkit.__file__).resolve().parents[1])
+    argv = ["recall-curves", "--manifest", str(manifest), "--out", "c.csv", "--sides", "1.6", "--heights", "1.5"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "frustumkit.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == b""
 
 
 # --- pipesim -------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from frustumkit import cli, cropbox, geometry, pipesim
 from frustumkit.cropbox import (
     CurvePoint,
     ObjectSample,
-    ScaleSpec,
+    SCALE_SPECS,
     SizeSearchConfig,
     candidate_centers,
     recall_curves,
@@ -194,10 +194,9 @@ def test_objects_without_candidates_count_as_misses(dataset):
 
 
 def test_stale_sweep_equals_the_per_object_reference(dataset):
-    spec = ScaleSpec("test", crop_side=1.2, crop_height=1.0, grid=(4, 4, 4))
     drifts = [0.0, 3.0, 250.0]
-    got = stale_frustum_experiment(dataset, drifts, spec)
-    assert got == reference_stale_sweep(dataset, drifts, spec)
+    got = stale_frustum_experiment(dataset, drifts, "small_short")
+    assert got == reference_stale_sweep(dataset, drifts, SCALE_SPECS["small_short"])
     # the rects left of the image are lost at every drift; 250 px moves every rect past the image
     assert [r.n_lost for r in got] == [16, 16, len(dataset)]
     assert got[0].recall_volume > 0

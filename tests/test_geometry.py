@@ -30,9 +30,11 @@ from frustumkit.geometry import (
     oriented_box_footprint,
     polygon_area,
     project_cloud,
+    pixel_centers,
     project_points,
     read_cloud_binary,
     tile_points,
+    unproject_depth_image,
     unproject_grid,
     write_cloud_binary,
 )
@@ -80,6 +82,22 @@ class TestUnproject:
     def test_principal_point_maps_to_optical_axis(self):
         p = unproject_grid(K.cx, K.cy, 2.5, K)
         np.testing.assert_allclose(p, [0.0, 0.0, 2.5], atol=0)
+
+
+    def test_depth_image_points_lie_on_the_pixel_center_rays(self):
+        us, vs = pixel_centers(4, 3)
+        assert us.tolist() == [0.5, 1.5, 2.5, 3.5] and vs.tolist() == [[0.5], [1.5], [2.5]]
+        depth = np.arange(1.0, 13.0).reshape(3, 4)
+        assert np.array_equal(unproject_depth_image(depth, K), unproject_grid(us, vs, depth, K))
+
+
+class TestProject:
+    def test_point_at_subnormal_depth_projects_outside_without_warning(self):
+        # fx * x / 1e-310 overflows: the pixel coordinate is inf, which containment tests treat as outside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, v, z = project_points(np.array([[0.5, 0.0, 1e-310]]), K)
+        assert u.tolist() == [math.inf] and v.tolist() == [K.cy] and z.tolist() == [1e-310]
 
 
 class TestNonFiniteConstructorValues:

@@ -13,6 +13,7 @@ from frustumkit.ioi import recall_from_breakdowns
 from frustumkit.pipesim import (
     MAX_FRAMES,
     DriftRow,
+    FrameRecord,
     StageTiming,
     drift_row_to_csv,
     exact_throughput_fps,
@@ -156,6 +157,47 @@ class TestPipelined:
     def test_summary_mentions_period_and_fps(self):
         text = simulate(3, YOLO_FCN6, "pipelined").summary()
         assert "period=48" in text and "20.83" in text
+
+
+def two_loop_schedule(n_frames, t2, t3, mode):
+    """The schedule as two separate loops, one per mode: the reference for simulate's single loop."""
+    frames = []
+    if mode == "sequential":
+        clock = 0.0
+        for i in range(n_frames):
+            start_2d = clock
+            done_2d = start_2d + t2
+            done_3d = done_2d + t3
+            frames.append(FrameRecord(i, start_2d, done_2d, done_2d, done_3d))
+            clock = done_3d
+        return frames, 0
+    period = max(t2, t3)
+    prev_done_3d = 0.0
+    for i in range(n_frames):
+        start_2d = i * period
+        done_2d = start_2d + t2
+        input_ready = done_2d if i == 0 else frames[i - 1].done_2d
+        start_3d = max(input_ready, prev_done_3d)
+        done_3d = start_3d + t3
+        frames.append(FrameRecord(i, start_2d, done_2d, start_3d, done_3d))
+        prev_done_3d = done_3d
+    return frames, 1
+
+
+# zeros of both signs, subnormal and tiny costs, the published stage times, and a huge one
+STAGE_TIMES = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0, 29.0, 33.3333, 48.0, 1e12]
+
+
+@pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+@pytest.mark.parametrize("n_frames", [1, 2, 7])
+def test_schedule_matches_the_two_loop_reference_bit_for_bit(mode, n_frames):
+    for t2 in STAGE_TIMES:
+        for t3 in STAGE_TIMES:
+            trace = simulate(n_frames, StageTiming(t2, t3), mode)
+            frames, staleness = two_loop_schedule(n_frames, t2, t3, mode)
+            # repr tells 0.0 from -0.0 and shows every bit of each time
+            assert [repr(f) for f in trace.frames] == [repr(f) for f in frames], (t2, t3)
+            assert (trace.mode, trace.staleness_frames) == (mode, staleness)
 
 
 def make_centered_samples(n=6):

@@ -115,7 +115,7 @@ def visible_patch_boxes(spec):
     out = []
     for patch in patches:
         if _front_facing(patch, camera):
-            pbox = scenegen._pixel_box(world_to_cam.apply(patch.corners()), k)
+            pbox = scenegen._pixel_box(*project_points(world_to_cam.apply(patch.corners()), k))
             pixels = None if pbox is None else np.flatnonzero(scenegen._in_box(center_u, center_v, pbox))
             out.append((patch, pbox, pixels))
     return out
@@ -298,3 +298,21 @@ def test_each_front_facing_patch_is_cast_once_per_render(monkeypatch, name, occl
     # culled or not
     spec = random_scene(5, n_objects=6, occlusion=occlusion) if name == "random" else SCENES[name](occlusion)
     assert len(ray_counts(monkeypatch, spec)) == len(visible_patch_boxes(spec))
+
+
+@pytest.mark.parametrize("occlusion", [True, False], ids=["occlusion", "no-occlusion"])
+@pytest.mark.parametrize("name", ["random", "behind-camera", "floor-under-camera"])
+def test_render_projects_the_samples_once(monkeypatch, name, occlusion):
+    # the in-front test, the patch boxes, the ray cull and the rects all read
+    # one projection of the samples; without occlusion, each object's 8 box
+    # corners are projected for its exact extent
+    spec = random_scene(5, n_objects=6, occlusion=occlusion) if name == "random" else SCENES[name](occlusion)
+    calls = []
+
+    def counting(points_cam, k):
+        calls.append(len(points_cam))
+        return project_points(points_cam, k)
+
+    monkeypatch.setattr(scenegen, "project_points", counting)
+    render(spec)
+    assert calls[1:] == ([] if occlusion else [8] * len(spec.objects))
