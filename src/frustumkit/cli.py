@@ -28,7 +28,6 @@ from .cropbox import (
     assign_scale,
     best_cropbox,
     candidate_centers,
-    curve_point_to_csv_row,
     get_scale_spec,
     recall_curves,
     select_min_size,
@@ -37,6 +36,7 @@ from .cropbox import (
     SCALE_SPECS,
     SUBDIVISIONS,
 )
+from .csvio import write_lines
 from .dhs import D_MAX_DEFAULT, H_MAX_DEFAULT, H_MIN_DEFAULT, depth_to_dhs, read_range_image, write_range_image
 from .errors import (
     EncodeDomainError,
@@ -49,7 +49,6 @@ from .errors import (
 )
 from .evalkit import (
     IOU_THRESH_DEFAULT,
-    Detection,
     LabeledBox,
     evaluate,
     write_category_csv,
@@ -71,12 +70,10 @@ from .manifest import (
     Manifest,
     ManifestFrame,
     ManifestObject,
-    box_from_json,
-    check_json_keys,
     iter_object_samples,
+    load_detections,
     load_manifest,
     manifest_to_json,
-    parse_json,
 )
 from .netshape import (
     NAIVE_DIM_CAP,
@@ -89,7 +86,6 @@ from .pipesim import (
     DRIFT_CSV_HEADER,
     STALE_SWEEP_SCALE,
     StageTiming,
-    drift_row_to_csv,
     exact_throughput_fps,
     simulate,
     stale_frustum_experiment,
@@ -271,8 +267,7 @@ def _cmd_recall_curves(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     cfg = _search_config(args)
     curves = recall_curves(_samples(manifest), cfg, mode=args.mode)
-    lines = [CURVE_CSV_HEADER] + [curve_point_to_csv_row(p) for p in curves]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(args.out, CURVE_CSV_HEADER, curves)
     print(f"recall-curves: wrote {len(curves)} rows over {manifest.n_objects} objects -> {args.out}")
     return EXIT_OK
 
@@ -404,38 +399,9 @@ def _cmd_encode_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_DET_KEYS = {"category", "score", "box"}
-
-
-def _load_detections(path: str, manifest: Manifest) -> list[list[Detection]]:
-    data = parse_json(Path(path).read_bytes(), f"detections file {path}")
-    check_json_keys(data, {"frames"}, {"frames"}, "detections file")
-    frames_value = data["frames"]
-    if not isinstance(frames_value, list) or len(frames_value) != len(manifest.frames):
-        raise ManifestError(
-            f"detections must list one entry per manifest frame "
-            f"({len(manifest.frames)} expected)"
-        )
-    out: list[list[Detection]] = []
-    for entry in frames_value:
-        if not isinstance(entry, list):
-            raise ManifestError("each detections frame must be a list")
-        dets = []
-        for det in entry:
-            check_json_keys(det, _DET_KEYS, _DET_KEYS, "detection")
-            if det["category"] not in manifest.categories:
-                raise ManifestError(f"detection category {det['category']!r} not in vocabulary")
-            score = det["score"]
-            if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 1:
-                raise ManifestError(f"detection score must be a number in [0, 1], got {score!r}")
-            dets.append(Detection(box=box_from_json(det["box"]), category=det["category"], score=float(score)))
-        out.append(dets)
-    return out
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    detections = _load_detections(args.dets, manifest)
+    detections = load_detections(args.dets, manifest)
     frames = [
         (dets, [LabeledBox(o.category, o.box) for o in frame.objects])
         for dets, frame in zip(detections, manifest.frames)
@@ -479,8 +445,7 @@ def _cmd_stale_sweep(args: argparse.Namespace) -> int:
         threshold_xy=args.threshold_xy,
         threshold_z=args.threshold_z,
     )
-    lines = [DRIFT_CSV_HEADER] + [drift_row_to_csv(r) for r in rows]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(args.out, DRIFT_CSV_HEADER, rows)
     first, last = rows[0], rows[-1]
     print(
         f"stale-sweep: mean ioi_3d {first.mean_ioi_3d:.4f} @ drift {first.drift_px:g}px -> "

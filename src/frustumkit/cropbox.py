@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .csvio import csv_header, csv_line
 from .errors import (
     GeometryError,
     InfeasibleSizeError,
@@ -243,24 +244,8 @@ class CurvePoint:
     bound_satisfied: bool
 
 
-CURVE_CSV_HEADER = "fr,fc,mode,side_m,height_m,recall_xy,recall_z,recall_volume,bound,bound_satisfied"
-
-
-def curve_point_to_csv_row(p: CurvePoint) -> str:
-    return ",".join(
-        [
-            str(p.fr),
-            str(p.fc),
-            p.mode,
-            format(p.side_m, ".12g"),
-            format(p.height_m, ".12g"),
-            format(p.recall_xy, ".12g"),
-            format(p.recall_z, ".12g"),
-            format(p.recall_volume, ".12g"),
-            format(p.bound, ".12g"),
-            "1" if p.bound_satisfied else "0",
-        ]
-    )
+CURVE_CSV_HEADER = csv_header(CurvePoint)
+curve_point_to_csv_row = csv_line
 
 
 #: Candidate centers scored together at 3 sides x 3 heights. The scorer's

@@ -1,0 +1,60 @@
+"""The one CSV format: every table the tool writes goes through this module.
+
+A record's header and its rows both come from its dataclass fields. Every
+value follows one rule (:func:`csv_value`): a bool is ``1`` or ``0``, a string
+is written as is, and any other number is ``format(v, ".12g")``, which reads as
+``str()`` for an int below 10**12. :func:`write_csv` ends lines in ``\\r\\n``
+and quotes fields where needed; :func:`write_lines` ends them in ``\\n``.
+"""
+
+from __future__ import annotations
+
+import csv
+import functools
+from dataclasses import fields
+from pathlib import Path
+from typing import Iterable
+
+import numpy as np
+
+
+@functools.cache
+def _field_names(record_type: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(record_type))
+
+
+def csv_header(record_type: type) -> str:
+    """The comma-joined field names of a dataclass."""
+    return ",".join(_field_names(record_type))
+
+
+def csv_value(v: object) -> str:
+    # floats, Python or numpy, are most values, so they skip the other tests
+    if not isinstance(v, float):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+    return format(v, ".12g")
+
+
+def csv_values(record: object) -> list[str]:
+    """A dataclass record's fields, in order, through :func:`csv_value`."""
+    return [csv_value(getattr(record, name)) for name in _field_names(type(record))]
+
+
+def csv_line(record: object) -> str:
+    return ",".join(csv_values(record))
+
+
+def write_csv(path: str | Path, header: str, rows: Iterable[Iterable[object]]) -> None:
+    """A UTF-8 table in the csv module's default dialect; rows are written as given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
+def write_lines(path: str | Path, header: str, records: Iterable[object]) -> None:
+    """A UTF-8 table of one :func:`csv_line` per record, every line ending in ``\\n``."""
+    Path(path).write_text("\n".join([header, *map(csv_line, records)]) + "\n", encoding="utf-8")

@@ -11,13 +11,13 @@ are exactly reproducible from the TP/FP sequence.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .csvio import csv_header, csv_value, csv_values, write_csv
 from .errors import GeometryError
 from .geometry import OrientedBox3
 from .ioi import iou_3d, validate_threshold
@@ -206,34 +206,15 @@ def evaluate(frames: Sequence[Frame], iou_thresh: float = IOU_THRESH_DEFAULT) ->
     )
 
 
-EVAL_CSV_HEADER = "category,n_gt,n_det,ap,recall,mean_d_xyz,mean_d_wdh,mean_orientation_score"
+EVAL_CSV_HEADER = csv_header(CategoryEval)
 HIST_CSV_HEADER = "bin_lo,bin_hi,count"
 
 
 def write_category_csv(rows: Sequence[CategoryEval], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVAL_CSV_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [
-                    r.category,
-                    r.n_gt,
-                    r.n_det,
-                    format(r.ap, ".12g"),
-                    format(r.recall, ".12g"),
-                    format(r.mean_d_xyz, ".12g"),
-                    format(r.mean_d_wdh, ".12g"),
-                    format(r.mean_orientation_score, ".12g"),
-                ]
-            )
+    write_csv(path, EVAL_CSV_HEADER, map(csv_values, rows))
 
 
 def write_histogram_csv(values: Sequence[float], path: str) -> None:
     """Ten-bin histogram of values over [0, 1] as (bin_lo, bin_hi, count) rows."""
     counts, edges = np.histogram(np.asarray(values, dtype=np.float64), bins=10, range=(0.0, 1.0))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HIST_CSV_HEADER.split(","))
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([format(lo, ".12g"), format(hi, ".12g"), int(c)])
+    write_csv(path, HIST_CSV_HEADER, (map(csv_value, row) for row in zip(edges[:-1], edges[1:], counts)))

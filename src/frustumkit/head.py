@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .csvio import csv_header, csv_values, write_csv
 from .errors import EncodeDomainError, GeometryError
 from .geometry import Aabb3, OrientedBox3, normalize_yaw
 
@@ -50,16 +51,11 @@ def compute_anchors(boxes_by_category: Mapping[str, Sequence[OrientedBox3]]) -> 
     return anchors
 
 
-ANCHOR_CSV_HEADER = "category,a_w,a_d,a_h"
+ANCHOR_CSV_HEADER = csv_header(Anchor)
 
 
 def write_anchor_csv(anchors: Mapping[str, Anchor], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANCHOR_CSV_HEADER.split(","))
-        for category in sorted(anchors):
-            a = anchors[category]
-            writer.writerow([a.category, format(a.a_w, ".12g"), format(a.a_d, ".12g"), format(a.a_h, ".12g")])
+    write_csv(path, ANCHOR_CSV_HEADER, (csv_values(anchors[c]) for c in sorted(anchors)))
 
 
 def read_anchor_csv(path: str) -> dict[str, Anchor]:

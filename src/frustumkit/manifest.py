@@ -6,8 +6,9 @@ and pose, and the labeled objects (category, image rect, oriented box).
 Loading is strict — unknown keys, missing files, non-UTF-8 bytes,
 NaN/Infinity tokens, numbers that overflow a float, a bool or string where a
 number belongs, or categories outside the declared vocabulary all raise
-:class:`ManifestError` rather than being silently tolerated. The same strict-JSON helpers parse the detections file of
-``frustumkit evaluate`` and the layer list of ``frustumkit netshape``.
+:class:`ManifestError` rather than being silently tolerated. The same
+strict-JSON helpers parse the detections file of ``frustumkit evaluate``
+(:func:`load_detections`) and the layer list of ``frustumkit netshape``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .cropbox import ObjectSample
 from .errors import ManifestError
+from .evalkit import Detection
 from .geometry import (
     CameraIntrinsics,
     OrientedBox3,
@@ -36,6 +38,7 @@ _OBJECT_KEYS = {"category", "rect", "box"}
 _BOX_KEYS = {"center", "width", "depth", "height", "yaw"}
 _K_KEYS = {"fx", "fy", "cx", "cy", "width", "height"}
 _POSE_KEYS = {"rotation", "translation"}
+_DET_KEYS = {"category", "score", "box"}
 
 
 # --- strict JSON ----------------------------------------------------------------
@@ -290,6 +293,33 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ManifestError("frames must be a list")
     frames = tuple(_parse_frame(entry, root, categories) for entry in frames_value)
     return Manifest(root=root, categories=categories, anchors_path=anchors_path, frames=frames)
+
+
+def load_detections(path: str | Path, manifest: Manifest) -> list[list[Detection]]:
+    """The detections file of ``frustumkit evaluate``: one list per manifest frame."""
+    data = parse_json(Path(path).read_bytes(), f"detections file {path}")
+    check_json_keys(data, {"frames"}, {"frames"}, "detections file")
+    frames_value = data["frames"]
+    if not isinstance(frames_value, list) or len(frames_value) != len(manifest.frames):
+        raise ManifestError(
+            f"detections must list one entry per manifest frame "
+            f"({len(manifest.frames)} expected)"
+        )
+    out: list[list[Detection]] = []
+    for entry in frames_value:
+        if not isinstance(entry, list):
+            raise ManifestError("each detections frame must be a list")
+        dets = []
+        for det in entry:
+            check_json_keys(det, _DET_KEYS, _DET_KEYS, "detection")
+            if det["category"] not in manifest.categories:
+                raise ManifestError(f"detection category {det['category']!r} not in vocabulary")
+            score = det["score"]
+            if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 1:
+                raise ManifestError(f"detection score must be a number in [0, 1], got {score!r}")
+            dets.append(Detection(box=box_from_json(det["box"]), category=det["category"], score=float(score)))
+        out.append(dets)
+    return out
 
 
 def manifest_to_json(manifest: Manifest) -> str:

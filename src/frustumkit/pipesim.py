@@ -14,7 +14,6 @@ stage times are inputs, the schedule is the artifact.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .cropbox import THRESHOLD_DEFAULT, ObjectSample, best_cropbox, candidate_centers, get_scale_spec, split_frames
+from .csvio import csv_header, csv_line, csv_value, csv_values, write_csv
 from .errors import GeometryError, NoCandidatesError
 from .geometry import Rect2
 from .ioi import IoiBreakdown, validate_threshold
@@ -135,14 +135,7 @@ TRACE_CSV_HEADER = "frame,start_2d,done_2d,start_3d,done_3d,latency"
 
 
 def write_trace_csv(trace: FrameTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_HEADER.split(","))
-        for f in trace.frames:
-            writer.writerow(
-                [f.index]
-                + [format(v, ".12g") for v in (f.start_2d, f.done_2d, f.start_3d, f.done_3d, f.latency)]
-            )
+    write_csv(path, TRACE_CSV_HEADER, ([*csv_values(f), csv_value(f.latency)] for f in trace.frames))
 
 
 def exact_throughput_fps(timing: StageTiming) -> Fraction:
@@ -173,19 +166,8 @@ class DriftRow:
     n_lost: int  # frustums that no longer contain any points
 
 
-DRIFT_CSV_HEADER = "drift_px,mean_ioi_3d,recall_volume,n_items,n_lost"
-
-
-def drift_row_to_csv(row: DriftRow) -> str:
-    return ",".join(
-        [
-            format(row.drift_px, ".12g"),
-            format(row.mean_ioi_3d, ".12g"),
-            format(row.recall_volume, ".12g"),
-            str(row.n_items),
-            str(row.n_lost),
-        ]
-    )
+DRIFT_CSV_HEADER = csv_header(DriftRow)
+drift_row_to_csv = csv_line
 
 
 def stale_frustum_experiment(

@@ -13,13 +13,13 @@ face lands in the higher-index cell on every platform.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 
 import numpy as np
 
 from .cropbox import ScaleSpec
+from .csvio import write_csv
 from .errors import GeometryError
 from .geometry import Aabb3, as_point_cloud
 
@@ -122,7 +122,4 @@ def write_voxel_grid(grid: VoxelGrid, path: str) -> None:
 def write_sparse_csv(grid: VoxelGrid, path: str) -> None:
     """Nonzero cells as 'ix,iy,iz,count' rows in x-major traversal order."""
     ix, iy, iz = (a.tolist() for a in np.unravel_index(grid.cells, grid.dims))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ix", "iy", "iz", "count"])
-        writer.writerows(zip(ix, iy, iz, grid.counts.tolist()))
+    write_csv(path, "ix,iy,iz,count", zip(ix, iy, iz, grid.counts.tolist()))

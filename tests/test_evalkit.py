@@ -232,17 +232,17 @@ class TestEvaluate:
 
     def test_csv_outputs_are_deterministic(self, tmp_path):
         report = evaluate(self.frames())
-        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        write_category_csv(report.rows, p1)
-        write_category_csv(report.rows, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        lines = open(p1).read().splitlines()
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_category_csv(report.rows, str(p1))
+        write_category_csv(report.rows, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+        lines = p1.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("category,") and len(lines) == 2
 
     def test_histogram_csv_bins_cover_unit_interval(self, tmp_path):
-        path = str(tmp_path / "h.csv")
-        write_histogram_csv([0.05, 0.15, 0.95, 1.0], path)
-        lines = open(path).read().splitlines()
+        path = tmp_path / "h.csv"
+        write_histogram_csv([0.05, 0.15, 0.95, 1.0], str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 11
         first, last = lines[1].split(","), lines[-1].split(",")
         assert float(first[0]) == 0.0 and float(last[1]) == 1.0

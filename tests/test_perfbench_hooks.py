@@ -2,13 +2,16 @@
 
 ``perfbench/instrument.py`` lists every ``(module, attribute)`` it replaces in
 ``WRAPS``; a renamed or deleted library function makes that run fail with an
-AttributeError. These checks keep the list and the library in step, and check
-that the whole-dataset calls reach ``candidate_centers`` through the module
-name, so the wrapper sees each per-object call.
+AttributeError. ``perfbench/workloads.py`` reads more names the same way, such
+as the CSV header and row function of the curve and drift tables. These checks
+keep both files and the library in step, and check that the whole-dataset
+calls reach ``candidate_centers`` through the module name, so the wrapper sees
+each per-object call.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 from collections import Counter
@@ -21,6 +24,7 @@ from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTran
 from frustumkit.pipesim import stale_frustum_experiment
 
 INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+WORKLOADS = INSTRUMENT.with_name("workloads.py")
 
 
 def _samples(n):
@@ -58,6 +62,30 @@ def test_every_wrapped_name_resolves():
     for modules, attr, span, _ in _instrument().WRAPS:
         for module in modules:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} (span {span})"
+
+
+def test_every_library_name_the_workloads_read_resolves():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"frustumkit.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "frustumkit"
+        for alias in node.names
+    }
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    csv_names = {
+        ("cropbox", "CURVE_CSV_HEADER"),
+        ("cropbox", "curve_point_to_csv_row"),
+        ("pipesim", "DRIFT_CSV_HEADER"),
+        ("pipesim", "drift_row_to_csv"),
+    }
+    assert csv_names <= read
+    for module, attr in sorted(read):
+        assert hasattr(modules[module], attr), f"perfbench/workloads.py reads {module}.{attr}"
 
 
 def test_dataset_calls_reach_candidate_centers_through_the_module():

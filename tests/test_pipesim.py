@@ -146,11 +146,11 @@ class TestPipelined:
 
     def test_trace_csv_deterministic(self, tmp_path):
         trace = simulate(6, YOLO_FCN6, "pipelined")
-        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        write_trace_csv(trace, p1)
-        write_trace_csv(trace, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        lines = open(p1).read().splitlines()
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_trace_csv(trace, str(p1))
+        write_trace_csv(trace, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+        lines = p1.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "frame,start_2d,done_2d,start_3d,done_3d,latency"
         assert len(lines) == 7
 
