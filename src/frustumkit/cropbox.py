@@ -147,7 +147,7 @@ def candidate_centers(
     tiles, point = tile_points(projection, rect, fr, fc)
     n_tiles = fr * fc
     counts = np.bincount(tiles, minlength=n_tiles)
-    full = np.flatnonzero(counts)
+    full = counts.nonzero()[0]
     if full.size == 0:
         raise NoCandidatesError(f"all {fr}x{fc} subfrustums of the rect are empty")
     inside = projection.points[point]

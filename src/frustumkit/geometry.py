@@ -128,7 +128,12 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
+        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        # the translation goes in column by column: the same adds as
+        # broadcasting it, without an inner loop of length 3 per point
+        for c in range(3):
+            out[..., c] += self.translation[c]
+        return out
 
     def inverse(self) -> "RigidTransform":
         # the transpose of a checked rotation passes the same checks, so the
@@ -232,13 +237,15 @@ def unproject_depth_image(depth: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
 
 
 def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project camera-frame points; returns (u, v, depth) arrays.
+    """Project camera-frame points, an (N, 3) array; returns (u, v, depth) arrays.
 
-    Points at or behind the camera plane, and points so close to it that the
-    division overflows, yield non-finite pixel coordinates, which downstream
-    containment tests treat as outside.
+    The points are not validated here (project_cloud validates its cloud
+    once, before the move into the camera frame). Points at or behind the
+    camera plane, and points so close to it that the division overflows,
+    yield non-finite pixel coordinates, which downstream containment tests
+    treat as outside.
     """
-    pts = as_point_cloud(points_cam)
+    pts = np.asarray(points_cam, dtype=np.float64)
     z = pts[:, 2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = k.fx * pts[:, 0] / z + k.cx
@@ -275,35 +282,38 @@ class CloudProjection:
 
 
 def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform) -> CloudProjection:
-    """Move the cloud into the camera frame and project it once."""
+    """Validate the cloud (see as_point_cloud), move it into the camera frame and project it once."""
     pts = as_point_cloud(cloud)
     cam = pose.inverse().apply(pts)
     u, v, z = project_points(cam, k)
     tol = BOUNDARY_TOL
-    index = np.flatnonzero((z > NEAR_DEFAULT - tol) & (z < FAR_DEFAULT + tol))
+    index = ((z > NEAR_DEFAULT - tol) & (z < FAR_DEFAULT + tol)).nonzero()[0]
     return CloudProjection(cloud, pts, k, pose, index, u[index], v[index])
 
 
-def _band_limits(lo: float, hi: float, n: int) -> tuple[list[float], list[float]]:
+def _band_limits(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     # band j of [lo, hi] split n ways holds lower[j] <= x < upper[j]; the
     # endpoint-exact edges make the outer edges reproduce lo and hi bit for
-    # bit and let neighbouring bands read one shared edge value
+    # bit and let neighbouring bands read one shared edge value. The few
+    # edges are Python floats (cheaper than array ops at this size, same
+    # IEEE results); the limits are returned as float64 arrays, which
+    # searchsorted takes without a conversion per call.
     edges = [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)]
     lower = [e - BOUNDARY_TOL for e in edges[:-1]]
     upper = [e + BOUNDARY_TOL for e in edges[1:]]
     if lower != sorted(lower) or upper != sorted(upper):
         # only a side a few ulps wide rounds its edges out of order
         raise GeometryError(f"rect side [{lo!r}, {hi!r}] is too narrow to split into {n} bands")
-    return lower, upper
+    return np.array(lower), np.array(upper)
 
 
-def _band_runs(x: np.ndarray, lower: list[float], upper: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    # Both limits rise with the band index, so the bands holding x are one
-    # run: from the first band with x < upper to the last with lower <= x.
+def _band_runs(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Both limit arrays rise with the band index, so the bands holding x are
+    # one run: from the first band with x < upper to the last with lower <= x.
     # Returns (first band, run length) per point of x, which all lie in
     # [lower[0], upper[-1]).
-    first = np.searchsorted(upper, x, side="right")
-    return first, np.searchsorted(lower, x, side="right") - first
+    first = upper.searchsorted(x, side="right")
+    return first, lower.searchsorted(x, side="right") - first
 
 
 def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,10 +332,13 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
     u_lo, u_hi = _band_limits(rect.u_min, rect.u_max, fc)
     v_lo, v_hi = _band_limits(rect.v_min, rect.v_max, fr)
     u, v = proj.u, proj.v
-    inside = np.flatnonzero((u >= u_lo[0]) & (u < u_hi[-1]) & (v >= v_lo[0]) & (v < v_hi[-1]))
+    inside = ((u >= u_lo[0]) & (u < u_hi[-1]) & (v >= v_lo[0]) & (v < v_hi[-1])).nonzero()[0]
+    point = proj.index[inside]
+    if fr == fc == 1:
+        # one band each way: every inside point is in tile 0, once
+        return np.zeros(point.size, dtype=np.intp), point
     col, n_cols = _band_runs(u[inside], u_lo, u_hi)
     row, n_rows = _band_runs(v[inside], v_lo, v_hi)
-    point = proj.index[inside]
     per_point = n_rows * n_cols
     if per_point.max(initial=1) == 1:
         return row * fc + col, point

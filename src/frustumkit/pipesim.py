@@ -184,7 +184,8 @@ def stale_frustum_experiment(
     proposals from a one-frame-old image of a laterally moving scene. A
     shifted frustum that captures no points scores zero IoI and counts as
     a lost item (it can never be recalled). Crops take the size of the
-    scale class named spec.
+    scale class named spec. A drift so large that a shifted rect's u_min
+    and u_max round to one float64 value is rejected before any work.
 
     A sample counts toward recall_volume only when its best crop is positive
     on both axes; see DriftRow. Samples are walked frame by frame
@@ -194,6 +195,14 @@ def stale_frustum_experiment(
         raise GeometryError("stale_frustum_experiment needs at least one sample")
     if not all(0 <= d < math.inf for d in drifts_px):
         raise GeometryError("drift values must be finite and >= 0")
+    for drift in drifts_px:
+        for i, sample in enumerate(samples):
+            rect = sample.rect
+            if not rect.u_min + drift < rect.u_max + drift:
+                raise GeometryError(
+                    f"drift {float(drift)!r} px collapses the rect of sample {i} ({sample.category}) in float64: "
+                    f"u_min {rect.u_min:g} and u_max {rect.u_max:g} both shift to {rect.u_min + drift:g}"
+                )
     validate_threshold("threshold_xy", threshold_xy)
     validate_threshold("threshold_z", threshold_z)
     scale = get_scale_spec(spec)

@@ -607,6 +607,16 @@ def test_stale_sweep_is_non_increasing(dataset, tmp_path):
     assert float(rows[-1]["mean_ioi_3d"]) == 0.0  # 160 px > image width kills every frustum
 
 
+def test_stale_sweep_rejects_drift_that_collapses_a_rect(dataset, tmp_path, capsys):
+    out = tmp_path / "drift.csv"
+    argv = ["stale-sweep", "--manifest", str(dataset), "--drifts", "0,1e300", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("frustumkit stale-sweep: drift 1e+300 px collapses the rect of sample 0 (")
+    assert "in float64" in err
+    assert not out.exists()
+
+
 # --- netshape check -----------------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frustumkit import geometry
 from frustumkit.cropbox import candidate_centers
 from frustumkit.errors import GeometryError, NoCandidatesError
 from frustumkit.geometry import (
@@ -131,6 +132,28 @@ class TestRigidTransform:
         pts = rng.normal(size=(50, 3))
         back = pose.inverse().apply(pose.apply(pts))
         np.testing.assert_allclose(back, pts, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "pose", [make_pose(0.9, (1.0, -2.0, 0.5)), RigidTransform.identity()], ids=["pose", "identity"]
+    )
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.array([0.3, -1.2, 4.5]),
+            np.zeros((0, 3)),
+            np.array([[0.3, -1.2, 4.5]]),
+            np.random.default_rng(5).normal(scale=3.0, size=(2113, 3)),
+            np.random.default_rng(6).normal(size=(40, 3))[::3],
+            np.random.default_rng(7).normal(size=(9, 3)).astype(np.float32),
+            [[0.1, 0.2, 0.3], [-4.0, 5.0, 6.5]],
+        ],
+        ids=["point", "empty", "one-row", "2113-rows", "row-slice", "float32", "list"],
+    )
+    def test_apply_is_exact(self, pose, points):
+        """apply gives the bits of the plain expression p @ R.T + t."""
+        got = pose.apply(points)
+        assert np.array_equal(got, np.asarray(points, dtype=np.float64) @ pose.rotation.T + pose.translation)
+        assert got.dtype == np.float64
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(GeometryError):
@@ -260,7 +283,8 @@ class TestTileBands:
         masks = tile_masks(cloud, rect, 2, 3, RigidTransform.identity())
         assert [np.nonzero(m)[0].tolist() for m in masks] == [[0], [1], [2], [3], [4], [5]]
 
-    def test_pairs_are_point_major(self):
+    @pytest.mark.parametrize("fr, fc", [(3, 3), (1, 1)])
+    def test_pairs_are_point_major(self, fr, fc):
         """Pairs come by ascending point, then ascending tile; edge points bring several tiles."""
         rect = Rect2(0.0, 0.0, 30.0, 30.0)
         rng = np.random.default_rng(4)
@@ -268,10 +292,32 @@ class TestTileBands:
         pixels = list(rng.uniform(-2.0, 32.0, size=(200, 2))) + [(10.0, 5.0), (20.0, 20.0), (5.0, 10.0)]
         us, vs = np.array(pixels).T
         cloud = unproject_grid(us, vs, np.full(len(pixels), 2.0), K)[rng.permutation(len(pixels))]
-        tiles, points = tile_points(project_cloud(cloud, K, RigidTransform.identity()), rect, 3, 3)
+        tiles, points = tile_points(project_cloud(cloud, K, RigidTransform.identity()), rect, fr, fc)
         pairs = list(zip(points.tolist(), tiles.tolist()))
         assert pairs == sorted(set(pairs))
-        assert max(np.bincount(points)) == 4  # a shared corner is in four tiles
+        assert np.issubdtype(tiles.dtype, np.integer)
+        if (fr, fc) == (1, 1):
+            assert points.size > 0 and np.all(tiles == 0)
+        else:
+            assert max(np.bincount(points)) == 4  # a shared corner is in four tiles
+
+    @pytest.mark.parametrize("fr, fc, calls", [(1, 1, 0), (3, 3, 2)])
+    def test_band_lookup_only_for_a_split(self, monkeypatch, fr, fc, calls):
+        """A 1x1 split puts every inside point in tile 0 without looking up its bands."""
+        counted = []
+        band_runs = geometry._band_runs
+
+        def counting(*args):
+            counted.append(args)
+            return band_runs(*args)
+
+        monkeypatch.setattr(geometry, "_band_runs", counting)
+        # two pixels inside the rect, one right of it
+        cloud = unproject_grid(np.array([5.0, 15.0, 40.0]), np.array([5.0, 25.0, 5.0]), np.full(3, 2.0), K)
+        projection = project_cloud(cloud, K, RigidTransform.identity())
+        _, points = tile_points(projection, Rect2(0.0, 0.0, 30.0, 30.0), fr, fc)
+        assert len(counted) == calls
+        assert points.tolist() == [0, 1]
 
     @pytest.mark.parametrize("fr, fc", [(0, 3), (3, 0)])
     def test_counts_must_be_positive(self, fr, fc):

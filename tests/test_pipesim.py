@@ -257,6 +257,13 @@ class TestStaleFrustum:
         assert row.n_lost == row.n_items
         assert row.mean_ioi_3d == 0.0
 
+    def test_drift_that_collapses_a_rect_rejected(self):
+        """A drift whose shifted rect rounds to zero width in float64 names itself and the sample."""
+        samples = make_centered_samples(3)
+        message = r"drift 1e\+300 px collapses the rect of sample 0 \(chair\) in float64"
+        with pytest.raises(GeometryError, match=message):
+            stale_frustum_experiment(samples, [0.0, 2.0, 1e300])
+
     def test_negative_drift_rejected(self):
         with pytest.raises(GeometryError):
             stale_frustum_experiment(make_centered_samples(2), [-1.0])
