@@ -473,4 +473,6 @@ def read_cloud_binary(path: str) -> np.ndarray:
     if len(body) != expected:
         raise GeometryError(f"{path}: expected {expected} payload bytes, found {len(body)}")
     pts = np.frombuffer(body, dtype="<f4").reshape(count, 3).astype(np.float64)
+    if not np.isfinite(pts).all():
+        raise GeometryError(f"{path}: point cloud contains non-finite coordinates")
     return pts

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -657,6 +658,35 @@ def test_dhs_writes_planes_and_bytes(dataset, tmp_path):
     assert Path(prefix + ".u8").stat().st_size == 3 * h * w
     planes = np.frombuffer(Path(prefix + ".f32").read_bytes(), dtype="<f4")
     assert planes.min() >= 0.0 and planes.max() <= 1.0
+
+
+# --- broken binary inputs -------------------------------------------------------------------
+
+
+def _nan_first_coordinate(raw: bytes) -> bytes:
+    return raw[:8] + struct.pack("<f", float("nan")) + raw[12:]
+
+
+@pytest.mark.parametrize(
+    "suffix, edit, command, message",
+    [
+        (".cloud", _nan_first_coordinate, "recall-curves", "point cloud contains non-finite coordinates"),
+        (".cloud", _nan_first_coordinate, "voxelize-sparse", "point cloud contains non-finite coordinates"),
+        (".cloud", lambda raw: raw[:-4], "voxelize-sparse", "expected "),
+        (".rng", lambda raw: raw[:-4], "dhs-uint8", "payload size mismatch"),
+    ],
+    ids=["nan-point-recall-curves", "nan-point-voxelize", "truncated-cloud", "truncated-range-image"],
+)
+def test_broken_binary_input_is_usage_error_naming_the_file(dataset, tmp_path, capsys, suffix, edit, command, message):
+    data_dir = shutil.copytree(dataset.parent, tmp_path / "data")
+    broken = data_dir / f"scene_0000{suffix}"
+    broken.write_bytes(edit(broken.read_bytes()))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = RERUN_ARGV[command](data_dir / "manifest.json", None, out)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"frustumkit {argv[0]}: {broken.resolve()}: {message}")
+    assert not any(out.iterdir())
 
 
 # --- manifest loader unit checks --------------------------------------------------------------

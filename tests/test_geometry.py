@@ -483,6 +483,17 @@ class TestCloudIO:
         with pytest.raises(GeometryError):
             read_cloud_binary(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_binary_rejects_non_finite_point(self, tmp_path, value):
+        path = tmp_path / "bad.cloud"
+        write_cloud_binary(np.zeros((4, 3)), path)
+        raw = bytearray(path.read_bytes())
+        raw[8 + 12 + 4 : 8 + 12 + 8] = np.array(value, "<f4").tobytes()  # point 1, y
+        path.write_bytes(raw)
+        with pytest.raises(GeometryError) as exc:
+            read_cloud_binary(path)
+        assert str(exc.value) == f"{path}: point cloud contains non-finite coordinates"
+
     def test_empty_binary_cloud(self, tmp_path):
         path = str(tmp_path / "empty.cloud")
         write_cloud_binary(np.zeros((0, 3)), path)
