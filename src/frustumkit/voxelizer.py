@@ -3,8 +3,10 @@
 A grid is stored as its occupied cells only: the sorted C-order flat indices
 of the cells that hold points, and their counts. A crop grid is ~1e-4
 occupied, so the dense array is never built on the voxel path; ``data``
-densifies on request. FVGRID01 files are still written dense, every cell as
-a u32 count, and the sparse CSV lists the occupied cells in x-major order.
+densifies on request. An FVGRID01 file holds every cell as a u32 count, but
+only the 4 KiB body pages that hold an occupied cell are built and written;
+the others are seeked over in a regular file and written as zeros anywhere
+else. The sparse CSV lists the occupied cells in x-major order.
 
 Cells are half-open along every axis; the crop's maximum face belongs to the
 last cell so the grid covers the crop exactly and a point on a shared interior
@@ -14,6 +16,8 @@ face lands in the higher-index cell on every platform.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -26,6 +30,7 @@ from .outfile import open_output
 
 _MAGIC = b"FVGRID01"
 _HEADER = struct.Struct("<8s3i3d3d")
+_PAGE = 1024  # u32 counts in one 4 KiB page of the grid body
 
 
 class VoxelGrid:
@@ -108,16 +113,50 @@ def voxelize(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> VoxelGrid:
 def write_voxel_grid(grid: VoxelGrid, path: str) -> None:
     """Binary grid format: magic, dims (i32), cell + origin (f64), u32 counts.
 
-    The counts are written dense, one per cell in x-major order.
+    The counts are one per cell in x-major order. Only the body pages that
+    hold an occupied cell are built, in one compact buffer; the empty pages
+    between them are gaps (see :func:`_gap`).
     """
     if grid.counts.size and int(grid.counts.max()) > 0xFFFFFFFF:
         raise GeometryError("cell count exceeds the 32-bit storage limit")
     header = _HEADER.pack(_MAGIC, *grid.dims, *grid.cell, *grid.origin.tolist())
-    body = np.zeros(math.prod(grid.dims), dtype="<u4")
-    body[grid.cells] = grid.counts
+    n_cells = math.prod(grid.dims)
+    page_of = grid.cells // _PAGE
+    pages = np.unique(page_of)
+    body = np.zeros(pages.size * _PAGE, dtype="<u4")
+    body[np.searchsorted(pages, page_of) * _PAGE + grid.cells % _PAGE] = grid.counts
+    # runs of consecutive pages, as [first, stop) slices of ``pages``
+    firsts = np.flatnonzero(np.diff(pages, prepend=-2) != 1)
+    stops = np.append(firsts[1:], pages.size)
     with open_output(path) as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         fh.write(header)
-        fh.write(body)
+        done = 0  # body cells written or skipped so far
+        for first, stop in zip(firsts.tolist(), stops.tolist()):
+            begin = int(pages[first]) * _PAGE
+            end = min(int(pages[stop - 1]) * _PAGE + _PAGE, n_cells)
+            _gap(fh, 4 * (begin - done), regular)
+            fh.write(body[first * _PAGE : first * _PAGE + end - begin])
+            done = end
+        _gap(fh, 4 * (n_cells - done), regular)
+        if regular:
+            # Seeking past the end does not grow a file, so set its full
+            # length. The gaps read back as zeros only because open_output
+            # always hands back an empty file (a new inode, or one opened
+            # with O_TRUNC), so no earlier bytes lie under them.
+            fh.truncate()
+
+
+def _gap(fh, nbytes: int, regular: bool) -> None:
+    """Pass over ``nbytes`` zero bytes of the body: seek over them in a
+    regular file, which leaves a hole, and write them anywhere else (a FIFO,
+    a tty or ``/dev/null``, which is seekable but cannot be truncated)."""
+    if regular:
+        fh.seek(nbytes, os.SEEK_CUR)
+        return
+    zeros = memoryview(bytes(min(nbytes, 1 << 20)))
+    while nbytes > 0:
+        nbytes -= fh.write(zeros[:nbytes])
 
 
 def write_sparse_csv(grid: VoxelGrid, path: str) -> None:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -241,4 +244,82 @@ class TestSparseGridAgainstDenseReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < u32_file_bytes + 2**20 < int64_grid_bytes
+        # the paged body peaked at 4.2 MiB here; the dense body took 16 MB
+        assert peak < 8 * 2**20 < u32_file_bytes < int64_grid_bytes
+
+
+def dense_file_bytes(grid: VoxelGrid) -> bytes:
+    """The FVGRID01 bytes from a zeroed dense body: the oracle for the paged writer."""
+    body = np.zeros(math.prod(grid.dims), dtype="<u4")
+    body[grid.cells] = grid.counts
+    header = struct.pack("<8s3i3d3d", b"FVGRID01", *grid.dims, *grid.cell, *grid.origin.tolist())
+    return header + body.tobytes()
+
+
+def _grid(dims, cells) -> VoxelGrid:
+    cells = np.asarray(cells, dtype=np.int64)
+    return VoxelGrid(dims, (0.5, 0.25, 0.125), np.array([1.0, -2.0, 0.5]), cells, cells % 7 + 1)
+
+
+FACE_SPEC = SCALE_SPECS["small_short"]  # 198x198x102: the last body page is partly filled
+FACE_CROP = Aabb3(center=(0.3, -1.1, 0.75), side=1.6, height=1.5)
+N_FACE = math.prod(FACE_SPEC.grid)
+
+EDGE_GRIDS = {
+    "no-cell": lambda: _grid((8, 8, 32), []),
+    "first-cell": lambda: _grid((8, 8, 32), [0]),
+    "last-cell-full-page": lambda: _grid((8, 8, 32), [8 * 8 * 32 - 1]),
+    "last-cell-part-page": lambda: _grid(FACE_SPEC.grid, [N_FACE - 1]),
+    "page-boundary": lambda: _grid((8, 8, 32), [1023, 1024]),
+    "every-cell": lambda: _grid((4, 4, 6), np.arange(96)),
+    "face-grid": lambda: voxelize(face_cloud(7, FACE_CROP, FACE_SPEC), FACE_CROP, FACE_SPEC),
+}
+
+
+class TestPagedBody:
+    """The grid body holds only the pages with an occupied cell; the bytes equal the dense body's."""
+
+    @pytest.mark.parametrize("make", EDGE_GRIDS.values(), ids=EDGE_GRIDS.keys())
+    def test_regular_file_equals_dense_bytes(self, tmp_path, make):
+        grid = make()
+        path = tmp_path / "grid.vox"
+        write_voxel_grid(grid, str(path))
+        assert os.path.getsize(path) == 68 + 4 * math.prod(grid.dims)
+        assert path.read_bytes() == dense_file_bytes(grid)
+
+    @pytest.mark.parametrize("make", EDGE_GRIDS.values(), ids=EDGE_GRIDS.keys())
+    def test_fifo_receives_dense_bytes(self, tmp_path, make):
+        grid = make()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            write_voxel_grid(grid, str(fifo))
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+        finally:
+            if reader.is_alive():  # release a reader still waiting for a writer
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        assert received == [dense_file_bytes(grid)]
+
+    def test_dev_null_is_written(self):
+        """/dev/null is seekable but cannot be truncated, so its gaps are written."""
+        write_voxel_grid(EDGE_GRIDS["face-grid"](), "/dev/null")
+
+    @pytest.mark.parametrize("route", ["replaced", "hard-linked", "symlinked"])
+    def test_no_stale_bytes_under_the_gaps(self, tmp_path, route):
+        """Writing over a larger file of 0xFF bytes leaves every gap zero, however the path reaches it."""
+        grid = _grid((8, 8, 160), [5, 3000, 7000])  # pages 0, 2 and 6 of 10: gaps between and after
+        target = tmp_path / "old.vox"
+        target.write_bytes(b"\xff" * (3 * (68 + 4 * 8 * 8 * 160)))
+        path = target
+        if route == "hard-linked":
+            path = tmp_path / "other.vox"
+            os.link(target, path)
+        elif route == "symlinked":
+            path = tmp_path / "link.vox"
+            path.symlink_to(target)
+        write_voxel_grid(grid, str(path))
+        assert path.read_bytes() == dense_file_bytes(grid)
