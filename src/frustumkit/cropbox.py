@@ -124,15 +124,16 @@ def candidate_centers(
     fc: int = 1,
     mode: CenterMode = "average",
     projection: CloudProjection | None = None,
-) -> list[np.ndarray]:
-    """Crop-center candidates from the subfrustums of a 2D proposal.
+) -> np.ndarray:
+    """Crop-center candidates from the subfrustums of a 2D proposal, an (n, 3) float64 array.
 
     The rect is tiled fr x fc (row-major) over one projection of the cloud,
     with depth bounded by NEAR_DEFAULT and FAR_DEFAULT (see tile_points);
-    each non-empty subfrustum contributes the average of its points or their
-    per-coordinate median (for even counts the lower of the two middle
-    values). Empty subfrustums are dropped; if every one is empty there is
-    nothing to anchor a crop to and NoCandidatesError is raised.
+    each non-empty subfrustum contributes one row, in tile order: the average
+    of its points or their per-coordinate median (for even counts the lower
+    of the two middle values). Empty subfrustums are dropped; if every one is
+    empty there is nothing to anchor a crop to and NoCandidatesError is
+    raised.
 
     ``projection`` is a project_cloud of this very cloud, camera and pose (by
     identity), so that the objects of one frame share one projection;
@@ -160,21 +161,22 @@ def candidate_centers(
         # sorted by (tile, coordinate), each tile's lower middle sits at start + (count - 1) // 2
         middle = (np.cumsum(counts) - counts + (counts - 1) // 2)[full]
         centers = np.stack([inside[np.lexsort((inside[:, c], tiles))[middle], c] for c in range(3)], axis=1)
-    return list(centers)
+    return centers
 
 
 def best_cropbox(
-    gt: OrientedBox3, candidates: Sequence[np.ndarray], spec: ScaleSpec
+    gt: OrientedBox3, candidates: np.ndarray | Sequence[np.ndarray], spec: ScaleSpec
 ) -> tuple[Aabb3, IoiBreakdown]:
     """Choose the candidate center whose crop maximizes volume IoI.
 
-    Ties keep the earliest candidate so the choice is deterministic under
-    candidate ordering. The crop z-center is the candidate's z (candidates are
-    point statistics, already at object height).
+    The candidates are an (n, 3) array, as candidate_centers returns them, or
+    any sequence of centers. Ties keep the earliest candidate so the choice
+    is deterministic under candidate ordering. The crop z-center is the
+    candidate's z (candidates are point statistics, already at object height).
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise NoCandidatesError("no candidate centers supplied")
-    crops = [Aabb3(center=np.asarray(c, dtype=float), side=spec.crop_side, height=spec.crop_height) for c in candidates]
+    crops = [Aabb3(center=c, side=spec.crop_side, height=spec.crop_height) for c in candidates]
     scores = [ioi(gt, crop) for crop in crops]
     best = max(range(len(crops)), key=lambda i: scores[i].ioi_3d)  # max keeps the first of tied maxima
     return crops[best], scores[best]
@@ -332,7 +334,7 @@ def recall_curves(
                     )
                 except NoCandidatesError:
                     continue
-                batch.append((ci, item.gt_box, np.array(centers)))
+                batch.append((ci, item.gt_box, centers))
                 n_centers += len(centers)
         pairs = n_centers * len(sides)
         if pairs >= 3 * _SCORE_BATCH or pairs * len(heights) >= 9 * _SCORE_BATCH:

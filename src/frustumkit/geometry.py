@@ -1,4 +1,4 @@
-"""Camera, point-cloud, frustum, and convex-clipping primitives.
+"""Camera, point-cloud, box and frustum primitives, and the cloud file format.
 
 Conventions used throughout the package:
 
@@ -13,6 +13,9 @@ widened by ``BOUNDARY_TOL`` so points constructed exactly on a frustum face
 
 A frame's cloud is projected once (``project_cloud``); the subfrustums of any
 rect are then row and column bands over that projection (``tile_points``).
+
+Boxes give their footprint corners here (``oriented_box_footprint``); the
+polygon clipping and areas that score footprints live in ``ioi``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -44,8 +47,6 @@ CenterMode = Literal["average", "median"]
 def as_point_cloud(points: object) -> np.ndarray:
     """Coerce input to a float64 (N, 3) array, validating shape and finiteness."""
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1 and arr.size == 3:
-        arr = arr.reshape(1, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise GeometryError(f"point cloud must have shape (N, 3), got {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -351,7 +352,7 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
 
 
 # ---------------------------------------------------------------------------
-# convex clipping
+# box footprints
 
 
 def oriented_box_footprint(box: OrientedBox3) -> list[tuple[float, float]]:
@@ -363,89 +364,6 @@ def oriented_box_footprint(box: OrientedBox3) -> list[tuple[float, float]]:
     for lx, ly in ((hw, hd), (-hw, hd), (-hw, -hd), (hw, -hd)):
         corners.append((cx + c * lx - s * ly, cy + s * lx + c * ly))
     return corners
-
-
-def polygon_area(polygon: Sequence[tuple[float, float]]) -> float:
-    """Absolute shoelace area of a simple polygon (0.0 below 3 vertices)."""
-    n = len(polygon)
-    if n < 3:
-        return 0.0
-    acc = 0.0
-    for i in range(n):
-        x1, y1 = polygon[i]
-        x2, y2 = polygon[(i + 1) % n]
-        acc += x1 * y2 - x2 * y1
-    return abs(acc) * 0.5
-
-
-def _clip_halfplane_axis(
-    poly: list[tuple[float, float]], axis: int, bound: float, keep_le: bool
-) -> list[tuple[float, float]]:
-    # One Sutherland-Hodgman pass against an axis-aligned half plane.
-    out: list[tuple[float, float]] = []
-    n = len(poly)
-    for i in range(n):
-        cur = poly[i]
-        nxt = poly[(i + 1) % n]
-        if keep_le:
-            cur_in = cur[axis] <= bound
-            nxt_in = nxt[axis] <= bound
-        else:
-            cur_in = cur[axis] >= bound
-            nxt_in = nxt[axis] >= bound
-        if cur_in:
-            out.append(cur)
-        if cur_in != nxt_in:
-            t = (bound - cur[axis]) / (nxt[axis] - cur[axis])
-            if axis == 0:
-                out.append((bound, cur[1] + t * (nxt[1] - cur[1])))
-            else:
-                out.append((cur[0] + t * (nxt[0] - cur[0]), bound))
-    return out
-
-
-def clip_polygon_to_aabb(
-    polygon: Sequence[tuple[float, float]],
-    x_min: float,
-    y_min: float,
-    x_max: float,
-    y_max: float,
-) -> list[tuple[float, float]]:
-    """Clip a convex polygon to an axis-aligned rectangle (may return [])."""
-    poly = list(polygon)
-    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
-        poly = _clip_halfplane_axis(poly, axis, bound, keep_le)
-        if not poly:
-            return []
-    return poly
-
-
-def clip_convex_polygons(
-    subject: Sequence[tuple[float, float]], clip: Sequence[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of a convex subject by a CCW convex clip polygon."""
-    poly = list(subject)
-    m = len(clip)
-    for i in range(m):
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % m]
-        ex, ey = bx - ax, by - ay
-        out: list[tuple[float, float]] = []
-        n = len(poly)
-        for j in range(n):
-            cur = poly[j]
-            nxt = poly[(j + 1) % n]
-            cur_side = ex * (cur[1] - ay) - ey * (cur[0] - ax)
-            nxt_side = ex * (nxt[1] - ay) - ey * (nxt[0] - ax)
-            if cur_side >= 0:
-                out.append(cur)
-            if (cur_side >= 0) != (nxt_side >= 0):
-                t = cur_side / (cur_side - nxt_side)
-                out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-        poly = out
-        if not poly:
-            return []
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ multiply into a volume positivity threshold.
 
 ``ioi()`` scores one crop; ``crop_scores`` scores many boxes against their
 candidate crops in one vectorized pass with the same arithmetic, so each of
-its entries equals what ``ioi()`` reports.
+its entries equals what ``ioi()`` reports. Both clip a box footprint to a
+crop with the same four axis passes: ``_clip_axis`` per polygon, and its
+batched twin ``_clip_pass`` over many rows at once. The polygon clipping and
+areas of the package live here, ``iou_3d``'s convex clip too.
 """
 
 from __future__ import annotations
@@ -21,15 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError, InvariantViolation
-from .geometry import (
-    Aabb3,
-    OrientedBox3,
-    Rect2,
-    clip_polygon_to_aabb,
-    clip_convex_polygons,
-    oriented_box_footprint,
-    polygon_area,
-)
+from .geometry import Aabb3, OrientedBox3, Rect2, oriented_box_footprint
 
 
 @dataclass(frozen=True)
@@ -52,41 +47,49 @@ def _clamp01(v: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def _footprint_ioi(
-    quad: Sequence[tuple[float, float]], box_area: float, crop_cx: float, crop_cy: float, side: float
-) -> float:
-    hs = 0.5 * side
-    x_min, x_max = crop_cx - hs, crop_cx + hs
-    y_min, y_max = crop_cy - hs, crop_cy + hs
-    # fast path: every corner inside the crop -> the whole footprint survives
-    if all(x_min <= x <= x_max and y_min <= y <= y_max for x, y in quad):
-        return 1.0
-    clipped = clip_polygon_to_aabb(quad, x_min, y_min, x_max, y_max)
-    if not clipped:
+def _polygon_area(polygon: Sequence[tuple[float, float]]) -> float:
+    """Absolute shoelace area of a simple polygon (0.0 below 3 vertices)."""
+    n = len(polygon)
+    if n < 3:
         return 0.0
-    return _clamp01(polygon_area(clipped) / box_area)
+    acc = 0.0
+    for i in range(n):
+        x1, y1 = polygon[i]
+        x2, y2 = polygon[(i + 1) % n]
+        acc += x1 * y2 - x2 * y1
+    return abs(acc) * 0.5
 
 
-def ioi(box: OrientedBox3, crop: Aabb3) -> IoiBreakdown:
-    """Full IoI breakdown of a ground-truth box against an axis-aligned crop.
-
-    The volume ratio is stored as the exact product of the two factor ratios,
-    which is what makes per-axis threshold products meaningful.
-    """
-    quad = oriented_box_footprint(box)
-    xy = _footprint_ioi(quad, box.width * box.depth, float(crop.center[0]), float(crop.center[1]), crop.side)
-    # vertical extent: the share of the box's z-interval inside the crop's
-    b_lo, b_hi = box.z_interval
-    crop_cz = float(crop.center[2])
-    overlap = min(b_hi, crop_cz + 0.5 * crop.height) - max(b_lo, crop_cz - 0.5 * crop.height)
-    z = 0.0 if overlap <= 0.0 else _clamp01(overlap / box.height)
-    return IoiBreakdown(ioi_xy=xy, ioi_z=z, ioi_3d=xy * z)
+def _clip_axis(
+    poly: Sequence[tuple[float, float]], axis: int, bound: float, keep_le: bool
+) -> list[tuple[float, float]]:
+    # One Sutherland-Hodgman pass against an axis-aligned half plane.
+    out: list[tuple[float, float]] = []
+    n = len(poly)
+    for i in range(n):
+        cur = poly[i]
+        nxt = poly[(i + 1) % n]
+        if keep_le:
+            cur_in = cur[axis] <= bound
+            nxt_in = nxt[axis] <= bound
+        else:
+            cur_in = cur[axis] >= bound
+            nxt_in = nxt[axis] >= bound
+        if cur_in:
+            out.append(cur)
+        if cur_in != nxt_in:
+            t = (bound - cur[axis]) / (nxt[axis] - cur[axis])
+            if axis == 0:
+                out.append((bound, cur[1] + t * (nxt[1] - cur[1])))
+            else:
+                out.append((cur[0] + t * (nxt[0] - cur[0]), bound))
+    return out
 
 
 def _clip_pass(
     px: np.ndarray, py: np.ndarray, n: np.ndarray, axis: int, bound: np.ndarray, keep_le: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # _clip_halfplane_axis on every row at once: row r holds the polygon
+    # _clip_axis on every row at once: row r holds the polygon
     # (px[r, :n[r]], py[r, :n[r]]), zero-padded; the output keeps the scalar
     # pass's vertex order and arithmetic
     a, o = (px, py) if axis == 0 else (py, px)
@@ -116,6 +119,23 @@ def _clip_pass(
     return (out_a, out_o, n_out) if axis == 0 else (out_o, out_a, n_out)
 
 
+def _footprint_ioi(
+    quad: Sequence[tuple[float, float]], box_area: float, crop_cx: float, crop_cy: float, side: float
+) -> float:
+    hs = 0.5 * side
+    x_min, x_max = crop_cx - hs, crop_cx + hs
+    y_min, y_max = crop_cy - hs, crop_cy + hs
+    # fast path: every corner inside the crop -> the whole footprint survives
+    if all(x_min <= x <= x_max and y_min <= y <= y_max for x, y in quad):
+        return 1.0
+    poly = quad
+    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
+        poly = _clip_axis(poly, axis, bound, keep_le)
+        if not poly:
+            return 0.0
+    return _clamp01(_polygon_area(poly) / box_area)
+
+
 def _footprint_iois(
     quads: np.ndarray, box_areas: np.ndarray, crop_cx: np.ndarray, crop_cy: np.ndarray, sides: np.ndarray
 ) -> np.ndarray:
@@ -143,6 +163,22 @@ def _footprint_iois(
     ratio = area / box_areas[clip]
     out[clip] = np.where(ratio > 1.0, 1.0, ratio)
     return out
+
+
+def ioi(box: OrientedBox3, crop: Aabb3) -> IoiBreakdown:
+    """Full IoI breakdown of a ground-truth box against an axis-aligned crop.
+
+    The volume ratio is stored as the exact product of the two factor ratios,
+    which is what makes per-axis threshold products meaningful.
+    """
+    quad = oriented_box_footprint(box)
+    xy = _footprint_ioi(quad, box.width * box.depth, float(crop.center[0]), float(crop.center[1]), crop.side)
+    # vertical extent: the share of the box's z-interval inside the crop's
+    b_lo, b_hi = box.z_interval
+    crop_cz = float(crop.center[2])
+    overlap = min(b_hi, crop_cz + 0.5 * crop.height) - max(b_lo, crop_cz - 0.5 * crop.height)
+    z = 0.0 if overlap <= 0.0 else _clamp01(overlap / box.height)
+    return IoiBreakdown(ioi_xy=xy, ioi_z=z, ioi_3d=xy * z)
 
 
 def crop_scores(
@@ -202,6 +238,34 @@ def iou_2d(a: Rect2, b: Rect2) -> float:
     return _clamp01(inter / union)
 
 
+def _clip_convex_polygons(
+    subject: Sequence[tuple[float, float]], clip: Sequence[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman clip of a convex subject by a CCW convex clip polygon."""
+    poly = list(subject)
+    m = len(clip)
+    for i in range(m):
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % m]
+        ex, ey = bx - ax, by - ay
+        out: list[tuple[float, float]] = []
+        n = len(poly)
+        for j in range(n):
+            cur = poly[j]
+            nxt = poly[(j + 1) % n]
+            cur_side = ex * (cur[1] - ay) - ey * (cur[0] - ax)
+            nxt_side = ex * (nxt[1] - ay) - ey * (nxt[0] - ax)
+            if cur_side >= 0:
+                out.append(cur)
+            if (cur_side >= 0) != (nxt_side >= 0):
+                t = cur_side / (cur_side - nxt_side)
+                out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+        poly = out
+        if not poly:
+            return []
+    return poly
+
+
 def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
     """IoU of two gravity-aligned oriented boxes (exact, via convex clipping).
 
@@ -213,8 +277,8 @@ def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
     dz = z_hi - z_lo
     if dz <= 0.0:
         return 0.0
-    inter_poly = clip_convex_polygons(oriented_box_footprint(a), oriented_box_footprint(b))
-    inter_area = polygon_area(inter_poly)
+    inter_poly = _clip_convex_polygons(oriented_box_footprint(a), oriented_box_footprint(b))
+    inter_area = _polygon_area(inter_poly)
     inter = inter_area * dz
     union = a.volume + b.volume - inter
     if union <= 0.0:

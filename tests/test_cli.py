@@ -31,6 +31,7 @@ from frustumkit.cli import (
     build_parser,
     main,
 )
+from frustumkit.cropbox import SCALE_SPECS
 from frustumkit.errors import ManifestError
 from frustumkit.geometry import Rect2, read_cloud_binary, write_cloud_binary
 from frustumkit.head import read_anchor_csv
@@ -305,6 +306,25 @@ def test_voxelize_accepts_only_the_swept_subdivisions(dataset, tmp_path, capsys,
     assert not vox.exists()
 
 
+def test_voxelize_with_an_explicit_scale_class_uses_its_grid(dataset, tmp_path, capsys):
+    # object 1 of frame 0 is a shelf, which auto assigns to medium_tall (134 x 134 x 134)
+    vox = tmp_path / "obj.vox"
+    argv = ["voxelize", "--manifest", str(dataset), "--object", "1", "--out", str(vox), "--scale", "large_short"]
+    assert main(argv) == EXIT_OK
+    assert "voxelize: shelf grid 198x198x102," in capsys.readouterr().out
+    _, nx, ny, nz, *cell = struct.unpack_from("<8s3i3d", vox.read_bytes())
+    spec = SCALE_SPECS["large_short"]
+    assert (nx, ny, nz) == spec.grid and tuple(cell) == spec.cell_size
+
+
+def test_voxelize_into_a_missing_directory_is_io_error(dataset, tmp_path, capsys):
+    vox = tmp_path / "missing" / "g.vox"
+    assert main(["voxelize", "--manifest", str(dataset), "--out", str(vox)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"frustumkit voxelize: i/o error: [Errno 2] No such file or directory: '{vox}'")
+    assert not vox.parent.exists()
+
+
 def test_voxelize_object_index_out_of_range(dataset, tmp_path):
     code = main(
         [
@@ -341,6 +361,16 @@ def test_encode_check_passes_on_clean_data(dataset, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "round-trip" in out and "gradient check" in out
+
+
+def test_encode_check_round_trip_above_the_tolerance_is_invariant_violation(dataset, capsys):
+    # decode(encode(box)) is exact only to rounding, so a zero tolerance fails
+    code = main(["encode-check", "--manifest", str(dataset), "--seed", "3", "--tolerance", "0"])
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    prefix = "frustumkit encode-check: invariant violated: encode/decode round trip error "
+    assert err.startswith(prefix) and err.endswith(" exceeds 0\n")
+    assert float(err[len(prefix) :].split()[0]) > 0
 
 
 def test_encode_check_reads_manifest_anchors_file(dataset, tmp_path, capsys):

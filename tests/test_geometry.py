@@ -8,6 +8,7 @@ constants, so the implementation and the check never share code paths.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,10 +27,9 @@ from frustumkit.geometry import (
     OrientedBox3,
     Rect2,
     RigidTransform,
-    clip_polygon_to_aabb,
+    as_point_cloud,
     normalize_yaw,
     oriented_box_footprint,
-    polygon_area,
     project_cloud,
     pixel_centers,
     project_points,
@@ -39,9 +39,16 @@ from frustumkit.geometry import (
     unproject_grid,
     write_cloud_binary,
 )
-from frustumkit.ioi import crop_scores
+from frustumkit.ioi import _clip_axis, _polygon_area, crop_scores
 
 K = CameraIntrinsics(fx=520.0, fy=515.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+def clip_to_rect(polygon, x_min, y_min, x_max, y_max):
+    """A convex polygon clipped to a rectangle by ioi's four axis passes, in their order."""
+    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
+        polygon = _clip_axis(polygon, axis, bound, keep_le)
+    return polygon
 
 
 def edges(lo: float, hi: float, n: int) -> list[float]:
@@ -115,6 +122,14 @@ class TestNonFiniteConstructorValues:
         fields = {"fx": 520.0, "fy": 515.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480, field: value}
         with pytest.raises(GeometryError):
             CameraIntrinsics(**fields)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 3, 1)])
+def test_only_an_n_by_3_array_is_a_point_cloud(shape):
+    # a bare (3,) point is not read as a one-point cloud
+    message = f"point cloud must have shape (N, 3), got {shape}"
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        as_point_cloud(np.zeros(shape))
 
 
 class TestRect2:
@@ -378,13 +393,13 @@ class TestFrustumCenter:
 class TestClipping:
     def test_fully_inside_box_keeps_exact_area(self):
         box = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
-        poly = clip_polygon_to_aabb(oriented_box_footprint(box), -1.5, -1.5, 1.5, 1.5)
-        assert polygon_area(poly) == 1.0
+        poly = clip_to_rect(oriented_box_footprint(box), -1.5, -1.5, 1.5, 1.5)
+        assert _polygon_area(poly) == 1.0
         assert len(poly) == 4
 
     def test_disjoint_footprints_clip_to_nothing(self):
         box = OrientedBox3(center=(10.0, 10.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.4)
-        assert clip_polygon_to_aabb(oriented_box_footprint(box), -1.0, -1.0, 1.0, 1.0) == []
+        assert clip_to_rect(oriented_box_footprint(box), -1.0, -1.0, 1.0, 1.0) == []
 
     def test_area_matches_monte_carlo_oracle(self):
         """Clipped area (scored footprint IoI times box area) agrees with rejection sampling."""
@@ -435,12 +450,12 @@ class TestClipping:
             assert all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
 
     def test_polygon_area_shoelace(self):
-        assert polygon_area([(0, 0), (2, 0), (2, 1), (0, 1)]) == 2.0
-        assert polygon_area([(0, 0), (1, 0)]) == 0.0
+        assert _polygon_area([(0, 0), (2, 0), (2, 1), (0, 1)]) == 2.0
+        assert _polygon_area([(0, 0), (1, 0)]) == 0.0
 
     def test_clip_to_aabb_half_overlap_exact(self):
-        poly = clip_polygon_to_aabb([(0.5, -1.0), (2.5, -1.0), (2.5, 1.0), (0.5, 1.0)], -1.5, -1.5, 1.5, 1.5)
-        assert polygon_area(poly) == 2.0
+        poly = clip_to_rect([(0.5, -1.0), (2.5, -1.0), (2.5, 1.0), (0.5, 1.0)], -1.5, -1.5, 1.5, 1.5)
+        assert _polygon_area(poly) == 2.0
 
     def test_footprint_corners_are_ccw(self):
         box = OrientedBox3(center=(0, 0, 0.5), width=2.0, depth=1.0, height=1.0, yaw=0.7)
@@ -451,7 +466,7 @@ class TestClipping:
             x2, y2 = quad[(i + 1) % 4]
             signed += x1 * y2 - x2 * y1
         assert signed > 0
-        assert polygon_area(quad) == pytest.approx(2.0, rel=1e-12)
+        assert _polygon_area(quad) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestYawNormalization:

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frustumkit.errors import GeometryError
-from frustumkit.geometry import Aabb3, OrientedBox3, Rect2, clip_polygon_to_aabb, oriented_box_footprint
+from frustumkit.geometry import Aabb3, OrientedBox3, Rect2, oriented_box_footprint
 from frustumkit.ioi import (
     IoiBreakdown,
+    _clip_axis,
     crop_scores,
     ioi,
     iou_2d,
@@ -21,6 +22,13 @@ from frustumkit.ioi import (
     recall_from_breakdowns,
     recall_lower_bound,
 )
+
+
+def clip_to_rect(polygon, x_min, y_min, x_max, y_max):
+    """A convex polygon clipped to a rectangle by ioi's four axis passes, in their order."""
+    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
+        polygon = _clip_axis(polygon, axis, bound, keep_le)
+    return polygon
 
 
 def random_pair(rng) -> tuple[OrientedBox3, Aabb3]:
@@ -135,7 +143,7 @@ class TestCropScores:
                 for s, side in enumerate(sides):
                     hs = 0.5 * side
                     bounds = (center[0] - hs, center[1] - hs, center[0] + hs, center[1] + hs)
-                    clip_sizes[len(clip_polygon_to_aabb(oriented_box_footprint(box), *bounds))] += 1
+                    clip_sizes[len(clip_to_rect(oriented_box_footprint(box), *bounds))] += 1
                     for h, height in enumerate(heights):
                         ref = ioi(box, Aabb3(center=center, side=side, height=height))
                         assert xy[r, s] == ref.ioi_xy
@@ -150,7 +158,7 @@ class TestCropScores:
         far = OrientedBox3(center=(5.0, 5.0, 0.5), width=0.5, depth=0.4, height=1.0, yaw=0.3)
         centers = [np.array([[0.0, 0.0, 0.5], [0.3, 0.1, 0.5]]), np.array([[0.0, 0.0, 0.5]])]
         xy, z = crop_scores([diamond, far], centers, [0.9, 1.2], [1.0])
-        assert len(clip_polygon_to_aabb(oriented_box_footprint(diamond), -0.45, -0.45, 0.45, 0.45)) == 8
+        assert len(clip_to_rect(oriented_box_footprint(diamond), -0.45, -0.45, 0.45, 0.45)) == 8
         for r, (box, center) in enumerate([(diamond, centers[0][0]), (diamond, centers[0][1]), (far, centers[1][0])]):
             for s, side in enumerate([0.9, 1.2]):
                 assert xy[r, s] == ioi(box, Aabb3(center=center, side=side, height=1.0)).ioi_xy
