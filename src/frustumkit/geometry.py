@@ -202,8 +202,8 @@ class Aabb3:
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(self.center)):
             raise GeometryError("crop center must be finite")
-        if self.side <= 0 or self.height <= 0:
-            raise GeometryError("crop dimensions must be strictly positive")
+        if not (0 < self.side < math.inf and 0 < self.height < math.inf):
+            raise GeometryError("crop dimensions must be finite and strictly positive")
 
     @property
     def min_corner(self) -> np.ndarray:

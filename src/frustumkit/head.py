@@ -96,7 +96,7 @@ class HeadVector:
 
     def __post_init__(self) -> None:
         norm = math.hypot(self.ori_cos, self.ori_sin)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # also rejects a NaN component
             raise GeometryError(f"orientation must be a unit vector, |o| = {norm}")
         for name, t in (("tx", self.tx), ("ty", self.ty), ("tz", self.tz)):
             if not (0.0 <= t <= 1.0):

@@ -9,13 +9,15 @@ number belongs, or categories outside the declared vocabulary all raise
 :class:`ManifestError` rather than being silently tolerated. The same
 strict-JSON helpers parse the detections file of ``frustumkit evaluate``
 (:func:`load_detections`) and the layer list of ``frustumkit netshape``.
+Cameras, poses and boxes map to JSON objects through their dataclass fields
+(:func:`record_from_json`, :func:`record_to_json`), as CSV rows do in ``csvio``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -35,9 +37,6 @@ from .geometry import (
 _TOP_KEYS = {"categories", "anchors", "frames"}
 _FRAME_KEYS = {"cloud", "range_image", "intrinsics", "pose", "objects"}
 _OBJECT_KEYS = {"category", "rect", "box"}
-_BOX_KEYS = {"center", "width", "depth", "height", "yaw"}
-_K_KEYS = {"fx", "fy", "cx", "cy", "width", "height"}
-_POSE_KEYS = {"rotation", "translation"}
 _DET_KEYS = {"category", "score", "box"}
 
 
@@ -118,57 +117,36 @@ def _pixel_count(value: object, what: str) -> int:
     return int(number)
 
 
-def intrinsics_from_json(obj: dict) -> CameraIntrinsics:
-    check_json_keys(obj, _K_KEYS, _K_KEYS, "intrinsics")
-    return CameraIntrinsics(
-        fx=_number(obj["fx"], "intrinsics fx"),
-        fy=_number(obj["fy"], "intrinsics fy"),
-        cx=_number(obj["cx"], "intrinsics cx"),
-        cy=_number(obj["cy"], "intrinsics cy"),
-        width=_pixel_count(obj["width"], "intrinsics width"),
-        height=_pixel_count(obj["height"], "intrinsics height"),
-    )
+# every field annotation of a record read by record_from_json, with its reader
+_FIELD_READERS = {"float": _number, "int": _pixel_count, "np.ndarray": _number_array}
 
 
-def intrinsics_to_json(k: CameraIntrinsics) -> dict:
-    return {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy, "width": k.width, "height": k.height}
+def record_from_json(cls: type, obj: object, what: str) -> object:
+    """A dataclass record from a JSON object whose keys are exactly its field
+    names, each value read by the field's annotated type; the constructor's
+    own checks run last."""
+    names = {f.name for f in fields(cls)}
+    check_json_keys(obj, names, names, what)
+    return cls(**{f.name: _FIELD_READERS[f.type](obj[f.name], f"{what} {f.name}") for f in fields(cls)})
 
 
-def pose_from_json(obj: dict) -> RigidTransform:
-    check_json_keys(obj, _POSE_KEYS, _POSE_KEYS, "pose")
-    return RigidTransform(
-        rotation=_number_array(obj["rotation"], "pose rotation"),
-        translation=_number_array(obj["translation"], "pose translation"),
-    )
+def record_to_json(record: object) -> dict:
+    """Every field of a dataclass record under its name, arrays as lists.
 
-
-def pose_to_json(pose: RigidTransform) -> dict:
-    return {"rotation": pose.rotation.tolist(), "translation": pose.translation.tolist()}
+    A field name is a file key: renaming a field of ``CameraIntrinsics``,
+    ``RigidTransform`` or ``OrientedBox3`` renames a manifest key, which the
+    manifest digest in ``tests/test_determinism.py`` catches.
+    """
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
 
 
 def box_from_json(obj: object) -> OrientedBox3:
     """Parse a box object; wrong keys or values raise ManifestError."""
-    check_json_keys(obj, _BOX_KEYS, _BOX_KEYS, "box")
     try:
-        return OrientedBox3(
-            center=_number_array(obj["center"], "box center"),
-            width=_number(obj["width"], "box width"),
-            depth=_number(obj["depth"], "box depth"),
-            height=_number(obj["height"], "box height"),
-            yaw=_number(obj["yaw"], "box yaw"),
-        )
+        return record_from_json(OrientedBox3, obj, "box")
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"bad box: {exc}") from exc
-
-
-def box_to_json(box: OrientedBox3) -> dict:
-    return {
-        "center": [float(v) for v in box.center],
-        "width": box.width,
-        "depth": box.depth,
-        "height": box.height,
-        "yaw": box.yaw,
-    }
 
 
 # --- manifest ---------------------------------------------------------------------
@@ -258,8 +236,8 @@ def _parse_frame(entry: object, root: Path, categories: tuple[str, ...], index: 
     if "range_image" in entry:
         range_image_path = _resolve_existing(root, entry["range_image"], "frame range image")
     try:
-        intrinsics = intrinsics_from_json(entry["intrinsics"])
-        pose = pose_from_json(entry["pose"])
+        intrinsics = record_from_json(CameraIntrinsics, entry["intrinsics"], "intrinsics")
+        pose = record_from_json(RigidTransform, entry["pose"], "pose")
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"bad camera block: {exc}") from exc
     objects_value = entry["objects"]
@@ -340,13 +318,13 @@ def manifest_to_json(manifest: Manifest) -> str:
     for frame in manifest.frames:
         entry: dict = {
             "cloud": frame.cloud_path.relative_to(manifest.root).as_posix(),
-            "intrinsics": intrinsics_to_json(frame.intrinsics),
-            "pose": pose_to_json(frame.pose),
+            "intrinsics": record_to_json(frame.intrinsics),
+            "pose": record_to_json(frame.pose),
             "objects": [
                 {
                     "category": obj.category,
                     "rect": [obj.rect.u_min, obj.rect.v_min, obj.rect.u_max, obj.rect.v_max],
-                    "box": box_to_json(obj.box),
+                    "box": record_to_json(obj.box),
                 }
                 for obj in frame.objects
             ],

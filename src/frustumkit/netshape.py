@@ -193,11 +193,12 @@ def default_layers(n_categories: int) -> tuple[LayerSpec, ...]:
     """The default 6-layer fully convolutional stack.
 
     Six stride-2 'same' 3x3x3 convolutions (each followed by dropout),
-    then a global mean reduce and a dense head of length 7 per category:
-    2 orientation + 3 center + 3 size outputs, heading the way the
-    regression head in :mod:`frustumkit.head` expects. Works on any of the
-    shipped voxel grid shapes because 'same' padding never leaves a
-    non-integral size.
+    then a global mean reduce and a dense head of length 7 per category.
+    The regression head in :mod:`frustumkit.head` has 8 components per box
+    (2 orientation + 3 center + 3 size, the width of ``HeadVector``);
+    ROADMAP item 2 decides between 7 and 8. Works on any of the shipped
+    voxel grid shapes because 'same' padding never leaves a non-integral
+    size.
     """
     if n_categories < 1:
         raise ShapePlanError("n_categories must be >= 1")

@@ -48,7 +48,7 @@ class VoxelGrid:
         self.origin = np.asarray(origin, dtype=np.float64).reshape(3)
         if any(d <= 0 for d in self.dims):
             raise GeometryError("grid dims must be positive")
-        if any(c <= 0 for c in self.cell):
+        if not all(0 < c < math.inf for c in self.cell):
             raise GeometryError("cell sizes must be positive")
         cells, counts = np.asarray(cells), np.asarray(counts)
         if not (np.issubdtype(cells.dtype, np.integer) and np.issubdtype(counts.dtype, np.integer)):

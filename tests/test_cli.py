@@ -35,7 +35,7 @@ from frustumkit.cropbox import SCALE_SPECS
 from frustumkit.errors import ManifestError
 from frustumkit.geometry import Rect2, read_cloud_binary, write_cloud_binary
 from frustumkit.head import read_anchor_csv
-from frustumkit.manifest import box_to_json, iter_object_samples, load_manifest
+from frustumkit.manifest import iter_object_samples, load_manifest, record_to_json
 
 SEED = 7
 N_SCENES = 4
@@ -73,7 +73,7 @@ def perfect_detections(dataset: Path, tmp_path_factory) -> Path:
                 {
                     "category": obj.category,
                     "score": 0.9 - 0.05 * j,
-                    "box": box_to_json(obj.box),
+                    "box": record_to_json(obj.box),
                 }
             )
         frames.append(dets)
@@ -889,6 +889,42 @@ def test_manifest_rejects_bad_numbers(dataset, tmp_path, capsys, path, literal, 
     assert _run_anchors_on_manifest_text(dataset, tmp_path, text.encode()) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("frustumkit anchors: ") and message in err
+    assert not (tmp_path / "a.csv").exists()
+
+
+RECORD_KEY_ERRORS = {
+    "intrinsics-unknown-key": (
+        "intrinsics",
+        lambda r: r.update(bogus=1.0),
+        "bad camera block: intrinsics: unknown keys ['bogus']",
+    ),
+    "intrinsics-missing-key": ("intrinsics", lambda r: r.pop("cy"), "bad camera block: intrinsics: missing keys ['cy']"),
+    "intrinsics-not-object": ("intrinsics", None, "bad camera block: intrinsics must be a JSON object"),
+    "pose-unknown-key": ("pose", lambda r: r.update(bogus=1.0), "bad camera block: pose: unknown keys ['bogus']"),
+    "pose-missing-key": (
+        "pose",
+        lambda r: r.pop("translation"),
+        "bad camera block: pose: missing keys ['translation']",
+    ),
+    "pose-not-object": ("pose", None, "bad camera block: pose must be a JSON object"),
+    "box-unknown-key": ("box", lambda r: r.update(bogus=1.0), "bad box: box: unknown keys ['bogus']"),
+    "box-missing-key": ("box", lambda r: r.pop("yaw"), "bad box: box: missing keys ['yaw']"),
+    "box-not-object": ("box", None, "bad box: box must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("block, edit, message", RECORD_KEY_ERRORS.values(), ids=RECORD_KEY_ERRORS.keys())
+def test_manifest_rejects_bad_record_keys(dataset, tmp_path, capsys, block, edit, message):
+    """Cameras, poses and boxes share one key check; each error is one full stderr line."""
+    data = json.loads(dataset.read_text())
+    frame = data["frames"][0]
+    holder = frame["objects"][0] if block == "box" else frame
+    if edit is None:
+        holder[block] = [0.0, 0.0, 0.0]
+    else:
+        edit(holder[block])
+    assert _run_anchors_on_manifest_text(dataset, tmp_path, json.dumps(data).encode()) == EXIT_IO
+    assert capsys.readouterr().err == f"frustumkit anchors: bad input: {message}\n"
     assert not (tmp_path / "a.csv").exists()
 
 

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frustumkit.cli import EXIT_OK, main
-from frustumkit.manifest import box_to_json, load_manifest
+from frustumkit.manifest import load_manifest, record_to_json
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
 SENTINEL = "\u0000fuzz-sentinel"
@@ -54,7 +54,7 @@ def base(tmp_path_factory) -> dict:
     manifest = load_manifest(manifest_path)
     detections = {
         "frames": [
-            [{"category": o.category, "score": 0.5, "box": box_to_json(o.box)} for o in frame.objects]
+            [{"category": o.category, "score": 0.5, "box": record_to_json(o.box)} for o in frame.objects]
             for frame in manifest.frames
         ]
     }

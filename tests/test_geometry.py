@@ -23,6 +23,7 @@ from frustumkit.geometry import (
     BOUNDARY_TOL,
     FAR_DEFAULT,
     NEAR_DEFAULT,
+    Aabb3,
     CameraIntrinsics,
     OrientedBox3,
     Rect2,
@@ -122,6 +123,13 @@ class TestNonFiniteConstructorValues:
         fields = {"fx": 520.0, "fy": 515.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480, field: value}
         with pytest.raises(GeometryError):
             CameraIntrinsics(**fields)
+
+    @pytest.mark.parametrize("field", ["side", "height"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_crop_rejects_non_finite_or_non_positive_size(self, field, value):
+        fields = {"side": 1.6, "height": 1.5, field: value}
+        with pytest.raises(GeometryError, match="crop dimensions must be finite and strictly positive"):
+            Aabb3(center=(0.0, 0.0, 0.5), **fields)
 
 
 @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 3, 1)])

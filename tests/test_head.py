@@ -95,9 +95,10 @@ class TestAnchors:
 
 
 class TestHeadVectorValidation:
-    def test_non_unit_orientation_rejected(self):
+    @pytest.mark.parametrize("ori_cos, ori_sin", [(0.9, 0.9), (math.nan, 0.0), (1.0, math.nan)])
+    def test_non_unit_orientation_rejected(self, ori_cos, ori_sin):
         with pytest.raises(GeometryError):
-            HeadVector(0.9, 0.9, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
+            HeadVector(ori_cos, ori_sin, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
 
     def test_center_fraction_out_of_range_rejected(self):
         with pytest.raises(GeometryError):

@@ -224,7 +224,10 @@ class TestSparseGridAgainstDenseReference:
         with pytest.raises(GeometryError, match="grid dims must be positive"):
             VoxelGrid(dims, SPEC.cell_size, np.zeros(3), [], [])
 
-    @pytest.mark.parametrize("cell", [(0.0, 0.25, 0.25), (0.25, -0.25, 0.25), (0.25, 0.25, -0.0)])
+    @pytest.mark.parametrize(
+        "cell",
+        [(0.0, 0.25, 0.25), (0.25, -0.25, 0.25), (0.25, 0.25, -0.0), (math.nan, 0.25, 0.25), (0.25, math.inf, 0.25)],
+    )
     def test_non_positive_cell_sizes_rejected(self, cell):
         with pytest.raises(GeometryError, match="cell sizes must be positive"):
             VoxelGrid(SPEC.grid, cell, np.zeros(3), [], [])
