@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import fields
+from dataclasses import Field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -21,13 +21,14 @@ from .outfile import open_output
 
 
 @functools.cache
-def _field_names(record_type: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(record_type))
+def _record_fields(record_type: type) -> tuple[Field, ...]:
+    # a dataclass's fields, read once per class; manifest's JSON records use them too
+    return fields(record_type)
 
 
 def csv_header(record_type: type) -> str:
     """The comma-joined field names of a dataclass."""
-    return ",".join(_field_names(record_type))
+    return ",".join(f.name for f in _record_fields(record_type))
 
 
 def csv_value(v: object) -> str:
@@ -42,7 +43,7 @@ def csv_value(v: object) -> str:
 
 def csv_values(record: object) -> list[str]:
     """A dataclass record's fields, in order, through :func:`csv_value`."""
-    return [csv_value(getattr(record, name)) for name in _field_names(type(record))]
+    return [csv_value(getattr(record, f.name)) for f in _record_fields(type(record))]
 
 
 def csv_line(record: object) -> str:

@@ -10,9 +10,10 @@ multiply into a volume positivity threshold.
 ``ioi()`` scores one crop; ``crop_scores`` scores many boxes against their
 candidate crops in one vectorized pass with the same arithmetic, so each of
 its entries equals what ``ioi()`` reports. Both clip a box footprint to a
-crop with the same four axis passes: ``_clip_axis`` per polygon, and its
-batched twin ``_clip_pass`` over many rows at once. The polygon clipping and
-areas of the package live here, ``iou_3d``'s convex clip too.
+crop with the same four axis passes: ``_clip_to_box`` runs ``_clip_axis`` per
+polygon, and ``_clip_pass`` is its batched twin over many rows at once.
+``iou_3d`` clips with ``_clip_to_box`` too, in its first box's frame. The
+polygon clipping and areas of the package live here.
 """
 
 from __future__ import annotations
@@ -86,6 +87,15 @@ def _clip_axis(
     return out
 
 
+def _clip_to_box(
+    poly: Sequence[tuple[float, float]], x_min: float, y_min: float, x_max: float, y_max: float
+) -> list[tuple[float, float]]:
+    """A convex polygon clipped to [x_min, x_max] x [y_min, y_max] by four axis passes, in this order."""
+    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
+        poly = _clip_axis(poly, axis, bound, keep_le)
+    return poly
+
+
 def _clip_pass(
     px: np.ndarray, py: np.ndarray, n: np.ndarray, axis: int, bound: np.ndarray, keep_le: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,12 +138,7 @@ def _footprint_ioi(
     # fast path: every corner inside the crop -> the whole footprint survives
     if all(x_min <= x <= x_max and y_min <= y <= y_max for x, y in quad):
         return 1.0
-    poly = quad
-    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
-        poly = _clip_axis(poly, axis, bound, keep_le)
-        if not poly:
-            return 0.0
-    return _clamp01(_polygon_area(poly) / box_area)
+    return _clamp01(_polygon_area(_clip_to_box(quad, x_min, y_min, x_max, y_max)) / box_area)
 
 
 def _footprint_iois(
@@ -150,6 +155,8 @@ def _footprint_iois(
     )
     out = np.ones(len(sides))
     clip = np.flatnonzero(~whole)
+    if clip.size == 0:
+        return out
     px, py, n = qx[clip], qy[clip], np.full(clip.size, 4)
     for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
         px, py, n = _clip_pass(px, py, n, axis, bound[clip], keep_le)
@@ -238,48 +245,24 @@ def iou_2d(a: Rect2, b: Rect2) -> float:
     return _clamp01(inter / union)
 
 
-def _clip_convex_polygons(
-    subject: Sequence[tuple[float, float]], clip: Sequence[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of a convex subject by a CCW convex clip polygon."""
-    poly = list(subject)
-    m = len(clip)
-    for i in range(m):
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % m]
-        ex, ey = bx - ax, by - ay
-        out: list[tuple[float, float]] = []
-        n = len(poly)
-        for j in range(n):
-            cur = poly[j]
-            nxt = poly[(j + 1) % n]
-            cur_side = ex * (cur[1] - ay) - ey * (cur[0] - ax)
-            nxt_side = ex * (nxt[1] - ay) - ey * (nxt[0] - ax)
-            if cur_side >= 0:
-                out.append(cur)
-            if (cur_side >= 0) != (nxt_side >= 0):
-                t = cur_side / (cur_side - nxt_side)
-                out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-        poly = out
-        if not poly:
-            return []
-    return poly
-
-
 def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
-    """IoU of two gravity-aligned oriented boxes (exact, via convex clipping).
+    """IoU of two gravity-aligned oriented boxes (exact, via polygon clipping).
 
     Both boxes are vertical extrusions of their footprints, so the
     intersection volume is the clipped footprint area times the z overlap.
+    b's footprint corners move into a's frame, where a's footprint is the
+    box [-w/2, w/2] x [-d/2, d/2], and ``_clip_to_box`` clips them to it.
     """
     z_lo = max(a.z_interval[0], b.z_interval[0])
     z_hi = min(a.z_interval[1], b.z_interval[1])
     dz = z_hi - z_lo
     if dz <= 0.0:
         return 0.0
-    inter_poly = _clip_convex_polygons(oriented_box_footprint(a), oriented_box_footprint(b))
-    inter_area = _polygon_area(inter_poly)
-    inter = inter_area * dz
+    c, s = math.cos(a.yaw), math.sin(a.yaw)
+    ax, ay = float(a.center[0]), float(a.center[1])
+    quad = [(c * (x - ax) + s * (y - ay), c * (y - ay) - s * (x - ax)) for x, y in oriented_box_footprint(b)]
+    hw, hd = 0.5 * a.width, 0.5 * a.depth
+    inter = _polygon_area(_clip_to_box(quad, -hw, -hd, hw, hd)) * dz
     union = a.volume + b.volume - inter
     if union <= 0.0:
         return 0.0

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .cropbox import ObjectSample
+from .csvio import _record_fields
 from .errors import ManifestError
 from .evalkit import Detection
 from .geometry import (
@@ -125,9 +126,10 @@ def record_from_json(cls: type, obj: object, what: str) -> object:
     """A dataclass record from a JSON object whose keys are exactly its field
     names, each value read by the field's annotated type; the constructor's
     own checks run last."""
-    names = {f.name for f in fields(cls)}
+    record_fields = _record_fields(cls)
+    names = {f.name for f in record_fields}
     check_json_keys(obj, names, names, what)
-    return cls(**{f.name: _FIELD_READERS[f.type](obj[f.name], f"{what} {f.name}") for f in fields(cls)})
+    return cls(**{f.name: _FIELD_READERS[f.type](obj[f.name], f"{what} {f.name}") for f in record_fields})
 
 
 def record_to_json(record: object) -> dict:
@@ -137,7 +139,7 @@ def record_to_json(record: object) -> dict:
     ``RigidTransform`` or ``OrientedBox3`` renames a manifest key, which the
     manifest digest in ``tests/test_determinism.py`` catches.
     """
-    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    values = ((f.name, getattr(record, f.name)) for f in _record_fields(type(record)))
     return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
 
 

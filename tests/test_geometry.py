@@ -40,16 +40,9 @@ from frustumkit.geometry import (
     unproject_grid,
     write_cloud_binary,
 )
-from frustumkit.ioi import _clip_axis, _polygon_area, crop_scores
+from frustumkit.ioi import _clip_to_box, _polygon_area, crop_scores
 
 K = CameraIntrinsics(fx=520.0, fy=515.0, cx=320.0, cy=240.0, width=640, height=480)
-
-
-def clip_to_rect(polygon, x_min, y_min, x_max, y_max):
-    """A convex polygon clipped to a rectangle by ioi's four axis passes, in their order."""
-    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
-        polygon = _clip_axis(polygon, axis, bound, keep_le)
-    return polygon
 
 
 def edges(lo: float, hi: float, n: int) -> list[float]:
@@ -401,13 +394,13 @@ class TestFrustumCenter:
 class TestClipping:
     def test_fully_inside_box_keeps_exact_area(self):
         box = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
-        poly = clip_to_rect(oriented_box_footprint(box), -1.5, -1.5, 1.5, 1.5)
+        poly = _clip_to_box(oriented_box_footprint(box), -1.5, -1.5, 1.5, 1.5)
         assert _polygon_area(poly) == 1.0
         assert len(poly) == 4
 
     def test_disjoint_footprints_clip_to_nothing(self):
         box = OrientedBox3(center=(10.0, 10.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.4)
-        assert clip_to_rect(oriented_box_footprint(box), -1.0, -1.0, 1.0, 1.0) == []
+        assert _clip_to_box(oriented_box_footprint(box), -1.0, -1.0, 1.0, 1.0) == []
 
     def test_area_matches_monte_carlo_oracle(self):
         """Clipped area (scored footprint IoI times box area) agrees with rejection sampling."""
@@ -462,7 +455,7 @@ class TestClipping:
         assert _polygon_area([(0, 0), (1, 0)]) == 0.0
 
     def test_clip_to_aabb_half_overlap_exact(self):
-        poly = clip_to_rect([(0.5, -1.0), (2.5, -1.0), (2.5, 1.0), (0.5, 1.0)], -1.5, -1.5, 1.5, 1.5)
+        poly = _clip_to_box([(0.5, -1.0), (2.5, -1.0), (2.5, 1.0), (0.5, 1.0)], -1.5, -1.5, 1.5, 1.5)
         assert _polygon_area(poly) == 2.0
 
     def test_footprint_corners_are_ccw(self):

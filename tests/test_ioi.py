@@ -13,7 +13,7 @@ from frustumkit.errors import GeometryError
 from frustumkit.geometry import Aabb3, OrientedBox3, Rect2, oriented_box_footprint
 from frustumkit.ioi import (
     IoiBreakdown,
-    _clip_axis,
+    _clip_to_box,
     crop_scores,
     ioi,
     iou_2d,
@@ -22,13 +22,6 @@ from frustumkit.ioi import (
     recall_from_breakdowns,
     recall_lower_bound,
 )
-
-
-def clip_to_rect(polygon, x_min, y_min, x_max, y_max):
-    """A convex polygon clipped to a rectangle by ioi's four axis passes, in their order."""
-    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
-        polygon = _clip_axis(polygon, axis, bound, keep_le)
-    return polygon
 
 
 def random_pair(rng) -> tuple[OrientedBox3, Aabb3]:
@@ -143,7 +136,7 @@ class TestCropScores:
                 for s, side in enumerate(sides):
                     hs = 0.5 * side
                     bounds = (center[0] - hs, center[1] - hs, center[0] + hs, center[1] + hs)
-                    clip_sizes[len(clip_to_rect(oriented_box_footprint(box), *bounds))] += 1
+                    clip_sizes[len(_clip_to_box(oriented_box_footprint(box), *bounds))] += 1
                     for h, height in enumerate(heights):
                         ref = ioi(box, Aabb3(center=center, side=side, height=height))
                         assert xy[r, s] == ref.ioi_xy
@@ -158,7 +151,7 @@ class TestCropScores:
         far = OrientedBox3(center=(5.0, 5.0, 0.5), width=0.5, depth=0.4, height=1.0, yaw=0.3)
         centers = [np.array([[0.0, 0.0, 0.5], [0.3, 0.1, 0.5]]), np.array([[0.0, 0.0, 0.5]])]
         xy, z = crop_scores([diamond, far], centers, [0.9, 1.2], [1.0])
-        assert len(clip_to_rect(oriented_box_footprint(diamond), -0.45, -0.45, 0.45, 0.45)) == 8
+        assert len(_clip_to_box(oriented_box_footprint(diamond), -0.45, -0.45, 0.45, 0.45)) == 8
         for r, (box, center) in enumerate([(diamond, centers[0][0]), (diamond, centers[0][1]), (far, centers[1][0])]):
             for s, side in enumerate([0.9, 1.2]):
                 assert xy[r, s] == ioi(box, Aabb3(center=center, side=side, height=1.0)).ioi_xy
@@ -167,6 +160,21 @@ class TestCropScores:
     def test_no_boxes_gives_empty_scores(self):
         xy, z = crop_scores([], [], [1.0, 2.0], [1.0])
         assert xy.shape == (0, 2) and z.shape == (0, 1)
+
+    def test_whole_footprints_skip_the_clip(self, monkeypatch):
+        """With every footprint inside its crops, no clip pass runs and every xy score is 1."""
+
+        def no_clip(*args):
+            raise AssertionError("_clip_pass ran with no row to clip")
+
+        monkeypatch.setattr("frustumkit.ioi._clip_pass", no_clip)
+        boxes = [
+            OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=0.6, height=1.0, yaw=0.7),
+            OrientedBox3(center=(3.0, -1.0, 0.5), width=0.4, depth=0.4, height=1.0, yaw=-1.2),
+        ]
+        centers = [np.array([[0.0, 0.0, 0.5], [0.1, -0.1, 0.5]]), np.array([[3.0, -1.0, 0.5]])]
+        xy, z = crop_scores(boxes, centers, [2.0, 3.0], [1.0])
+        assert xy.tolist() == [[1.0, 1.0]] * 3
 
     def test_one_center_set_per_box(self):
         box = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
@@ -232,6 +240,50 @@ class TestIoU3D:
         b = OrientedBox3(center=(1, 0, 0.5), width=2, depth=2, height=1, yaw=0.0)
         # intersection 1x2x1 = 2, union 4 + 4 - 2 = 6
         assert iou_3d(a, b) == pytest.approx(2.0 / 6.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            # a unit square and the same square turned 45 degrees: octagon 2*sqrt(2) - 2 over union 4 - 2*sqrt(2)
+            (
+                OrientedBox3(center=(0.3, -0.2, 0.5), width=1, depth=1, height=1, yaw=0.0),
+                OrientedBox3(center=(0.3, -0.2, 0.5), width=1, depth=1, height=1, yaw=np.pi / 4),
+                1.0 / np.sqrt(2.0),
+            ),
+            # a rotated box wholly inside another: vol_b / vol_a = 0.5 / 32
+            (
+                OrientedBox3(center=(1.0, 2.0, 1.0), width=4, depth=4, height=2, yaw=0.3),
+                OrientedBox3(center=(1.2, 1.7, 1.0), width=1, depth=0.5, height=1, yaw=1.1),
+                0.5 / 32.0,
+            ),
+            (
+                OrientedBox3(center=(1.2, 1.7, 1.0), width=1, depth=0.5, height=1, yaw=1.1),
+                OrientedBox3(center=(1.0, 2.0, 1.0), width=4, depth=4, height=2, yaw=0.3),
+                0.5 / 32.0,
+            ),
+            # footprints disjoint in xy, z intervals overlapping
+            (
+                OrientedBox3(center=(0.0, 0.0, 0.5), width=1, depth=1, height=1, yaw=0.4),
+                OrientedBox3(center=(3.0, 0.5, 0.7), width=1, depth=2, height=1, yaw=-0.9),
+                0.0,
+            ),
+            # boxes touching along one edge
+            (
+                OrientedBox3(center=(0.0, 0.0, 0.5), width=1, depth=1, height=1, yaw=0.0),
+                OrientedBox3(center=(1.0, 0.0, 0.5), width=1, depth=1, height=1, yaw=0.0),
+                0.0,
+            ),
+            (
+                OrientedBox3(center=(0.0, 0.0, 0.5), width=2, depth=1, height=1, yaw=np.pi / 6),
+                OrientedBox3(
+                    center=(-np.sin(np.pi / 6), np.cos(np.pi / 6), 0.5), width=2, depth=1, height=1, yaw=np.pi / 6
+                ),
+                0.0,
+            ),
+        ],
+    )
+    def test_hand_cases(self, a, b, expected):
+        assert iou_3d(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(91)
