@@ -188,7 +188,12 @@ def best_cropbox(
 
 @dataclass
 class ObjectSample:
-    """One labelled object with the context needed to build its frustum."""
+    """One labelled object with the context needed to build its frustum.
+
+    ``cloud`` is the world-frame (N, 3) cloud of the object's frame, shared by
+    every object of that frame. Loaded from a file (iter_object_samples) it is
+    read_cloud_binary's read-only float32 array; any (N, 3) float array works.
+    """
 
     category: str
     cloud: np.ndarray

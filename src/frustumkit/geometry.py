@@ -5,7 +5,10 @@ Conventions used throughout the package:
 * The world frame is gravity aligned with +z up; units are meters.
 * The camera frame is +x right, +y down, +z forward, so depth is camera z.
 * Pixel coordinates (u, v) are continuous, u along columns and v along rows.
-* Point clouds are float64 numpy arrays of shape (N, 3) in the world frame.
+* Point clouds are numpy arrays of shape (N, 3) in the world frame. A cloud
+  read from a file (``read_cloud_binary``) is the read-only float32 array the
+  file holds; ``as_point_cloud`` makes the float64 working copy that every
+  computation uses (``project_cloud``, ``voxelize``, ``write_cloud_binary``).
 
 Boundary handling is deterministic: frustum membership uses half-open tests
 widened by ``BOUNDARY_TOL`` so points constructed exactly on a frustum face
@@ -381,17 +384,22 @@ def write_cloud_binary(cloud: np.ndarray, path: str) -> None:
 
 
 def read_cloud_binary(path: str) -> np.ndarray:
-    """Read the binary cloud format written by :func:`write_cloud_binary`."""
+    """Read the binary cloud format written by :func:`write_cloud_binary`.
+
+    Returns the (N, 3) float32 points as a read-only array over the bytes read:
+    a loaded cloud takes 12 bytes per point, and writing into it raises
+    ValueError. Computations widen it through as_point_cloud.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _CLOUD_COUNT.size:
         raise GeometryError(f"{path}: truncated cloud file")
     (count,) = _CLOUD_COUNT.unpack_from(raw, 0)
-    body = raw[_CLOUD_COUNT.size :]
     expected = count * 3 * 4
-    if len(body) != expected:
-        raise GeometryError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    pts = np.frombuffer(body, dtype="<f4").reshape(count, 3).astype(np.float64)
+    found = len(raw) - _CLOUD_COUNT.size
+    if found != expected:
+        raise GeometryError(f"{path}: expected {expected} payload bytes, found {found}")
+    pts = np.frombuffer(raw, dtype="<f4", offset=_CLOUD_COUNT.size).reshape(count, 3)
     if not np.isfinite(pts).all():
         raise GeometryError(f"{path}: point cloud contains non-finite coordinates")
     return pts

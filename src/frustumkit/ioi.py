@@ -252,14 +252,19 @@ def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
     intersection volume is the clipped footprint area times the z overlap.
     b's footprint corners move into a's frame, where a's footprint is the
     box [-w/2, w/2] x [-d/2, d/2], and ``_clip_to_box`` clips them to it.
+    Footprints whose centres lie farther apart in xy than the sum of their
+    half-diagonals are disjoint and give 0 without a clip.
     """
     z_lo = max(a.z_interval[0], b.z_interval[0])
     z_hi = min(a.z_interval[1], b.z_interval[1])
     dz = z_hi - z_lo
     if dz <= 0.0:
         return 0.0
-    c, s = math.cos(a.yaw), math.sin(a.yaw)
     ax, ay = float(a.center[0]), float(a.center[1])
+    reach = 0.5 * math.hypot(a.width, a.depth) + 0.5 * math.hypot(b.width, b.depth)
+    if math.hypot(float(b.center[0]) - ax, float(b.center[1]) - ay) > reach:
+        return 0.0
+    c, s = math.cos(a.yaw), math.sin(a.yaw)
     quad = [(c * (x - ax) + s * (y - ay), c * (y - ay) - s * (x - ax)) for x, y in oriented_box_footprint(b)]
     hw, hd = 0.5 * a.width, 0.5 * a.depth
     inter = _polygon_area(_clip_to_box(quad, -hw, -hd, hw, hd)) * dz

@@ -9,6 +9,7 @@ for every object, subdivision and drift, and ``ioi()`` for every crop.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,18 +18,23 @@ import pytest
 
 from frustumkit import cli, cropbox, geometry, pipesim
 from frustumkit.cropbox import (
+    SUBDIVISIONS,
     CurvePoint,
     ObjectSample,
     SCALE_SPECS,
     SizeSearchConfig,
+    assign_scale,
+    best_cropbox,
     candidate_centers,
+    get_scale_spec,
     recall_curves,
 )
 from frustumkit.errors import GeometryError, NoCandidatesError
 from frustumkit.geometry import Aabb3, CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, project_cloud
 from frustumkit.ioi import RecallReport, ioi
-from frustumkit.manifest import load_manifest
+from frustumkit.manifest import iter_object_samples, load_manifest
 from frustumkit.pipesim import DriftRow, stale_frustum_experiment
+from frustumkit.voxelizer import voxelize
 
 K = CameraIntrinsics(fx=150.0, fy=150.0, cx=80.0, cy=60.0, width=160, height=120)
 
@@ -280,6 +286,66 @@ def test_recall_curves_memory_does_not_grow_with_the_dataset():
     finally:
         tracemalloc.stop()
     assert peak < MEMORY_PEAK_BOUND, f"peak {peak / 2**20:.2f} MiB"
+
+
+#: tracemalloc peak allowed, over 12 bytes per point, for holding every
+#: ObjectSample of MEMORY_SCENES generated frames (about 42,000 points): the
+#: samples, arrays and file buffers. Measured 23 KiB; float64 clouds hold 24
+#: bytes per point, 0.5 MiB more here.
+LOADED_CLOUD_ALLOWANCE = 64 * 2**10
+MEMORY_SCENES = 20
+
+
+def test_loaded_samples_hold_their_clouds_at_float32_size(tmp_path):
+    """Each frame's cloud is read once and held as the file's 12 bytes per point."""
+    assert cli.main(["gen-scenes", "--out", str(tmp_path), "--count", str(MEMORY_SCENES), "--seed", "3"]) == cli.EXIT_OK
+    manifest = load_manifest(tmp_path / "manifest.json")
+    tracemalloc.start()
+    try:
+        samples = list(iter_object_samples(manifest))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    clouds = {id(s.cloud): s.cloud for s in samples}
+    assert len(clouds) == MEMORY_SCENES and len(samples) > MEMORY_SCENES
+    n_points = sum(len(c) for c in clouds.values())
+    # float64 clouds would overshoot the allowance several times over
+    assert 12 * n_points > 4 * LOADED_CLOUD_ALLOWANCE
+    assert peak < 12 * n_points + LOADED_CLOUD_ALLOWANCE, f"{peak / n_points:.2f} bytes per point"
+
+
+@pytest.fixture(scope="module")
+def loaded_and_twin(tmp_path_factory) -> tuple[list[ObjectSample], list[ObjectSample]]:
+    """A gen-scenes dataset's samples as loaded, and with each frame's cloud widened to float64."""
+    out = tmp_path_factory.mktemp("scenes")
+    assert cli.main(["gen-scenes", "--out", str(out), "--count", "6", "--seed", "42"]) == cli.EXIT_OK
+    loaded = list(iter_object_samples(load_manifest(out / "manifest.json")))
+    twins = {id(s.cloud): s.cloud.astype(np.float64) for s in loaded}
+    assert {s.cloud.dtype for s in loaded} == {np.dtype(np.float32)}
+    return loaded, [dataclasses.replace(s, cloud=twins[id(s.cloud)]) for s in loaded]
+
+
+def test_float32_clouds_give_the_float64_twin_results(loaded_and_twin):
+    """Every computation widens a loaded cloud to the float64 values its twin holds."""
+    loaded, twin = loaded_and_twin
+    for a, b in zip(loaded, twin):
+        for (fr, fc), mode in [(s, m) for s in SUBDIVISIONS for m in ("average", "median")]:
+            got = candidate_centers(a.cloud, a.rect, a.intrinsics, a.pose, fr, fc, mode)
+            want = candidate_centers(b.cloud, b.rect, b.intrinsics, b.pose, fr, fc, mode)
+            assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
+        spec = get_scale_spec(assign_scale(a.gt_box.width, a.gt_box.depth, a.gt_box.height))
+        crop, breakdown = best_cropbox(a.gt_box, candidate_centers(a.cloud, a.rect, a.intrinsics, a.pose), spec)
+        crop_b, breakdown_b = best_cropbox(b.gt_box, candidate_centers(b.cloud, b.rect, b.intrinsics, b.pose), spec)
+        assert np.array_equal(crop.center, crop_b.center) and breakdown == breakdown_b
+        grid, grid_b = voxelize(a.cloud, crop, spec), voxelize(b.cloud, crop, spec)
+        assert grid.total_points > 0
+        assert np.array_equal(grid.cells, grid_b.cells) and np.array_equal(grid.counts, grid_b.counts)
+        assert np.array_equal(grid.origin, grid_b.origin)
+    cfg = SizeSearchConfig([0.5, 0.9, 1.6], [0.4, 0.8, 1.6], fr_fc=list(SUBDIVISIONS))
+    for mode in ("average", "median"):
+        assert recall_curves(loaded, cfg, mode) == recall_curves(twin, cfg, mode)
+    drifts = [0.0, 2.0, 8.0]
+    assert stale_frustum_experiment(loaded, drifts) == stale_frustum_experiment(twin, drifts)
 
 
 #: tracemalloc peak allowed for one 5x5 recall_curves call with a large size

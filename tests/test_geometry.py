@@ -488,16 +488,26 @@ class TestCloudIO:
         path = str(tmp_path / "pts.cloud")
         write_cloud_binary(cloud, path)
         back = read_cloud_binary(path)
-        # storage is float32, so compare at that precision
-        np.testing.assert_allclose(back, cloud.astype(np.float32), rtol=0, atol=0)
+        # a loaded cloud is the file's float32 values, read-only
+        assert back.dtype == np.float32 and back.shape == (137, 3)
+        assert not back.flags.writeable
+        assert np.array_equal(back, cloud.astype(np.float32))
+        with pytest.raises(ValueError):
+            back[0, 0] = 1.0
 
-    def test_binary_rejects_truncated_payload(self, tmp_path):
+    @pytest.mark.parametrize(
+        "size, message",
+        [(8 + 3 * 4 * 3 + 2, "expected 48 payload bytes, found 38"), (5, "truncated cloud file")],
+        ids=["payload", "count"],
+    )
+    def test_binary_rejects_truncated_payload(self, tmp_path, size, message):
         path = str(tmp_path / "bad.cloud")
         write_cloud_binary(np.zeros((4, 3)), path)
         with open(path, "r+b") as fh:
-            fh.truncate(8 + 3 * 4 * 3 + 2)
-        with pytest.raises(GeometryError):
+            fh.truncate(size)
+        with pytest.raises(GeometryError) as exc:
             read_cloud_binary(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_binary_rejects_non_finite_point(self, tmp_path, value):
@@ -513,4 +523,5 @@ class TestCloudIO:
     def test_empty_binary_cloud(self, tmp_path):
         path = str(tmp_path / "empty.cloud")
         write_cloud_binary(np.zeros((0, 3)), path)
-        assert read_cloud_binary(path).shape == (0, 3)
+        back = read_cloud_binary(path)
+        assert back.shape == (0, 3) and back.dtype == np.float32

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 
 from frustumkit.errors import GeometryError
 from frustumkit.geometry import Aabb3, OrientedBox3, Rect2, oriented_box_footprint
+from frustumkit import ioi as ioi_module
 from frustumkit.ioi import (
     IoiBreakdown,
+    _clamp01,
     _clip_to_box,
+    _polygon_area,
     crop_scores,
     ioi,
     iou_2d,
@@ -284,6 +288,44 @@ class TestIoU3D:
     )
     def test_hand_cases(self, a, b, expected):
         assert iou_3d(a, b) == pytest.approx(expected, abs=1e-12)
+
+    def test_footprints_beyond_reach_skip_the_clip(self, monkeypatch):
+        # pairs whose centre distance lies within 1e-15 to 1e-3 (relative) of
+        # the sum of the half-diagonals, on both sides; the clipping path
+        # (the reference below) decides every pair, and only pairs within
+        # reach may clip
+        def clipped(a, b):
+            dz = min(a.z_interval[1], b.z_interval[1]) - max(a.z_interval[0], b.z_interval[0])
+            c, s = math.cos(a.yaw), math.sin(a.yaw)
+            ax, ay = float(a.center[0]), float(a.center[1])
+            quad = [(c * (x - ax) + s * (y - ay), c * (y - ay) - s * (x - ax)) for x, y in oriented_box_footprint(b)]
+            hw, hd = 0.5 * a.width, 0.5 * a.depth
+            inter = _polygon_area(_clip_to_box(quad, -hw, -hd, hw, hd)) * dz
+            return _clamp01(inter / (a.volume + b.volume - inter))
+
+        rng = np.random.default_rng(2024)
+        pairs = []
+        for i in range(2000):
+            a = OrientedBox3(
+                center=(*rng.uniform(-2, 2, 2), 0.5), width=rng.uniform(0.3, 2), depth=rng.uniform(0.3, 2),
+                height=1, yaw=rng.uniform(-np.pi, np.pi),
+            )
+            w, d = rng.uniform(0.3, 2, 2)
+            reach = 0.5 * math.hypot(a.width, a.depth) + 0.5 * math.hypot(w, d)
+            dist = reach * (1 + (-1) ** i * 10 ** rng.uniform(-15, -3))
+            theta = rng.uniform(-np.pi, np.pi)
+            b = OrientedBox3(
+                center=(a.center[0] + dist * np.cos(theta), a.center[1] + dist * np.sin(theta), 0.7),
+                width=w, depth=d, height=1, yaw=rng.uniform(-np.pi, np.pi),
+            )
+            within = math.hypot(b.center[0] - a.center[0], b.center[1] - a.center[1]) <= reach
+            pairs.append((a, b, within))
+        want = [clipped(a, b) for a, b, _ in pairs]
+        clips = []
+        monkeypatch.setattr(ioi_module, "_clip_to_box", lambda *args: clips.append(1) or _clip_to_box(*args))
+        assert [iou_3d(a, b) for a, b, _ in pairs] == want
+        assert len(clips) == sum(within for _, _, within in pairs)
+        assert 0 < len(clips) < len(pairs)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(91)
