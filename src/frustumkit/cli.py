@@ -105,45 +105,31 @@ EXIT_INVARIANT = 5
 # --- small flag parsers ------------------------------------------------------
 
 
+def _entries(text: str, flag: str) -> list[str]:
+    """The stripped comma-separated entries of a list flag, blank ones skipped; there must be one."""
+    entries = [e.strip() for e in text.split(",") if e.strip()]
+    if not entries:
+        raise FrustumKitError(f"{flag} expects at least one value")
+    return entries
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
+    entries = _entries(text, flag)
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in entries]
     except ValueError as exc:
         raise FrustumKitError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise FrustumKitError(f"{flag} expects at least one value")
-    return values
 
 
-def _parse_fr_fc(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split("x")
-        if len(parts) != 2:
-            raise FrustumKitError(f"--fr-fc expects entries like 1x1 or 3x3, got {chunk!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FrustumKitError(f"--fr-fc entry {chunk!r} is not two integers") from exc
-    if not pairs:
-        raise FrustumKitError("--fr-fc expects at least one RxC entry")
-    return pairs
-
-
-def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = text.split("x")
-    if len(parts) != 3:
-        raise FrustumKitError(f"--grid expects WxDxH like 198x198x102, got {text!r}")
+def _parse_dims(text: str, flag: str, example: str) -> tuple[int, ...]:
+    """Positive integers joined by 'x', as many as ``example`` has."""
     try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise FrustumKitError(f"--grid entries must be integers, got {text!r}") from exc
-    if any(d < 1 for d in dims):
-        raise FrustumKitError("--grid dimensions must be positive")
-    return dims  # type: ignore[return-value]
+        dims = tuple(int(p) for p in text.split("x"))
+    except ValueError:
+        dims = ()
+    if len(dims) != example.count("x") + 1 or min(dims) < 1:
+        raise FrustumKitError(f"{flag} expects positive integers like {example}, got {text!r}")
+    return dims
 
 
 def _check_non_negative(args: argparse.Namespace) -> None:
@@ -153,12 +139,10 @@ def _check_non_negative(args: argparse.Namespace) -> None:
             raise FrustumKitError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
-def _get_frame(manifest: Manifest, index: int) -> ManifestFrame:
-    if not 0 <= index < len(manifest.frames):
-        raise FrustumKitError(
-            f"frame index {index} out of range (manifest has {len(manifest.frames)} frames)"
-        )
-    return manifest.frames[index]
+def _pick(items: Sequence, index: int, item: str, holder: str):
+    if not 0 <= index < len(items):
+        raise FrustumKitError(f"{item} index {index} out of range ({holder} has {len(items)} {item}s)")
+    return items[index]
 
 
 def _samples(manifest: Manifest) -> list:
@@ -184,7 +168,7 @@ def _search_config(args: argparse.Namespace) -> SizeSearchConfig:
         height_candidates=_parse_floats(args.heights, "--heights"),
         threshold_xy=args.threshold_xy,
         threshold_z=args.threshold_z,
-        fr_fc=_parse_fr_fc(args.fr_fc),
+        fr_fc=[_parse_dims(e, "--fr-fc", "3x3") for e in _entries(args.fr_fc, "--fr-fc")],
     )
 
 
@@ -248,7 +232,7 @@ def _cmd_gen_scenes(args: argparse.Namespace) -> int:
 
 def _cmd_dhs(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    frame = _get_frame(manifest, args.frame)
+    frame = _pick(manifest.frames, args.frame, "frame", "manifest")
     if frame.range_image_path is None:
         raise FrustumKitError(f"frame {args.frame} has no range image in the manifest")
     img = read_range_image(frame.range_image_path, frame.intrinsics, frame.pose)
@@ -287,12 +271,8 @@ def _cmd_select_size(args: argparse.Namespace) -> int:
 
 def _cmd_voxelize(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    frame = _get_frame(manifest, args.frame)
-    if not 0 <= args.object < len(frame.objects):
-        raise FrustumKitError(
-            f"object index {args.object} out of range (frame has {len(frame.objects)} objects)"
-        )
-    obj = frame.objects[args.object]
+    frame = _pick(manifest.frames, args.frame, "frame", "manifest")
+    obj = _pick(frame.objects, args.object, "object", "frame")
     if (args.fr, args.fc) not in SUBDIVISIONS:
         raise FrustumKitError(f"--fr/--fc subdivision ({args.fr}, {args.fc}) not in {list(SUBDIVISIONS)}")
     if args.scale == "auto":
@@ -460,7 +440,7 @@ def _cmd_stale_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_netshape(args: argparse.Namespace) -> int:
     if args.grid is not None:
-        dims = _parse_dims(args.grid)
+        dims = _parse_dims(args.grid, "--grid", "198x198x102")
     else:
         spec = get_scale_spec(args.scale)
         dims = spec.grid

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import CameraIntrinsics, RigidTransform, unproject_depth_image
+from .geometry import CameraIntrinsics, RigidTransform, pixel_centers, unproject_grid
 from .outfile import open_output
 
 D_MAX_DEFAULT = 10.0
@@ -50,14 +50,6 @@ class RangeImage:
             )
         if not np.all(np.isfinite(self.depth)):
             raise GeometryError("depth must be finite (use 0 for missing)")
-
-    @property
-    def width(self) -> int:
-        return self.intrinsics.width
-
-    @property
-    def height(self) -> int:
-        return self.intrinsics.height
 
     @property
     def missing_mask(self) -> np.ndarray:
@@ -95,7 +87,8 @@ class DhsImage:
 def world_points(img: RangeImage) -> np.ndarray:
     """Unproject every pixel center to the world frame; missing pixels give NaN."""
     depth = np.where(img.missing_mask, np.nan, img.depth)
-    cam = unproject_depth_image(depth, img.intrinsics)
+    k = img.intrinsics
+    cam = unproject_grid(*pixel_centers(k.width, k.height), depth, k)
     return img.pose.apply(cam.reshape(-1, 3)).reshape(cam.shape)
 
 
@@ -154,7 +147,7 @@ def write_range_image(img: RangeImage, path: str) -> None:
     Camera intrinsics and pose live in the dataset manifest, not the file.
     """
     with open_output(path) as fh:
-        fh.write(_RANGE_HEADER.pack(_RANGE_MAGIC, img.width, img.height))
+        fh.write(_RANGE_HEADER.pack(_RANGE_MAGIC, img.intrinsics.width, img.intrinsics.height))
         fh.write(img.depth.astype("<f4").tobytes(order="C"))
 
 

@@ -145,8 +145,9 @@ class CategoryEval:
 @dataclass(frozen=True)
 class EvalReport:
     rows: tuple[CategoryEval, ...]
-    iou_values: tuple[float, ...]  # IoU of every matched pair, all categories
-    orientation_values: tuple[float, ...]  # orientation score of every matched pair
+    # every matched pair, frame by frame, categories in name order within a frame
+    iou_values: tuple[float, ...]  # IoU of each pair
+    orientation_values: tuple[float, ...]  # orientation score of each pair
 
 
 Frame = tuple[Sequence[Detection], Sequence[LabeledBox]]
@@ -155,26 +156,18 @@ Frame = tuple[Sequence[Detection], Sequence[LabeledBox]]
 def evaluate(frames: Sequence[Frame], iou_thresh: float = IOU_THRESH_DEFAULT) -> EvalReport:
     """Pool per-frame, per-category matches into category AP and mean metrics."""
     validate_threshold("iou_thresh", iou_thresh)
+    # per category: the (score, is_tp) flags, the label count and the matched pairs' metrics
     categories: dict[str, dict] = {}
-
-    def bucket(name: str) -> dict:
-        return categories.setdefault(
-            name, {"flags": [], "n_gt": 0, "n_det": 0, "n_tp": 0, "metrics": []}
-        )
-
     iou_values: list[float] = []
     orientation_values: list[float] = []
     for dets, gts in frames:
-        names = {d.category for d in dets} | {g.category for g in gts}
-        for name in names:
+        for name in sorted({d.category for d in dets} | {g.category for g in gts}):
             cat_dets = [d for d in dets if d.category == name]
             cat_gts = [g.box for g in gts if g.category == name]
-            b = bucket(name)
+            b = categories.setdefault(name, {"flags": [], "n_gt": 0, "metrics": []})
             b["n_gt"] += len(cat_gts)
-            b["n_det"] += len(cat_dets)
             result = match(cat_dets, cat_gts, iou_thresh)
             b["flags"].extend(zip(result.scores, result.tp))
-            b["n_tp"] += len(result.pairs)
             for di, gi, iou in result.pairs:
                 row = center_size_metrics(cat_dets[di].box, cat_gts[gi])
                 b["metrics"].append(row)
@@ -189,9 +182,9 @@ def evaluate(frames: Sequence[Frame], iou_thresh: float = IOU_THRESH_DEFAULT) ->
             CategoryEval(
                 category=name,
                 n_gt=b["n_gt"],
-                n_det=b["n_det"],
+                n_det=len(b["flags"]),
                 ap=average_precision(b["flags"], b["n_gt"]),
-                recall=(b["n_tp"] / b["n_gt"]) if b["n_gt"] else 0.0,
+                recall=(len(metrics) / b["n_gt"]) if b["n_gt"] else 0.0,
                 mean_d_xyz=float(np.mean([m.d_xyz for m in metrics])) if metrics else float("nan"),
                 mean_d_wdh=float(np.mean([m.d_wdh for m in metrics])) if metrics else float("nan"),
                 mean_orientation_score=(

@@ -234,13 +234,6 @@ def pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(width) + 0.5, (np.arange(height) + 0.5)[:, None]
 
 
-def unproject_depth_image(depth: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Camera-frame points (rows, cols, 3) of a depth image, each on the ray
-    through its pixel center (see pixel_centers)."""
-    rows, cols = depth.shape
-    return unproject_grid(*pixel_centers(cols, rows), depth, k)
-
-
 def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project camera-frame points, an (N, 3) array; returns (u, v, depth) arrays.
 

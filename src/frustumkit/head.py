@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .csvio import csv_header, csv_values, write_csv
+from .csvio import _record_fields, csv_header, csv_values, write_csv
 from .errors import EncodeDomainError, GeometryError
 from .geometry import Aabb3, OrientedBox3, normalize_yaw
 
@@ -106,9 +106,8 @@ class HeadVector:
                 raise GeometryError(f"{name} must be finite")
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.ori_cos, self.ori_sin, self.tx, self.ty, self.tz, self.lw, self.ld, self.lh]
-        )
+        """The 8 components in field order."""
+        return np.array([getattr(self, f.name) for f in _record_fields(HeadVector)])
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,10 @@ class LossWeights:
                 raise GeometryError(f"{name} must be finite and non-negative")
         if self.w_orientation == 0 and self.w_center == 0 and self.w_size == 0:
             raise GeometryError("at least one of the three box-term weights must be positive")
+
+
+#: The loss terms: the LossWeights field of each, and the as_array slice it weighs.
+_LOSS_TERMS = (("w_orientation", slice(0, 2)), ("w_center", slice(2, 5)), ("w_size", slice(5, 8)))
 
 
 def encode(gt: OrientedBox3, crop: Aabb3, anchor: Anchor) -> HeadVector:
@@ -186,28 +189,24 @@ def loss(pred: HeadVector, target: HeadVector, weights: LossWeights = LossWeight
 
 
 def _raw_total(pred: np.ndarray, target: np.ndarray, weights: LossWeights) -> float:
+    # each term and the total are summed left to right, one float at a time
     d = pred - target
-    orientation = float(d[0] * d[0] + d[1] * d[1])
-    xyz = float(d[2] * d[2] + d[3] * d[3] + d[4] * d[4])
-    wdh = float(d[5] * d[5] + d[6] * d[6] + d[7] * d[7])
-    return weights.w_orientation * orientation + weights.w_center * xyz + weights.w_size * wdh
+    squares = (d * d).tolist()
+    total = 0.0
+    for name, part in _LOSS_TERMS:
+        term = 0.0
+        for sq in squares[part]:
+            term += sq
+        total += getattr(weights, name) * term
+    return total
 
 
 def loss_grad(pred: HeadVector, target: HeadVector, weights: LossWeights = LossWeights()) -> np.ndarray:
     """Analytic d(total)/d(pred) over the 8 components, matching as_array order."""
     d = pred.as_array() - target.as_array()
-    scale = np.array(
-        [
-            weights.w_orientation,
-            weights.w_orientation,
-            weights.w_center,
-            weights.w_center,
-            weights.w_center,
-            weights.w_size,
-            weights.w_size,
-            weights.w_size,
-        ]
-    )
+    scale = np.empty(d.size)
+    for name, part in _LOSS_TERMS:
+        scale[part] = getattr(weights, name)
     return 2.0 * scale * d
 
 
@@ -230,7 +229,7 @@ def fd_check(
     t = target.as_array()
     analytic = loss_grad(pred, target, weights)
     worst = 0.0
-    for i in range(8):
+    for i in range(p.size):
         hi = p.copy()
         lo = p.copy()
         hi[i] += eps

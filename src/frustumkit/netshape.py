@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -92,8 +92,7 @@ def layer_from_json(obj: dict) -> LayerSpec:
         raise ShapePlanError(f"unknown layer keys: {sorted(unknown)}")
     if "kind" not in obj:
         raise ShapePlanError("layer entry missing 'kind'")
-    kwargs = {k: obj[k] for k in obj}
-    return LayerSpec(**kwargs)
+    return LayerSpec(**obj)
 
 
 def layers_from_json(text: str | bytes) -> tuple[LayerSpec, ...]:
@@ -115,8 +114,8 @@ class ShapePlan:
     """A propagated plan: the input shape plus each layer's output shape."""
 
     input_shape: tuple[int, int, int, int]
-    layers: tuple[LayerSpec, ...] = field(default_factory=tuple)
-    shapes: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
+    layers: tuple[LayerSpec, ...]
+    shapes: tuple[tuple[int, ...], ...]
 
     @property
     def final_shape(self) -> tuple[int, ...]:

@@ -94,16 +94,15 @@ def voxelize(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> VoxelGrid:
             f"crop extent ({crop.side}, {crop.height}) does not match scale "
             f"spec ({spec.crop_side}, {spec.crop_height})"
         )
-    cell = np.array([extent[0] / nx, extent[1] / ny, extent[2] / nz])
     rel = pts - origin
     rel = rel[np.all((rel >= 0.0) & (rel <= extent), axis=1)]
-    idx = np.floor(rel / cell).astype(np.int64)
+    idx = np.floor(rel / spec.cell_size).astype(np.int64)
     # the crop max face (and float roundoff at it) folds into the last cell
     idx = np.minimum(idx, np.array([nx - 1, ny - 1, nz - 1]))
     flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
     # sorted flat C order is x-major, the order both writers emit
     cells, counts = np.unique(flat, return_counts=True)
-    return VoxelGrid((nx, ny, nz), tuple(cell), origin, cells, counts)
+    return VoxelGrid(spec.grid, spec.cell_size, origin, cells, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def test_voxelize_into_a_missing_directory_is_io_error(dataset, tmp_path, capsys
     assert not vox.parent.exists()
 
 
-def test_voxelize_object_index_out_of_range(dataset, tmp_path):
+def test_voxelize_object_index_out_of_range(dataset, tmp_path, capsys):
     code = main(
         [
             "voxelize",
@@ -340,6 +340,7 @@ def test_voxelize_object_index_out_of_range(dataset, tmp_path):
         ]
     )
     assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "frustumkit voxelize: object index 99 out of range (frame has 2 objects)\n"
 
 
 def test_anchors_round_trip(dataset, tmp_path):
@@ -928,6 +929,25 @@ def test_manifest_rejects_bad_record_keys(dataset, tmp_path, capsys, block, edit
     assert not (tmp_path / "a.csv").exists()
 
 
+MANIFEST_SHAPE_ERRORS = {
+    "rect-of-three": (
+        lambda d: d["frames"][0]["objects"][0].update(rect=[0, 0, 5]),
+        "rect must be a list [u_min, v_min, u_max, v_max]",
+    ),
+    "objects-not-a-list": (lambda d: d["frames"][0].update(objects={}), "frame objects must be a list"),
+    "duplicate-category": (lambda d: d["categories"].append(d["categories"][0]), "categories must be unique"),
+}
+
+
+@pytest.mark.parametrize("edit, message", MANIFEST_SHAPE_ERRORS.values(), ids=MANIFEST_SHAPE_ERRORS.keys())
+def test_manifest_rejects_bad_lists(dataset, tmp_path, capsys, edit, message):
+    data = json.loads(dataset.read_text())
+    edit(data)
+    assert _run_anchors_on_manifest_text(dataset, tmp_path, json.dumps(data).encode()) == EXIT_IO
+    assert capsys.readouterr().err == f"frustumkit anchors: bad input: {message}\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_manifest_that_is_not_utf8_is_io_error(dataset, tmp_path, capsys):
     text = dataset.read_text().replace('"categories"', '"categories\xe9"', 1).encode("latin-1")
     assert _run_anchors_on_manifest_text(dataset, tmp_path, text) == EXIT_IO
@@ -977,6 +997,7 @@ def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
         (b'[{"kind": "pool3d", "kernel": "abc", "stride": 2}]', EXIT_USAGE, "kernel must be a positive int"),
         (b'[{"kind": "pool3d", "kernel": [2, 2.5, 2], "stride": 2}]', EXIT_USAGE, "kernel must be a positive int"),
         (b'[{"kind": "conv3d", "channels_out": "8"}]', EXIT_USAGE, "conv3d requires a positive channels_out"),
+        (b'[{"kernel": 2, "stride": 2}]', EXIT_USAGE, "layer entry missing 'kind'"),
         # too big for the naive forward pass: refused before anything is allocated
         (b'[{"kind": "conv3d", "kernel": 100000, "channels_out": 1}]', EXIT_USAGE, "caps kernel dims at 32"),
         (b'[{"kind": "pool3d", "kernel": 100000}]', EXIT_USAGE, "caps kernel dims at 32"),
@@ -1006,6 +1027,7 @@ def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
         "string-kernel",
         "float-kernel",
         "string-channels",
+        "missing-kind",
         "forward-conv-kernel",
         "forward-pool-kernel",
         "forward-dense-weights",
@@ -1120,6 +1142,16 @@ def test_every_int_flag_rejects_negative(dataset, perfect_detections, tmp_path, 
         ("dhs", "--h-max", "inf", "need finite h_min < h_max, got -0.5, inf"),
         ("encode-check", "--tolerance", "-1", "--tolerance must be finite and >= 0, got -1.0"),
         ("encode-check", "--tolerance", "inf", "--tolerance must be finite and >= 0, got inf"),
+        ("recall-curves", "--sides", ",", "--sides expects at least one value"),
+        ("stale-sweep", "--drifts", " , ", "--drifts expects at least one value"),
+        ("recall-curves", "--fr-fc", "2", "--fr-fc expects positive integers like 3x3, got '2'"),
+        ("recall-curves", "--fr-fc", "1x1,ax1", "--fr-fc expects positive integers like 3x3, got 'ax1'"),
+        ("recall-curves", "--fr-fc", "1x1x1", "--fr-fc expects positive integers like 3x3, got '1x1x1'"),
+        ("recall-curves", "--fr-fc", ",", "--fr-fc expects at least one value"),
+        ("netshape", "--grid", "8x8", "--grid expects positive integers like 198x198x102, got '8x8'"),
+        ("netshape", "--grid", "8xax8", "--grid expects positive integers like 198x198x102, got '8xax8'"),
+        ("netshape", "--grid", "0x8x8", "--grid expects positive integers like 198x198x102, got '0x8x8'"),
+        ("dhs", "--frame", "4", "frame index 4 out of range (manifest has 4 frames)"),
     ],
     ids=[
         "evaluate-iou-0",
@@ -1131,6 +1163,16 @@ def test_every_int_flag_rejects_negative(dataset, perfect_detections, tmp_path, 
         "dhs-h-max-inf",
         "encode-check-tolerance-negative",
         "encode-check-tolerance-inf",
+        "recall-curves-sides-comma",
+        "stale-sweep-drifts-blank",
+        "recall-curves-fr-fc-one-number",
+        "recall-curves-fr-fc-letter",
+        "recall-curves-fr-fc-three-numbers",
+        "recall-curves-fr-fc-comma",
+        "netshape-grid-two-numbers",
+        "netshape-grid-letter",
+        "netshape-grid-zero",
+        "dhs-frame-past-the-end",
     ],
 )
 def test_out_of_range_value_is_usage_error(
@@ -1158,6 +1200,34 @@ def test_gen_scenes_rejects_zero_objects_and_creates_nothing(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("frustumkit gen-scenes: n_objects must be >= 1")
     assert not (tmp_path / "gx").exists()
+
+
+@pytest.mark.parametrize(
+    "gen_flags, argv, message",
+    [
+        (["--count", "0"], ["anchors", "--out", "a.csv"], "manifest contains no labeled objects"),
+        (
+            ["--count", "0"],
+            ["recall-curves", "--sides", "1.6", "--heights", "1.5", "--out", "c.csv"],
+            "manifest contains no labeled objects",
+        ),
+        (
+            ["--count", "1", "--no-range-images"],
+            ["dhs", "--out", "d"],
+            "frame 0 has no range image in the manifest",
+        ),
+    ],
+    ids=["anchors-no-objects", "recall-curves-no-objects", "dhs-no-range-image"],
+)
+def test_dataset_without_what_a_command_needs_is_usage_error(
+    tmp_path, monkeypatch, capsys, gen_flags, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-scenes", "--out", "data", "--seed", "0", *gen_flags]) == EXIT_OK
+    capsys.readouterr()
+    assert main([argv[0], "--manifest", "data/manifest.json", *argv[1:]]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"frustumkit {argv[0]}: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
 
 @pytest.mark.parametrize(

@@ -410,6 +410,11 @@ class TestSizeSearchConfig:
         with pytest.raises(GeometryError):
             SizeSearchConfig(side_candidates=[1.0], height_candidates=[1.0], fr_fc=[(2, 2)])
 
+    @pytest.mark.parametrize("sides, heights", [([], [1.5]), ([1.6], [])], ids=["no-sides", "no-heights"])
+    def test_rejects_an_empty_candidate_list(self, sides, heights):
+        with pytest.raises(GeometryError, match="^need at least one side and one height candidate$"):
+            SizeSearchConfig(side_candidates=sides, height_candidates=heights)
+
     def test_rejects_bad_thresholds(self):
         with pytest.raises(GeometryError):
             SizeSearchConfig(side_candidates=[1.0], height_candidates=[1.0], threshold_xy=0.0)

@@ -44,6 +44,24 @@ class TestRangeImage:
         with pytest.raises(GeometryError):
             RangeImage(depth=np.zeros((10, 10)), intrinsics=K, pose=RigidTransform.identity())
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (
+                lambda: RangeImage(np.zeros(K.width), K, RigidTransform.identity()),
+                r"depth must be a 2D array \(rows, cols\)",
+            ),
+            (
+                lambda: DhsImage(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2))),
+                "channels must share one shape",
+            ),
+        ],
+        ids=["range-image-1d", "dhs-channel-shapes-differ"],
+    )
+    def test_array_shapes_rejected(self, make, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            make()
+
     def test_depth_must_be_finite(self):
         depth = np.zeros((K.height, K.width))
         depth[0, 0] = np.inf

@@ -1,6 +1,11 @@
 """Evaluation checks: greedy matching vs oracle, interpolated AP, metrics."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +252,37 @@ class TestEvaluate:
         first, last = lines[1].split(","), lines[-1].split(",")
         assert float(first[0]) == 0.0 and float(last[1]) == 1.0
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 4
+
+
+    def test_matched_pairs_follow_category_names_under_any_hash_seed(self):
+        """One frame of four categories: the pairs come in name order under every hash seed."""
+        script = (
+            "import json\n"
+            "import numpy as np\n"
+            "from frustumkit.evalkit import Detection, LabeledBox, evaluate\n"
+            "from frustumkit.geometry import OrientedBox3\n"
+            "dets, gts = [], []\n"
+            "for i, name in enumerate(['bed', 'chair', 'sofa', 'table']):\n"
+            "    gts.append(LabeledBox(name, OrientedBox3(np.array([3.0 * i, 0.0, 0.0]), 1.0, 1.0, 1.0, 0.0)))\n"
+            "    moved = OrientedBox3(np.array([3.0 * i + 0.1 * (i + 1), 0.0, 0.0]), 1.0, 1.0, 1.0, 0.1 * i)\n"
+            "    dets.append(Detection(moved, name, 0.9))\n"
+            "report = evaluate([(dets, gts)])\n"
+            "pairs = [report.iou_values, report.orientation_values]\n"
+            "print(json.dumps([[float(v) for v in values] for values in pairs]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        # CPython 3.11 iterates a set of the four names in other orders under these seeds
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outputs.add(run.stdout)
+        (out,) = outputs
+        ious, orientations = json.loads(out)
+        # bed, chair, sofa, table: each detection is moved and turned further than the one before
+        assert len(ious) == 4 and ious == sorted(ious, reverse=True)
+        assert orientations == sorted(orientations, reverse=True) and orientations[0] == 1.0
 
 
 class TestDetectionValidation:

@@ -36,7 +36,6 @@ from frustumkit.geometry import (
     project_points,
     read_cloud_binary,
     tile_points,
-    unproject_depth_image,
     unproject_grid,
     write_cloud_binary,
 )
@@ -90,7 +89,10 @@ class TestUnproject:
         us, vs = pixel_centers(4, 3)
         assert us.tolist() == [0.5, 1.5, 2.5, 3.5] and vs.tolist() == [[0.5], [1.5], [2.5]]
         depth = np.arange(1.0, 13.0).reshape(3, 4)
-        assert np.array_equal(unproject_depth_image(depth, K), unproject_grid(us, vs, depth, K))
+        u, v, z = project_points(unproject_grid(us, vs, depth, K).reshape(-1, 3), K)
+        np.testing.assert_allclose(u, np.broadcast_to(us, (3, 4)).ravel(), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(v, np.broadcast_to(vs, (3, 4)).ravel(), rtol=0, atol=1e-9)
+        assert np.array_equal(z, depth.ravel())
 
 
 class TestProject:
@@ -131,6 +133,37 @@ def test_only_an_n_by_3_array_is_a_point_cloud(shape):
     message = f"point cloud must have shape (N, 3), got {shape}"
     with pytest.raises(GeometryError, match=re.escape(message)):
         as_point_cloud(np.zeros(shape))
+
+
+INTRINSICS = {"fx": 520.0, "fy": 515.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480}
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: as_point_cloud([[0.0, math.nan, 1.0]]), "point cloud contains non-finite coordinates"),
+        (lambda: CameraIntrinsics(**{**INTRINSICS, "width": 0}), "image dimensions must be positive"),
+        (lambda: CameraIntrinsics(**{**INTRINSICS, "height": 0}), "image dimensions must be positive"),
+        (lambda: CameraIntrinsics(**{**INTRINSICS, "cx": 640.0}), "principal point must lie inside the image"),
+        (lambda: CameraIntrinsics(**{**INTRINSICS, "cy": -0.5}), "principal point must lie inside the image"),
+        (lambda: RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)), "rotation must be proper (det +1)"),
+        (lambda: OrientedBox3((0.0, math.nan, 0.5), 1.0, 1.0, 1.0, 0.0), "box center must be finite"),
+        (lambda: Aabb3((math.nan, 0.0, 0.5), 1.6, 1.5), "crop center must be finite"),
+    ],
+    ids=[
+        "cloud-nan",
+        "intrinsics-zero-width",
+        "intrinsics-zero-height",
+        "principal-point-right-of-image",
+        "principal-point-above-image",
+        "rotation-reflection",
+        "box-center-nan",
+        "crop-center-nan",
+    ],
+)
+def test_constructors_reject_bad_values(make, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestRect2:

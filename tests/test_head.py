@@ -104,6 +104,18 @@ class TestHeadVectorValidation:
         with pytest.raises(GeometryError):
             HeadVector(1.0, 0.0, 1.2, 0.5, 0.5, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: HeadVector(1.0, 0.0, 0.5, 0.5, 0.5, math.inf, 0.0, 0.0), "lw must be finite"),
+            (lambda: LossWeights(0.0, 0.0, 0.0), "at least one of the three box-term weights must be positive"),
+        ],
+        ids=["lw-inf", "all-weights-zero"],
+    )
+    def test_bad_values_rejected(self, make, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            make()
+
 
 class TestEncodeDecode:
     def test_round_trip_fuzzed(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from frustumkit import scenegen
-from frustumkit.geometry import OrientedBox3, oriented_box_footprint, project_points, unproject_depth_image
+from frustumkit.geometry import OrientedBox3, oriented_box_footprint, pixel_centers, project_points, unproject_grid
 from frustumkit.scenegen import (
     _RAY_TOL,
     RenderedObject,
@@ -56,7 +56,8 @@ def unculled_render(spec):
     cloud, cloud_labels = samples[keep], labels[keep]
 
     k = spec.intrinsics
-    dirs = unproject_depth_image(np.ones((k.height, k.width)), k).reshape(-1, 3) @ spec.pose.rotation.T
+    rays = unproject_grid(*pixel_centers(k.width, k.height), np.ones((k.height, k.width)), k)
+    dirs = rays.reshape(-1, 3) @ spec.pose.rotation.T
     depth = np.full(dirs.shape[0], np.inf)
     for patch in patches:
         depth = np.minimum(depth, ray_patch_depths(camera_pos, dirs, patch))

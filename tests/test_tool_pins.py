@@ -1,0 +1,23 @@
+"""The test tools have one set of versions: the CI job and the ``test`` extra pin the same ones.
+
+Hypothesis draws other examples from one release to the next, so a fuzz test
+that passes under one pin can fail under another.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _pins(path: str) -> dict[str, str]:
+    text = (ROOT / path).read_text(encoding="utf-8")
+    return dict(re.findall(r"\b(pytest|hypothesis)==([0-9][0-9A-Za-z.]*)", text))
+
+
+def test_ci_and_the_test_extra_pin_the_same_tool_versions():
+    ci = _pins(".github/workflows/tier1.yml")
+    assert set(ci) == {"pytest", "hypothesis"}
+    assert _pins("pyproject.toml") == ci
