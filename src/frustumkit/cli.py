@@ -28,13 +28,13 @@ from .cropbox import (
     assign_scale,
     best_cropbox,
     candidate_centers,
+    check_subdivision,
     get_scale_spec,
     recall_curves,
     select_min_size,
     split_frames,
     CURVE_CSV_HEADER,
     SCALE_SPECS,
-    SUBDIVISIONS,
 )
 from .csvio import write_lines
 from .dhs import D_MAX_DEFAULT, H_MAX_DEFAULT, H_MIN_DEFAULT, depth_to_dhs, read_range_image, write_range_image
@@ -145,20 +145,22 @@ def _pick(items: Sequence, index: int, item: str, holder: str):
     return items[index]
 
 
-def _samples(manifest: Manifest) -> list:
-    samples = list(iter_object_samples(manifest))
-    if not samples:
+def _require_labels(manifest: Manifest) -> None:
+    if manifest.n_objects == 0:
         raise FrustumKitError("manifest contains no labeled objects")
-    return samples
+
+
+def _samples(manifest: Manifest) -> list:
+    _require_labels(manifest)
+    return list(iter_object_samples(manifest))
 
 
 def _anchors_from_labels(manifest: Manifest) -> dict[str, Anchor]:
+    _require_labels(manifest)
     boxes_by_category: dict[str, list] = {}
     for frame in manifest.frames:
         for obj in frame.objects:
             boxes_by_category.setdefault(obj.category, []).append(obj.box)
-    if not boxes_by_category:
-        raise FrustumKitError("manifest contains no labeled objects")
     return compute_anchors(boxes_by_category)
 
 
@@ -273,8 +275,7 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     frame = _pick(manifest.frames, args.frame, "frame", "manifest")
     obj = _pick(frame.objects, args.object, "object", "frame")
-    if (args.fr, args.fc) not in SUBDIVISIONS:
-        raise FrustumKitError(f"--fr/--fc subdivision ({args.fr}, {args.fc}) not in {list(SUBDIVISIONS)}")
+    check_subdivision(args.fr, args.fc)
     if args.scale == "auto":
         spec = get_scale_spec(assign_scale(obj.box.width, obj.box.depth, obj.box.height))
     else:

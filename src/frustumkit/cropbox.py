@@ -207,6 +207,12 @@ class ObjectSample:
 SUBDIVISIONS = ((1, 1), (3, 3), (5, 5))
 
 
+def check_subdivision(fr: int, fc: int) -> None:
+    """Raise :class:`GeometryError` unless (fr, fc) is one of :data:`SUBDIVISIONS`."""
+    if (fr, fc) not in SUBDIVISIONS:
+        raise GeometryError(f"subdivision ({fr}, {fc}) not in {list(SUBDIVISIONS)}")
+
+
 @dataclass
 class SizeSearchConfig:
     """Sweep configuration for recall curves.
@@ -229,8 +235,7 @@ class SizeSearchConfig:
         for name in ("threshold_xy", "threshold_z"):
             validate_threshold(name, getattr(self, name))
         for pair in self.fr_fc:
-            if tuple(pair) not in SUBDIVISIONS:
-                raise GeometryError(f"subdivision {pair} not in {list(SUBDIVISIONS)}")
+            check_subdivision(*pair)
         self.side_candidates = sorted(float(s) for s in self.side_candidates)
         self.height_candidates = sorted(float(h) for h in self.height_candidates)
 

@@ -4,9 +4,10 @@ A grid is stored as its occupied cells only: the sorted C-order flat indices
 of the cells that hold points, and their counts. A crop grid is ~1e-4
 occupied, so the dense array is never built on the voxel path; ``data``
 densifies on request. An FVGRID01 file holds every cell as a u32 count, but
-only the 4 KiB body pages that hold an occupied cell are built and written;
-the others are seeked over in a regular file and written as zeros anywhere
-else. The sparse CSV lists the occupied cells in x-major order.
+only its 4 KiB file pages that hold the header or an occupied cell are built,
+each written once: one ``os.pwrite`` per run of consecutive pages in a regular
+file, whose other pages stay holes, and in order with the gaps written as
+zeros anywhere else. The sparse CSV lists the occupied cells in x-major order.
 
 Cells are half-open along every axis; the crop's maximum face belongs to the
 last cell so the grid covers the crop exactly and a point on a shared interior
@@ -30,7 +31,7 @@ from .outfile import open_output
 
 _MAGIC = b"FVGRID01"
 _HEADER = struct.Struct("<8s3i3d3d")
-_PAGE = 1024  # u32 counts in one 4 KiB page of the grid body
+_PAGE = 4096  # bytes in one page of the grid file
 
 
 class VoxelGrid:
@@ -112,47 +113,59 @@ def voxelize(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> VoxelGrid:
 def write_voxel_grid(grid: VoxelGrid, path: str) -> None:
     """Binary grid format: magic, dims (i32), cell + origin (f64), u32 counts.
 
-    The counts are one per cell in x-major order. Only the body pages that
-    hold an occupied cell are built, in one compact buffer; the empty pages
-    between them are gaps (see :func:`_gap`).
+    The counts are one per cell in x-major order, so cell ``c`` sits at byte
+    ``68 + 4 * c``. Only the 4 KiB file pages that hold the header (page 0)
+    or an occupied cell are built, in one compact buffer. A regular file gets
+    one ``os.pwrite`` per run of consecutive pages at its offset, then its
+    full length from ``os.ftruncate``; any other output (a FIFO, a tty,
+    ``/dev/null``), or a platform without ``os.pwrite``, gets the same runs
+    in order with the pages between them written as zeros.
     """
+    if max(grid.dims) > 0x7FFFFFFF:
+        raise GeometryError("grid dims exceed the 32-bit storage limit")
     if grid.counts.size and int(grid.counts.max()) > 0xFFFFFFFF:
         raise GeometryError("cell count exceeds the 32-bit storage limit")
     header = _HEADER.pack(_MAGIC, *grid.dims, *grid.cell, *grid.origin.tolist())
-    n_cells = math.prod(grid.dims)
-    page_of = grid.cells // _PAGE
-    pages = np.unique(page_of)
-    body = np.zeros(pages.size * _PAGE, dtype="<u4")
-    body[np.searchsorted(pages, page_of) * _PAGE + grid.cells % _PAGE] = grid.counts
-    # runs of consecutive pages, as [first, stop) slices of ``pages``
+    size = len(header) + 4 * math.prod(grid.dims)
+    at = len(header) + 4 * grid.cells  # each count's byte offset in the file
+    page_of = at // _PAGE
+    pages = np.union1d(page_of, 0)
+    buf = np.zeros(pages.size * _PAGE, dtype=np.uint8)
+    buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    buf.view("<u4")[(np.searchsorted(pages, page_of) * _PAGE + at % _PAGE) // 4] = grid.counts
+    # runs of consecutive pages: each one's [start, end) bytes in the file,
+    # and where it begins in ``buf``
     firsts = np.flatnonzero(np.diff(pages, prepend=-2) != 1)
-    stops = np.append(firsts[1:], pages.size)
+    starts = pages[firsts] * _PAGE
+    ends = (pages[np.append(firsts[1:], pages.size) - 1] + 1) * _PAGE
+    ends[-1] = min(int(ends[-1]), size)  # the file may end inside its last page
+    data = memoryview(buf)
     with open_output(path) as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        fh.write(header)
-        done = 0  # body cells written or skipped so far
-        for first, stop in zip(firsts.tolist(), stops.tolist()):
-            begin = int(pages[first]) * _PAGE
-            end = min(int(pages[stop - 1]) * _PAGE + _PAGE, n_cells)
-            _gap(fh, 4 * (begin - done), regular)
-            fh.write(body[first * _PAGE : first * _PAGE + end - begin])
+        fd = fh.fileno()
+        positional = hasattr(os, "pwrite") and stat.S_ISREG(os.fstat(fd).st_mode)
+        done = 0  # file bytes written or passed so far
+        for start, end, buf_at in zip(starts.tolist(), ends.tolist(), (firsts * _PAGE).tolist()):
+            run = data[buf_at : buf_at + end - start]
+            if positional:
+                while run:  # os.pwrite may write fewer bytes than asked
+                    n = os.pwrite(fd, run, start)
+                    run, start = run[n:], start + n
+            else:
+                _zeros(fh, start - done)
+                fh.write(run)
             done = end
-        _gap(fh, 4 * (n_cells - done), regular)
-        if regular:
-            # Seeking past the end does not grow a file, so set its full
-            # length. The gaps read back as zeros only because open_output
+        if positional:
+            # The last run may stop short of the file's end, so set its full
+            # length. The holes read back as zeros only because open_output
             # always hands back an empty file (a new inode, or one opened
             # with O_TRUNC), so no earlier bytes lie under them.
-            fh.truncate()
+            os.ftruncate(fd, size)
+        else:
+            _zeros(fh, size - done)
 
 
-def _gap(fh, nbytes: int, regular: bool) -> None:
-    """Pass over ``nbytes`` zero bytes of the body: seek over them in a
-    regular file, which leaves a hole, and write them anywhere else (a FIFO,
-    a tty or ``/dev/null``, which is seekable but cannot be truncated)."""
-    if regular:
-        fh.seek(nbytes, os.SEEK_CUR)
-        return
+def _zeros(fh, nbytes: int) -> None:
+    """Write ``nbytes`` zero bytes to a stream, at most 1 MiB at a time."""
     zeros = memoryview(bytes(min(nbytes, 1 << 20)))
     while nbytes > 0:
         nbytes -= fh.write(zeros[:nbytes])

@@ -302,7 +302,7 @@ def test_voxelize_accepts_only_the_swept_subdivisions(dataset, tmp_path, capsys,
     argv = ["voxelize", "--manifest", str(dataset), "--out", str(vox), "--fr", str(fr), "--fc", str(fc)]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"frustumkit voxelize: --fr/--fc subdivision ({fr}, {fc}) not in [(1, 1), (3, 3), (5, 5)]" in err
+    assert err == f"frustumkit voxelize: subdivision ({fr}, {fc}) not in [(1, 1), (3, 3), (5, 5)]\n"
     assert not vox.exists()
 
 
@@ -1148,6 +1148,7 @@ def test_every_int_flag_rejects_negative(dataset, perfect_detections, tmp_path, 
         ("recall-curves", "--fr-fc", "1x1,ax1", "--fr-fc expects positive integers like 3x3, got 'ax1'"),
         ("recall-curves", "--fr-fc", "1x1x1", "--fr-fc expects positive integers like 3x3, got '1x1x1'"),
         ("recall-curves", "--fr-fc", ",", "--fr-fc expects at least one value"),
+        ("recall-curves", "--fr-fc", "1x1,2x2", "subdivision (2, 2) not in [(1, 1), (3, 3), (5, 5)]"),
         ("netshape", "--grid", "8x8", "--grid expects positive integers like 198x198x102, got '8x8'"),
         ("netshape", "--grid", "8xax8", "--grid expects positive integers like 198x198x102, got '8xax8'"),
         ("netshape", "--grid", "0x8x8", "--grid expects positive integers like 198x198x102, got '0x8x8'"),
@@ -1169,6 +1170,7 @@ def test_every_int_flag_rejects_negative(dataset, perfect_detections, tmp_path, 
         "recall-curves-fr-fc-letter",
         "recall-curves-fr-fc-three-numbers",
         "recall-curves-fr-fc-comma",
+        "recall-curves-fr-fc-unswept",
         "netshape-grid-two-numbers",
         "netshape-grid-letter",
         "netshape-grid-zero",

@@ -12,11 +12,13 @@ from frustumkit.cropbox import (
     CurvePoint,
     ObjectSample,
     SCALE_SPECS,
+    SUBDIVISIONS,
     ScaleSpec,
     SizeSearchConfig,
     assign_scale,
     best_cropbox,
     candidate_centers,
+    check_subdivision,
     get_scale_spec,
     recall_curves,
     select_min_size,
@@ -407,8 +409,15 @@ class TestSplitFrames:
 
 class TestSizeSearchConfig:
     def test_rejects_unknown_subdivisions(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=r"^subdivision \(2, 2\) not in \[\(1, 1\), \(3, 3\), \(5, 5\)\]$"):
             SizeSearchConfig(side_candidates=[1.0], height_candidates=[1.0], fr_fc=[(2, 2)])
+
+    def test_check_subdivision_accepts_exactly_the_swept_ones(self):
+        for fr, fc in SUBDIVISIONS:
+            check_subdivision(fr, fc)
+        for fr, fc in [(2, 2), (1, 3), (3, 1), (0, 0)]:
+            with pytest.raises(GeometryError, match=f"^subdivision \\({fr}, {fc}\\) not in "):
+                check_subdivision(fr, fc)
 
     @pytest.mark.parametrize("sides, heights", [([], [1.5]), ([1.6], [])], ids=["no-sides", "no-heights"])
     def test_rejects_an_empty_candidate_list(self, sides, heights):

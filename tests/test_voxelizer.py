@@ -14,6 +14,7 @@ import pytest
 
 from frustumkit.cropbox import SCALE_SPECS, ScaleSpec
 from frustumkit.errors import GeometryError
+from frustumkit import voxelizer
 from frustumkit.geometry import Aabb3
 from frustumkit.voxelizer import (
     VoxelGrid,
@@ -122,6 +123,14 @@ class TestSerialization:
         grid = VoxelGrid(dims=(1, 1, 1), cell=(1.0, 1.0, 1.0), origin=np.zeros(3), cells=[0], counts=[2**33])
         with pytest.raises(GeometryError):
             write_voxel_grid(grid, str(tmp_path / "big.vox"))
+
+    @pytest.mark.parametrize("dims", [(2**31, 1, 1), (1, 2**31, 1), (1, 1, 2**32)])
+    def test_dims_over_i32_rejected_before_the_file_opens(self, tmp_path, dims):
+        grid = VoxelGrid(dims, cell=(1.0, 1.0, 1.0), origin=np.zeros(3), cells=[0], counts=[1])
+        path = tmp_path / "big.vox"
+        with pytest.raises(GeometryError, match="^grid dims exceed the 32-bit storage limit$"):
+            write_voxel_grid(grid, str(path))
+        assert not path.exists()
 
 
 def dense_reference(cloud: np.ndarray, crop: Aabb3, spec: ScaleSpec) -> np.ndarray:
@@ -264,7 +273,7 @@ def _grid(dims, cells) -> VoxelGrid:
     return VoxelGrid(dims, (0.5, 0.25, 0.125), np.array([1.0, -2.0, 0.5]), cells, cells % 7 + 1)
 
 
-FACE_SPEC = SCALE_SPECS["small_short"]  # 198x198x102: the last body page is partly filled
+FACE_SPEC = SCALE_SPECS["small_short"]  # 198x198x102: the last file page is partly filled
 FACE_CROP = Aabb3(center=(0.3, -1.1, 0.75), side=1.6, height=1.5)
 N_FACE = math.prod(FACE_SPEC.grid)
 
@@ -273,14 +282,16 @@ EDGE_GRIDS = {
     "first-cell": lambda: _grid((8, 8, 32), [0]),
     "last-cell-full-page": lambda: _grid((8, 8, 32), [8 * 8 * 32 - 1]),
     "last-cell-part-page": lambda: _grid(FACE_SPEC.grid, [N_FACE - 1]),
-    "page-boundary": lambda: _grid((8, 8, 32), [1023, 1024]),
+    "page-boundary": lambda: _grid((8, 8, 32), [1023, 1024]),  # 1024-cell boundary, inside file page 1
+    "file-page-boundary": lambda: _grid((8, 8, 32), [1006, 1007]),  # bytes 4092 and 4096: pages 0 and 1
+    "last-cell-full-file-page": lambda: _grid((3, 677, 1), [2030]),  # the file is two pages exactly
     "every-cell": lambda: _grid((4, 4, 6), np.arange(96)),
     "face-grid": lambda: voxelize(face_cloud(7, FACE_CROP, FACE_SPEC), FACE_CROP, FACE_SPEC),
 }
 
 
 class TestPagedBody:
-    """The grid body holds only the pages with an occupied cell; the bytes equal the dense body's."""
+    """The writer builds only the file pages with the header or an occupied cell; the bytes equal the dense body's."""
 
     @pytest.mark.parametrize("make", EDGE_GRIDS.values(), ids=EDGE_GRIDS.keys())
     def test_regular_file_equals_dense_bytes(self, tmp_path, make):
@@ -314,7 +325,7 @@ class TestPagedBody:
     @pytest.mark.parametrize("route", ["replaced", "hard-linked", "symlinked"])
     def test_no_stale_bytes_under_the_gaps(self, tmp_path, route):
         """Writing over a larger file of 0xFF bytes leaves every gap zero, however the path reaches it."""
-        grid = _grid((8, 8, 160), [5, 3000, 7000])  # pages 0, 2 and 6 of 10: gaps between and after
+        grid = _grid((8, 8, 160), [5, 3000, 7000])  # file pages 0, 2 and 6 of 11: gaps between and after
         target = tmp_path / "old.vox"
         target.write_bytes(b"\xff" * (3 * (68 + 4 * 8 * 8 * 160)))
         path = target
@@ -324,5 +335,50 @@ class TestPagedBody:
         elif route == "symlinked":
             path = tmp_path / "link.vox"
             path.symlink_to(target)
+        write_voxel_grid(grid, str(path))
+        assert path.read_bytes() == dense_file_bytes(grid)
+
+    @pytest.mark.parametrize("make", EDGE_GRIDS.values(), ids=EDGE_GRIDS.keys())
+    def test_each_file_page_is_written_once_in_one_call_per_run(self, tmp_path, monkeypatch, make):
+        grid = make()
+        calls = []
+        real_pwrite = os.pwrite
+
+        def spy(fd, data, offset):
+            n = real_pwrite(fd, data, offset)
+            calls.append((offset, n))
+            return n
+
+        monkeypatch.setattr(voxelizer.os, "pwrite", spy)
+        write_voxel_grid(grid, str(tmp_path / "grid.vox"))
+        expected = sorted({0, *((68 + 4 * grid.cells) // 4096).tolist()})
+        written = [p for offset, n in calls for p in range(offset // 4096, -(-(offset + n) // 4096))]
+        assert all(offset % 4096 == 0 for offset, _ in calls)
+        assert sorted(written) == expected
+        n_runs = 1 + sum(b != a + 1 for a, b in zip(expected, expected[1:]))
+        assert len(calls) == n_runs
+
+    @pytest.mark.parametrize("make", EDGE_GRIDS.values(), ids=EDGE_GRIDS.keys())
+    def test_short_pwrites_leave_no_hole(self, tmp_path, monkeypatch, make):
+        """os.pwrite may write fewer bytes than asked; the writer carries on where it stopped."""
+        grid = make()
+        asked = []
+        real_pwrite = os.pwrite
+
+        def at_most_1000_bytes(fd, data, offset):
+            asked.append(len(data))
+            return real_pwrite(fd, memoryview(data)[:1000], offset)
+
+        monkeypatch.setattr(voxelizer.os, "pwrite", at_most_1000_bytes)
+        path = tmp_path / "grid.vox"
+        write_voxel_grid(grid, str(path))
+        assert path.read_bytes() == dense_file_bytes(grid)
+        assert asked and (max(asked) > 1000) == (os.path.getsize(path) > 1000)
+
+    def test_without_pwrite_the_gaps_are_written(self, tmp_path, monkeypatch):
+        """A platform without os.pwrite gets the stream branch, zeros included."""
+        monkeypatch.delattr(voxelizer.os, "pwrite")
+        grid = EDGE_GRIDS["face-grid"]()
+        path = tmp_path / "grid.vox"
         write_voxel_grid(grid, str(path))
         assert path.read_bytes() == dense_file_bytes(grid)
