@@ -135,6 +135,12 @@ def candidate_centers(
     empty there is nothing to anchor a crop to and NoCandidatesError is
     raised.
 
+    Both statistics follow point order: an average adds the points in
+    ascending cloud index starting from 0.0, and a median sorts stably, so
+    equal values (0.0 and -0.0) keep their order. A 1x1 split is the rect
+    itself, and its one row is taken straight from the rect's points, with
+    no tile bins.
+
     ``projection`` is a project_cloud of this very cloud, camera and pose (by
     identity), so that the objects of one frame share one projection;
     without it the cloud is projected here.
@@ -146,21 +152,34 @@ def candidate_centers(
     elif not projection.made_from(cloud, k, pose):
         raise GeometryError("projection was made from another cloud, camera or pose")
     tiles, point = tile_points(projection, rect, fr, fc)
+    if point.size == 0:
+        raise NoCandidatesError(f"all {fr}x{fc} subfrustums of the rect are empty")
+    inside = projection.points.take(point, axis=0)  # take gathers rows faster than indexing
+    if fr == fc == 1:
+        # one subfrustum, the rect itself: no tiles to bin. The axis-0 sum adds
+        # the points in point order from 0.0, as the tile bins below do.
+        if mode == "average":
+            return inside.sum(axis=0, keepdims=True) / point.size
+        return np.sort(inside, axis=0, kind="stable")[[(point.size - 1) // 2]]
     n_tiles = fr * fc
     counts = np.bincount(tiles, minlength=n_tiles)
     full = counts.nonzero()[0]
-    if full.size == 0:
-        raise NoCandidatesError(f"all {fr}x{fc} subfrustums of the rect are empty")
-    inside = projection.points[point]
     if mode == "average":
         # bin (tile, coordinate) adds the tile's points in point order, as x[mask].mean(axis=0) does
         bins = (3 * tiles[:, None] + np.arange(3)).ravel()
         sums = np.bincount(bins, weights=inside.ravel(), minlength=3 * n_tiles).reshape(n_tiles, 3)
-        centers = sums[full] / counts[full, None]
+        centers = sums.take(full, axis=0) / counts.take(full)[:, None]
     else:
-        # sorted by (tile, coordinate), each tile's lower middle sits at start + (count - 1) // 2
+        # per coordinate, sorted by (tile, value), each tile's lower middle sits at
+        # start + (count - 1) // 2. A complex number tile + value * 1j sorts as
+        # that pair (real part first), so one stable sort orders all three
+        # coordinates and keeps equal values (0.0 and -0.0) in point order.
         middle = (np.cumsum(counts) - counts + (counts - 1) // 2)[full]
-        centers = np.stack([inside[np.lexsort((inside[:, c], tiles))[middle], c] for c in range(3)], axis=1)
+        keyed = np.empty(inside.shape, dtype=np.complex128)
+        keyed.real = tiles[:, None]
+        keyed.imag = inside
+        keyed.sort(axis=0, kind="stable")
+        centers = keyed.imag[middle]
     return centers
 
 
@@ -178,6 +197,8 @@ def best_cropbox(
         raise NoCandidatesError("no candidate centers supplied")
     crops = [Aabb3(center=c, side=spec.crop_side, height=spec.crop_height) for c in candidates]
     scores = [ioi(gt, crop) for crop in crops]
+    if len(crops) == 1:
+        return crops[0], scores[0]
     best = max(range(len(crops)), key=lambda i: scores[i].ioi_3d)  # max keeps the first of tied maxima
     return crops[best], scores[best]
 

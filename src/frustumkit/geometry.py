@@ -52,7 +52,7 @@ def as_point_cloud(points: object) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise GeometryError(f"point cloud must have shape (N, 3), got {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise GeometryError("point cloud contains non-finite coordinates")
     return arr
 
@@ -79,7 +79,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class Rect2:
-    """Axis-aligned pixel-space rectangle with strictly positive area."""
+    """Axis-aligned pixel-space rectangle with finite edges and strictly positive area."""
 
     u_min: float
     v_min: float
@@ -90,6 +90,13 @@ class Rect2:
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise GeometryError(
                 f"degenerate rect: ({self.u_min}, {self.v_min}, {self.u_max}, {self.v_max})"
+            )
+        # NaN already failed the comparisons above; an infinite edge would
+        # make NaN band edges (inf * 0.0) when the rect is tiled
+        if not (math.isfinite(self.u_min) and math.isfinite(self.u_max)
+                and math.isfinite(self.v_min) and math.isfinite(self.v_max)):
+            raise GeometryError(
+                f"rect edges must be finite: ({self.u_min}, {self.v_min}, {self.u_max}, {self.v_max})"
             )
 
     @property
@@ -203,7 +210,8 @@ class Aabb3:
 
     def __post_init__(self) -> None:
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(self.center)):
+        x, y, z = self.center.tolist()
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise GeometryError("crop center must be finite")
         if not (0 < self.side < math.inf and 0 < self.height < math.inf):
             raise GeometryError("crop dimensions must be finite and strictly positive")
@@ -280,29 +288,39 @@ class CloudProjection:
 
 
 def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform) -> CloudProjection:
-    """Validate the cloud (see as_point_cloud), move it into the camera frame and project it once."""
+    """Validate the cloud (see as_point_cloud), move it into the camera frame and project it once.
+
+    When every point is in depth, ``u`` and ``v`` are project_points' own
+    arrays; otherwise they are gathered at ``index``.
+    """
     pts = as_point_cloud(cloud)
     cam = pose.inverse().apply(pts)
     u, v, z = project_points(cam, k)
     tol = BOUNDARY_TOL
     index = ((z > NEAR_DEFAULT - tol) & (z < FAR_DEFAULT + tol)).nonzero()[0]
-    return CloudProjection(cloud, pts, k, pose, index, u[index], v[index])
+    if index.size < z.size:
+        u, v = u[index], v[index]
+    return CloudProjection(cloud, pts, k, pose, index, u, v)
 
 
-def _band_limits(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _band_limits(lo: float, hi: float, n: int) -> tuple[list[float], list[float]]:
     # band j of [lo, hi] split n ways holds lower[j] <= x < upper[j]; the
     # endpoint-exact edges make the outer edges reproduce lo and hi bit for
     # bit and let neighbouring bands read one shared edge value. The few
     # edges are Python floats (cheaper than array ops at this size, same
-    # IEEE results); the limits are returned as float64 arrays, which
-    # searchsorted takes without a conversion per call.
-    edges = [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)]
-    lower = [e - BOUNDARY_TOL for e in edges[:-1]]
-    upper = [e + BOUNDARY_TOL for e in edges[1:]]
-    if lower != sorted(lower) or upper != sorted(upper):
+    # IEEE results).
+    lower: list[float] = []
+    upper: list[float] = []
+    for j in range(n + 1):
+        edge = lo * (1.0 - j / n) + hi * (j / n)
+        if j < n:
+            lower.append(edge - BOUNDARY_TOL)
+        if j > 0:
+            upper.append(edge + BOUNDARY_TOL)
+    if n > 1 and (lower != sorted(lower) or upper != sorted(upper)):
         # only a side a few ulps wide rounds its edges out of order
         raise GeometryError(f"rect side [{lo!r}, {hi!r}] is too narrow to split into {n} bands")
-    return np.array(lower), np.array(upper)
+    return lower, upper
 
 
 def _band_runs(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,6 +342,9 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
     a point on (or within the tolerance of) an edge shared by two tiles counts
     in both. Returns (tiles, points), two int arrays of one length, in
     point-major order: ascending cloud index, then ascending tile.
+
+    A 1x1 split is the rect itself: its tiles are all 0 and no band is looked
+    up, so its cost is one pass of four comparisons over the projection.
     """
     if fr < 1 or fc < 1:
         raise GeometryError("subdivision counts must be >= 1")
@@ -331,12 +352,13 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
     v_lo, v_hi = _band_limits(rect.v_min, rect.v_max, fr)
     u, v = proj.u, proj.v
     inside = ((u >= u_lo[0]) & (u < u_hi[-1]) & (v >= v_lo[0]) & (v < v_hi[-1])).nonzero()[0]
-    point = proj.index[inside]
+    # the index is the identity when every point is in depth
+    point = inside if proj.index.size == len(proj.points) else proj.index[inside]
     if fr == fc == 1:
         # one band each way: every inside point is in tile 0, once
         return np.zeros(point.size, dtype=np.intp), point
-    col, n_cols = _band_runs(u[inside], u_lo, u_hi)
-    row, n_rows = _band_runs(v[inside], v_lo, v_hi)
+    col, n_cols = _band_runs(u[inside], np.array(u_lo), np.array(u_hi))
+    row, n_rows = _band_runs(v[inside], np.array(v_lo), np.array(v_hi))
     per_point = n_rows * n_cols
     if per_point.max(initial=1) == 1:
         return row * fc + col, point
@@ -353,7 +375,9 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
 
 def oriented_box_footprint(box: OrientedBox3) -> list[tuple[float, float]]:
     """Counter-clockwise corners of the box footprint in the world xy plane."""
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
+    # numpy's cos and sin, as Python floats: the corner arithmetic then runs
+    # on floats, with the same IEEE results as on numpy scalars
+    c, s = float(np.cos(box.yaw)), float(np.sin(box.yaw))
     hw, hd = 0.5 * box.width, 0.5 * box.depth
     cx, cy = float(box.center[0]), float(box.center[1])
     corners = []

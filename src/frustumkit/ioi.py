@@ -96,36 +96,50 @@ def _clip_to_box(
     return poly
 
 
+def _successors(n: np.ndarray, width: int) -> np.ndarray:
+    # flat index, into a (len(n), width) array, of each vertex's successor:
+    # the next slot, and the row's first for its last vertex. Slots past a
+    # row's n[r] vertices point at the next slot (one past the end for the
+    # array's last slot): callers mask them.
+    nxt = np.arange(1, len(n) * width + 1).reshape(len(n), width)
+    nxt[np.arange(len(n)), n - 1] -= n
+    return nxt
+
+
 def _clip_pass(
     px: np.ndarray, py: np.ndarray, n: np.ndarray, axis: int, bound: np.ndarray, keep_le: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # _clip_axis on every row at once: row r holds the polygon
     # (px[r, :n[r]], py[r, :n[r]]), zero-padded; the output keeps the scalar
-    # pass's vertex order and arithmetic
+    # pass's vertex order and arithmetic. Slots are addressed by flat index,
+    # and a cut point is computed only where an edge crosses the bound.
     a, o = (px, py) if axis == 0 else (py, px)
-    rows = np.arange(len(n))[:, None]
-    j = np.arange(a.shape[1])
-    vertex = j < n[:, None]
-    nxt = np.where(j + 1 < n[:, None], j + 1, 0)
+    n_rows, width = a.shape
+    vertex = np.arange(width) < n[:, None]
+    nxt = _successors(n, width)
     b = bound[:, None]
     cur_in = ((a <= b) if keep_le else (a >= b)) & vertex
-    cross = vertex & (cur_in != cur_in[rows, nxt])
-    a_nxt, o_nxt = a[rows, nxt], o[rows, nxt]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (b - a) / (a_nxt - a)
-        cut = o + t * (o_nxt - o)
-    emit = cur_in.astype(np.int64) + cross
-    pos = np.cumsum(emit, axis=1) - emit
-    n_out = emit.sum(axis=1)
-    out_a = np.zeros((len(n), int(n_out.max(initial=1))))
+    cross = vertex & (cur_in != cur_in.take(nxt, mode="clip"))
+    # each slot emits its vertex if inside, then the cut point if its edge crosses
+    emit = cross + cur_in.view(np.int8)
+    pos = np.cumsum(emit, axis=1, dtype=np.intp)
+    pos -= emit
+    n_out = pos[:, -1] + emit[:, -1]
+    w_out = int(n_out.max(initial=1))
+    out_a = np.zeros((n_rows, w_out))
     out_o = np.zeros_like(out_a)
-    r, c = np.nonzero(cur_in)
-    out_a[r, pos[r, c]] = a[r, c]
-    out_o[r, pos[r, c]] = o[r, c]
-    r, c = np.nonzero(cross)
-    at = pos[r, c] + cur_in[r, c]
-    out_a[r, at] = bound[r]
-    out_o[r, at] = cut[r, c]
+    pos += np.arange(0, n_rows * w_out, w_out)[:, None]
+    a, o, pos, cur_in, nxt = a.ravel(), o.ravel(), pos.ravel(), cur_in.ravel(), nxt.ravel()
+    k = cur_in.nonzero()[0]
+    out_a.ravel()[pos[k]] = a[k]
+    out_o.ravel()[pos[k]] = o[k]
+    k = cross.ravel().nonzero()[0]
+    at = pos[k] + cur_in[k]
+    bk, ak, ok, kn = bound[k // width], a[k], o[k], nxt[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (bk - ak) / (a[kn] - ak)
+        out_o.ravel()[at] = ok + t * (o[kn] - ok)
+    out_a.ravel()[at] = bk
     return (out_a, out_o, n_out) if axis == 0 else (out_o, out_a, n_out)
 
 
@@ -157,15 +171,15 @@ def _footprint_iois(
     clip = np.flatnonzero(~whole)
     if clip.size == 0:
         return out
-    px, py, n = qx[clip], qy[clip], np.full(clip.size, 4)
+    px, py, n = qx.take(clip, axis=0), qy.take(clip, axis=0), np.full(clip.size, 4)
     for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
         px, py, n = _clip_pass(px, py, n, axis, bound[clip], keep_le)
-    rows = np.arange(clip.size)
-    acc = np.zeros(clip.size)
-    for i in range(px.shape[1]):
-        nxt = np.where(i + 1 < n, i + 1, 0)
-        term = px[:, i] * py[rows, nxt] - px[rows, nxt] * py[:, i]
-        acc = acc + np.where(i < n, term, 0.0)
+    # the shoelace terms, summed vertex by vertex as _polygon_area adds them
+    # (a running sum from the first term; it differs from acc = 0.0 + ... only
+    # in the sign of a zero, which abs() drops)
+    nxt = _successors(n, px.shape[1])
+    term = px * py.take(nxt, mode="clip") - px.take(nxt, mode="clip") * py
+    acc = np.cumsum(np.where(np.arange(px.shape[1]) < n[:, None], term, 0.0), axis=1)[:, -1]
     area = np.where(n >= 3, np.abs(acc) * 0.5, 0.0)
     ratio = area / box_areas[clip]
     out[clip] = np.where(ratio > 1.0, 1.0, ratio)
@@ -217,12 +231,12 @@ def crop_scores(
     areas = np.array([b.width * b.depth for b in boxes], dtype=np.float64)
     row_box = np.repeat(owner, n_sides)
     xy = _footprint_iois(
-        quads[row_box], areas[row_box], np.repeat(crop[:, 0], n_sides), np.repeat(crop[:, 1], n_sides),
+        quads.take(row_box, axis=0), areas[row_box], np.repeat(crop[:, 0], n_sides), np.repeat(crop[:, 1], n_sides),
         np.tile(sides, n_rows),
     ).reshape(n_rows, n_sides)
 
     # ioi()'s z rule, broadcast over (row, height)
-    b_z = np.array([(*b.z_interval, b.height) for b in boxes], dtype=np.float64).reshape(-1, 3)[owner]
+    b_z = np.array([(*b.z_interval, b.height) for b in boxes], dtype=np.float64).reshape(-1, 3).take(owner, axis=0)
     c_lo, c_hi = crop[:, 2, None] - 0.5 * heights, crop[:, 2, None] + 0.5 * heights
     overlap = np.minimum(b_z[:, 1, None], c_hi) - np.maximum(b_z[:, 0, None], c_lo)
     ratio = overlap / b_z[:, 2, None]

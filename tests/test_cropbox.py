@@ -240,8 +240,91 @@ class TestCandidateCentersAgainstPerTileReference:
         assert calls == {"inverse": 1, "project": 1}
 
 
+class TestCentersInPointOrder:
+    """Centers are statistics of their points in point order; a 1x1 subfrustum is the rect itself."""
+
+    # a camera 1e6 m from the origin, so that the order of the adds shows in the sums
+    POSE = RigidTransform(np.eye(3), np.array([1.0e6, -2.0e6, 0.5e6]))
+    RECT = Rect2(0.0, 0.0, float(K.width), float(K.height))
+
+    def _cloud(self, n, seed=11):
+        rng = np.random.default_rng(seed)
+        pixels = rng.uniform([1.0, 1.0], [K.width - 1.0, K.height - 1.0], size=(n, 2))
+        return self.POSE.apply(unproject_grid(pixels[:, 0], pixels[:, 1], rng.uniform(1.0, 6.0, n), K))
+
+    def test_average_adds_the_points_in_point_order(self):
+        cloud = self._cloud(1000)
+        (center,) = candidate_centers(cloud, self.RECT, K, self.POSE, mode="average")
+        columns = [cloud[:, c].tolist() for c in range(3)]
+        assert center.tolist() == [sum(col) / len(col) for col in columns]
+        # numpy's pairwise sum of a column rounds differently, so the check above can tell the two apart
+        assert any(float(np.sum(np.array(col))) != sum(col) for col in columns)
+
+    def test_median_is_the_lower_middle_of_each_coordinate(self):
+        cloud = self._cloud(1000)
+        (center,) = candidate_centers(cloud, self.RECT, K, self.POSE, mode="median")
+        assert center.tolist() == [sorted(cloud[:, c].tolist())[499] for c in range(3)]
+
+    @pytest.mark.parametrize("mode", ["average", "median"])
+    def test_one_point_is_its_own_center(self, mode):
+        cloud = self._cloud(1)
+        centers = candidate_centers(cloud, self.RECT, K, self.POSE, mode=mode)
+        assert centers.shape == (1, 3) and centers.tolist() == cloud.tolist()
+
+    def test_two_points_median_takes_the_lower_value(self):
+        cloud = self._cloud(2)
+        (center,) = candidate_centers(cloud, self.RECT, K, self.POSE, mode="median")
+        assert center.tolist() == cloud.min(axis=0).tolist()
+        assert center.tolist() != cloud[0].tolist() and center.tolist() != cloud[1].tolist()
+
+    @pytest.mark.parametrize("fr", [1, 3])
+    @pytest.mark.parametrize("mode", ["average", "median"])
+    def test_signed_zeros_keep_point_order(self, fr, mode):
+        """0.0 and -0.0 compare equal: sums start from 0.0 and medians sort stably, as Python's sum and sorted do."""
+        rng = np.random.default_rng(8)
+        n = 400
+        # x is -0.0 throughout; y mixes both zeros with nonzero values
+        cloud = np.stack([np.full(n, -0.0), rng.choice([0.0, -0.0, 0.02, -0.02], n), rng.uniform(1.0, 5.0, n)], axis=1)
+        pose = RigidTransform.identity()
+        rect = Rect2(K.cx - 1.0, K.cy - 2.5, K.cx + 1.0, K.cy + 2.5)
+        tiles, points = geometry.tile_points(geometry.project_cloud(cloud, K, pose), rect, fr, fr)
+        expected, order_shows = [], False
+        for t in sorted(set(tiles.tolist())):
+            cols = [col.tolist() for col in cloud[points[tiles == t]].T]  # the tile's points, in point order
+            if mode == "average":
+                expected.append([sum(col) / len(col) for col in cols])
+            else:
+                expected.append([sorted(col)[(len(col) - 1) // 2] for col in cols])
+                zeros = {math.copysign(1.0, y) for y in cols[1] if y == 0.0}
+                order_shows |= expected[-1][1] == 0.0 and len(zeros) == 2
+        centers = candidate_centers(cloud, rect, K, pose, fr=fr, fc=fr, mode=mode)
+        assert centers.tobytes() == np.array(expected).tobytes()
+        if mode == "average":
+            assert not np.signbit(centers[:, 0]).any()  # a sum of -0.0 from 0.0 is 0.0
+        else:
+            assert order_shows  # some tile's median is a zero whose sign only point order decides
+
+    @pytest.mark.parametrize("mode", ["average", "median"])
+    def test_empty_rect_raises(self, mode):
+        cloud = self._cloud(50)
+        rect = Rect2(K.width + 10.0, 0.0, K.width + 20.0, 10.0)  # right of the image
+        with pytest.raises(NoCandidatesError, match=r"^all 1x1 subfrustums of the rect are empty$"):
+            candidate_centers(cloud, rect, K, self.POSE, mode=mode)
+
+
 class TestBestCropbox:
     SPEC = ScaleSpec("test", crop_side=1.0, crop_height=1.0, grid=(4, 4, 4))
+
+    def test_single_candidate_matches_the_general_path(self):
+        gt = OrientedBox3(center=(0.2, -0.1, 0.6), width=0.9, depth=0.7, height=0.8, yaw=0.4)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            c = gt.center + rng.uniform(-0.8, 0.8, 3)
+            crop, breakdown = best_cropbox(gt, c[None, :], self.SPEC)
+            # two copies go through the comparison of candidates; the tie keeps the first
+            crop2, breakdown2 = best_cropbox(gt, np.stack([c, c]), self.SPEC)
+            assert breakdown == breakdown2
+            assert (crop.center.tolist(), crop.side, crop.height) == (crop2.center.tolist(), crop2.side, crop2.height)
 
     def test_matches_argmax_oracle(self):
         rng = np.random.default_rng(17)

@@ -149,6 +149,8 @@ INTRINSICS = {"fx": 520.0, "fy": 515.0, "cx": 320.0, "cy": 240.0, "width": 640, 
         (lambda: RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)), "rotation must be proper (det +1)"),
         (lambda: OrientedBox3((0.0, math.nan, 0.5), 1.0, 1.0, 1.0, 0.0), "box center must be finite"),
         (lambda: Aabb3((math.nan, 0.0, 0.5), 1.6, 1.5), "crop center must be finite"),
+        (lambda: Aabb3((0.0, math.inf, 0.5), 1.6, 1.5), "crop center must be finite"),
+        (lambda: Aabb3((0.0, 0.0, -math.inf), 1.6, 1.5), "crop center must be finite"),
     ],
     ids=[
         "cloud-nan",
@@ -159,6 +161,8 @@ INTRINSICS = {"fx": 520.0, "fy": 515.0, "cx": 320.0, "cy": 240.0, "width": 640, 
         "rotation-reflection",
         "box-center-nan",
         "crop-center-nan",
+        "crop-center-inf",
+        "crop-center-neg-inf",
     ],
 )
 def test_constructors_reject_bad_values(make, message):
@@ -172,6 +176,14 @@ class TestRect2:
             Rect2(5.0, 0.0, 5.0, 9.0)
         with pytest.raises(GeometryError):
             Rect2(0.0, 9.0, 5.0, 9.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("field", ["u_min", "v_min", "u_max", "v_max"])
+    def test_infinite_edge_is_an_error(self, field, value):
+        """An infinite edge would make NaN band edges (inf * 0.0) when the rect is tiled."""
+        edges = {"u_min": 0.0, "v_min": 0.0, "u_max": 160.0, "v_max": 120.0, field: value}
+        with pytest.raises(GeometryError):
+            Rect2(**edges)
 
 
 class TestRigidTransform:
