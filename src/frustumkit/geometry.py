@@ -17,8 +17,9 @@ widened by ``BOUNDARY_TOL`` so points constructed exactly on a frustum face
 A frame's cloud is projected once (``project_cloud``); the subfrustums of any
 rect are then row and column bands over that projection (``tile_points``).
 
-Boxes give their footprint corners here (``oriented_box_footprint``); the
-polygon clipping and areas that score footprints live in ``ioi``.
+Boxes give their footprint corners here, by one rule (``footprint_corners``)
+for one box (``oriented_box_footprint``) or many at once; the polygon
+clipping and areas that score footprints live in ``ioi``.
 """
 
 from __future__ import annotations
@@ -140,12 +141,20 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
-        # the translation goes in column by column: the same adds as
-        # broadcasting it, without an inner loop of length 3 per point
+        """Move points, an (..., 3) array, by this transform: ``p @ R.T + t``, bit for bit.
+
+        The result is a view of a coordinate-major buffer: for (N, 3) points
+        each column ``result[:, c]`` is one contiguous run, so per-coordinate
+        work on it (``project_points``) streams through memory.
+        """
+        rotated = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        out = np.empty((3, *rotated.shape[:-1]))
+        # the translation goes in coordinate by coordinate: the same adds as
+        # broadcasting it, without an inner loop of length 3 per point.
+        # out[c, ...] stays an array view when the points are one (3,) point
         for c in range(3):
-            out[..., c] += self.translation[c]
-        return out
+            np.add(rotated[..., c], self.translation[c], out=out[c, ...])
+        return out.transpose(*range(1, out.ndim), 0)
 
     def inverse(self) -> "RigidTransform":
         # the transpose of a checked rotation passes the same checks, so the
@@ -245,17 +254,24 @@ def pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
 def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project camera-frame points, an (N, 3) array; returns (u, v, depth) arrays.
 
-    The points are not validated here (project_cloud validates its cloud
-    once, before the move into the camera frame). Points at or behind the
-    camera plane, and points so close to it that the division overflows,
-    yield non-finite pixel coordinates, which downstream containment tests
-    treat as outside.
+    ``u = fx * x / z + cx`` and ``v = fy * y / z + cy``, each computed in
+    place in one new array; depth is the points' own z column. On the
+    column-major result of ``RigidTransform.apply`` every operand is
+    contiguous. The points are not validated here (project_cloud validates
+    its cloud once, before the move into the camera frame). Points at or
+    behind the camera plane, and points so close to it that the division
+    overflows, yield non-finite pixel coordinates, which downstream
+    containment tests treat as outside.
     """
     pts = np.asarray(points_cam, dtype=np.float64)
     z = pts[:, 2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = k.fx * pts[:, 0] / z + k.cx
-        v = k.fy * pts[:, 1] / z + k.cy
+        u = k.fx * pts[:, 0]
+        u /= z
+        u += k.cx
+        v = k.fy * pts[:, 1]
+        v /= z
+        v += k.cy
     return u, v, z
 
 
@@ -290,14 +306,18 @@ class CloudProjection:
 def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform) -> CloudProjection:
     """Validate the cloud (see as_point_cloud), move it into the camera frame and project it once.
 
-    When every point is in depth, ``u`` and ``v`` are project_points' own
-    arrays; otherwise they are gathered at ``index``.
+    The camera-frame points are ``apply``'s column-major array, so the
+    projection and the depth test (one boolean buffer, narrowed with ``&=``)
+    each run over contiguous coordinates. When every point is in depth,
+    ``u`` and ``v`` are project_points' own arrays; otherwise they are
+    gathered at ``index``.
     """
     pts = as_point_cloud(cloud)
     cam = pose.inverse().apply(pts)
     u, v, z = project_points(cam, k)
-    tol = BOUNDARY_TOL
-    index = ((z > NEAR_DEFAULT - tol) & (z < FAR_DEFAULT + tol)).nonzero()[0]
+    in_depth = z > NEAR_DEFAULT - BOUNDARY_TOL
+    in_depth &= z < FAR_DEFAULT + BOUNDARY_TOL
+    index = in_depth.nonzero()[0]
     if index.size < z.size:
         u, v = u[index], v[index]
     return CloudProjection(cloud, pts, k, pose, index, u, v)
@@ -308,7 +328,11 @@ def _band_limits(lo: float, hi: float, n: int) -> tuple[list[float], list[float]
     # endpoint-exact edges make the outer edges reproduce lo and hi bit for
     # bit and let neighbouring bands read one shared edge value. The few
     # edges are Python floats (cheaper than array ops at this size, same
-    # IEEE results).
+    # IEEE results). One band is the side itself: the loop's edges would be
+    # lo * 1.0 + hi * 0.0 and lo * 0.0 + hi * 1.0, which are lo and hi (up
+    # to the sign of a zero, which the tolerance drops).
+    if n == 1:
+        return [lo - BOUNDARY_TOL], [hi + BOUNDARY_TOL]
     lower: list[float] = []
     upper: list[float] = []
     for j in range(n + 1):
@@ -317,7 +341,7 @@ def _band_limits(lo: float, hi: float, n: int) -> tuple[list[float], list[float]
             lower.append(edge - BOUNDARY_TOL)
         if j > 0:
             upper.append(edge + BOUNDARY_TOL)
-    if n > 1 and (lower != sorted(lower) or upper != sorted(upper)):
+    if lower != sorted(lower) or upper != sorted(upper):
         # only a side a few ulps wide rounds its edges out of order
         raise GeometryError(f"rect side [{lo!r}, {hi!r}] is too narrow to split into {n} bands")
     return lower, upper
@@ -351,7 +375,12 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
     u_lo, u_hi = _band_limits(rect.u_min, rect.u_max, fc)
     v_lo, v_hi = _band_limits(rect.v_min, rect.v_max, fr)
     u, v = proj.u, proj.v
-    inside = ((u >= u_lo[0]) & (u < u_hi[-1]) & (v >= v_lo[0]) & (v < v_hi[-1])).nonzero()[0]
+    # the rect test, narrowed in one boolean buffer
+    mask = u >= u_lo[0]
+    mask &= u < u_hi[-1]
+    mask &= v >= v_lo[0]
+    mask &= v < v_hi[-1]
+    inside = mask.nonzero()[0]
     # the index is the identity when every point is in depth
     point = inside if proj.index.size == len(proj.points) else proj.index[inside]
     if fr == fc == 1:
@@ -373,17 +402,32 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
 # box footprints
 
 
+def footprint_corners(cx, cy, c, s, hw, hd) -> list[tuple]:
+    """Counter-clockwise (x, y) footprint corners of a box centered at (cx, cy).
+
+    ``c`` and ``s`` are the cosine and sine of its yaw, ``hw`` and ``hd``
+    half its width and depth. The arguments are floats, or arrays of one
+    shape standing for many boxes: each corner coordinate is then an array,
+    with the same IEEE results per box as the float call.
+    """
+    # box-frame corner (lx, ly) goes to (cx + c * lx - s * ly, cy + s * lx + c * ly),
+    # written out for (hw, hd), (-hw, hd), (-hw, -hd) and (hw, -hd)
+    return [
+        (cx + c * hw - s * hd, cy + s * hw + c * hd),
+        (cx + c * -hw - s * hd, cy + s * -hw + c * hd),
+        (cx + c * -hw - s * -hd, cy + s * -hw + c * -hd),
+        (cx + c * hw - s * -hd, cy + s * hw + c * -hd),
+    ]
+
+
 def oriented_box_footprint(box: OrientedBox3) -> list[tuple[float, float]]:
-    """Counter-clockwise corners of the box footprint in the world xy plane."""
+    """Counter-clockwise corners of the box footprint in the world xy plane (see footprint_corners)."""
     # numpy's cos and sin, as Python floats: the corner arithmetic then runs
-    # on floats, with the same IEEE results as on numpy scalars
-    c, s = float(np.cos(box.yaw)), float(np.sin(box.yaw))
-    hw, hd = 0.5 * box.width, 0.5 * box.depth
-    cx, cy = float(box.center[0]), float(box.center[1])
-    corners = []
-    for lx, ly in ((hw, hd), (-hw, hd), (-hw, -hd), (hw, -hd)):
-        corners.append((cx + c * lx - s * ly, cy + s * lx + c * ly))
-    return corners
+    # on floats, with the same IEEE results as on numpy arrays
+    return footprint_corners(
+        float(box.center[0]), float(box.center[1]), float(np.cos(box.yaw)), float(np.sin(box.yaw)),
+        0.5 * box.width, 0.5 * box.depth,
+    )
 
 
 # ---------------------------------------------------------------------------

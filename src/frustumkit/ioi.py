@@ -9,9 +9,11 @@ multiply into a volume positivity threshold.
 
 ``ioi()`` scores one crop; ``crop_scores`` scores many boxes against their
 candidate crops in one vectorized pass with the same arithmetic, so each of
-its entries equals what ``ioi()`` reports. Both clip a box footprint to a
-crop with the same four axis passes: ``_clip_to_box`` runs ``_clip_axis`` per
-polygon, and ``_clip_pass`` is its batched twin over many rows at once.
+its entries equals what ``ioi()`` reports. Both take a box's corners from
+``geometry.footprint_corners`` (one box at a time, or all boxes in one array
+call) and clip a box footprint to a crop with the same four axis passes:
+``_clip_to_box`` runs ``_clip_axis`` per polygon, and ``_clip_pass`` is its
+batched twin over many rows at once.
 ``iou_3d`` clips with ``_clip_to_box`` too, in its first box's frame. The
 polygon clipping and areas of the package live here.
 """
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError, InvariantViolation
-from .geometry import Aabb3, OrientedBox3, Rect2, oriented_box_footprint
+from .geometry import Aabb3, OrientedBox3, Rect2, footprint_corners, oriented_box_footprint
 
 
 @dataclass(frozen=True)
@@ -156,22 +158,28 @@ def _footprint_ioi(
 
 
 def _footprint_iois(
-    quads: np.ndarray, box_areas: np.ndarray, crop_cx: np.ndarray, crop_cy: np.ndarray, sides: np.ndarray
+    qx: np.ndarray, qy: np.ndarray, box_areas: np.ndarray, row_box: np.ndarray,
+    crop_cx: np.ndarray, crop_cy: np.ndarray, sides: np.ndarray,
 ) -> np.ndarray:
-    # _footprint_ioi on every row at once: the same fast path, clip order,
-    # shoelace sum and clamp, so each entry equals the scalar result
+    # _footprint_ioi on every row at once: row r scores box row_box[r], whose
+    # corners are qx[b], qy[b] (four each) and area box_areas[b], against
+    # the crop at (crop_cx[r], crop_cy[r]) with side sides[r]. The same fast
+    # path, clip order, shoelace sum and clamp, so each entry equals the
+    # scalar result. Every corner lies inside a crop exactly when the
+    # corners' extents do, so the fast path compares four extents per row.
     hs = 0.5 * sides
     x_min, x_max = crop_cx - hs, crop_cx + hs
     y_min, y_max = crop_cy - hs, crop_cy + hs
-    qx, qy = quads[:, :, 0], quads[:, :, 1]
-    whole = np.all(
-        (x_min[:, None] <= qx) & (qx <= x_max[:, None]) & (y_min[:, None] <= qy) & (qy <= y_max[:, None]), axis=1
-    )
+    whole = x_min <= qx.min(axis=1)[row_box]
+    whole &= qx.max(axis=1)[row_box] <= x_max
+    whole &= y_min <= qy.min(axis=1)[row_box]
+    whole &= qy.max(axis=1)[row_box] <= y_max
     out = np.ones(len(sides))
     clip = np.flatnonzero(~whole)
     if clip.size == 0:
         return out
-    px, py, n = qx.take(clip, axis=0), qy.take(clip, axis=0), np.full(clip.size, 4)
+    clip_box = row_box[clip]
+    px, py, n = qx.take(clip_box, axis=0), qy.take(clip_box, axis=0), np.full(clip.size, 4)
     for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
         px, py, n = _clip_pass(px, py, n, axis, bound[clip], keep_le)
     # the shoelace terms, summed vertex by vertex as _polygon_area adds them
@@ -181,7 +189,7 @@ def _footprint_iois(
     term = px * py.take(nxt, mode="clip") - px.take(nxt, mode="clip") * py
     acc = np.cumsum(np.where(np.arange(px.shape[1]) < n[:, None], term, 0.0), axis=1)[:, -1]
     area = np.where(n >= 3, np.abs(acc) * 0.5, 0.0)
-    ratio = area / box_areas[clip]
+    ratio = area / box_areas[clip_box]
     out[clip] = np.where(ratio > 1.0, 1.0, ratio)
     return out
 
@@ -216,7 +224,10 @@ def crop_scores(
     z[r, h] the vertical IoI of the one with height heights[h]. The crop
     (c, sides[s], heights[h]) has volume IoI xy[r, s] * z[r, h]: each entry is
     exactly what ioi() reports for it. All rows are scored in one vectorized
-    pass, so callers batch many boxes per call.
+    pass, so callers batch many boxes per call: every box's footprint corners
+    (``footprint_corners`` on arrays), area and z-interval are built once per
+    call, and only the rows whose footprint is not whole in its crop are
+    clipped.
     """
     sides = np.asarray(sides, dtype=np.float64)
     heights = np.asarray(heights, dtype=np.float64)
@@ -227,19 +238,26 @@ def crop_scores(
     crop = np.concatenate(per_box) if per_box else np.zeros((0, 3))
     n_rows, n_sides = len(crop), len(sides)
 
-    quads = np.array([oriented_box_footprint(b) for b in boxes]).reshape(-1, 4, 2)
-    areas = np.array([b.width * b.depth for b in boxes], dtype=np.float64)
-    row_box = np.repeat(owner, n_sides)
+    # every box's footprint corners, area and z-interval in one array pass:
+    # footprint_corners and ioi()'s arithmetic on arrays of the box fields,
+    # one contiguous row per field
+    center = np.array([b.center for b in boxes]).reshape(-1, 3)
+    fields = np.array([(b.width, b.depth, b.height, b.yaw) for b in boxes], dtype=np.float64)
+    w, d, h, yaw = fields.reshape(-1, 4).T.copy()
+    corners = footprint_corners(center[:, 0], center[:, 1], np.cos(yaw), np.sin(yaw), 0.5 * w, 0.5 * d)
+    qx = np.stack([x for x, _ in corners], axis=1)
+    qy = np.stack([y for _, y in corners], axis=1)
     xy = _footprint_iois(
-        quads.take(row_box, axis=0), areas[row_box], np.repeat(crop[:, 0], n_sides), np.repeat(crop[:, 1], n_sides),
+        qx, qy, w * d, np.repeat(owner, n_sides), np.repeat(crop[:, 0], n_sides), np.repeat(crop[:, 1], n_sides),
         np.tile(sides, n_rows),
     ).reshape(n_rows, n_sides)
 
     # ioi()'s z rule, broadcast over (row, height)
-    b_z = np.array([(*b.z_interval, b.height) for b in boxes], dtype=np.float64).reshape(-1, 3).take(owner, axis=0)
+    half = 0.5 * h
+    b_lo, b_hi = (center[:, 2] - half)[owner, None], (center[:, 2] + half)[owner, None]
     c_lo, c_hi = crop[:, 2, None] - 0.5 * heights, crop[:, 2, None] + 0.5 * heights
-    overlap = np.minimum(b_z[:, 1, None], c_hi) - np.maximum(b_z[:, 0, None], c_lo)
-    ratio = overlap / b_z[:, 2, None]
+    overlap = np.minimum(b_hi, c_hi) - np.maximum(b_lo, c_lo)
+    ratio = overlap / h[owner, None]
     z = np.where(overlap <= 0.0, 0.0, np.where(ratio > 1.0, 1.0, ratio))
     return xy, z
 

@@ -210,11 +210,6 @@ def default_layers(n_categories: int) -> tuple[LayerSpec, ...]:
     return tuple(layers)
 
 
-def default_plan(grid_dims: Sequence[int], n_categories: int) -> ShapePlan:
-    dims = tuple(int(v) for v in grid_dims)
-    return propagate((*dims, 1), default_layers(n_categories))
-
-
 # --- naive forward pass ---------------------------------------------------
 
 

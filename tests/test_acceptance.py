@@ -40,7 +40,7 @@ from frustumkit.ioi import (
     recall_from_breakdowns,
     recall_lower_bound,
 )
-from frustumkit.netshape import default_plan, forward_naive
+from frustumkit.netshape import default_layers, forward_naive, propagate
 from frustumkit.pipesim import StageTiming, exact_throughput_fps, simulate
 from frustumkit.scenegen import random_scene, render
 from frustumkit.voxelizer import voxelize
@@ -532,13 +532,13 @@ def test_12_netshape_contract():
     lengths_ok = True
     for grid in grids:
         for n_categories in (1, 10, 19):
-            plan = default_plan(grid, n_categories)
+            plan = propagate((*grid, 1), default_layers(n_categories))
             if plan.final_length != 7 * n_categories:
                 lengths_ok = False
 
     rng = np.random.default_rng(8)
     grid16 = rng.poisson(0.4, size=(16, 16, 16))
-    plan16 = default_plan((16, 16, 16), 10)
+    plan16 = propagate((16, 16, 16, 1), default_layers(10))
     out_a = forward_naive(grid16, plan16, weights_seed=3)
     out_b = forward_naive(grid16, plan16, weights_seed=3)
     out_c = forward_naive(grid16, plan16, weights_seed=4)

@@ -29,6 +29,7 @@ from frustumkit.geometry import (
     Rect2,
     RigidTransform,
     as_point_cloud,
+    footprint_corners,
     normalize_yaw,
     oriented_box_footprint,
     project_cloud,
@@ -211,10 +212,13 @@ class TestRigidTransform:
         ids=["point", "empty", "one-row", "2113-rows", "row-slice", "float32", "list"],
     )
     def test_apply_is_exact(self, pose, points):
-        """apply gives the bits of the plain expression p @ R.T + t."""
+        """apply gives the bits of the plain expression p @ R.T + t, each coordinate one contiguous run."""
         got = pose.apply(points)
         assert np.array_equal(got, np.asarray(points, dtype=np.float64) @ pose.rotation.T + pose.translation)
         assert got.dtype == np.float64
+        if got.ndim == 2:
+            # project_points and project_cloud's depth test stream over these columns
+            assert all(got[:, c].flags.c_contiguous for c in range(3))
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(GeometryError):
@@ -385,6 +389,30 @@ class TestTileBands:
         with pytest.raises(GeometryError):
             tile_points(project_cloud(np.zeros((1, 3)), K, RigidTransform.identity()), Rect2(0, 0, 10, 10), fr, fc)
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (-0.0, 1.0),
+            (0.0, 1.0),
+            (-1.0, -0.0),
+            (-1.0, 0.0),
+            (-0.0, 5e-324),
+            (5e-324, 2.2e-308),
+            (-2.2e-308, -5e-324),
+            (-1e300, 1e300),
+            (1e300, 1.5e300),
+            (-1.5e300, -1e300),
+            (-7.5, -2.25),
+            (197.038194886327, 197.03819488632706),
+        ],
+    )
+    def test_one_band_is_the_side_itself(self, lo, hi):
+        """One band's limits are the reference edges widened by the tolerance, bit for bit."""
+        lower, upper = geometry._band_limits(lo, hi, 1)
+        ref = edges(lo, hi, 1)
+        assert np.array(lower).tobytes() == np.array([ref[0] - BOUNDARY_TOL]).tobytes()
+        assert np.array(upper).tobytes() == np.array([ref[1] + BOUNDARY_TOL]).tobytes()
+
     def test_side_too_narrow_to_order_its_edges_rejected(self):
         """A side a few ulps wide rounds its band edges out of order; that is an error, not a wrong split."""
         lo, hi = 197.038194886327, 197.03819488632706
@@ -513,6 +541,29 @@ class TestClipping:
             signed += x1 * y2 - x2 * y1
         assert signed > 0
         assert _polygon_area(quad) == pytest.approx(2.0, rel=1e-12)
+
+    def test_footprint_corners_on_arrays_equal_each_box_footprint(self):
+        """The corner rule on arrays of boxes gives each box's oriented_box_footprint, bit for bit.
+
+        crop_scores builds every footprint in one array call, ioi() one box
+        at a time; their scores agree only if numpy's cos and sin give the
+        same bits on a contiguous array as on one value.
+        """
+        rng = np.random.default_rng(17)
+        yaws = [-np.pi, -np.pi / 2, 0.0, np.pi / 2, *rng.uniform(-np.pi, np.pi, 296)]
+        sizes = [(1e-300, 1e300), (1e300, 1e-300), (1e-9, 1e-9), (1e9, 1e9)]
+        sizes += list(10.0 ** rng.uniform(-9.0, 9.0, size=(len(yaws) - len(sizes), 2)))
+        boxes = [
+            OrientedBox3(center=rng.uniform(-50.0, 50.0, 3), width=w, depth=d, height=1.0, yaw=yaw)
+            for yaw, (w, d) in zip(yaws, sizes)
+        ]
+        center = np.array([b.center for b in boxes])
+        yaw = np.array([b.yaw for b in boxes])
+        w, d = np.array([(b.width, b.depth) for b in boxes]).T.copy()
+        corners = footprint_corners(center[:, 0], center[:, 1], np.cos(yaw), np.sin(yaw), 0.5 * w, 0.5 * d)
+        got = np.array(corners).transpose(2, 0, 1)  # (box, corner, xy)
+        want = np.array([oriented_box_footprint(b) for b in boxes])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestYawNormalization:

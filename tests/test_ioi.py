@@ -118,10 +118,10 @@ class TestFactorization:
 
 
 class TestCropScores:
-    def test_every_entry_equals_the_per_pair_oracle(self):
+    def test_every_entry_equals_the_per_pair_oracle(self, monkeypatch):
         """Over several boxes per call, xy, z and their product equal ioi() on the crop each entry stands for."""
         rng = np.random.default_rng(31)
-        clip_sizes = Counter()
+        calls = []
         for _ in range(40):
             boxes = [random_pair(rng)[0] for _ in range(rng.integers(1, 5))]
             centers = []
@@ -132,6 +132,28 @@ class TestCropScores:
             sides = list(rng.uniform(0.2, 3.5, size=rng.integers(1, 5)))
             sides.append(2.0 * max(b.width + b.depth for b in boxes))  # holds every footprint whole
             heights = list(rng.uniform(0.2, 3.0, size=rng.integers(1, 5)))
+            calls.append((boxes, centers, sides, heights, None))
+        # axis-aligned boxes under a side-2 crop at their own centers: depth 2
+        # puts their corners exactly on the crop's y edges, width 2 on its x
+        # edges too, and width nextafter(2) one ulp past them (exact sums)
+        for width, on_edge in ((2.0, True), (math.nextafter(2.0, math.inf), False)):
+            boxes = [
+                OrientedBox3(center=(x, y, 0.5), width=width, depth=2.0, height=1.0, yaw=0.0)
+                for x, y in ((0.0, 0.0), (0.25, -0.5))
+            ]
+            calls.append((boxes, [b.center[None] for b in boxes], [2.0], [1.0], on_edge))
+
+        clipped_rows = []
+        clip_pass = ioi_module._clip_pass
+
+        def counting(px, *args):
+            clipped_rows.append(len(px))
+            return clip_pass(px, *args)
+
+        monkeypatch.setattr(ioi_module, "_clip_pass", counting)
+        clip_sizes = Counter()
+        for boxes, centers, sides, heights, on_edge in calls:
+            clipped_rows.clear()
             xy, z = crop_scores(boxes, centers, sides, heights)
             n_rows = sum(len(c) for c in centers)
             assert xy.shape == (n_rows, len(sides)) and z.shape == (n_rows, len(heights))
@@ -146,6 +168,12 @@ class TestCropScores:
                         assert xy[r, s] == ref.ioi_xy
                         assert z[r, h] == ref.ioi_z
                         assert xy[r, s] * z[r, h] == ref.ioi_3d
+            if on_edge:
+                # corners on the crop's edges: whole, with no clip pass
+                assert clipped_rows == [] and xy.tolist() == [[1.0], [1.0]]
+            elif on_edge is False:
+                # one ulp outside: every row clipped, to a sliver less than whole
+                assert clipped_rows == [2] * 4 and np.all(xy < 1.0)
         # the batch covered empty clips and clips of 5 or more vertices
         assert clip_sizes[0] > 0 and sum(n for k, n in clip_sizes.items() if k >= 5) > 0
 

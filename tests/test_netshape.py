@@ -9,7 +9,6 @@ from frustumkit.netshape import (
     LayerSpec,
     NAIVE_DIM_CAP,
     default_layers,
-    default_plan,
     forward_naive,
     forward_with_weights,
     init_weights,
@@ -49,12 +48,12 @@ class TestPropagate:
     @pytest.mark.parametrize("name,spec", sorted(SCALE_SPECS.items()))
     def test_default_plan_on_every_scale_grid_ends_at_seven_per_category(self, name, spec):
         for n_categories in (1, 8):
-            plan = default_plan(spec.grid, n_categories)
+            plan = propagate((*spec.grid, 1), default_layers(n_categories))
             assert plan.final_shape == (7 * n_categories,)
             assert plan.final_length == 7 * n_categories
 
     def test_default_plan_layerwise_shapes_for_large_short(self):
-        plan = default_plan(SCALE_SPECS["large_short"].grid, 8)
+        plan = propagate((*SCALE_SPECS["large_short"].grid, 1), default_layers(8))
         conv_shapes = [s for layer, s in zip(plan.layers, plan.shapes) if layer.kind == "conv3d"]
         expected_xy = self.HAND_TABLES[198]
         expected_z = self.HAND_TABLES[102]
@@ -93,7 +92,7 @@ class TestPropagate:
         assert plan.shapes[0] == (5, 6, 7, 3)
 
     def test_table_lists_every_layer(self):
-        plan = default_plan((16, 16, 16), 2)
+        plan = propagate((16, 16, 16, 1), default_layers(2))
         text = plan.table()
         assert text.count("conv3d") == 6
         assert "final flat length: 14" in text
@@ -144,14 +143,14 @@ class TestLayerSpecValidation:
 
 class TestForwardNaive:
     def test_zero_grid_gives_zero_output(self):
-        plan = default_plan((16, 16, 16), 3)
+        plan = propagate((16, 16, 16, 1), default_layers(3))
         out = forward_naive(make_grid((16, 16, 16)), plan, weights_seed=7)
         np.testing.assert_array_equal(out, np.zeros(21))
 
     def test_fixed_seed_is_bitwise_reproducible(self):
         rng = np.random.default_rng(0)
         grid = make_grid((16, 16, 16), rng.integers(0, 5, size=(16, 16, 16)))
-        plan = default_plan((16, 16, 16), 4)
+        plan = propagate((16, 16, 16, 1), default_layers(4))
         a = forward_naive(grid, plan, weights_seed=123)
         b = forward_naive(grid, plan, weights_seed=123)
         np.testing.assert_array_equal(a, b)
@@ -161,7 +160,7 @@ class TestForwardNaive:
     def test_output_finite_and_shape_matches_plan(self):
         rng = np.random.default_rng(1)
         grid = make_grid((16, 16, 16), rng.integers(0, 9, size=(16, 16, 16)))
-        plan = default_plan((16, 16, 16), 5)
+        plan = propagate((16, 16, 16, 1), default_layers(5))
         out = forward_naive(grid, plan, weights_seed=2)
         assert out.shape == plan.final_shape == (35,)
         assert np.all(np.isfinite(out))
@@ -169,7 +168,7 @@ class TestForwardNaive:
     def test_doubling_final_dense_weights_doubles_output(self):
         rng = np.random.default_rng(3)
         grid = make_grid((8, 8, 8), rng.integers(0, 4, size=(8, 8, 8)))
-        plan = default_plan((8, 8, 8), 2)
+        plan = propagate((8, 8, 8, 1), default_layers(2))
         weights = init_weights(plan, seed=5)
         base = forward_with_weights(grid, plan, weights)
         # double only the last layer's (dense) weight matrix
@@ -186,7 +185,7 @@ class TestForwardNaive:
             forward_naive(make_grid(dims), plan, weights_seed=0)
 
     def test_grid_plan_mismatch_rejected(self):
-        plan = default_plan((16, 16, 16), 1)
+        plan = propagate((16, 16, 16, 1), default_layers(1))
         with pytest.raises(ShapePlanError, match="do not match"):
             forward_naive(make_grid((8, 8, 8)), plan, weights_seed=0)
 
