@@ -49,7 +49,7 @@ class RangeImage:
                 f"({self.intrinsics.height}, {self.intrinsics.width})"
             )
         if not np.all(np.isfinite(self.depth)):
-            raise GeometryError("depth must be finite (use 0 for missing)")
+            raise GeometryError("range image contains non-finite depths (use 0 for missing)")
 
     @property
     def missing_mask(self) -> np.ndarray:
@@ -117,12 +117,10 @@ def depth_to_dhs(
         raise GeometryError(f"d_max must be finite and positive, got {d_max}")
     if not (-math.inf < h_min < h_max < math.inf):
         raise GeometryError(f"need finite h_min < h_max, got {h_min}, {h_max}")
-    missing = img.missing_mask
     d = _unit_ramp(img.depth, 0.0, d_max)  # missing depths (<= 0) encode 0
 
     pts = world_points(img)
-    h = _unit_ramp(pts[:, :, 2], h_min, h_max)
-    h[missing] = 0.0
+    h = _unit_ramp(pts[:, :, 2], h_min, h_max)  # missing pixels (NaN) encode 0
 
     rows, cols = img.depth.shape
     s = np.zeros((rows, cols), dtype=np.float64)
@@ -131,8 +129,8 @@ def depth_to_dhs(
         with np.errstate(invalid="ignore"):
             elev = np.arctan2(delta[:, :, 2], np.hypot(delta[:, :, 0], delta[:, :, 1]))
             s_part = (elev + 0.5 * np.pi) / np.pi
-        valid = ~missing[:, :-1] & ~missing[:, 1:]
-        s[:, :-1] = np.where(valid, np.nan_to_num(s_part, nan=0.0), 0.0)
+        # a step from or to a missing pixel is NaN, and encodes 0
+        s[:, :-1] = np.nan_to_num(s_part, nan=0.0)
         s[:, -1] = s[:, -2]
     return DhsImage(d=d, h=h, s=s)
 
@@ -160,12 +158,8 @@ def read_range_image(path: str, intrinsics: CameraIntrinsics, pose: RigidTransfo
     body = raw[_RANGE_HEADER.size :]
     if len(body) != width * height * 4:
         raise GeometryError(f"{path}: payload size mismatch")
-    if (width, height) != (intrinsics.width, intrinsics.height):
-        raise GeometryError(
-            f"{path}: stored size {width}x{height} does not match intrinsics "
-            f"{intrinsics.width}x{intrinsics.height}"
-        )
     depth = np.frombuffer(body, dtype="<f4").reshape(height, width).astype(np.float64)
-    if not np.isfinite(depth).all():
-        raise GeometryError(f"{path}: range image contains non-finite depths (use 0 for missing)")
-    return RangeImage(depth=depth, intrinsics=intrinsics, pose=pose)
+    try:
+        return RangeImage(depth=depth, intrinsics=intrinsics, pose=pose)
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from exc

@@ -258,10 +258,10 @@ def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndar
     place in one new array; depth is the points' own z column. On the
     column-major result of ``RigidTransform.apply`` every operand is
     contiguous. The points are not validated here (project_cloud validates
-    its cloud once, before the move into the camera frame). Points at or
-    behind the camera plane, and points so close to it that the division
-    overflows, yield non-finite pixel coordinates, which downstream
-    containment tests treat as outside.
+    its cloud once, before the move into the camera frame). Only z = 0, a
+    division that overflows or a NaN coordinate gives non-finite pixel
+    coordinates: a point behind the camera gets finite, mirrored ones, so
+    callers must test depth themselves.
     """
     pts = np.asarray(points_cam, dtype=np.float64)
     z = pts[:, 2]
@@ -281,20 +281,20 @@ def project_points(points_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndar
 
 @dataclass(frozen=True, eq=False)
 class CloudProjection:
-    """A world-frame cloud projected once into one camera, kept to its in-depth points.
+    """A world-frame cloud projected once into one camera.
 
-    ``index`` holds the ascending cloud indices of the points whose depth lies
-    within (NEAR_DEFAULT, FAR_DEFAULT), both limits widened by BOUNDARY_TOL,
-    and ``u``/``v`` their pixel coordinates. ``cloud``, ``k`` and ``pose`` are
-    the objects it was made from, kept for identity checks; ``points`` is the
-    validated float64 cloud.
+    ``u`` and ``v`` hold the pixel coordinates of every cloud point, in cloud
+    order; they are NaN for the points whose depth lies outside
+    (NEAR_DEFAULT, FAR_DEFAULT), both limits widened by BOUNDARY_TOL, so
+    those points fail every pixel comparison. ``cloud``, ``k`` and ``pose``
+    are the objects it was made from, kept for identity checks; ``points`` is
+    the validated float64 cloud.
     """
 
     cloud: object
     points: np.ndarray
     k: CameraIntrinsics
     pose: RigidTransform
-    index: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
@@ -306,21 +306,19 @@ class CloudProjection:
 def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform) -> CloudProjection:
     """Validate the cloud (see as_point_cloud), move it into the camera frame and project it once.
 
-    The camera-frame points are ``apply``'s column-major array, so the
-    projection and the depth test (one boolean buffer, narrowed with ``&=``)
-    each run over contiguous coordinates. When every point is in depth,
-    ``u`` and ``v`` are project_points' own arrays; otherwise they are
-    gathered at ``index``.
+    The camera-frame points are ``apply``'s column-major array, so the depth
+    test (one boolean buffer, narrowed with ``&=``) and the projection each
+    run over contiguous coordinates. Out-of-depth depths are set to NaN in
+    that array first, which makes their ``u`` and ``v`` NaN.
     """
     pts = as_point_cloud(cloud)
     cam = pose.inverse().apply(pts)
-    u, v, z = project_points(cam, k)
+    z = cam[:, 2]
     in_depth = z > NEAR_DEFAULT - BOUNDARY_TOL
     in_depth &= z < FAR_DEFAULT + BOUNDARY_TOL
-    index = in_depth.nonzero()[0]
-    if index.size < z.size:
-        u, v = u[index], v[index]
-    return CloudProjection(cloud, pts, k, pose, index, u, v)
+    np.copyto(z, np.nan, where=~in_depth)
+    u, v, _ = project_points(cam, k)
+    return CloudProjection(cloud, pts, k, pose, u, v)
 
 
 def _band_limits(lo: float, hi: float, n: int) -> tuple[list[float], list[float]]:
@@ -360,8 +358,8 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
     """(tile, point) pairs of the projected points in the fr x fc subfrustums of a rect.
 
     Tile (i, j) is row band i and column band j, numbered i * fc + j
-    (row-major). Membership: the point is in depth (see CloudProjection) and
-    each pixel coordinate lies in its band, with both band limits widened by
+    (row-major). Membership: each pixel coordinate (NaN out of depth, see
+    CloudProjection) lies in its band, with both band limits widened by
     BOUNDARY_TOL, so exact boundary points land inside deterministically and
     a point on (or within the tolerance of) an edge shared by two tiles counts
     in both. Returns (tiles, points), two int arrays of one length, in
@@ -380,14 +378,12 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
     mask &= u < u_hi[-1]
     mask &= v >= v_lo[0]
     mask &= v < v_hi[-1]
-    inside = mask.nonzero()[0]
-    # the index is the identity when every point is in depth
-    point = inside if proj.index.size == len(proj.points) else proj.index[inside]
+    point = mask.nonzero()[0]
     if fr == fc == 1:
         # one band each way: every inside point is in tile 0, once
         return np.zeros(point.size, dtype=np.intp), point
-    col, n_cols = _band_runs(u[inside], np.array(u_lo), np.array(u_hi))
-    row, n_rows = _band_runs(v[inside], np.array(v_lo), np.array(v_hi))
+    col, n_cols = _band_runs(u[point], np.array(u_lo), np.array(u_hi))
+    row, n_rows = _band_runs(v[point], np.array(v_lo), np.array(v_hi))
     per_point = n_rows * n_cols
     if per_point.max(initial=1) == 1:
         return row * fc + col, point

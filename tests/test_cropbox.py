@@ -304,6 +304,23 @@ class TestCentersInPointOrder:
         else:
             assert order_shows  # some tile's median is a zero whose sign only point order decides
 
+    @pytest.mark.parametrize("fr", [1, 3])
+    @pytest.mark.parametrize("mode", ["average", "median"])
+    def test_points_behind_the_camera_are_dropped(self, fr, mode):
+        """A point behind the camera projects to finite pixels in the rect; only the depth test drops it."""
+        rng = np.random.default_rng(12)
+        n = 300
+        pixels = rng.uniform([1.0, 1.0], [K.width - 1.0, K.height - 1.0], size=(n, 2))
+        cam = unproject_grid(pixels[:, 0], pixels[:, 1], rng.uniform(1.0, 6.0, n), K)
+        twins = cam * [1.0, 1.0, -1.0]  # z-mirrored: pixels mirrored through (cx, cy), the image's center
+        u, v, _ = geometry.project_points(twins, K)
+        assert ((u >= 1.0) & (u <= K.width - 1.0) & (v >= 1.0) & (v <= K.height - 1.0)).all()
+        world, world_twins = self.POSE.apply(cam), self.POSE.apply(twins)
+        mixed = np.stack([world, world_twins], axis=1).reshape(-1, 3)  # each point followed by its twin
+        alone = candidate_centers(world, self.RECT, K, self.POSE, fr=fr, fc=fr, mode=mode)
+        centers = candidate_centers(mixed, self.RECT, K, self.POSE, fr=fr, fc=fr, mode=mode)
+        assert centers.tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("mode", ["average", "median"])
     def test_empty_rect_raises(self, mode):
         cloud = self._cloud(50)

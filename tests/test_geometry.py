@@ -306,7 +306,7 @@ class TestFrustumMembership:
         depths = [NEAR_DEFAULT - 2e-9, NEAR_DEFAULT - 5e-10, 1.5, FAR_DEFAULT + 5e-10, FAR_DEFAULT + 2e-9]
         cloud = np.array([[0.0, 0.0, z] for z in depths])
         projection = project_cloud(cloud, K, RigidTransform.identity())
-        assert projection.index.tolist() == [1, 2, 3]
+        assert np.isnan(projection.u).tolist() == [True, False, False, False, True]
         mask = tile_masks(cloud, rect, 1, 1, RigidTransform.identity())[0]
         assert mask.tolist() == [False, True, True, True, False]
 

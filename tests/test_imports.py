@@ -29,3 +29,14 @@ def test_module_import_paths_give_the_module(name):
     namespace: dict = {}
     exec(f"import frustumkit.{name} as x", namespace)
     assert namespace["x"] is module
+
+
+def test_console_scripts_resolve_to_callables():
+    """Each pyproject.toml [project.scripts] entry names a callable, which an install puts on PATH."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
