@@ -33,6 +33,7 @@ from .geometry import (
     Rect2,
     RigidTransform,
     project_cloud,
+    rect_points,
     tile_points,
 )
 from .ioi import IoiBreakdown, RecallReport, crop_scores, ioi, validate_threshold
@@ -128,7 +129,7 @@ def candidate_centers(
     """Crop-center candidates from the subfrustums of a 2D proposal, an (n, 3) float64 array.
 
     The rect is tiled fr x fc (row-major) over one projection of the cloud,
-    with depth bounded by NEAR_DEFAULT and FAR_DEFAULT (see tile_points);
+    with depth bounded by NEAR_DEFAULT and FAR_DEFAULT (see rect_points);
     each non-empty subfrustum contributes one row, in tile order: the average
     of its points or their per-coordinate median (for even counts the lower
     of the two middle values). Empty subfrustums are dropped; if every one is
@@ -138,8 +139,8 @@ def candidate_centers(
     Both statistics follow point order: an average adds the points in
     ascending cloud index starting from 0.0, and a median sorts stably, so
     equal values (0.0 and -0.0) keep their order. A 1x1 split is the rect
-    itself, and its one row is taken straight from the rect's points, with
-    no tile bins.
+    itself: its one row comes straight from rect_points, with no band
+    lookup and no tile bins.
 
     ``projection`` is a project_cloud of this very cloud, camera and pose (by
     identity), so that the objects of one frame share one projection;
@@ -151,13 +152,15 @@ def candidate_centers(
         projection = project_cloud(cloud, k, pose)
     elif not projection.made_from(cloud, k, pose):
         raise GeometryError("projection was made from another cloud, camera or pose")
-    tiles, point = tile_points(projection, rect, fr, fc)
+    if fr == fc == 1:
+        point = rect_points(projection, rect)
+    else:
+        tiles, point = tile_points(projection, rect, fr, fc)
     if point.size == 0:
         raise NoCandidatesError(f"all {fr}x{fc} subfrustums of the rect are empty")
     inside = projection.points.take(point, axis=0)  # take gathers rows faster than indexing
     if fr == fc == 1:
-        # one subfrustum, the rect itself: no tiles to bin. The axis-0 sum adds
-        # the points in point order from 0.0, as the tile bins below do.
+        # the axis-0 sum adds the points in point order from 0.0, as the tile bins below do
         if mode == "average":
             return inside.sum(axis=0, keepdims=True) / point.size
         return np.sort(inside, axis=0, kind="stable")[[(point.size - 1) // 2]]
@@ -197,8 +200,6 @@ def best_cropbox(
         raise NoCandidatesError("no candidate centers supplied")
     crops = [Aabb3(center=c, side=spec.crop_side, height=spec.crop_height) for c in candidates]
     scores = [ioi(gt, crop) for crop in crops]
-    if len(crops) == 1:
-        return crops[0], scores[0]
     best = max(range(len(crops)), key=lambda i: scores[i].ioi_3d)  # max keeps the first of tied maxima
     return crops[best], scores[best]
 

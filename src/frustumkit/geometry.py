@@ -14,8 +14,9 @@ Boundary handling is deterministic: frustum membership uses half-open tests
 widened by ``BOUNDARY_TOL`` so points constructed exactly on a frustum face
 (e.g. on an edge ray) classify as inside on every platform.
 
-A frame's cloud is projected once (``project_cloud``); the subfrustums of any
-rect are then row and column bands over that projection (``tile_points``).
+A frame's cloud is projected once (``project_cloud``); a rect's points are
+one rect test over it (``rect_points``), and its subfrustums are row and
+column bands over those points (``tile_points``).
 
 Boxes give their footprint corners here, by one rule (``footprint_corners``)
 for one box (``oriented_box_footprint``) or many at once; the polygon
@@ -322,15 +323,10 @@ def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform) 
 
 
 def _band_limits(lo: float, hi: float, n: int) -> tuple[list[float], list[float]]:
-    # band j of [lo, hi] split n ways holds lower[j] <= x < upper[j]; the
-    # endpoint-exact edges make the outer edges reproduce lo and hi bit for
-    # bit and let neighbouring bands read one shared edge value. The few
-    # edges are Python floats (cheaper than array ops at this size, same
-    # IEEE results). One band is the side itself: the loop's edges would be
-    # lo * 1.0 + hi * 0.0 and lo * 0.0 + hi * 1.0, which are lo and hi (up
-    # to the sign of a zero, which the tolerance drops).
-    if n == 1:
-        return [lo - BOUNDARY_TOL], [hi + BOUNDARY_TOL]
+    # band j of [lo, hi] split n ways holds lower[j] <= x < upper[j]. The
+    # endpoint-exact edges give lo and hi as the outer edges (a zero's sign
+    # aside) and let neighbouring bands share one edge value. The few edges
+    # are Python floats (cheaper than arrays at this size, same IEEE results).
     lower: list[float] = []
     upper: list[float] = []
     for j in range(n + 1):
@@ -354,36 +350,39 @@ def _band_runs(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.
     return first, lower.searchsorted(x, side="right") - first
 
 
+def rect_points(proj: CloudProjection, rect: Rect2) -> np.ndarray:
+    """Ascending cloud indices of the projected points inside a rect: its 1x1 subfrustum.
+
+    A pixel coordinate (NaN out of depth, see CloudProjection) is inside when
+    it lies in [min, max) of its side, both limits widened by BOUNDARY_TOL,
+    so exact boundary points land inside deterministically.
+    """
+    u, v = proj.u, proj.v
+    mask = u >= rect.u_min - BOUNDARY_TOL  # the four tests, narrowed in one boolean buffer
+    mask &= u < rect.u_max + BOUNDARY_TOL
+    mask &= v >= rect.v_min - BOUNDARY_TOL
+    mask &= v < rect.v_max + BOUNDARY_TOL
+    return mask.nonzero()[0]
+
+
 def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[np.ndarray, np.ndarray]:
     """(tile, point) pairs of the projected points in the fr x fc subfrustums of a rect.
 
     Tile (i, j) is row band i and column band j, numbered i * fc + j
-    (row-major). Membership: each pixel coordinate (NaN out of depth, see
-    CloudProjection) lies in its band, with both band limits widened by
-    BOUNDARY_TOL, so exact boundary points land inside deterministically and
-    a point on (or within the tolerance of) an edge shared by two tiles counts
-    in both. Returns (tiles, points), two int arrays of one length, in
-    point-major order: ascending cloud index, then ascending tile.
-
-    A 1x1 split is the rect itself: its tiles are all 0 and no band is looked
-    up, so its cost is one pass of four comparisons over the projection.
+    (row-major). Membership: a point inside the rect (rect_points) lies in
+    the bands that hold its pixel coordinates, with both band limits widened
+    by BOUNDARY_TOL, so a point on (or within the tolerance of) an edge
+    shared by two tiles counts in both. Returns (tiles, points), two int
+    arrays of one length, in point-major order: ascending cloud index, then
+    ascending tile.
     """
     if fr < 1 or fc < 1:
         raise GeometryError("subdivision counts must be >= 1")
+    point = rect_points(proj, rect)
     u_lo, u_hi = _band_limits(rect.u_min, rect.u_max, fc)
     v_lo, v_hi = _band_limits(rect.v_min, rect.v_max, fr)
-    u, v = proj.u, proj.v
-    # the rect test, narrowed in one boolean buffer
-    mask = u >= u_lo[0]
-    mask &= u < u_hi[-1]
-    mask &= v >= v_lo[0]
-    mask &= v < v_hi[-1]
-    point = mask.nonzero()[0]
-    if fr == fc == 1:
-        # one band each way: every inside point is in tile 0, once
-        return np.zeros(point.size, dtype=np.intp), point
-    col, n_cols = _band_runs(u[point], np.array(u_lo), np.array(u_hi))
-    row, n_rows = _band_runs(v[point], np.array(v_lo), np.array(v_hi))
+    col, n_cols = _band_runs(proj.u[point], np.array(u_lo), np.array(u_hi))
+    row, n_rows = _band_runs(proj.v[point], np.array(v_lo), np.array(v_hi))
     per_point = n_rows * n_cols
     if per_point.max(initial=1) == 1:
         return row * fc + col, point

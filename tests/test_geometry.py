@@ -36,6 +36,7 @@ from frustumkit.geometry import (
     pixel_centers,
     project_points,
     read_cloud_binary,
+    rect_points,
     tile_points,
     unproject_grid,
     write_cloud_binary,
@@ -311,6 +312,46 @@ class TestFrustumMembership:
         assert mask.tolist() == [False, True, True, True, False]
 
 
+class TestRectPoints:
+    """rect_points, the one rect test: a 1x1 subfrustum and the first test of every split."""
+
+    RECT = Rect2(100.0, 80.0, 300.0, 200.0)
+
+    def _projection(self):
+        r = self.RECT
+        mid_u, mid_v = 0.5 * (r.u_min + r.u_max), 0.5 * (r.v_min + r.v_max)
+        offsets = [0.0, BOUNDARY_TOL, -BOUNDARY_TOL, 2 * BOUNDARY_TOL, -2 * BOUNDARY_TOL]
+        # pixels on and around each of the four edges, then the rect's centre
+        pixels = [(e + d, mid_v) for e in (r.u_min, r.u_max) for d in offsets]
+        pixels += [(mid_u, e + d) for e in (r.v_min, r.v_max) for d in offsets]
+        pixels.append((mid_u, mid_v))
+        us, vs = np.array(pixels).T
+        cloud = unproject_grid(us, vs, np.full(len(pixels), 3.0), K)
+        # the centre pixel behind the camera and beyond FAR_DEFAULT: NaN u and v
+        cloud = np.vstack([cloud, [[0.0, 0.0, -3.0]], unproject_grid(mid_u, mid_v, FAR_DEFAULT + 1.0, K)])
+        return project_cloud(cloud, K, RigidTransform.identity())
+
+    def test_matches_a_per_point_reference(self):
+        """The indices are those that per-point comparisons with the widened edges() keep."""
+        proj, r = self._projection(), self.RECT
+        (u_lo, u_hi), (v_lo, v_hi) = edges(r.u_min, r.u_max, 1), edges(r.v_min, r.v_max, 1)
+        ref = [
+            i for i, (u, v) in enumerate(zip(proj.u.tolist(), proj.v.tolist()))
+            if u_lo - BOUNDARY_TOL <= u < u_hi + BOUNDARY_TOL and v_lo - BOUNDARY_TOL <= v < v_hi + BOUNDARY_TOL
+        ]
+        assert np.isnan(proj.u[-2:]).all() and np.isnan(proj.v[-2:]).all()
+        assert rect_points(proj, r).tolist() == ref
+        # per edge: offsets 0, +tol, -tol, +2 tol, -2 tol. 2 tol inside is kept, 2 tol outside dropped
+        assert {3, 9, 13, 19, 20} <= set(ref) and not {4, 8, 14, 18, 21, 22} & set(ref)
+
+    def test_is_the_one_by_one_split(self):
+        """tile_points' 1x1 split holds the rect's points, every one in tile 0."""
+        proj = self._projection()
+        tiles, points = tile_points(proj, self.RECT, 1, 1)
+        assert points.tolist() == rect_points(proj, self.RECT).tolist()
+        assert np.issubdtype(tiles.dtype, np.integer) and tiles.tolist() == [0] * points.size
+
+
 class TestTileBands:
     """Tile layout of tile_points: row-major bands that share their edges."""
 
@@ -368,21 +409,27 @@ class TestTileBands:
 
     @pytest.mark.parametrize("fr, fc, calls", [(1, 1, 0), (3, 3, 2)])
     def test_band_lookup_only_for_a_split(self, monkeypatch, fr, fc, calls):
-        """A 1x1 split puts every inside point in tile 0 without looking up its bands."""
-        counted = []
-        band_runs = geometry._band_runs
+        """A 1x1 center takes the rect's points without band limits or lookups; a 3x3 one needs both."""
+        counted = {"_band_limits": 0, "_band_runs": 0}
 
-        def counting(*args):
-            counted.append(args)
-            return band_runs(*args)
+        def counting(name):
+            fn = getattr(geometry, name)
 
-        monkeypatch.setattr(geometry, "_band_runs", counting)
-        # two pixels inside the rect, one right of it
+            def count(*args):
+                counted[name] += 1
+                return fn(*args)
+
+            return count
+
+        for name in counted:
+            monkeypatch.setattr(geometry, name, counting(name))
+        # two pixels inside the rect, in two tiles of a 3x3 split, and one right of it
         cloud = unproject_grid(np.array([5.0, 15.0, 40.0]), np.array([5.0, 25.0, 5.0]), np.full(3, 2.0), K)
-        projection = project_cloud(cloud, K, RigidTransform.identity())
-        _, points = tile_points(projection, Rect2(0.0, 0.0, 30.0, 30.0), fr, fc)
-        assert len(counted) == calls
-        assert points.tolist() == [0, 1]
+        pose = RigidTransform.identity()
+        projection = project_cloud(cloud, K, pose)
+        centers = candidate_centers(cloud, Rect2(0.0, 0.0, 30.0, 30.0), K, pose, fr, fc, projection=projection)
+        assert counted == {"_band_limits": calls, "_band_runs": calls}
+        assert len(centers) == (1 if fr == 1 else 2)
 
     @pytest.mark.parametrize("fr, fc", [(0, 3), (3, 0)])
     def test_counts_must_be_positive(self, fr, fc):
