@@ -77,6 +77,7 @@ from .manifest import (
 )
 from .netshape import (
     NAIVE_DIM_CAP,
+    check_naive_size,
     default_layers,
     forward_naive,
     layers_from_json,
@@ -452,10 +453,7 @@ def _cmd_netshape(args: argparse.Namespace) -> int:
     plan = propagate((*dims, 1), layers)
     print(plan.table())
     if args.forward_seed is not None:
-        if max(dims) > NAIVE_DIM_CAP:
-            raise FrustumKitError(
-                f"--forward-seed needs every grid dimension <= {NAIVE_DIM_CAP}, got {dims}"
-            )
+        check_naive_size(plan)  # before the counts are drawn
         counts = np.random.default_rng(args.forward_seed).poisson(0.5, size=dims)
         out = forward_naive(counts, plan, weights_seed=args.forward_seed)
         print(

@@ -2,9 +2,10 @@
 
 A record's header and its rows both come from its dataclass fields. Every
 value follows one rule (:func:`csv_value`): a bool is ``1`` or ``0``, a string
-is written as is, and any other number is ``format(v, ".12g")``, which reads as
-``str()`` for an int below 10**12. :func:`write_csv` ends lines in ``\\r\\n``
-and quotes fields where needed; :func:`write_lines` ends them in ``\\n``.
+is written as is, NaN is an empty field, and any other number is
+``format(v, ".12g")``, which reads as ``str()`` for an int below 10**12.
+:func:`write_csv` ends lines in ``\\r\\n`` and quotes fields where needed;
+:func:`write_lines` ends them in ``\\n``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ def csv_value(v: object) -> str:
             return v
         if isinstance(v, (bool, np.bool_)):
             return "1" if v else "0"
+    if v != v:  # NaN: evaluate's mean over a category with no matched pair
+        return ""
     return format(v, ".12g")
 
 

@@ -185,11 +185,11 @@ def evaluate(frames: Sequence[Frame], iou_thresh: float = IOU_THRESH_DEFAULT) ->
                 n_det=len(b["flags"]),
                 ap=average_precision(b["flags"], b["n_gt"]),
                 recall=(len(metrics) / b["n_gt"]) if b["n_gt"] else 0.0,
-                mean_d_xyz=float(np.mean([m.d_xyz for m in metrics])) if metrics else float("nan"),
-                mean_d_wdh=float(np.mean([m.d_wdh for m in metrics])) if metrics else float("nan"),
-                mean_orientation_score=(
-                    float(np.mean([m.orientation_score for m in metrics])) if metrics else float("nan")
-                ),
+                # NaN (an empty CSV field) for a category with no matched pair
+                **{
+                    f"mean_{field}": float(np.mean([getattr(m, field) for m in metrics])) if metrics else math.nan
+                    for field in MetricsRow._fields
+                },
             )
         )
     return EvalReport(

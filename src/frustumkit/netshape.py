@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +81,7 @@ class LayerSpec:
             raise ShapePlanError(f"{self.kind} preserves channels; channels_out must be omitted")
 
 
-_LAYER_JSON_KEYS = {"kind", "kernel", "stride", "channels_out", "padding"}
+_LAYER_JSON_KEYS = {f.name for f in fields(LayerSpec)}
 
 
 def layer_from_json(obj: dict) -> LayerSpec:
@@ -153,17 +153,15 @@ def _layer_output_shape(index: int, layer: LayerSpec, shape: tuple[int, ...]) ->
     where = f"layer {index} ({layer.kind})"
     if layer.kind == "dropout":
         return shape
-    if layer.kind == "global_reduce":
-        if len(shape) != 4:
-            raise ShapePlanError(f"{where}: needs a spatial (x, y, z, c) input, got {shape}")
-        return (shape[3],)
     if layer.kind == "dense":
         if len(shape) != 1:
             raise ShapePlanError(f"{where}: needs a flat input, got {shape}; reduce first")
         return (layer.channels_out,)
-    # conv3d / pool3d
+    # global_reduce / conv3d / pool3d
     if len(shape) != 4:
         raise ShapePlanError(f"{where}: needs a spatial (x, y, z, c) input, got {shape}")
+    if layer.kind == "global_reduce":
+        return (shape[3],)
     spatial = tuple(
         _conv_output_dim(dim, k, s, layer.padding, where)
         for dim, k, s in zip(shape[:3], layer.kernel, layer.stride)
@@ -213,7 +211,7 @@ def default_layers(n_categories: int) -> tuple[LayerSpec, ...]:
 # --- naive forward pass ---------------------------------------------------
 
 
-def _check_naive_size(plan: ShapePlan) -> None:
+def check_naive_size(plan: ShapePlan) -> None:
     """Refuse, before anything is allocated, a plan too big for the naive pass."""
     if max(plan.input_shape[:3]) > NAIVE_DIM_CAP:
         raise ShapePlanError(
@@ -257,7 +255,7 @@ def init_weights(plan: ShapePlan, seed: int) -> list[dict | None]:
     fixed seed fixes every array bitwise. Plans beyond the naive pass's caps
     raise ShapePlanError before any weight is drawn.
     """
-    _check_naive_size(plan)
+    check_naive_size(plan)
     rng = np.random.default_rng(seed)
     weights: list[dict | None] = []
     shape_in: tuple[int, ...] = plan.input_shape
@@ -321,7 +319,7 @@ def forward_with_weights(counts: np.ndarray, plan: ShapePlan, weights: Sequence[
         raise ShapePlanError(
             f"grid dims {counts.shape} do not match plan input {plan.input_shape}"
         )
-    _check_naive_size(plan)
+    check_naive_size(plan)
     if len(weights) != len(plan.layers):
         raise ShapePlanError(f"expected {len(plan.layers)} weight entries, got {len(weights)}")
     x = counts.astype(np.float64)[..., None]

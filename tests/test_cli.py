@@ -668,11 +668,23 @@ def test_netshape_check_forward(capsys):
     assert "forward ok" in out
 
 
-def test_netshape_forward_rejects_big_grids(capsys):
+@pytest.fixture
+def no_count_draw(monkeypatch):
+    """Fail a netshape run that draws the forward pass's counts: a refused plan must not get that far."""
+
+    def draw(*args, **kwargs):
+        raise AssertionError("counts drawn for a refused plan")
+
+    monkeypatch.setattr("frustumkit.cli.np.random.default_rng", draw)
+
+
+def test_netshape_forward_rejects_big_grids(capsys, no_count_draw):
     code = main(
         ["netshape", "check", "--grid", "198x198x102", "--categories", "2", "--forward-seed", "5"]
     )
     assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "frustumkit netshape: forward_naive is capped at 32^3 grids; got dims (198, 198, 102)\n"
 
 
 # --- dhs -----------------------------------------------------------------------------------
@@ -1035,7 +1047,7 @@ def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
         "forward-pool-padding",
     ],
 )
-def test_netshape_rejects_bad_layers_json(tmp_path, capsys, text, code, message):
+def test_netshape_rejects_bad_layers_json(tmp_path, capsys, no_count_draw, text, code, message):
     layers = tmp_path / "layers.json"
     layers.write_bytes(text)
     argv = ["netshape", "check", "--grid", "16x16x16", "--layers-json", str(layers), "--forward-seed", "1"]

@@ -45,7 +45,7 @@ def test_record_headers_keep_their_columns(header, expected):
         (0.1, "0.1"),
         (2.0, "2"),
         (np.float64(1 / 3), "0.333333333333"),
-        (math.nan, "nan"),
+        (math.nan, ""),
         (10**12, "1e+12"),
         (1e12, "1e+12"),
         (10**12 - 1, "999999999999"),
@@ -103,7 +103,7 @@ def test_category_nan_and_numpy_values(tmp_path):
     write_category_csv([row], str(path))
     assert path.read_bytes() == (
         b"category,n_gt,n_det,ap,recall,mean_d_xyz,mean_d_wdh,mean_orientation_score\r\n"
-        b"chair,3,2,0.666666666667,0.5,nan,0.125,nan\r\n"
+        b"chair,3,2,0.666666666667,0.5,,0.125,\r\n"
     )
 
 

@@ -87,6 +87,15 @@ class TestPropagate:
         with pytest.raises(ShapePlanError, match="dense"):
             propagate((4, 4, 4, 1), [LayerSpec("dense", channels_out=7)])
 
+    @pytest.mark.parametrize(
+        "layer",
+        [LayerSpec("global_reduce"), LayerSpec("conv3d", channels_out=2), LayerSpec("pool3d")],
+        ids=lambda layer: layer.kind,
+    )
+    def test_spatial_layer_after_reduce_errors(self, layer):
+        with pytest.raises(ShapePlanError, match=r"layer 1 \(\w+\): needs a spatial \(x, y, z, c\) input, got \(3,\)"):
+            propagate((4, 4, 4, 3), [LayerSpec("global_reduce"), layer])
+
     def test_dropout_is_shape_neutral(self):
         plan = propagate((5, 6, 7, 3), [LayerSpec("dropout")])
         assert plan.shapes[0] == (5, 6, 7, 3)
