@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from .cropbox import (
     TARGET_XY_DEFAULT,
     TARGET_Z_DEFAULT,
     THRESHOLD_DEFAULT,
+    ScaleSpec,
     SizeSearchConfig,
     assign_scale,
     best_cropbox,
@@ -54,7 +56,7 @@ from .evalkit import (
     write_category_csv,
     write_histogram_csv,
 )
-from .geometry import read_cloud_binary, write_cloud_binary
+from .geometry import CENTER_MODES, OrientedBox3, read_cloud_binary, write_cloud_binary
 from .head import (
     Anchor,
     HeadVector,
@@ -86,6 +88,7 @@ from .netshape import (
 from .outfile import open_output
 from .pipesim import (
     DRIFT_CSV_HEADER,
+    PIPELINE_MODES,
     STALE_SWEEP_SCALE,
     StageTiming,
     exact_throughput_fps,
@@ -101,6 +104,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 EXIT_INVARIANT = 5
+
+#: An argument that matches this is a negative number, not a flag. argparse's
+#: own pattern (-1, -.5) misses the exponent forms: -1e-1, -1E+2, -.5e3.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 # --- small flag parsers ------------------------------------------------------
@@ -163,6 +170,10 @@ def _anchors_from_labels(manifest: Manifest) -> dict[str, Anchor]:
         for obj in frame.objects:
             boxes_by_category.setdefault(obj.category, []).append(obj.box)
     return compute_anchors(boxes_by_category)
+
+
+def _own_scale_spec(box: OrientedBox3) -> ScaleSpec:
+    return get_scale_spec(assign_scale(box.width, box.depth, box.height))
 
 
 def _search_config(args: argparse.Namespace) -> SizeSearchConfig:
@@ -277,10 +288,7 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
     frame = _pick(manifest.frames, args.frame, "frame", "manifest")
     obj = _pick(frame.objects, args.object, "object", "frame")
     check_subdivision(args.fr, args.fc)
-    if args.scale == "auto":
-        spec = get_scale_spec(assign_scale(obj.box.width, obj.box.depth, obj.box.height))
-    else:
-        spec = get_scale_spec(args.scale)
+    spec = _own_scale_spec(obj.box) if args.scale == "auto" else get_scale_spec(args.scale)
     cloud = read_cloud_binary(frame.cloud_path)
     candidates = candidate_centers(
         cloud, obj.rect, frame.intrinsics, pose=frame.pose, fr=args.fr, fc=args.fc, mode=args.mode
@@ -328,9 +336,7 @@ def _cmd_encode_check(args: argparse.Namespace) -> int:
             if sample.category not in anchors:
                 raise FrustumKitError(f"no anchor for category {sample.category!r}")
             anchor = anchors[sample.category]
-            spec = get_scale_spec(
-                assign_scale(sample.gt_box.width, sample.gt_box.depth, sample.gt_box.height)
-            )
+            spec = _own_scale_spec(sample.gt_box)
             candidates = candidate_centers(
                 sample.cloud, sample.rect, sample.intrinsics, pose=sample.pose, projection=projection
             )
@@ -444,8 +450,7 @@ def _cmd_netshape(args: argparse.Namespace) -> int:
     if args.grid is not None:
         dims = _parse_dims(args.grid, "--grid", "198x198x102")
     else:
-        spec = get_scale_spec(args.scale)
-        dims = spec.grid
+        dims = get_scale_spec(args.scale).grid
     if args.layers_json is not None:
         layers = layers_from_json(Path(args.layers_json).read_bytes())
     else:
@@ -474,7 +479,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     _add_manifest_flag(p)
     p.add_argument("--sides", required=True, help="comma-separated crop side candidates (m)")
     p.add_argument("--heights", required=True, help="comma-separated crop height candidates (m)")
-    p.add_argument("--mode", choices=["average", "median"], default="average")
+    p.add_argument("--mode", choices=CENTER_MODES, default="average")
     p.add_argument("--threshold-xy", type=float, default=THRESHOLD_DEFAULT, help="per-object footprint IoI threshold")
     p.add_argument("--threshold-z", type=float, default=THRESHOLD_DEFAULT, help="per-object vertical IoI threshold")
     p.add_argument("--fr-fc", default="1x1,3x3", help="subdivision grids to sweep, e.g. 1x1,3x3")
@@ -531,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale class, or auto from the object's own dimensions",
     )
     p.add_argument("--sparse", default=None, help="optional sparse-occupancy CSV path")
-    p.add_argument("--mode", choices=["average", "median"], default="average")
+    p.add_argument("--mode", choices=CENTER_MODES, default="average")
     p.add_argument("--fr", type=int, default=1, help="frustum subdivision rows")
     p.add_argument("--fc", type=int, default=1, help="frustum subdivision columns")
     p.set_defaults(func=_cmd_voxelize)
@@ -559,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipesim", help="two-stage latency/throughput simulation")
     p.add_argument("--t2d", type=float, required=True, help="2D stage time (ms)")
     p.add_argument("--t3d", type=float, required=True, help="3D stage time (ms)")
-    p.add_argument("--mode", choices=["sequential", "pipelined"], required=True)
+    p.add_argument("--mode", choices=PIPELINE_MODES, required=True)
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--csv", default=None, help="optional per-frame trace CSV")
     p.set_defaults(func=_cmd_pipesim)
@@ -587,6 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_netshape)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .geometry import (
     Aabb3,
+    CENTER_MODES,
     CameraIntrinsics,
     CenterMode,
     CloudProjection,
@@ -146,7 +147,7 @@ def candidate_centers(
     identity), so that the objects of one frame share one projection;
     without it the cloud is projected here.
     """
-    if mode not in ("average", "median"):
+    if mode not in CENTER_MODES:
         raise GeometryError(f"unknown center mode: {mode!r}")
     if projection is None:
         projection = project_cloud(cloud, k, pose)
@@ -284,10 +285,9 @@ curve_point_to_csv_row = csv_line
 
 #: Candidate centers scored together at 3 sides x 3 heights. The scorer's
 #: arrays are centers x sides (crop_scores) and centers x sides x heights (the
-#: volume maxima), so a batch closes at the first frame boundary past
-#: 3 * _SCORE_BATCH (center, side) pairs or 9 * _SCORE_BATCH (center, side,
-#: height) triples; its memory stays bounded however large the dataset or the
-#: size sweep.
+#: volume maxima), so a batch closes at the first frame boundary where
+#: centers x sides x max(heights, 3) reaches 9 * _SCORE_BATCH; its memory
+#: stays bounded however large the dataset or the size sweep.
 _SCORE_BATCH = 1024
 
 
@@ -368,8 +368,7 @@ def recall_curves(
                     continue
                 batch.append((ci, item.gt_box, centers))
                 n_centers += len(centers)
-        pairs = n_centers * len(sides)
-        if pairs >= 3 * _SCORE_BATCH or pairs * len(heights) >= 9 * _SCORE_BATCH:
+        if n_centers * len(sides) * max(len(heights), 3) >= 9 * _SCORE_BATCH:
             score(batch)
             batch, n_centers = [], 0
     if batch:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -43,6 +43,7 @@ NEAR_DEFAULT = 0.1
 FAR_DEFAULT = 10.0
 
 CenterMode = Literal["average", "median"]
+CENTER_MODES = get_args(CenterMode)
 
 
 # ---------------------------------------------------------------------------

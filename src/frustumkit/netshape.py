@@ -5,7 +5,10 @@ The contract being verified is structural, not learned: a stack of strided
 `7 * n_categories` (one oriented-box regression head per category). The
 shape arithmetic is the standard convolution bookkeeping; `forward_naive`
 executes the plan with seeded random weights as an executable witness that
-the claimed shapes are actually realizable by a real computation.
+the claimed shapes are actually realizable by a real computation. The naive
+pass reads each layer's input shape from `ShapePlan.input_shapes`, and its
+size caps, weight draws and padding share one weight-shape and one padding
+rule.
 
 Tensors are laid out (x, y, z, channels). Dropout is modeled as identity
 (inference mode), so it is shape- and value-neutral here.
@@ -118,6 +121,11 @@ class ShapePlan:
     shapes: tuple[tuple[int, ...], ...]
 
     @property
+    def input_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Each layer's input shape: the plan's input, then each earlier layer's output."""
+        return (self.input_shape, *self.shapes)[:-1]
+
+    @property
     def final_shape(self) -> tuple[int, ...]:
         return self.shapes[-1] if self.shapes else self.input_shape
 
@@ -211,15 +219,28 @@ def default_layers(n_categories: int) -> tuple[LayerSpec, ...]:
 # --- naive forward pass ---------------------------------------------------
 
 
+def _weight_shape(layer: LayerSpec, shape_in: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The layer's weight shape, None if it has none; its fan-in is the product of all axes but the last."""
+    if layer.kind == "conv3d":
+        return (*layer.kernel, shape_in[3], layer.channels_out)
+    if layer.kind == "dense":
+        return (shape_in[0], layer.channels_out)
+    return None
+
+
+def _pad_totals(shape_in: Sequence[int], shape_out: Sequence[int], layer: LayerSpec) -> list[int]:
+    """Per spatial axis, the padding that fits the output's windows (layer.kernel at layer.stride)."""
+    axes = zip(shape_in[:3], shape_out[:3], layer.kernel, layer.stride)
+    return [max((out - 1) * s + k - dim, 0) for dim, out, k, s in axes]
+
+
 def check_naive_size(plan: ShapePlan) -> None:
     """Refuse, before anything is allocated, a plan too big for the naive pass."""
     if max(plan.input_shape[:3]) > NAIVE_DIM_CAP:
         raise ShapePlanError(
             f"forward_naive is capped at {NAIVE_DIM_CAP}^3 grids; got dims {plan.input_shape[:3]}"
         )
-    n_weights = 0
-    shape_in: tuple[int, ...] = plan.input_shape
-    for i, (layer, shape_out) in enumerate(zip(plan.layers, plan.shapes)):
+    for i, (layer, shape_in, shape_out) in enumerate(zip(plan.layers, plan.input_shapes, plan.shapes)):
         where = f"layer {i} ({layer.kind})"
         largest = math.prod(shape_out)
         if layer.kind in ("conv3d", "pool3d"):
@@ -227,21 +248,14 @@ def check_naive_size(plan: ShapePlan) -> None:
                 raise ShapePlanError(
                     f"{where}: forward_naive caps kernel dims at {NAIVE_DIM_CAP}, got {layer.kernel}"
                 )
-            padded = math.prod(
-                max(dim, (out - 1) * s + k)
-                for dim, out, k, s in zip(shape_in[:3], shape_out[:3], layer.kernel, layer.stride)
-            )
+            padded = math.prod(d + t for d, t in zip(shape_in[:3], _pad_totals(shape_in, shape_out, layer)))
             windows = math.prod(shape_out[:3]) * math.prod(layer.kernel)
             largest = max(largest, max(padded, windows) * shape_in[3])
-        if layer.kind == "conv3d":
-            n_weights += math.prod(layer.kernel) * shape_in[3] * layer.channels_out
-        elif layer.kind == "dense":
-            n_weights += shape_in[0] * layer.channels_out
         if largest > NAIVE_ELEMENT_CAP:
             raise ShapePlanError(
                 f"{where}: an array of {largest} elements exceeds forward_naive's cap of {NAIVE_ELEMENT_CAP}"
             )
-        shape_in = shape_out
+    n_weights = sum(math.prod(shape) for shape in map(_weight_shape, plan.layers, plan.input_shapes) if shape)
     if n_weights > NAIVE_ELEMENT_CAP:
         raise ShapePlanError(
             f"plan has {n_weights} weights; forward_naive is capped at {NAIVE_ELEMENT_CAP}"
@@ -258,32 +272,20 @@ def init_weights(plan: ShapePlan, seed: int) -> list[dict | None]:
     check_naive_size(plan)
     rng = np.random.default_rng(seed)
     weights: list[dict | None] = []
-    shape_in: tuple[int, ...] = plan.input_shape
-    for layer, shape_out in zip(plan.layers, plan.shapes):
-        if layer.kind == "conv3d":
-            kx, ky, kz = layer.kernel
-            c_in = shape_in[3]
-            fan_in = kx * ky * kz * c_in
-            w = rng.standard_normal((kx, ky, kz, c_in, layer.channels_out)) / math.sqrt(fan_in)
-            weights.append({"weight": w, "bias": np.zeros(layer.channels_out)})
-        elif layer.kind == "dense":
-            c_in = shape_in[0]
-            w = rng.standard_normal((c_in, layer.channels_out)) / math.sqrt(c_in)
-            weights.append({"weight": w, "bias": np.zeros(layer.channels_out)})
-        else:
+    for shape in map(_weight_shape, plan.layers, plan.input_shapes):
+        if shape is None:
             weights.append(None)
-        shape_in = shape_out
+        else:
+            w = rng.standard_normal(shape) / math.sqrt(math.prod(shape[:-1]))
+            weights.append({"weight": w, "bias": np.zeros(shape[-1])})
     return weights
 
 
 def _pad_spatial(x: np.ndarray, layer: LayerSpec, out_spatial: tuple[int, ...], fill: float) -> np.ndarray:
-    pads = []
-    for dim, out, k, s in zip(x.shape[:3], out_spatial, layer.kernel, layer.stride):
-        total = max((out - 1) * s + k - dim, 0)
-        pads.append((total // 2, total - total // 2))
-    pads.append((0, 0))
-    if not any(lo or hi for lo, hi in pads):
+    totals = _pad_totals(x.shape, out_spatial, layer)
+    if not any(totals):
         return x
+    pads = [(t // 2, t - t // 2) for t in totals] + [(0, 0)]
     return np.pad(x, pads, mode="constant", constant_values=fill)
 
 

@@ -9,7 +9,9 @@ that price: it shifts every 2D rect sideways by a per-frame pixel drift
 and measures how crop quality and recall degrade.
 
 All schedule arithmetic is exact (no wall-clock measurement); the measured
-stage times are inputs, the schedule is the artifact.
+stage times are inputs, the schedule is the artifact. The exact pipelined
+throughput reads the longer stage time as the decimal it was written as, and
+only a zero period makes it unbounded.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .geometry import Rect2
 from .ioi import IoiBreakdown, validate_threshold
 
 Mode = Literal["sequential", "pipelined"]
+PIPELINE_MODES = get_args(Mode)
 
 #: Most frames simulate() schedules. It keeps one FrameRecord per frame in
 #: memory; a trace at the bound, written with --csv, adds about 26 MB to peak RSS.
@@ -109,7 +112,7 @@ def simulate(n_frames: int, timing: StageTiming, mode: Mode) -> FrameTrace:
     """
     if not 1 <= n_frames <= MAX_FRAMES:
         raise GeometryError(f"n_frames must lie in [1, {MAX_FRAMES}], got {n_frames}")
-    if mode not in ("sequential", "pipelined"):
+    if mode not in PIPELINE_MODES:
         raise GeometryError(f"unknown mode {mode!r}")
     # every clock value in both modes stays below this bound
     if not math.isfinite((n_frames + 1) * (timing.t_2d + timing.t_3d)):
@@ -139,8 +142,13 @@ def write_trace_csv(trace: FrameTrace, path: str) -> None:
 
 
 def exact_throughput_fps(timing: StageTiming) -> Fraction:
-    """Pipelined steady-state throughput as an exact rational (frames/s)."""
-    period = Fraction(max(timing.t_2d, timing.t_3d)).limit_denominator(10**9)
+    """Pipelined steady-state throughput as an exact rational (frames/s).
+
+    The period is the longer stage time read as the decimal str() gives (for
+    a float its shortest repr), so 48.0 ms gives 125/6 fps and 0.1 ms exactly
+    10000. Only a zero period is unbounded.
+    """
+    period = Fraction(str(max(timing.t_2d, timing.t_3d)))
     if period == 0:
         raise GeometryError("zero-cost stages have unbounded throughput")
     return Fraction(1000) / period

@@ -615,6 +615,49 @@ def test_pipesim_rejects_unbounded_throughput(capsys):
     assert "unbounded throughput" in capsys.readouterr().err
 
 
+def test_pipesim_tiny_stage_times_have_a_bounded_exact_throughput(capsys):
+    # the float and the exact throughput agree: a 1e-12 ms period is bounded for both
+    assert main(["pipesim", "--t2d", "1e-12", "--t3d", "1e-12", "--mode", "pipelined"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "throughput=1000000000000000.00 fps" in out
+    assert "pipesim: exact pipelined throughput 1000000000000000 fps = 1e+15 fps" in out
+
+
+@pytest.mark.parametrize("value", ["-1e-1", "-1E+2", "-.5e3", "-2.", "-1", "-0.5", "-.5"])
+def test_negative_number_is_a_value_not_a_flag(value):
+    args = build_parser().parse_args(["pipesim", "--t2d", value, "--t3d", "1", "--mode", "sequential"])
+    assert args.t2d == float(value)
+
+
+@pytest.mark.parametrize("value", ["-x", "-e5", "-1e", "-1.5.5"])
+def test_a_dash_word_that_is_no_number_is_still_a_flag(capsys, value):
+    assert main(["pipesim", "--t2d", value, "--t3d", "1", "--mode", "sequential"]) == EXIT_USAGE
+    assert "argument --t2d: expected one argument" in capsys.readouterr().err
+
+
+def test_every_parser_takes_an_exponent_form_for_a_negative_number():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in (parser, *sub.choices.values()):
+        assert p._negative_number_matcher.match("-1e-1"), p.prog
+
+
+def test_negative_exponent_value_as_a_separate_argument_equals_the_joined_form(dataset, tmp_path, capsys):
+    base = ["dhs", "--manifest", str(dataset), "--frame", "1", "--out"]
+    assert main([*base, str(tmp_path / "joined"), "--h-min=-1e-1"]) == EXIT_OK
+    assert main([*base, str(tmp_path / "separate"), "--h-min", "-1e-1"]) == EXIT_OK
+    assert main([*base, str(tmp_path / "default")]) == EXIT_OK
+    capsys.readouterr()
+    separate = (tmp_path / "separate.f32").read_bytes()
+    assert separate == (tmp_path / "joined.f32").read_bytes()
+    assert separate != (tmp_path / "default.f32").read_bytes()  # -0.1, not the default -0.5
+
+
+def test_pipesim_negative_exponent_stage_time_is_rejected_by_stage_timing(capsys):
+    assert main(["pipesim", "--t2d", "-1e-1", "--t3d", "48", "--mode", "pipelined"]) == EXIT_USAGE
+    assert "frustumkit pipesim: stage times must be finite and >= 0, got -0.1, 48.0" in capsys.readouterr().err
+
+
 # --- stale-sweep ------------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Shape-plan arithmetic and the naive forward pass checked against oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,12 @@ class TestPropagate:
         plan = propagate((5, 6, 7, 3), [LayerSpec("dropout")])
         assert plan.shapes[0] == (5, 6, 7, 3)
 
+    def test_input_shapes_are_the_input_then_each_earlier_output(self):
+        layers = [LayerSpec("conv3d", kernel=3, stride=2, channels_out=4), LayerSpec("global_reduce")]
+        plan = propagate((8, 6, 4, 1), layers)
+        assert plan.input_shapes == ((8, 6, 4, 1), (4, 3, 2, 4))
+        assert propagate((8, 6, 4, 1), []).input_shapes == ()
+
     def test_table_lists_every_layer(self):
         plan = propagate((16, 16, 16, 1), default_layers(2))
         text = plan.table()
@@ -165,6 +173,32 @@ class TestForwardNaive:
         np.testing.assert_array_equal(a, b)
         c = forward_naive(grid, plan, weights_seed=124)
         assert not np.array_equal(a, c)
+
+    def test_init_weights_draws_are_pinned(self):
+        """One generator, draws in plan order, shapes written out by hand, each over sqrt(fan-in)."""
+        layers = [
+            LayerSpec("conv3d", kernel=(3, 2, 1), stride=2, channels_out=4),
+            LayerSpec("pool3d", kernel=2, stride=2),
+            LayerSpec("conv3d", kernel=(1, 2, 3), channels_out=5),
+            LayerSpec("global_reduce"),
+            LayerSpec("dense", channels_out=6),
+        ]
+        weights = init_weights(propagate((8, 8, 8, 1), layers), seed=11)
+        rng = np.random.default_rng(11)
+        expected = [
+            rng.standard_normal((3, 2, 1, 1, 4)) / math.sqrt(3 * 2 * 1 * 1),
+            None,
+            rng.standard_normal((1, 2, 3, 4, 5)) / math.sqrt(1 * 2 * 3 * 4),
+            None,
+            rng.standard_normal((5, 6)) / math.sqrt(5),
+        ]
+        assert len(weights) == len(expected)
+        for got, want in zip(weights, expected):
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got["weight"], want)
+                assert np.array_equal(got["bias"], np.zeros(want.shape[-1]))
 
     def test_output_finite_and_shape_matches_plan(self):
         rng = np.random.default_rng(1)

@@ -121,6 +121,28 @@ class TestPipelined:
         with pytest.raises(GeometryError):
             _ = trace.throughput_fps
 
+    @pytest.mark.parametrize(
+        "t_3d, fps",
+        [
+            (48.0, Fraction(125, 6)),
+            (0.1, Fraction(10000)),
+            # periods whose nearest rational of denominator <= 10**9 is not the
+            # typed decimal (for 1e-12 it is 0)
+            (1e-12, Fraction(10**15)),
+            (7.123456789012, Fraction(10**15, 7123456789012)),
+            (0.3333333333, Fraction(10**13, 3333333333)),
+            (98765.43, Fraction(100000, 9876543)),
+        ],
+    )
+    def test_exact_throughput_reads_the_shortest_decimal_of_the_period(self, t_3d, fps):
+        assert exact_throughput_fps(StageTiming(1e-13, t_3d)) == fps
+        assert exact_throughput_fps(StageTiming(t_3d, 0.0)) == fps
+
+    def test_exact_throughput_is_unbounded_only_at_a_zero_period(self):
+        assert exact_throughput_fps(StageTiming(0.0, 5e-324)) == Fraction(2 * 10**326)
+        with pytest.raises(GeometryError, match="unbounded throughput"):
+            exact_throughput_fps(StageTiming(0.0, 0.0))
+
     @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
     def test_clock_overflow_rejected_and_bound_is_enough(self, mode):
         with pytest.raises(GeometryError, match="overflow the clock"):
