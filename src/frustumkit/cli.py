@@ -106,8 +106,9 @@ EXIT_INFEASIBLE = 4
 EXIT_INVARIANT = 5
 
 #: An argument that matches this is a negative number, not a flag. argparse's
-#: own pattern (-1, -.5) misses the exponent forms: -1e-1, -1E+2, -.5e3.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+#: own pattern (-1, -.5) misses the exponent forms (-1e-1, -1E+2, -.5e3) and
+#: the infinity and NaN spellings float() takes in any case (-inf, -Infinity, -nan).
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 # --- small flag parsers ------------------------------------------------------
@@ -176,14 +177,17 @@ def _own_scale_spec(box: OrientedBox3) -> ScaleSpec:
     return get_scale_spec(assign_scale(box.width, box.depth, box.height))
 
 
-def _search_config(args: argparse.Namespace) -> SizeSearchConfig:
-    return SizeSearchConfig(
+def _search_curves(args: argparse.Namespace) -> tuple[Manifest, list]:
+    """A search command's manifest and recall curves; checks the manifest, then the flags, then the labels."""
+    manifest = load_manifest(args.manifest)
+    cfg = SizeSearchConfig(
         side_candidates=_parse_floats(args.sides, "--sides"),
         height_candidates=_parse_floats(args.heights, "--heights"),
         threshold_xy=args.threshold_xy,
         threshold_z=args.threshold_z,
         fr_fc=[_parse_dims(e, "--fr-fc", "3x3") for e in _entries(args.fr_fc, "--fr-fc")],
     )
+    return manifest, recall_curves(_samples(manifest), cfg, mode=args.mode)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -266,18 +270,14 @@ def _cmd_dhs(args: argparse.Namespace) -> int:
 
 
 def _cmd_recall_curves(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.manifest)
-    cfg = _search_config(args)
-    curves = recall_curves(_samples(manifest), cfg, mode=args.mode)
+    manifest, curves = _search_curves(args)
     write_lines(args.out, CURVE_CSV_HEADER, curves)
     print(f"recall-curves: wrote {len(curves)} rows over {manifest.n_objects} objects -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_select_size(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.manifest)
-    cfg = _search_config(args)
-    curves = recall_curves(_samples(manifest), cfg, mode=args.mode)
+    _, curves = _search_curves(args)
     side, height = select_min_size(curves, target_xy=args.target_xy, target_z=args.target_z)
     print(f"select-size: side_m={side:.12g} height_m={height:.12g}")
     return EXIT_OK

@@ -138,10 +138,11 @@ def candidate_centers(
     raised.
 
     Both statistics follow point order: an average adds the points in
-    ascending cloud index starting from 0.0, and a median sorts stably, so
-    equal values (0.0 and -0.0) keep their order. A 1x1 split is the rect
-    itself: its one row comes straight from rect_points, with no band
-    lookup and no tile bins.
+    ascending cloud index starting from 0.0, and a median is the value a
+    stable sort puts in the middle, so of equal values (0.0 and -0.0) point
+    order decides. A 1x1 split is the rect itself: its one row comes
+    straight from rect_points, with no band lookup and no tile bins, and
+    its median is selected (np.partition), not sorted.
 
     ``projection`` is a project_cloud of this very cloud, camera and pose (by
     identity), so that the objects of one frame share one projection;
@@ -164,7 +165,15 @@ def candidate_centers(
         # the axis-0 sum adds the points in point order from 0.0, as the tile bins below do
         if mode == "average":
             return inside.sum(axis=0, keepdims=True) / point.size
-        return np.sort(inside, axis=0, kind="stable")[[(point.size - 1) // 2]]
+        # selection picks the stable sort's value; of 0.0 and -0.0 it may pick
+        # either, where the stable sort takes the column's (middle - negatives)-th
+        # zero in point order
+        middle = (point.size - 1) // 2
+        center = np.partition(inside, middle, axis=0)[[middle]]
+        for c in np.flatnonzero(center[0] == 0):
+            column = inside[:, c]
+            center[0, c] = column[np.flatnonzero(column == 0)[middle - np.count_nonzero(column < 0)]]
+        return center
     n_tiles = fr * fc
     counts = np.bincount(tiles, minlength=n_tiles)
     full = counts.nonzero()[0]
@@ -348,10 +357,11 @@ def recall_curves(
         config = [ci for ci, _, _ in batch]
         xy, z = crop_scores([box for _, box, _ in batch], [c for _, _, c in batch], sides, heights)
         starts = np.cumsum([0] + [len(c) for _, _, c in batch[:-1]])
-        # each object's best over its candidates
-        np.add.at(n_xy, config, np.maximum.reduceat(xy, starts) >= cfg.threshold_xy)
-        np.add.at(n_z, config, np.maximum.reduceat(z, starts) >= cfg.threshold_z)
-        np.add.at(n_vol, config, np.maximum.reduceat(xy[:, :, None] * z[:, None, :], starts) >= t3)
+        # each object's best over its candidates, tallied as int: np.add.at casts
+        # bool values to the int counters in a slow loop
+        np.add.at(n_xy, config, (np.maximum.reduceat(xy, starts) >= cfg.threshold_xy).astype(int))
+        np.add.at(n_z, config, (np.maximum.reduceat(z, starts) >= cfg.threshold_z).astype(int))
+        np.add.at(n_vol, config, (np.maximum.reduceat(xy[:, :, None] * z[:, None, :], starts) >= t3).astype(int))
 
     # (config position, box, centers) of every object with candidates
     batch: list[tuple[int, OrientedBox3, np.ndarray]] = []

@@ -49,6 +49,11 @@ class MatchResult(NamedTuple):
     pairs: tuple[tuple[int, int, float], ...]  # (detection index, gt index, IoU) for TPs
 
 
+def _ranked(scores: Sequence[float]) -> list[int]:
+    """Indices in descending score order, ties by input index."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
 def match(
     dets: Sequence[Detection],
     gts: Sequence[OrientedBox3],
@@ -58,7 +63,7 @@ def match(
     validate_threshold("iou_thresh", iou_thresh)
     if len({d.category for d in dets}) > 1:
         raise GeometryError("match expects detections of a single category")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    order = _ranked([d.score for d in dets])
     taken = [False] * len(gts)
     tp: list[bool] = []
     pairs: list[tuple[int, int, float]] = []
@@ -96,7 +101,7 @@ def average_precision(scored_flags: Sequence[tuple[float, bool]], n_gt: int) -> 
         raise GeometryError("n_gt must be >= 0")
     if n_gt == 0 or not scored_flags:
         return 0.0
-    order = sorted(range(len(scored_flags)), key=lambda i: (-scored_flags[i][0], i))
+    order = _ranked([f[0] for f in scored_flags])
     flags = np.array([bool(scored_flags[i][1]) for i in order])
     tp_cum = np.cumsum(flags)
     fp_cum = np.cumsum(~flags)

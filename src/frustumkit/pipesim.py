@@ -51,10 +51,16 @@ class StageTiming:
         if not (0 <= self.t_2d < math.inf and 0 <= self.t_3d < math.inf):
             raise GeometryError(f"stage times must be finite and >= 0, got {self.t_2d}, {self.t_3d}")
 
+    def period(self, mode: Mode) -> float:
+        """Steady-state time between consecutive 3D completions in a mode."""
+        if mode == "sequential":
+            return self.t_2d + self.t_3d
+        return max(self.t_2d, self.t_3d)
+
 
 @dataclass(frozen=True)
 class FrameRecord:
-    index: int
+    frame: int
     start_2d: float
     done_2d: float
     start_3d: float
@@ -76,16 +82,16 @@ class FrameTrace:
     @property
     def steady_period(self) -> float:
         """Steady-state time between consecutive 3D completions."""
-        if self.mode == "sequential":
-            return self.timing.t_2d + self.timing.t_3d
-        return max(self.timing.t_2d, self.timing.t_3d)
+        return self.timing.period(self.mode)
 
     @property
     def throughput_fps(self) -> float:
         period = self.steady_period
-        # a subnormal period overflows 1000 / period to inf
-        if period == 0 or 1000.0 / period == math.inf:
+        if period == 0:
             raise GeometryError("zero-cost stages have unbounded throughput")
+        # any period below about 5.6e-306 ms overflows 1000 / period to inf
+        if 1000.0 / period == math.inf:
+            raise GeometryError(f"period {float(period)!r} ms overflows the throughput 1000 / period to inf")
         return 1000.0 / period
 
     @property
@@ -115,11 +121,11 @@ def simulate(n_frames: int, timing: StageTiming, mode: Mode) -> FrameTrace:
     if mode not in PIPELINE_MODES:
         raise GeometryError(f"unknown mode {mode!r}")
     # every clock value in both modes stays below this bound
-    if not math.isfinite((n_frames + 1) * (timing.t_2d + timing.t_3d)):
+    if not math.isfinite((n_frames + 1) * timing.period("sequential")):
         raise GeometryError(f"stage times {timing.t_2d}, {timing.t_3d} overflow the clock over {n_frames} frames")
     t2, t3 = timing.t_2d, timing.t_3d
     pipelined = mode == "pipelined"
-    period = max(t2, t3)
+    period = timing.period(mode)
     frames: list[FrameRecord] = []
     done_3d = 0.0  # the previous frame's 3D completion
     for i in range(n_frames):
@@ -134,7 +140,7 @@ def simulate(n_frames: int, timing: StageTiming, mode: Mode) -> FrameTrace:
     return FrameTrace(mode, timing, tuple(frames), staleness_frames=1 if pipelined else 0)
 
 
-TRACE_CSV_HEADER = "frame,start_2d,done_2d,start_3d,done_3d,latency"
+TRACE_CSV_HEADER = csv_header(FrameRecord) + ",latency"
 
 
 def write_trace_csv(trace: FrameTrace, path: str) -> None:
@@ -148,7 +154,7 @@ def exact_throughput_fps(timing: StageTiming) -> Fraction:
     a float its shortest repr), so 48.0 ms gives 125/6 fps and 0.1 ms exactly
     10000. Only a zero period is unbounded.
     """
-    period = Fraction(str(max(timing.t_2d, timing.t_3d)))
+    period = Fraction(str(timing.period("pipelined")))
     if period == 0:
         raise GeometryError("zero-cost stages have unbounded throughput")
     return Fraction(1000) / period

@@ -611,8 +611,23 @@ def test_pipesim_rejects_frame_count_above_the_bound(tmp_path, capsys, mode):
 
 
 def test_pipesim_rejects_unbounded_throughput(capsys):
-    assert main(["pipesim", "--t2d", "5e-324", "--t3d", "0", "--mode", "sequential"]) == EXIT_USAGE
-    assert "unbounded throughput" in capsys.readouterr().err
+    assert main(["pipesim", "--t2d", "0", "--t3d", "0", "--mode", "sequential"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "frustumkit pipesim: zero-cost stages have unbounded throughput\n"
+
+
+@pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+@pytest.mark.parametrize("t2d", ["5e-324", "1e-306", "5.5e-306"])
+def test_pipesim_names_a_period_that_overflows_the_throughput(capsys, mode, t2d):
+    # no stage costs zero, but 1000 / period overflows a float below about 5.6e-306 ms
+    assert main(["pipesim", "--t2d", t2d, "--t3d", "0", "--mode", mode]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"frustumkit pipesim: period {t2d} ms overflows the throughput 1000 / period to inf\n"
+    )
+
+
+def test_pipesim_period_just_above_the_overflow_has_a_throughput(capsys):
+    assert main(["pipesim", "--t2d", "5.6e-306", "--t3d", "0", "--mode", "sequential"]) == EXIT_OK
+    assert " throughput=1785714285714285" in capsys.readouterr().out
 
 
 def test_pipesim_tiny_stage_times_have_a_bounded_exact_throughput(capsys):
@@ -623,13 +638,15 @@ def test_pipesim_tiny_stage_times_have_a_bounded_exact_throughput(capsys):
     assert "pipesim: exact pipelined throughput 1000000000000000 fps = 1e+15 fps" in out
 
 
-@pytest.mark.parametrize("value", ["-1e-1", "-1E+2", "-.5e3", "-2.", "-1", "-0.5", "-.5"])
+@pytest.mark.parametrize(
+    "value", ["-1e-1", "-1E+2", "-.5e3", "-2.", "-1", "-0.5", "-.5", "-inf", "-Infinity", "-nan"]
+)
 def test_negative_number_is_a_value_not_a_flag(value):
     args = build_parser().parse_args(["pipesim", "--t2d", value, "--t3d", "1", "--mode", "sequential"])
-    assert args.t2d == float(value)
+    assert repr(args.t2d) == repr(float(value))  # repr, since nan != nan
 
 
-@pytest.mark.parametrize("value", ["-x", "-e5", "-1e", "-1.5.5"])
+@pytest.mark.parametrize("value", ["-x", "-e5", "-1e", "-1.5.5", "-i", "-infx", "-nanx"])
 def test_a_dash_word_that_is_no_number_is_still_a_flag(capsys, value):
     assert main(["pipesim", "--t2d", value, "--t3d", "1", "--mode", "sequential"]) == EXIT_USAGE
     assert "argument --t2d: expected one argument" in capsys.readouterr().err
@@ -656,6 +673,11 @@ def test_negative_exponent_value_as_a_separate_argument_equals_the_joined_form(d
 def test_pipesim_negative_exponent_stage_time_is_rejected_by_stage_timing(capsys):
     assert main(["pipesim", "--t2d", "-1e-1", "--t3d", "48", "--mode", "pipelined"]) == EXIT_USAGE
     assert "frustumkit pipesim: stage times must be finite and >= 0, got -0.1, 48.0" in capsys.readouterr().err
+
+
+def test_pipesim_negative_infinity_stage_time_is_rejected_by_stage_timing(capsys):
+    assert main(["pipesim", "--t2d", "-inf", "--t3d", "1", "--mode", "sequential"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "frustumkit pipesim: stage times must be finite and >= 0, got -inf, 1.0\n"
 
 
 # --- stale-sweep ------------------------------------------------------------------------

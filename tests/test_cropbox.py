@@ -304,6 +304,27 @@ class TestCentersInPointOrder:
         else:
             assert order_shows  # some tile's median is a zero whose sign only point order decides
 
+    def test_one_by_one_median_zero_has_the_stable_sorts_sign(self):
+        """The 1x1 median selects its value, and a zero keeps the sign the stable sort gives it."""
+        rng = np.random.default_rng(9)
+        pose = RigidTransform.identity()
+        rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
+        order_shows = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            # x and y mix both zeros with +-0.5; at depth 4 to 6 every point lies in the rect
+            values = [0.0, -0.0, 0.5, -0.5]
+            cloud = np.stack([rng.choice(values, n), rng.choice(values, n), rng.uniform(4.0, 6.0, n)], axis=1)
+            assert geometry.rect_points(geometry.project_cloud(cloud, K, pose), rect).size == n
+            expected = np.sort(cloud, axis=0, kind="stable")[[(n - 1) // 2]]
+            center = candidate_centers(cloud, rect, K, pose, mode="median")
+            assert np.array_equal(center, expected)
+            assert np.array_equal(np.signbit(center), np.signbit(expected))
+            for c in range(2):
+                zeros = cloud[cloud[:, c] == 0.0, c]
+                order_shows += expected[0, c] == 0.0 and 0 < np.signbit(zeros).sum() < zeros.size
+        assert order_shows > 100  # medians that are a zero whose sign only point order decides
+
     @pytest.mark.parametrize("fr", [1, 3])
     @pytest.mark.parametrize("mode", ["average", "median"])
     def test_points_behind_the_camera_are_dropped(self, fr, mode):
