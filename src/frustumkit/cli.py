@@ -25,13 +25,14 @@ from .cropbox import (
     TARGET_XY_DEFAULT,
     TARGET_Z_DEFAULT,
     THRESHOLD_DEFAULT,
-    ScaleSpec,
     SizeSearchConfig,
-    assign_scale,
+    assign_scale,  # these three go unused here: perfbench's traced run wraps them in this module too
     best_cropbox,
     candidate_centers,
     check_subdivision,
+    choose_crop,
     get_scale_spec,
+    own_scale_spec,
     recall_curves,
     select_min_size,
     split_frames,
@@ -56,7 +57,7 @@ from .evalkit import (
     write_category_csv,
     write_histogram_csv,
 )
-from .geometry import CENTER_MODES, OrientedBox3, read_cloud_binary, write_cloud_binary
+from .geometry import CENTER_MODES, project_cloud, read_cloud_binary, write_cloud_binary
 from .head import (
     Anchor,
     HeadVector,
@@ -173,10 +174,6 @@ def _anchors_from_labels(manifest: Manifest) -> dict[str, Anchor]:
     return compute_anchors(boxes_by_category)
 
 
-def _own_scale_spec(box: OrientedBox3) -> ScaleSpec:
-    return get_scale_spec(assign_scale(box.width, box.depth, box.height))
-
-
 def _search_curves(args: argparse.Namespace) -> tuple[Manifest, list]:
     """A search command's manifest and recall curves; checks the manifest, then the flags, then the labels."""
     manifest = load_manifest(args.manifest)
@@ -288,12 +285,10 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
     frame = _pick(manifest.frames, args.frame, "frame", "manifest")
     obj = _pick(frame.objects, args.object, "object", "frame")
     check_subdivision(args.fr, args.fc)
-    spec = _own_scale_spec(obj.box) if args.scale == "auto" else get_scale_spec(args.scale)
+    spec = own_scale_spec(obj.box) if args.scale == "auto" else get_scale_spec(args.scale)
     cloud = read_cloud_binary(frame.cloud_path)
-    candidates = candidate_centers(
-        cloud, obj.rect, frame.intrinsics, pose=frame.pose, fr=args.fr, fc=args.fc, mode=args.mode
-    )
-    crop, breakdown = best_cropbox(obj.box, candidates, spec)
+    projection = project_cloud(cloud, frame.intrinsics, frame.pose)
+    crop, breakdown = choose_crop(projection, obj.rect, obj.box, spec, args.fr, args.fc, args.mode)
     grid = voxelize(cloud, crop, spec)
     write_voxel_grid(grid, args.out)
     written = [args.out]
@@ -336,11 +331,7 @@ def _cmd_encode_check(args: argparse.Namespace) -> int:
             if sample.category not in anchors:
                 raise FrustumKitError(f"no anchor for category {sample.category!r}")
             anchor = anchors[sample.category]
-            spec = _own_scale_spec(sample.gt_box)
-            candidates = candidate_centers(
-                sample.cloud, sample.rect, sample.intrinsics, pose=sample.pose, projection=projection
-            )
-            crop, _ = best_cropbox(sample.gt_box, candidates, spec)
+            crop, _ = choose_crop(projection, sample.rect, sample.gt_box, own_scale_spec(sample.gt_box))
             try:
                 vec = encode(sample.gt_box, crop, anchor)
             except EncodeDomainError:

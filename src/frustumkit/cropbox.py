@@ -113,6 +113,11 @@ def assign_scale(avg_width: float, avg_depth: float, avg_height: float) -> str:
     )
 
 
+def own_scale_spec(box: OrientedBox3) -> ScaleSpec:
+    """The scale class of the box's own dimensions (assign_scale)."""
+    return get_scale_spec(assign_scale(box.width, box.depth, box.height))
+
+
 # ---------------------------------------------------------------------------
 # candidate centers
 
@@ -212,6 +217,20 @@ def best_cropbox(
     scores = [ioi(gt, crop) for crop in crops]
     best = max(range(len(crops)), key=lambda i: scores[i].ioi_3d)  # max keeps the first of tied maxima
     return crops[best], scores[best]
+
+
+def choose_crop(
+    projection: CloudProjection, rect: Rect2, box: OrientedBox3, spec: ScaleSpec,
+    fr: int = 1, fc: int = 1, mode: CenterMode = "average",
+) -> tuple[Aabb3, IoiBreakdown]:
+    """One object's crop: best_cropbox over the candidate_centers of its rect in the projection.
+
+    The crop takes the size of spec. Raises candidate_centers'
+    NoCandidatesError when every fr x fc subfrustum of the rect is empty.
+    """
+    k, pose = projection.k, projection.pose
+    centers = candidate_centers(projection.cloud, rect, k, pose, fr, fc, mode, projection=projection)
+    return best_cropbox(box, centers, spec)
 
 
 # ---------------------------------------------------------------------------

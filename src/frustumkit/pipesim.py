@@ -23,7 +23,8 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .cropbox import THRESHOLD_DEFAULT, ObjectSample, best_cropbox, candidate_centers, get_scale_spec, split_frames
+from .cropbox import THRESHOLD_DEFAULT, ObjectSample, choose_crop, get_scale_spec, split_frames
+from .cropbox import best_cropbox, candidate_centers  # unused here: perfbench's traced run wraps them in this module
 from .csvio import csv_header, csv_line, csv_value, csv_values, write_csv
 from .errors import GeometryError, NoCandidatesError
 from .geometry import Rect2
@@ -57,6 +58,12 @@ class StageTiming:
             return self.t_2d + self.t_3d
         return max(self.t_2d, self.t_3d)
 
+    def throughput_period(self, mode: Mode) -> float:
+        """The period a throughput divides by; a zero period is unbounded and raises."""
+        if self.period(mode) == 0:
+            raise GeometryError("zero-cost stages have unbounded throughput")
+        return self.period(mode)
+
 
 @dataclass(frozen=True)
 class FrameRecord:
@@ -86,9 +93,7 @@ class FrameTrace:
 
     @property
     def throughput_fps(self) -> float:
-        period = self.steady_period
-        if period == 0:
-            raise GeometryError("zero-cost stages have unbounded throughput")
+        period = self.timing.throughput_period(self.mode)
         # any period below about 5.6e-306 ms overflows 1000 / period to inf
         if 1000.0 / period == math.inf:
             raise GeometryError(f"period {float(period)!r} ms overflows the throughput 1000 / period to inf")
@@ -154,10 +159,7 @@ def exact_throughput_fps(timing: StageTiming) -> Fraction:
     a float its shortest repr), so 48.0 ms gives 125/6 fps and 0.1 ms exactly
     10000. Only a zero period is unbounded.
     """
-    period = Fraction(str(timing.period("pipelined")))
-    if period == 0:
-        raise GeometryError("zero-cost stages have unbounded throughput")
-    return Fraction(1000) / period
+    return Fraction(1000) / Fraction(str(timing.throughput_period("pipelined")))
 
 
 # --- stale-proposal robustness sweep ---------------------------------------
@@ -229,14 +231,9 @@ def stale_frustum_experiment(
                 rect = sample.rect
                 shifted = Rect2(rect.u_min + drift, rect.v_min, rect.u_max + drift, rect.v_max)
                 try:
-                    centers = candidate_centers(
-                        sample.cloud, shifted, sample.intrinsics, sample.pose, fr=1, fc=1, mode="average",
-                        projection=projection,
-                    )
+                    found.append(choose_crop(projection, shifted, sample.gt_box, scale)[1])
                 except NoCandidatesError:
                     found.append(None)
-                    continue
-                found.append(best_cropbox(sample.gt_box, centers, scale)[1])
     rows: list[DriftRow] = []
     for drift, found in zip(drifts_px, breakdowns):
         iois = [0.0 if b is None else b.ioi_3d for b in found]

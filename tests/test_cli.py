@@ -33,7 +33,7 @@ from frustumkit.cli import (
 )
 from frustumkit.cropbox import SCALE_SPECS
 from frustumkit.errors import ManifestError
-from frustumkit.geometry import Rect2, read_cloud_binary, write_cloud_binary
+from frustumkit.geometry import Rect2, project_cloud, read_cloud_binary, rect_points, write_cloud_binary
 from frustumkit.head import read_anchor_csv
 from frustumkit.manifest import iter_object_samples, load_manifest, record_to_json
 
@@ -153,6 +153,8 @@ def test_gen_scenes_objects_have_conservative_rects(dataset):
     # every sample's frustum (from the manifest rect) must capture cloud points
     for sample in iter_object_samples(load_manifest(dataset)):
         assert sample.rect.width > 0 and sample.rect.height > 0
+        projection = project_cloud(sample.cloud, sample.intrinsics, sample.pose)
+        assert rect_points(projection, sample.rect).size > 0
 
 
 # --- recall-curves / select-size ------------------------------------------------
@@ -867,6 +869,19 @@ def test_cli_rejects_rect_wholly_outside_the_image(dataset, tmp_path, capsys):
         f"1000020.0) lies wholly outside the {k['width']}x{k['height']} image\n"
     )
     assert not any(tmp_path.iterdir())
+
+
+def test_voxelize_with_no_candidates_is_infeasible(dataset, tmp_path, capsys):
+    # no point of frame 0 projects into the image's top 30 rows, so all 3x3 subfrustums are empty
+    _, bad = _manifest_with_rect(dataset, 0, lambda w, h: [0.0, 0.0, 160.0, 30.0])
+    vox = tmp_path / "obj.vox"
+    try:
+        code = main(["voxelize", "--manifest", str(bad), "--fr", "3", "--fc", "3", "--out", str(vox)])
+    finally:
+        bad.unlink()
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "frustumkit voxelize: infeasible: all 3x3 subfrustums of the rect are empty\n"
+    assert not vox.exists()
 
 
 def test_manifest_rejects_unknown_frame_key(dataset, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from frustumkit.cropbox import (
     best_cropbox,
     candidate_centers,
     check_subdivision,
+    choose_crop,
     get_scale_spec,
+    own_scale_spec,
     recall_curves,
     select_min_size,
     split_frames,
@@ -30,7 +33,7 @@ from frustumkit.errors import (
     NoCandidatesError,
     UnsupportedScaleError,
 )
-from frustumkit import geometry
+from frustumkit import cli, geometry
 from frustumkit.geometry import (
     BOUNDARY_TOL,
     FAR_DEFAULT,
@@ -40,9 +43,11 @@ from frustumkit.geometry import (
     OrientedBox3,
     Rect2,
     RigidTransform,
+    project_cloud,
     unproject_grid,
 )
 from frustumkit.ioi import ioi
+from frustumkit.manifest import iter_object_samples, load_manifest
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=40.0, cy=30.0, width=80, height=60)
 
@@ -403,6 +408,54 @@ class TestBestCropbox:
         gt = OrientedBox3(center=(0, 0, 0), width=1, depth=1, height=1, yaw=0)
         with pytest.raises(NoCandidatesError):
             best_cropbox(gt, [], self.SPEC)
+
+
+@pytest.fixture(scope="module")
+def scenes(tmp_path_factory) -> list[tuple[ObjectSample, geometry.CloudProjection]]:
+    """Every object of a gen-scenes dataset, with its frame's one projection."""
+    out = tmp_path_factory.mktemp("scenes")
+    assert cli.main(["gen-scenes", "--out", str(out), "--count", "6", "--seed", "42"]) == cli.EXIT_OK
+    samples = iter_object_samples(load_manifest(out / "manifest.json"))
+    return [(sample, projection) for frame, projection in split_frames(samples) for sample in frame]
+
+
+class TestChooseCrop:
+    @pytest.mark.parametrize("mode", ["average", "median"])
+    @pytest.mark.parametrize("fr, fc", SUBDIVISIONS)
+    def test_equals_best_cropbox_over_candidate_centers(self, scenes, fr, fc, mode):
+        assert len(scenes) == 17
+        for s, projection in scenes:
+            spec = own_scale_spec(s.gt_box)
+            # the reference projects the cloud itself
+            centers = candidate_centers(s.cloud, s.rect, s.intrinsics, s.pose, fr, fc, mode)
+            want_crop, want = best_cropbox(s.gt_box, centers, spec)
+            crop, got = choose_crop(projection, s.rect, s.gt_box, spec, fr, fc, mode)
+            assert crop.center.tolist() == want_crop.center.tolist()
+            assert (crop.side, crop.height) == (want_crop.side, want_crop.height) == (spec.crop_side, spec.crop_height)
+            assert got == want
+
+    def test_own_scale_spec_is_the_scale_class_of_the_boxs_dimensions(self):
+        sizes = [0.2, 0.3, 0.45, 0.55, 0.8]
+        for w, d, h in itertools.product(sizes, sizes, sizes):
+            box = OrientedBox3(center=(0.0, 0.0, 1.0), width=w, depth=d, height=h, yaw=0.3)
+            try:
+                want = get_scale_spec(assign_scale(w, d, h))
+            except UnsupportedScaleError as e:
+                with pytest.raises(UnsupportedScaleError, match=f"^{re.escape(str(e))}$"):
+                    own_scale_spec(box)
+            else:
+                assert own_scale_spec(box) == want
+
+    @pytest.mark.parametrize("fr, fc", SUBDIVISIONS)
+    def test_empty_rect_raises_candidate_centers_error(self, fr, fc):
+        s = make_sample(np.random.default_rng(3))
+        projection = project_cloud(s.cloud, s.intrinsics, s.pose)
+        empty = Rect2(-60.0, 10.0, -20.0, 50.0)  # left of the image, where no point projects
+        with pytest.raises(NoCandidatesError) as want:
+            candidate_centers(s.cloud, empty, s.intrinsics, s.pose, fr, fc)
+        with pytest.raises(NoCandidatesError, match=f"^all {fr}x{fc} subfrustums of the rect are empty$") as got:
+            choose_crop(projection, empty, s.gt_box, SCALE_SPECS["small_short"], fr, fc)
+        assert str(got.value) == str(want.value)
 
 
 def make_sample(rng, center=None, yaw=None) -> ObjectSample:

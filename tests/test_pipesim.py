@@ -121,6 +121,19 @@ class TestPipelined:
         with pytest.raises(GeometryError):
             _ = trace.throughput_fps
 
+    @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
+    def test_throughput_period_is_the_period_and_refuses_zero(self, mode):
+        assert StageTiming(3.0, 5.0).throughput_period(mode) == StageTiming(3.0, 5.0).period(mode)
+        assert StageTiming(0.0, 5e-324).throughput_period(mode) == 5e-324
+        message = "^zero-cost stages have unbounded throughput$"
+        with pytest.raises(GeometryError, match=message):
+            StageTiming(0.0, 0.0).throughput_period(mode)
+        # a zero-cost schedule still simulates; only its throughput is refused
+        trace = simulate(3, StageTiming(0.0, 0.0), mode)
+        assert [f.done_3d for f in trace.frames] == [0.0, 0.0, 0.0]
+        with pytest.raises(GeometryError, match=message):
+            _ = trace.throughput_fps
+
     @pytest.mark.parametrize(
         "t_3d, fps",
         [
