@@ -16,7 +16,9 @@ widened by ``BOUNDARY_TOL`` so points constructed exactly on a frustum face
 
 A frame's cloud is projected once (``project_cloud``); a rect's points are
 one rect test over it (``rect_points``), and its subfrustums are row and
-column bands over those points (``tile_points``).
+column bands that partition those points (``tile_points``): the rect's
+outer edges keep the ``BOUNDARY_TOL`` widening, and an inner band edge is
+half-open toward the higher band.
 
 Boxes give their footprint corners here, by one rule (``footprint_corners``)
 for one box (``oriented_box_footprint``) or many at once; the polygon
@@ -323,32 +325,15 @@ def project_cloud(cloud: np.ndarray, k: CameraIntrinsics, pose: RigidTransform) 
     return CloudProjection(cloud, pts, k, pose, u, v)
 
 
-def _band_limits(lo: float, hi: float, n: int) -> tuple[list[float], list[float]]:
-    # band j of [lo, hi] split n ways holds lower[j] <= x < upper[j]. The
-    # endpoint-exact edges give lo and hi as the outer edges (a zero's sign
-    # aside) and let neighbouring bands share one edge value. The few edges
-    # are Python floats (cheaper than arrays at this size, same IEEE results).
-    lower: list[float] = []
-    upper: list[float] = []
-    for j in range(n + 1):
-        edge = lo * (1.0 - j / n) + hi * (j / n)
-        if j < n:
-            lower.append(edge - BOUNDARY_TOL)
-        if j > 0:
-            upper.append(edge + BOUNDARY_TOL)
-    if lower != sorted(lower) or upper != sorted(upper):
+def _inner_edges(lo: float, hi: float, n: int) -> np.ndarray:
+    # the n - 1 edges that neighbouring bands of [lo, hi] split n ways share.
+    # The endpoint-exact formula gives lo and hi as the outer edges (a zero's
+    # sign aside); the few edges are Python floats (cheaper than arrays here).
+    edges = [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)]
+    if edges != sorted(edges):
         # only a side a few ulps wide rounds its edges out of order
         raise GeometryError(f"rect side [{lo!r}, {hi!r}] is too narrow to split into {n} bands")
-    return lower, upper
-
-
-def _band_runs(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Both limit arrays rise with the band index, so the bands holding x are
-    # one run: from the first band with x < upper to the last with lower <= x.
-    # Returns (first band, run length) per point of x, which all lie in
-    # [lower[0], upper[-1]).
-    first = upper.searchsorted(x, side="right")
-    return first, lower.searchsorted(x, side="right") - first
+    return np.array(edges[1:-1])
 
 
 def rect_points(proj: CloudProjection, rect: Rect2) -> np.ndarray:
@@ -370,28 +355,19 @@ def tile_points(proj: CloudProjection, rect: Rect2, fr: int, fc: int) -> tuple[n
     """(tile, point) pairs of the projected points in the fr x fc subfrustums of a rect.
 
     Tile (i, j) is row band i and column band j, numbered i * fc + j
-    (row-major). Membership: a point inside the rect (rect_points) lies in
-    the bands that hold its pixel coordinates, with both band limits widened
-    by BOUNDARY_TOL, so a point on (or within the tolerance of) an edge
-    shared by two tiles counts in both. Returns (tiles, points), two int
-    arrays of one length, in point-major order: ascending cloud index, then
-    ascending tile.
+    (row-major). The subfrustums partition the rect: each point of
+    rect_points (whose outer edges are widened by BOUNDARY_TOL) lies in one
+    tile, and a band is half-open toward the higher band, so a point on an
+    edge shared by two bands lies in the higher one, as on a shared voxel
+    face. Returns (tiles, points), two int arrays of one length, in
+    ascending cloud index.
     """
     if fr < 1 or fc < 1:
         raise GeometryError("subdivision counts must be >= 1")
     point = rect_points(proj, rect)
-    u_lo, u_hi = _band_limits(rect.u_min, rect.u_max, fc)
-    v_lo, v_hi = _band_limits(rect.v_min, rect.v_max, fr)
-    col, n_cols = _band_runs(proj.u[point], np.array(u_lo), np.array(u_hi))
-    row, n_rows = _band_runs(proj.v[point], np.array(v_lo), np.array(v_hi))
-    per_point = n_rows * n_cols
-    if per_point.max(initial=1) == 1:
-        return row * fc + col, point
-    # points on shared edges: enumerate each point's rows x columns, row-major
-    step = np.arange(per_point.sum()) - np.repeat(np.cumsum(per_point) - per_point, per_point)
-    width = np.repeat(n_cols, per_point)
-    tiles = (np.repeat(row, per_point) + step // width) * fc + np.repeat(col, per_point) + step % width
-    return tiles, np.repeat(point, per_point)
+    col = _inner_edges(rect.u_min, rect.u_max, fc).searchsorted(proj.u[point], side="right")
+    row = _inner_edges(rect.v_min, rect.v_max, fr).searchsorted(proj.v[point], side="right")
+    return row * fc + col, point
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapePlanError
-from .manifest import parse_json
+from .errors import ManifestError, ShapePlanError
+from .manifest import check_json_keys, parse_json
 
 LAYER_KINDS = ("conv3d", "pool3d", "dropout", "global_reduce", "dense")
 
@@ -88,27 +88,22 @@ _LAYER_JSON_KEYS = {f.name for f in fields(LayerSpec)}
 
 
 def layer_from_json(obj: dict) -> LayerSpec:
-    if not isinstance(obj, dict):
-        raise ShapePlanError(f"layer entry must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - _LAYER_JSON_KEYS
-    if unknown:
-        raise ShapePlanError(f"unknown layer keys: {sorted(unknown)}")
-    if "kind" not in obj:
-        raise ShapePlanError("layer entry missing 'kind'")
+    check_json_keys(obj, _LAYER_JSON_KEYS, {"kind"}, "layer entry")
     return LayerSpec(**obj)
 
 
 def layers_from_json(text: str | bytes) -> tuple[LayerSpec, ...]:
     """Parse a JSON array of layer objects; unknown keys and bad values are hard errors.
 
-    The text goes through the strict reader (:func:`manifest.parse_json`), so
-    malformed JSON, non-UTF-8 bytes and non-finite or overflowing numbers
-    raise ManifestError; a well-formed entry with a bad field raises
-    ShapePlanError.
+    The text goes through the strict reader (:func:`manifest.parse_json`) and
+    each entry through its key check (:func:`manifest.check_json_keys`), so
+    malformed JSON, non-UTF-8 bytes, non-finite or overflowing numbers and a
+    wrong key set raise ManifestError, as in a manifest; a well-formed entry
+    with a bad field raises ShapePlanError.
     """
     data = parse_json(text, "layer list")
     if not isinstance(data, list):
-        raise ShapePlanError("layer list JSON must be a top-level array")
+        raise ManifestError("layer list JSON must be a top-level array")
     return tuple(layer_from_json(entry) for entry in data)
 
 

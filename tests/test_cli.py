@@ -1089,7 +1089,10 @@ def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
         (b'[{"kind": "pool3d", "kernel": "abc", "stride": 2}]', EXIT_USAGE, "kernel must be a positive int"),
         (b'[{"kind": "pool3d", "kernel": [2, 2.5, 2], "stride": 2}]', EXIT_USAGE, "kernel must be a positive int"),
         (b'[{"kind": "conv3d", "channels_out": "8"}]', EXIT_USAGE, "conv3d requires a positive channels_out"),
-        (b'[{"kernel": 2, "stride": 2}]', EXIT_USAGE, "layer entry missing 'kind'"),
+        (b'[{"kernel": 2, "stride": 2}]', EXIT_IO, "layer entry: missing keys ['kind']"),
+        (b'[{"kind": "dropout", "rate": 0.5}]', EXIT_IO, "layer entry: unknown keys ['rate']"),
+        (b"[5]", EXIT_IO, "layer entry must be a JSON object"),
+        (b'{"kind": "dropout"}', EXIT_IO, "layer list JSON must be a top-level array"),
         # too big for the naive forward pass: refused before anything is allocated
         (b'[{"kind": "conv3d", "kernel": 100000, "channels_out": 1}]', EXIT_USAGE, "caps kernel dims at 32"),
         (b'[{"kind": "pool3d", "kernel": 100000}]', EXIT_USAGE, "caps kernel dims at 32"),
@@ -1120,6 +1123,9 @@ def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
         "float-kernel",
         "string-channels",
         "missing-kind",
+        "unknown-key",
+        "entry-not-object",
+        "not-an-array",
         "forward-conv-kernel",
         "forward-pool-kernel",
         "forward-dense-weights",

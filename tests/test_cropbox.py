@@ -160,9 +160,16 @@ def edges(lo, hi, n):
 
 
 def reference_centers(cloud, rect, k, pose, fr, fc, mode, near=NEAR_DEFAULT, far=FAR_DEFAULT):
-    """Candidate centers the per-tile way: re-project the whole cloud for every tile."""
+    """Candidate centers the per-tile way: re-project the whole cloud for every tile.
+
+    The rect's outer edges are widened by the tolerance; every band is
+    half-open, so a point on an inner edge is in the higher band only.
+    """
     tol = BOUNDARY_TOL
     u_edges, v_edges = edges(rect.u_min, rect.u_max, fc), edges(rect.v_min, rect.v_max, fr)
+    for e in (u_edges, v_edges):
+        e[0] -= tol
+        e[-1] += tol
     centers = []
     for i, j in itertools.product(range(fr), range(fc)):  # row-major
         cam = pose.inverse().apply(cloud)
@@ -172,10 +179,10 @@ def reference_centers(cloud, rect, k, pose, fr, fc, mode, near=NEAR_DEFAULT, far
         inside = cloud[
             (z > near - tol)
             & (z < far + tol)
-            & (u >= u_edges[j] - tol)
-            & (u < u_edges[j + 1] + tol)
-            & (v >= v_edges[i] - tol)
-            & (v < v_edges[i + 1] + tol)
+            & (u >= u_edges[j])
+            & (u < u_edges[j + 1])
+            & (v >= v_edges[i])
+            & (v < v_edges[i + 1])
         ]
         if len(inside) == 0:
             continue
@@ -417,6 +424,20 @@ def scenes(tmp_path_factory) -> list[tuple[ObjectSample, geometry.CloudProjectio
     assert cli.main(["gen-scenes", "--out", str(out), "--count", "6", "--seed", "42"]) == cli.EXIT_OK
     samples = iter_object_samples(load_manifest(out / "manifest.json"))
     return [(sample, projection) for frame, projection in split_frames(samples) for sample in frame]
+
+
+class TestSubfrustumsPartitionTheRect:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_every_rect_point_is_in_one_tile(self, scenes, n):
+        """tile_points returns each point of rect_points once, in ascending cloud index."""
+        assert len(scenes) == 17
+        for s, projection in scenes:
+            inside = geometry.rect_points(projection, s.rect)
+            tiles, points = geometry.tile_points(projection, s.rect, n, n)
+            assert inside.size > 0
+            assert points.tolist() == inside.tolist()
+            assert np.bincount(tiles, minlength=n * n).sum() == inside.size
+            assert tiles.min() >= 0 and tiles.max() < n * n
 
 
 class TestChooseCrop:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frustumkit import geometry
-from frustumkit.cropbox import candidate_centers
+from frustumkit.cropbox import ScaleSpec, candidate_centers
 from frustumkit.errors import GeometryError, NoCandidatesError
 from frustumkit.geometry import (
     BOUNDARY_TOL,
@@ -25,6 +25,7 @@ from frustumkit.geometry import (
     NEAR_DEFAULT,
     Aabb3,
     CameraIntrinsics,
+    CloudProjection,
     OrientedBox3,
     Rect2,
     RigidTransform,
@@ -42,6 +43,7 @@ from frustumkit.geometry import (
     write_cloud_binary,
 )
 from frustumkit.ioi import _clip_to_box, _polygon_area, crop_scores
+from frustumkit.voxelizer import voxelize
 
 K = CameraIntrinsics(fx=520.0, fy=515.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -281,15 +283,19 @@ class TestFrustumMembership:
             p_world = pose.apply(p_cam)
             assert tile_masks(p_world.reshape(1, 3), rect, 1, 1, pose)[0].tolist() == [True]
 
-    def test_point_within_tolerance_of_shared_edge_counts_in_both_tiles(self):
+    def test_point_on_or_near_shared_edge_lies_in_one_tile(self):
+        """A shared edge has no tolerance: a point at or right of it is in the right tile only."""
         pose = make_pose()
         rect = Rect2(100.0, 80.0, 300.0, 260.0)
         edge = 200.0  # the column edge of a 1x2 split
         offsets = [0.0, 0.5 * BOUNDARY_TOL, -0.5 * BOUNDARY_TOL, 3 * BOUNDARY_TOL, -3 * BOUNDARY_TOL]
         cloud = pose.apply(unproject_grid(edge + np.array(offsets), 170.0, np.full(len(offsets), 3.0), K))
         in_left, in_right = tile_masks(cloud, rect, 1, 2, pose)
-        assert in_left.tolist() == [True, True, True, False, True]
-        assert in_right.tolist() == [True, True, True, True, False]
+        # the expected side comes from the projected coordinate, which the round trip may move by an ulp
+        u = project_cloud(cloud, K, pose).u
+        assert in_right.tolist() == (u >= edge).tolist()
+        assert in_left.tolist() == (u < edge).tolist()
+        assert in_right.any() and in_left.any()
 
     def test_membership_is_permutation_equivariant(self):
         pose = make_pose()
@@ -353,7 +359,7 @@ class TestRectPoints:
 
 
 class TestTileBands:
-    """Tile layout of tile_points: row-major bands that share their edges."""
+    """Tile layout of tile_points: row-major bands, each shared edge in the higher band."""
 
     @given(
         u0=st.floats(-500, 500),
@@ -364,22 +370,28 @@ class TestTileBands:
         fc=st.integers(1, 6),
     )
     @settings(max_examples=150, deadline=None)
-    def test_edge_points_land_on_both_sides(self, u0, v0, w, h, fr, fc):
-        """Points on every outer and shared edge, and at band midpoints, land in exactly the adjacent tiles."""
+    def test_edge_points_land_in_the_higher_band(self, u0, v0, w, h, fr, fc):
+        """Points on every outer and shared edge, and at band midpoints, land in exactly one tile.
+
+        A point's band is the number of inner edges at or below its projected
+        coordinate: a shared edge belongs to the higher band, and the outer
+        edges to the first and last band.
+        """
         rect = Rect2(u0, v0, u0 + w, v0 + h)
         u_edges, v_edges = edges(rect.u_min, rect.u_max, fc), edges(rect.v_min, rect.v_max, fr)
-        # (pixel coordinate, bands it belongs to): every edge, then every band midpoint
-        us = [(e, {j - 1, j} & set(range(fc))) for j, e in enumerate(u_edges)]
-        us += [(0.5 * (u_edges[j] + u_edges[j + 1]), {j}) for j in range(fc)]
-        vs = [(e, {i - 1, i} & set(range(fr))) for i, e in enumerate(v_edges)]
-        vs += [(0.5 * (v_edges[i] + v_edges[i + 1]), {i}) for i in range(fr)]
-        pixels = np.array([(u, v) for u, _ in us for v, _ in vs])
+        # every edge, then every band midpoint
+        us = u_edges + [0.5 * (u_edges[j] + u_edges[j + 1]) for j in range(fc)]
+        vs = v_edges + [0.5 * (v_edges[i] + v_edges[i + 1]) for i in range(fr)]
+        pixels = np.array([(u, v) for u in us for v in vs])
         cloud = unproject_grid(pixels[:, 0], pixels[:, 1], np.full(len(pixels), 3.0), K)
+        projection = project_cloud(cloud, K, RigidTransform.identity())
         masks = tile_masks(cloud, rect, fr, fc, RigidTransform.identity())
         assert len(masks) == fr * fc
         inside = np.stack(masks, axis=1)
-        for p, ((_, cols), (_, rows)) in enumerate((cu, rv) for cu in us for rv in vs):
-            assert set(np.nonzero(inside[p])[0].tolist()) == {i * fc + j for i in rows for j in cols}
+        for p, (u, v) in enumerate(zip(projection.u.tolist(), projection.v.tolist())):
+            col = sum(e <= u for e in u_edges[1:-1])
+            row = sum(e <= v for e in v_edges[1:-1])
+            assert np.nonzero(inside[p])[0].tolist() == [row * fc + col]
 
     def test_row_major_order(self):
         rect = Rect2(0.0, 0.0, 30.0, 20.0)
@@ -391,44 +403,65 @@ class TestTileBands:
 
     @pytest.mark.parametrize("fr, fc", [(3, 3), (1, 1)])
     def test_pairs_are_point_major(self, fr, fc):
-        """Pairs come by ascending point, then ascending tile; edge points bring several tiles."""
+        """Pairs come by ascending point, one tile each; points on shared edges and corners too."""
         rect = Rect2(0.0, 0.0, 30.0, 30.0)
         rng = np.random.default_rng(4)
         # random pixels plus pixels on the shared edges and the shared corners of a 3x3 split
         pixels = list(rng.uniform(-2.0, 32.0, size=(200, 2))) + [(10.0, 5.0), (20.0, 20.0), (5.0, 10.0)]
         us, vs = np.array(pixels).T
         cloud = unproject_grid(us, vs, np.full(len(pixels), 2.0), K)[rng.permutation(len(pixels))]
-        tiles, points = tile_points(project_cloud(cloud, K, RigidTransform.identity()), rect, fr, fc)
+        projection = project_cloud(cloud, K, RigidTransform.identity())
+        tiles, points = tile_points(projection, rect, fr, fc)
         pairs = list(zip(points.tolist(), tiles.tolist()))
         assert pairs == sorted(set(pairs))
         assert np.issubdtype(tiles.dtype, np.integer)
-        if (fr, fc) == (1, 1):
-            assert points.size > 0 and np.all(tiles == 0)
-        else:
-            assert max(np.bincount(points)) == 4  # a shared corner is in four tiles
+        assert points.size > 0 and max(np.bincount(points)) == 1  # a shared corner is in one tile
+        # a point's tile comes from its projected coordinates, which the round trip may move by an ulp
+        rows, cols = edges(0.0, 30.0, fr)[1:-1], edges(0.0, 30.0, fc)[1:-1]
+        want = [
+            sum(e <= v for e in rows) * fc + sum(e <= u for e in cols)
+            for u, v in zip(projection.u[points].tolist(), projection.v[points].tolist())
+        ]
+        assert tiles.tolist() == want
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_shared_edge_goes_to_the_higher_tile_as_a_shared_face_to_the_higher_cell(self, n):
+        """On an n x n split of [0, 8]^2, u = 8k/n is an inner edge, as x = 8k/n is a cell face in voxelize."""
+        on_edges = 8.0 * np.arange(1, n) / n  # exact: n is a power of two
+        inside = np.full(n - 1, 4.0 / n)  # the middle of the first band
+        # u on each inner edge (v inside row 0), then v on each inner edge (u inside column 0)
+        u = np.concatenate([on_edges, inside])
+        v = np.concatenate([inside, on_edges])
+        points = np.stack([u, v, np.full_like(u, 4.0 / n)], axis=1)
+        projection = CloudProjection(points, points, K, RigidTransform.identity(), u, v)
+        tiles, order = tile_points(projection, Rect2(0.0, 0.0, 8.0, 8.0), n, n)
+        k = np.arange(1, n)
+        assert order.tolist() == list(range(2 * (n - 1)))
+        assert tiles.tolist() == k.tolist() + (k * n).tolist()
+        # the voxel grid over the same [0, 8]^3 puts each point in the cell of the same index
+        crop = Aabb3(center=(4.0, 4.0, 4.0), side=8.0, height=8.0)
+        grid = voxelize(points, crop, ScaleSpec("d", 8.0, 8.0, (n, n, n)))
+        x, y, _ = np.unravel_index(grid.cells, grid.dims)
+        assert sorted(zip(y.tolist(), x.tolist())) == sorted(divmod(t, n) for t in tiles.tolist())
 
     @pytest.mark.parametrize("fr, fc, calls", [(1, 1, 0), (3, 3, 2)])
     def test_band_lookup_only_for_a_split(self, monkeypatch, fr, fc, calls):
-        """A 1x1 center takes the rect's points without band limits or lookups; a 3x3 one needs both."""
-        counted = {"_band_limits": 0, "_band_runs": 0}
+        """A 1x1 center takes the rect's points without band edges; a 3x3 one needs one lookup per axis."""
+        counted = 0
+        inner_edges = geometry._inner_edges
 
-        def counting(name):
-            fn = getattr(geometry, name)
+        def count(*args):
+            nonlocal counted
+            counted += 1
+            return inner_edges(*args)
 
-            def count(*args):
-                counted[name] += 1
-                return fn(*args)
-
-            return count
-
-        for name in counted:
-            monkeypatch.setattr(geometry, name, counting(name))
+        monkeypatch.setattr(geometry, "_inner_edges", count)
         # two pixels inside the rect, in two tiles of a 3x3 split, and one right of it
         cloud = unproject_grid(np.array([5.0, 15.0, 40.0]), np.array([5.0, 25.0, 5.0]), np.full(3, 2.0), K)
         pose = RigidTransform.identity()
         projection = project_cloud(cloud, K, pose)
         centers = candidate_centers(cloud, Rect2(0.0, 0.0, 30.0, 30.0), K, pose, fr, fc, projection=projection)
-        assert counted == {"_band_limits": calls, "_band_runs": calls}
+        assert counted == calls
         assert len(centers) == (1 if fr == 1 else 2)
 
     @pytest.mark.parametrize("fr, fc", [(0, 3), (3, 0)])
@@ -454,11 +487,15 @@ class TestTileBands:
         ],
     )
     def test_one_band_is_the_side_itself(self, lo, hi):
-        """One band's limits are the reference edges widened by the tolerance, bit for bit."""
-        lower, upper = geometry._band_limits(lo, hi, 1)
-        ref = edges(lo, hi, 1)
-        assert np.array(lower).tobytes() == np.array([ref[0] - BOUNDARY_TOL]).tobytes()
-        assert np.array(upper).tobytes() == np.array([ref[1] + BOUNDARY_TOL]).tobytes()
+        """One band has no inner edge; a split's inner edges are the reference edges, bit for bit."""
+        assert geometry._inner_edges(lo, hi, 1).size == 0
+        for n in range(2, 7):
+            ref = edges(lo, hi, n)
+            if ref != sorted(ref):
+                with pytest.raises(GeometryError, match="too narrow"):
+                    geometry._inner_edges(lo, hi, n)
+                continue
+            assert geometry._inner_edges(lo, hi, n).tobytes() == np.array(ref[1:-1]).tobytes()
 
     def test_side_too_narrow_to_order_its_edges_rejected(self):
         """A side a few ulps wide rounds its band edges out of order; that is an error, not a wrong split."""

@@ -1,12 +1,13 @@
 """Shape-plan arithmetic and the naive forward pass checked against oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from frustumkit.cropbox import SCALE_SPECS
-from frustumkit.errors import ShapePlanError
+from frustumkit.errors import ManifestError, ShapePlanError
 from frustumkit.netshape import (
     LayerSpec,
     NAIVE_DIM_CAP,
@@ -150,11 +151,18 @@ class TestLayerSpecValidation:
         )
 
     def test_json_unknown_key_rejected(self):
-        with pytest.raises(ShapePlanError, match="unknown layer keys"):
+        with pytest.raises(ManifestError, match=re.escape("layer entry: unknown keys ['rate']")):
             layers_from_json('[{"kind": "dropout", "rate": 0.5}]')
 
+    def test_json_entries_are_checked_in_order(self):
+        """Each entry's keys and values are checked before the next entry's."""
+        with pytest.raises(ShapePlanError, match="kernel must be a positive int"):
+            layers_from_json('[{"kind": "pool3d", "kernel": "abc"}, {"kind": "dropout", "rate": 0.5}]')
+        with pytest.raises(ManifestError, match=re.escape("layer entry: unknown keys ['rate']")):
+            layers_from_json('[{"kind": "dropout", "rate": 0.5}, {"kind": "pool3d", "kernel": "abc"}]')
+
     def test_json_must_be_array(self):
-        with pytest.raises(ShapePlanError):
+        with pytest.raises(ManifestError, match="^layer list JSON must be a top-level array$"):
             layers_from_json('{"kind": "dropout"}')
 
 
