@@ -9,7 +9,8 @@ number belongs, or categories outside the declared vocabulary all raise
 :class:`ManifestError` rather than being silently tolerated. The same
 strict-JSON helpers parse the detections file of ``frustumkit evaluate``
 (:func:`load_detections`) and the layer list of ``frustumkit netshape``.
-Cameras, poses and boxes map to JSON objects through their dataclass fields
+Every record of a manifest or detections file (camera, pose, labeled object,
+box, detection) maps to a JSON object through its dataclass fields
 (:func:`record_from_json`, :func:`record_to_json`), as CSV rows do in ``csvio``.
 """
 
@@ -37,8 +38,6 @@ from .geometry import (
 
 _TOP_KEYS = {"categories", "anchors", "frames"}
 _FRAME_KEYS = {"cloud", "range_image", "intrinsics", "pose", "objects"}
-_OBJECT_KEYS = {"category", "rect", "box"}
-_DET_KEYS = {"category", "score", "box"}
 
 
 # --- strict JSON ----------------------------------------------------------------
@@ -118,37 +117,70 @@ def _pixel_count(value: object, what: str) -> int:
     return int(number)
 
 
-# every field annotation of a record read by record_from_json, with its reader
-_FIELD_READERS = {"float": _number, "int": _pixel_count, "np.ndarray": _number_array}
+def _string(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise ManifestError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _rect(value: object, what: str) -> Rect2:
+    if not isinstance(value, list) or len(value) != 4:
+        raise ManifestError(f"{what} must be a list [u_min, v_min, u_max, v_max]")
+    return Rect2(*(_number(v, f"{what} entry") for v in value))
 
 
 def record_from_json(cls: type, obj: object, what: str) -> object:
     """A dataclass record from a JSON object whose keys are exactly its field
     names, each value read by the field's annotated type; the constructor's
-    own checks run last."""
+    own checks run last.
+
+    A reader's ManifestError names the field and passes unchanged; any other
+    ValueError or TypeError, a constructor's among them, becomes one
+    ``ManifestError("bad <what>: ...")``.
+    """
     record_fields = _record_fields(cls)
     names = {f.name for f in record_fields}
     check_json_keys(obj, names, names, what)
-    return cls(**{f.name: _FIELD_READERS[f.type](obj[f.name], f"{what} {f.name}") for f in record_fields})
+    try:
+        return cls(**{f.name: _FIELD_READERS[f.type](obj[f.name], f"{what} {f.name}") for f in record_fields})
+    except ManifestError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"bad {what}: {exc}") from exc
 
 
 def record_to_json(record: object) -> dict:
-    """Every field of a dataclass record under its name, arrays as lists.
+    """Every field of a dataclass record under its name, written by the
+    field's annotated type: arrays as lists, a rect as its four edges, a
+    nested record as its object and a number or string as it is.
 
-    A field name is a file key: renaming a field of ``CameraIntrinsics``,
-    ``RigidTransform`` or ``OrientedBox3`` renames a manifest key, which the
-    manifest digest in ``tests/test_determinism.py`` catches.
+    A field name is a file key: renaming a field renames a key of the
+    manifest, which the manifest digest in ``tests/test_determinism.py``
+    catches, or of the detections file, whose hand-written keys in
+    ``tests/test_cli.py`` catch it.
     """
-    values = ((f.name, getattr(record, f.name)) for f in _record_fields(type(record)))
-    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
+    return {f.name: _FIELD_WRITERS[f.type](getattr(record, f.name)) for f in _record_fields(type(record))}
 
 
-def box_from_json(obj: object) -> OrientedBox3:
-    """Parse a box object; wrong keys or values raise ManifestError."""
-    try:
-        return record_from_json(OrientedBox3, obj, "box")
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"bad box: {exc}") from exc
+def _as_is(value: object) -> object:
+    return value
+
+
+# every field annotation of a record in a manifest or detections file, with its reader and writer
+_FIELD_READERS = {
+    "float": _number, "int": _pixel_count, "str": _string, "np.ndarray": _number_array, "Rect2": _rect,
+    "OrientedBox3": lambda value, what: record_from_json(OrientedBox3, value, what),
+}
+_FIELD_WRITERS = {
+    "float": _as_is, "int": _as_is, "str": _as_is, "np.ndarray": np.ndarray.tolist,
+    "Rect2": lambda rect: [getattr(rect, f.name) for f in _record_fields(Rect2)],
+    "OrientedBox3": record_to_json,
+}
+
+
+def _check_category(category: str, categories: tuple[str, ...], what: str) -> None:
+    if category not in categories:
+        raise ManifestError(f"{what} category {category!r} is not in the declared vocabulary {list(categories)}")
 
 
 # --- manifest ---------------------------------------------------------------------
@@ -188,36 +220,17 @@ class Manifest:
         return sum(len(frame.objects) for frame in self.frames)
 
 
-def _parse_rect(value: object) -> Rect2:
-    if not isinstance(value, (list, tuple)) or len(value) != 4:
-        raise ManifestError("rect must be a list [u_min, v_min, u_max, v_max]")
-    try:
-        return Rect2(*(_number(v, "rect entry") for v in value))
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"bad rect {value!r}: {exc}") from exc
-
-
-def _parse_object(entry: object, categories: tuple[str, ...]) -> ManifestObject:
-    check_json_keys(entry, _OBJECT_KEYS, _OBJECT_KEYS, "manifest object")
-    category = entry["category"]
-    if category not in categories:
-        raise ManifestError(
-            f"category {category!r} is not in the declared vocabulary {list(categories)}"
-        )
-    box = box_from_json(entry["box"])
-    return ManifestObject(category=category, rect=_parse_rect(entry["rect"]), box=box)
-
-
 def _resolve_existing(root: Path, rel: object, what: str) -> Path:
     if not isinstance(rel, str) or not rel:
         raise ManifestError(f"{what} must be a non-empty path string")
     try:
         path = (root / rel).resolve()
         found = path.is_file()
+        exists = found or path.exists()
     except (OSError, ValueError) as exc:  # e.g. a NUL byte or a lone surrogate in the name
         raise ManifestError(f"{what} {rel!r} is not a usable path: {exc}") from exc
     if not found:
-        raise ManifestError(f"{what} {rel!r} does not exist under {root}")
+        raise ManifestError(f"{what} {rel!r} {'is not a regular file' if exists else 'does not exist'} under {root}")
     return path
 
 
@@ -237,16 +250,14 @@ def _parse_frame(entry: object, root: Path, categories: tuple[str, ...], index: 
     range_image_path = None
     if "range_image" in entry:
         range_image_path = _resolve_existing(root, entry["range_image"], "frame range image")
-    try:
-        intrinsics = record_from_json(CameraIntrinsics, entry["intrinsics"], "intrinsics")
-        pose = record_from_json(RigidTransform, entry["pose"], "pose")
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"bad camera block: {exc}") from exc
+    intrinsics = record_from_json(CameraIntrinsics, entry["intrinsics"], "intrinsics")
+    pose = record_from_json(RigidTransform, entry["pose"], "pose")
     objects_value = entry["objects"]
     if not isinstance(objects_value, list):
         raise ManifestError("frame objects must be a list")
-    objects = tuple(_parse_object(obj, categories) for obj in objects_value)
+    objects = tuple(record_from_json(ManifestObject, obj, "manifest object") for obj in objects_value)
     for j, obj in enumerate(objects):
+        _check_category(obj.category, categories, "manifest object")
         _check_rect_overlaps_image(obj.rect, intrinsics, f"frame {index} object {j}")
     return ManifestFrame(
         cloud_path=cloud_path,
@@ -301,15 +312,9 @@ def load_detections(path: str | Path, manifest: Manifest) -> list[list[Detection
     for entry in frames_value:
         if not isinstance(entry, list):
             raise ManifestError("each detections frame must be a list")
-        dets = []
-        for det in entry:
-            check_json_keys(det, _DET_KEYS, _DET_KEYS, "detection")
-            if det["category"] not in manifest.categories:
-                raise ManifestError(f"detection category {det['category']!r} not in vocabulary")
-            score = det["score"]
-            if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 1:
-                raise ManifestError(f"detection score must be a number in [0, 1], got {score!r}")
-            dets.append(Detection(box=box_from_json(det["box"]), category=det["category"], score=float(score)))
+        dets = [record_from_json(Detection, det, "detection") for det in entry]
+        for det in dets:
+            _check_category(det.category, manifest.categories, "detection")
         out.append(dets)
     return out
 
@@ -322,14 +327,7 @@ def manifest_to_json(manifest: Manifest) -> str:
             "cloud": frame.cloud_path.relative_to(manifest.root).as_posix(),
             "intrinsics": record_to_json(frame.intrinsics),
             "pose": record_to_json(frame.pose),
-            "objects": [
-                {
-                    "category": obj.category,
-                    "rect": [obj.rect.u_min, obj.rect.v_min, obj.rect.u_max, obj.rect.v_max],
-                    "box": record_to_json(obj.box),
-                }
-                for obj in frame.objects
-            ],
+            "objects": [record_to_json(obj) for obj in frame.objects],
         }
         if frame.range_image_path is not None:
             entry["range_image"] = frame.range_image_path.relative_to(manifest.root).as_posix()

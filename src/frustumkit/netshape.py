@@ -196,7 +196,7 @@ def default_layers(n_categories: int) -> tuple[LayerSpec, ...]:
     then a global mean reduce and a dense head of length 7 per category.
     The regression head in :mod:`frustumkit.head` has 8 components per box
     (2 orientation + 3 center + 3 size, the width of ``HeadVector``);
-    ROADMAP item 2 decides between 7 and 8. Works on any of the shipped
+    ROADMAP item 2b decides between 7 and 8. Works on any of the shipped
     voxel grid shapes because 'same' padding never leaves a non-integral
     size.
     """

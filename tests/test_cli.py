@@ -985,46 +985,54 @@ def test_manifest_rejects_bad_numbers(dataset, tmp_path, capsys, path, literal, 
     assert not (tmp_path / "a.csv").exists()
 
 
+def _record_key_errors(name: str, block: str, locate, missing: str) -> dict:
+    """An unknown key, a missing key and a value that is not an object, each for
+    the record that ``locate(data)`` names as ``(holder, key)``."""
+    return {
+        f"{name}-unknown-key": (block, locate, lambda r: r.update(bogus=1.0), f"{block}: unknown keys ['bogus']"),
+        f"{name}-missing-key": (block, locate, lambda r: r.pop(missing), f"{block}: missing keys ['{missing}']"),
+        f"{name}-not-object": (block, locate, None, f"{block} must be a JSON object"),
+    }
+
+
 RECORD_KEY_ERRORS = {
-    "intrinsics-unknown-key": (
-        "intrinsics",
-        lambda r: r.update(bogus=1.0),
-        "bad camera block: intrinsics: unknown keys ['bogus']",
-    ),
-    "intrinsics-missing-key": ("intrinsics", lambda r: r.pop("cy"), "bad camera block: intrinsics: missing keys ['cy']"),
-    "intrinsics-not-object": ("intrinsics", None, "bad camera block: intrinsics must be a JSON object"),
-    "pose-unknown-key": ("pose", lambda r: r.update(bogus=1.0), "bad camera block: pose: unknown keys ['bogus']"),
-    "pose-missing-key": (
-        "pose",
-        lambda r: r.pop("translation"),
-        "bad camera block: pose: missing keys ['translation']",
-    ),
-    "pose-not-object": ("pose", None, "bad camera block: pose must be a JSON object"),
-    "box-unknown-key": ("box", lambda r: r.update(bogus=1.0), "bad box: box: unknown keys ['bogus']"),
-    "box-missing-key": ("box", lambda r: r.pop("yaw"), "bad box: box: missing keys ['yaw']"),
-    "box-not-object": ("box", None, "bad box: box must be a JSON object"),
+    **_record_key_errors("intrinsics", "intrinsics", lambda d: (d["frames"][0], "intrinsics"), "cy"),
+    **_record_key_errors("pose", "pose", lambda d: (d["frames"][0], "pose"), "translation"),
+    **_record_key_errors("box", "manifest object box", lambda d: (d["frames"][0]["objects"][0], "box"), "yaw"),
+    **_record_key_errors("object", "manifest object", lambda d: (d["frames"][0]["objects"], 0), "rect"),
+    **_record_key_errors("detection", "detection", lambda d: (d["frames"][0], 0), "score"),
+    **_record_key_errors("detection-box", "detection box", lambda d: (d["frames"][0][0], "box"), "yaw"),
 }
 
 
-@pytest.mark.parametrize("block, edit, message", RECORD_KEY_ERRORS.values(), ids=RECORD_KEY_ERRORS.keys())
-def test_manifest_rejects_bad_record_keys(dataset, tmp_path, capsys, block, edit, message):
-    """Cameras, poses and boxes share one key check; each error is one full stderr line."""
-    data = json.loads(dataset.read_text())
-    frame = data["frames"][0]
-    holder = frame["objects"][0] if block == "box" else frame
+@pytest.mark.parametrize("block, locate, edit, message", RECORD_KEY_ERRORS.values(), ids=RECORD_KEY_ERRORS.keys())
+def test_manifest_rejects_bad_record_keys(
+    dataset, perfect_detections, tmp_path, capsys, block, locate, edit, message
+):
+    """Every manifest and detections record shares one key check; each error is one full stderr line."""
+    in_detections = block.startswith("detection")
+    data = json.loads((perfect_detections if in_detections else dataset).read_text())
+    holder, key = locate(data)
     if edit is None:
-        holder[block] = [0.0, 0.0, 0.0]
+        holder[key] = [0.0, 0.0, 0.0]
     else:
-        edit(holder[block])
-    assert _run_anchors_on_manifest_text(dataset, tmp_path, json.dumps(data).encode()) == EXIT_IO
-    assert capsys.readouterr().err == f"frustumkit anchors: bad input: {message}\n"
-    assert not (tmp_path / "a.csv").exists()
+        edit(holder[key])
+    if in_detections:
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps(data))
+        argv = ["evaluate", "--manifest", str(dataset), "--dets", str(dets), "--out-prefix", str(tmp_path / "e")]
+        assert main(argv) == EXIT_IO
+    else:
+        assert _run_anchors_on_manifest_text(dataset, tmp_path, json.dumps(data).encode()) == EXIT_IO
+    command = "evaluate" if in_detections else "anchors"
+    assert capsys.readouterr().err == f"frustumkit {command}: bad input: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["dets.json"] if in_detections else [])
 
 
 MANIFEST_SHAPE_ERRORS = {
     "rect-of-three": (
         lambda d: d["frames"][0]["objects"][0].update(rect=[0, 0, 5]),
-        "rect must be a list [u_min, v_min, u_max, v_max]",
+        "manifest object rect must be a list [u_min, v_min, u_max, v_max]",
     ),
     "objects-not-a-list": (lambda d: d["frames"][0].update(objects={}), "frame objects must be a list"),
     "duplicate-category": (lambda d: d["categories"].append(d["categories"][0]), "categories must be unique"),
@@ -1040,6 +1048,34 @@ def test_manifest_rejects_bad_lists(dataset, tmp_path, capsys, edit, message):
     assert not (tmp_path / "a.csv").exists()
 
 
+MANIFEST_PATH_KEYS = {
+    "cloud": ("frame cloud", lambda d, rel: d["frames"][0].update(cloud=rel)),
+    "range-image": ("frame range image", lambda d, rel: d["frames"][0].update(range_image=rel)),
+    "anchors": ("anchors file", lambda d, rel: d.update(anchors=rel)),
+}
+
+
+@pytest.mark.parametrize("is_dir, state", [(True, "is not a regular file"), (False, "does not exist")],
+                         ids=["directory", "missing"])
+@pytest.mark.parametrize("key", MANIFEST_PATH_KEYS)
+def test_manifest_path_that_is_not_a_file(dataset, tmp_path, capsys, key, is_dir, state):
+    """A directory named as a file is told apart from a missing path; both exit 3."""
+    what, edit = MANIFEST_PATH_KEYS[key]
+    data = json.loads(dataset.read_text())
+    edit(data, "adir")
+    target = dataset.parent / "adir"
+    if is_dir:
+        target.mkdir()
+    try:
+        assert _run_anchors_on_manifest_text(dataset, tmp_path, json.dumps(data).encode()) == EXIT_IO
+    finally:
+        if is_dir:
+            target.rmdir()
+    message = f"{what} 'adir' {state} under {dataset.parent.resolve()}"
+    assert capsys.readouterr().err == f"frustumkit anchors: bad input: {message}\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_manifest_that_is_not_utf8_is_io_error(dataset, tmp_path, capsys):
     text = dataset.read_text().replace('"categories"', '"categories\xe9"', 1).encode("latin-1")
     assert _run_anchors_on_manifest_text(dataset, tmp_path, text) == EXIT_IO
@@ -1049,11 +1085,11 @@ def test_manifest_that_is_not_utf8_is_io_error(dataset, tmp_path, capsys):
 @pytest.mark.parametrize(
     "score, message",
     [
-        ("abc", "score must be a number in [0, 1], got 'abc'"),
-        (True, "score must be a number in [0, 1], got True"),
-        (1.5, "score must be a number in [0, 1], got 1.5"),
-        (-0.25, "score must be a number in [0, 1], got -0.25"),
-        (None, "score must be a number in [0, 1], got None"),
+        ("abc", "detection score must be a number, got 'abc'"),
+        (True, "detection score must be a number, got True"),
+        (1.5, "bad detection: detection score must be finite in [0, 1], got 1.5"),
+        (-0.25, "bad detection: detection score must be finite in [0, 1], got -0.25"),
+        (None, "detection score must be a number, got None"),
     ],
     ids=["string", "bool", "above-one", "negative", "null"],
 )

@@ -33,6 +33,14 @@ def test_ci_and_the_test_extra_pin_the_same_tool_versions():
     assert _pins("pyproject.toml") == ci
 
 
+def test_the_declared_python_floor_is_the_version_ci_runs():
+    """``requires-python`` names no version the ``test`` extra cannot install on:
+    its floor is the one Python the CI job runs (numpy 2.4.6 needs 3.11)."""
+    floor = re.search(r'^requires-python = ">=([0-9.]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    ci = re.findall(r'python-version: "([0-9.]+)"', (ROOT / ".github/workflows/tier1.yml").read_text())
+    assert floor is not None and ci == [floor.group(1)]
+
+
 FAILING_EXAMPLE = """
 from hypothesis import given, strategies as st
 
