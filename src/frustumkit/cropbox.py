@@ -319,6 +319,11 @@ curve_point_to_csv_row = csv_line
 _SCORE_BATCH = 1024
 
 
+def score_batch_full(n_centers: int, n_sides: int, n_heights: int) -> bool:
+    """Whether a score batch of n_centers candidates at n_sides x n_heights sizes closes (see _SCORE_BATCH)."""
+    return n_centers * n_sides * max(n_heights, 3) >= 9 * _SCORE_BATCH
+
+
 def split_frames(samples: Sequence[ObjectSample]) -> Iterator[tuple[list[ObjectSample], CloudProjection]]:
     """(frame, projection) per run of consecutive samples that share one cloud, camera and pose.
 
@@ -397,7 +402,7 @@ def recall_curves(
                     continue
                 batch.append((ci, item.gt_box, centers))
                 n_centers += len(centers)
-        if n_centers * len(sides) * max(len(heights), 3) >= 9 * _SCORE_BATCH:
+        if score_batch_full(n_centers, len(sides), len(heights)):
             score(batch)
             batch, n_centers = [], 0
     if batch:

@@ -245,20 +245,23 @@ def _check_rect_overlaps_image(rect: Rect2, k: CameraIntrinsics, where: str) -> 
 
 
 def _parse_frame(entry: object, root: Path, categories: tuple[str, ...], index: int) -> ManifestFrame:
-    check_json_keys(entry, _FRAME_KEYS, _FRAME_KEYS - {"range_image"}, "manifest frame")
-    cloud_path = _resolve_existing(root, entry["cloud"], "frame cloud")
+    where = f"frame {index}"
+    check_json_keys(entry, _FRAME_KEYS, _FRAME_KEYS - {"range_image"}, where)
+    cloud_path = _resolve_existing(root, entry["cloud"], f"{where} cloud")
     range_image_path = None
     if "range_image" in entry:
-        range_image_path = _resolve_existing(root, entry["range_image"], "frame range image")
-    intrinsics = record_from_json(CameraIntrinsics, entry["intrinsics"], "intrinsics")
-    pose = record_from_json(RigidTransform, entry["pose"], "pose")
+        range_image_path = _resolve_existing(root, entry["range_image"], f"{where} range image")
+    intrinsics = record_from_json(CameraIntrinsics, entry["intrinsics"], f"{where} intrinsics")
+    pose = record_from_json(RigidTransform, entry["pose"], f"{where} pose")
     objects_value = entry["objects"]
     if not isinstance(objects_value, list):
-        raise ManifestError("frame objects must be a list")
-    objects = tuple(record_from_json(ManifestObject, obj, "manifest object") for obj in objects_value)
+        raise ManifestError(f"{where} objects must be a list")
+    objects = tuple(
+        record_from_json(ManifestObject, obj, f"{where} object {j}") for j, obj in enumerate(objects_value)
+    )
     for j, obj in enumerate(objects):
-        _check_category(obj.category, categories, "manifest object")
-        _check_rect_overlaps_image(obj.rect, intrinsics, f"frame {index} object {j}")
+        _check_category(obj.category, categories, f"{where} object {j}")
+        _check_rect_overlaps_image(obj.rect, intrinsics, f"{where} object {j}")
     return ManifestFrame(
         cloud_path=cloud_path,
         range_image_path=range_image_path,
@@ -309,12 +312,12 @@ def load_detections(path: str | Path, manifest: Manifest) -> list[list[Detection
             f"({len(manifest.frames)} expected)"
         )
     out: list[list[Detection]] = []
-    for entry in frames_value:
+    for i, entry in enumerate(frames_value):
         if not isinstance(entry, list):
-            raise ManifestError("each detections frame must be a list")
-        dets = [record_from_json(Detection, det, "detection") for det in entry]
-        for det in dets:
-            _check_category(det.category, manifest.categories, "detection")
+            raise ManifestError(f"detections frame {i} must be a list")
+        dets = [record_from_json(Detection, det, f"detections frame {i} entry {j}") for j, det in enumerate(entry)]
+        for j, det in enumerate(dets):
+            _check_category(det.category, manifest.categories, f"detections frame {i} entry {j}")
         out.append(dets)
     return out
 

@@ -23,12 +23,12 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .cropbox import THRESHOLD_DEFAULT, ObjectSample, choose_crop, get_scale_spec, split_frames
-from .cropbox import best_cropbox, candidate_centers  # unused here: perfbench's traced run wraps them in this module
+from .cropbox import THRESHOLD_DEFAULT, ObjectSample, candidate_centers, get_scale_spec, score_batch_full, split_frames
+from .cropbox import best_cropbox  # unused here: perfbench's traced run wraps it in this module
 from .csvio import csv_header, csv_line, csv_value, csv_values, write_csv
 from .errors import GeometryError, NoCandidatesError
-from .geometry import Rect2
-from .ioi import IoiBreakdown, validate_threshold
+from .geometry import OrientedBox3, Rect2
+from .ioi import crop_scores, validate_threshold
 
 Mode = Literal["sequential", "pipelined"]
 PIPELINE_MODES = get_args(Mode)
@@ -206,6 +206,10 @@ def stale_frustum_experiment(
     A sample counts toward recall_volume only when its best crop is positive
     on both axes; see DriftRow. Samples are walked frame by frame
     (split_frames), and each frame's cloud is projected once for every drift.
+    A shifted rect's one 1x1 candidate center leaves best_cropbox no choice,
+    so the crops are scored in batches with crop_scores, each closed at a
+    frame boundary by recall_curves' rule (score_batch_full); each entry
+    equals what ioi() reports for that crop.
     """
     if not samples:
         raise GeometryError("stale_frustum_experiment needs at least one sample")
@@ -223,28 +227,48 @@ def stale_frustum_experiment(
     validate_threshold("threshold_z", threshold_z)
     scale = get_scale_spec(spec)
 
-    # breakdowns[d] holds each sample's best-crop breakdown at drifts_px[d], None when lost
-    breakdowns: list[list[IoiBreakdown | None]] = [[] for _ in drifts_px]
+    # [d, i]: sample i's crop at drifts_px[d]; a lost item keeps ioi 0.0 on both axes
+    n = len(samples)
+    xy = np.zeros((len(drifts_px), n))
+    z = np.zeros_like(xy)
+    lost = np.zeros(xy.shape, dtype=bool)
+    # (flat [d, i] slot, box, 1x1 center) of every item with a candidate
+    batch: list[tuple[int, OrientedBox3, np.ndarray]] = []
+
+    def score() -> None:
+        slots, boxes, centers = zip(*batch)
+        batch_xy, batch_z = crop_scores(boxes, centers, [scale.crop_side], [scale.crop_height])
+        np.put(xy, slots, batch_xy[:, 0])
+        np.put(z, slots, batch_z[:, 0])
+        batch.clear()
+
+    first = 0  # the frame's first sample index
     for frame, projection in split_frames(samples):
-        for drift, found in zip(drifts_px, breakdowns):
-            for sample in frame:
+        for d, drift in enumerate(drifts_px):
+            for slot, sample in enumerate(frame, d * n + first):
                 rect = sample.rect
                 shifted = Rect2(rect.u_min + drift, rect.v_min, rect.u_max + drift, rect.v_max)
                 try:
-                    found.append(choose_crop(projection, shifted, sample.gt_box, scale)[1])
+                    center = candidate_centers(
+                        sample.cloud, shifted, sample.intrinsics, sample.pose, projection=projection
+                    )
                 except NoCandidatesError:
-                    found.append(None)
-    rows: list[DriftRow] = []
-    for drift, found in zip(drifts_px, breakdowns):
-        iois = [0.0 if b is None else b.ioi_3d for b in found]
-        n_pos = sum(1 for b in found if b is not None and b.ioi_xy >= threshold_xy and b.ioi_z >= threshold_z)
-        rows.append(
-            DriftRow(
-                drift_px=float(drift),
-                mean_ioi_3d=float(np.mean(iois)),
-                recall_volume=n_pos / len(samples),
-                n_items=len(samples),
-                n_lost=sum(b is None for b in found),
-            )
+                    lost.flat[slot] = True
+                    continue
+                batch.append((slot, sample.gt_box, center))
+        first += len(frame)
+        if score_batch_full(len(batch), 1, 1):
+            score()
+    if batch:
+        score()
+    n_pos = np.count_nonzero((xy >= threshold_xy) & (z >= threshold_z), axis=1)
+    return [
+        DriftRow(
+            drift_px=float(drift),
+            mean_ioi_3d=float(np.mean(xy[d] * z[d])),
+            recall_volume=int(n_pos[d]) / n,
+            n_items=n,
+            n_lost=int(np.count_nonzero(lost[d])),
         )
-    return rows
+        for d, drift in enumerate(drifts_px)
+    ]

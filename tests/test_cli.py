@@ -996,12 +996,14 @@ def _record_key_errors(name: str, block: str, locate, missing: str) -> dict:
 
 
 RECORD_KEY_ERRORS = {
-    **_record_key_errors("intrinsics", "intrinsics", lambda d: (d["frames"][0], "intrinsics"), "cy"),
-    **_record_key_errors("pose", "pose", lambda d: (d["frames"][0], "pose"), "translation"),
-    **_record_key_errors("box", "manifest object box", lambda d: (d["frames"][0]["objects"][0], "box"), "yaw"),
-    **_record_key_errors("object", "manifest object", lambda d: (d["frames"][0]["objects"], 0), "rect"),
-    **_record_key_errors("detection", "detection", lambda d: (d["frames"][0], 0), "score"),
-    **_record_key_errors("detection-box", "detection box", lambda d: (d["frames"][0][0], "box"), "yaw"),
+    **_record_key_errors("intrinsics", "frame 0 intrinsics", lambda d: (d["frames"][0], "intrinsics"), "cy"),
+    **_record_key_errors("pose", "frame 0 pose", lambda d: (d["frames"][0], "pose"), "translation"),
+    **_record_key_errors("box", "frame 0 object 0 box", lambda d: (d["frames"][0]["objects"][0], "box"), "yaw"),
+    **_record_key_errors("object", "frame 0 object 0", lambda d: (d["frames"][0]["objects"], 0), "rect"),
+    **_record_key_errors("detection", "detections frame 0 entry 0", lambda d: (d["frames"][0], 0), "score"),
+    **_record_key_errors(
+        "detection-box", "detections frame 0 entry 0 box", lambda d: (d["frames"][0][0], "box"), "yaw"
+    ),
 }
 
 
@@ -1032,9 +1034,9 @@ def test_manifest_rejects_bad_record_keys(
 MANIFEST_SHAPE_ERRORS = {
     "rect-of-three": (
         lambda d: d["frames"][0]["objects"][0].update(rect=[0, 0, 5]),
-        "manifest object rect must be a list [u_min, v_min, u_max, v_max]",
+        "frame 0 object 0 rect must be a list [u_min, v_min, u_max, v_max]",
     ),
-    "objects-not-a-list": (lambda d: d["frames"][0].update(objects={}), "frame objects must be a list"),
+    "objects-not-a-list": (lambda d: d["frames"][0].update(objects={}), "frame 0 objects must be a list"),
     "duplicate-category": (lambda d: d["categories"].append(d["categories"][0]), "categories must be unique"),
 }
 
@@ -1049,8 +1051,8 @@ def test_manifest_rejects_bad_lists(dataset, tmp_path, capsys, edit, message):
 
 
 MANIFEST_PATH_KEYS = {
-    "cloud": ("frame cloud", lambda d, rel: d["frames"][0].update(cloud=rel)),
-    "range-image": ("frame range image", lambda d, rel: d["frames"][0].update(range_image=rel)),
+    "cloud": ("frame 0 cloud", lambda d, rel: d["frames"][0].update(cloud=rel)),
+    "range-image": ("frame 0 range image", lambda d, rel: d["frames"][0].update(range_image=rel)),
     "anchors": ("anchors file", lambda d, rel: d.update(anchors=rel)),
 }
 
@@ -1076,6 +1078,46 @@ def test_manifest_path_that_is_not_a_file(dataset, tmp_path, capsys, key, is_dir
     assert not (tmp_path / "a.csv").exists()
 
 
+#: (in the detections file, edit of frame i and its last object or entry j, message)
+PLACED_ERRORS = {
+    "object-category": (
+        False, lambda d, i, j: d["frames"][i]["objects"][j].update(category="sofa"),
+        "frame {i} object {j} category 'sofa' is not in the declared vocabulary",
+    ),
+    "pose": (
+        False, lambda d, i, j: d["frames"][i]["pose"].update(rotation=[[2.0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        "bad frame {i} pose: rotation must be orthonormal",
+    ),
+    "detection-box": (
+        True, lambda d, i, j: d["frames"][i][j]["box"].update(width=-1.0),
+        "bad detections frame {i} entry {j} box: box dimensions must be finite and strictly positive",
+    ),
+    "detections-frame": (
+        True, lambda d, i, j: d["frames"].__setitem__(i, {}), "detections frame {i} must be a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("in_detections, edit, message", PLACED_ERRORS.values(), ids=PLACED_ERRORS.keys())
+def test_record_errors_name_their_place(dataset, perfect_detections, tmp_path, capsys, in_detections, edit, message):
+    """A bad record past the first frame and entry is named by its frame and index in the file."""
+    labels = json.loads(dataset.read_text())
+    i = max(i for i, frame in enumerate(labels["frames"]) if frame["objects"])
+    j = len(labels["frames"][i]["objects"]) - 1
+    assert i > 0 and j > 0
+    data = json.loads(perfect_detections.read_text()) if in_detections else labels
+    edit(data, i, j)
+    if in_detections:
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps(data))
+        argv = ["evaluate", "--manifest", str(dataset), "--dets", str(dets), "--out-prefix", str(tmp_path / "e")]
+        assert main(argv) == EXIT_IO
+    else:
+        assert _run_anchors_on_manifest_text(dataset, tmp_path, json.dumps(data).encode()) == EXIT_IO
+    command = "evaluate" if in_detections else "anchors"
+    assert capsys.readouterr().err.startswith(f"frustumkit {command}: bad input: {message.format(i=i, j=j)}")
+
+
 def test_manifest_that_is_not_utf8_is_io_error(dataset, tmp_path, capsys):
     text = dataset.read_text().replace('"categories"', '"categories\xe9"', 1).encode("latin-1")
     assert _run_anchors_on_manifest_text(dataset, tmp_path, text) == EXIT_IO
@@ -1085,11 +1127,11 @@ def test_manifest_that_is_not_utf8_is_io_error(dataset, tmp_path, capsys):
 @pytest.mark.parametrize(
     "score, message",
     [
-        ("abc", "detection score must be a number, got 'abc'"),
-        (True, "detection score must be a number, got True"),
-        (1.5, "bad detection: detection score must be finite in [0, 1], got 1.5"),
-        (-0.25, "bad detection: detection score must be finite in [0, 1], got -0.25"),
-        (None, "detection score must be a number, got None"),
+        ("abc", "detections frame 0 entry 0 score must be a number, got 'abc'"),
+        (True, "detections frame 0 entry 0 score must be a number, got True"),
+        (1.5, "bad detections frame 0 entry 0: detection score must be finite in [0, 1], got 1.5"),
+        (-0.25, "bad detections frame 0 entry 0: detection score must be finite in [0, 1], got -0.25"),
+        (None, "detections frame 0 entry 0 score must be a number, got None"),
     ],
     ids=["string", "bool", "above-one", "negative", "null"],
 )

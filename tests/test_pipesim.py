@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frustumkit.cropbox import SCALE_SPECS, ObjectSample, best_cropbox, candidate_centers
-from frustumkit.errors import GeometryError, UnsupportedScaleError
-from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, project_points
+from frustumkit import cropbox, pipesim
+from frustumkit.cropbox import SCALE_SPECS, ObjectSample, best_cropbox, candidate_centers, choose_crop
+from frustumkit.errors import GeometryError, NoCandidatesError, UnsupportedScaleError
+from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, project_cloud, project_points
 from frustumkit.ioi import recall_from_breakdowns
 from frustumkit.pipesim import (
     MAX_FRAMES,
@@ -314,3 +315,113 @@ class TestStaleFrustum:
     def test_csv_row_format(self):
         row = DriftRow(drift_px=4.0, mean_ioi_3d=0.75, recall_volume=0.5, n_items=8, n_lost=1)
         assert drift_row_to_csv(row) == "4,0.75,0.5,8,1"
+
+
+def box_points(box, n=6):
+    """An n x n x n grid of points filling the box, corners included."""
+    s = np.linspace(-0.5, 0.5, n)
+    local = np.stack(np.meshgrid(s, s, s, indexing="ij"), axis=-1).reshape(-1, 3) * [box.width, box.depth, box.height]
+    c, sn = np.cos(box.yaw), np.sin(box.yaw)
+    turned = np.stack([c * local[:, 0] - sn * local[:, 1], sn * local[:, 0] + c * local[:, 1], local[:, 2]], axis=1)
+    return turned + box.center
+
+
+def shared_cloud_frame(boxes):
+    """One sample per box, all sharing one cloud of every box's points; each rect bounds its box's points."""
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120)
+    rotation = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    pose = RigidTransform(rotation=rotation, translation=np.array([0.0, 0.0, 1.0]))
+    parts = [box_points(b) for b in boxes]
+    cloud = np.concatenate(parts)
+    samples = []
+    for box, points in zip(boxes, parts):
+        u, v, _ = project_points(pose.inverse().apply(points), k)
+        rect = Rect2(float(u.min()), float(v.min()), float(u.max()), float(v.max()))
+        samples.append(ObjectSample("chair", cloud, rect, box, k, pose))
+    return samples
+
+
+def crafted_sweep_samples():
+    """Two frames of objects that share their frame's cloud: a plain cube, a
+    45-degree box whose footprint diagonal (1.70 m) a small crop clips, a box
+    taller than every short crop, a 3.6 m wide box that a medium crop clips,
+    and a small turned cube."""
+    return shared_cloud_frame(
+        [
+            OrientedBox3(np.array([3.0, 1.2, 1.0]), 0.8, 0.8, 0.8, 0.0),
+            OrientedBox3(np.array([4.0, 0.0, 1.0]), 1.2, 1.2, 0.8, np.pi / 4),
+            OrientedBox3(np.array([3.5, -1.2, 1.0]), 0.6, 0.6, 2.0, 0.0),
+        ]
+    ) + shared_cloud_frame(
+        [
+            OrientedBox3(np.array([6.0, 0.5, 0.8]), 3.6, 0.5, 0.5, 0.0),
+            OrientedBox3(np.array([3.0, -0.8, 0.9]), 0.5, 0.5, 0.5, 0.3),
+        ]
+    )
+
+
+def choose_crop_sweep(samples, drifts, spec, threshold_xy, threshold_z):
+    """The stale sweep as one choose_crop per (object, drift), each on its own projection."""
+    rows = []
+    for drift in drifts:
+        found = []
+        for s in samples:
+            shifted = Rect2(s.rect.u_min + drift, s.rect.v_min, s.rect.u_max + drift, s.rect.v_max)
+            try:
+                found.append(choose_crop(project_cloud(s.cloud, s.intrinsics, s.pose), shifted, s.gt_box, spec)[1])
+            except NoCandidatesError:
+                found.append(None)
+        iois = [0.0 if b is None else b.ioi_3d for b in found]
+        n_pos = sum(b is not None and b.ioi_xy >= threshold_xy and b.ioi_z >= threshold_z for b in found)
+        n_lost = sum(b is None for b in found)
+        rows.append(DriftRow(float(drift), float(np.mean(iois)), n_pos / len(samples), len(samples), n_lost))
+    return rows
+
+
+class TestStaleSweepAgainstChooseCrop:
+    DRIFTS = [0.0, 8.0, 15.0, 30.0, 200.0]
+
+    @pytest.fixture
+    def scorer_calls(self, monkeypatch):
+        """The number of candidates in each crop_scores call the sweep makes."""
+        calls = []
+        scorer = pipesim.crop_scores
+
+        def counting(boxes, centers, sides, heights):
+            calls.append(len(boxes))
+            return scorer(boxes, centers, sides, heights)
+
+        monkeypatch.setattr(pipesim, "crop_scores", counting)
+        return calls
+
+    def test_crafted_samples_clip_and_overhang_their_crops(self):
+        samples = crafted_sweep_samples()
+        assert len({id(s.cloud) for s in samples}) == 2
+        for spec, i, clipped_axis in [("small_short", 1, 0), ("small_short", 2, 1), ("medium_short", 3, 0)]:
+            s = samples[i]
+            projection = project_cloud(s.cloud, s.intrinsics, s.pose)
+            _, breakdown = choose_crop(projection, s.rect, s.gt_box, SCALE_SPECS[spec])
+            assert 0.0 < (breakdown.ioi_xy, breakdown.ioi_z)[clipped_axis] < 1.0
+
+    @pytest.mark.parametrize(
+        "spec, threshold_xy, threshold_z", [("medium_short", 0.9, 0.9), ("small_short", 0.6, 0.8)]
+    )
+    @pytest.mark.parametrize("batch", [cropbox._SCORE_BATCH, 1], ids=["one-batch", "batch-per-frame"])
+    def test_rows_equal_one_choose_crop_per_object_and_drift(
+        self, monkeypatch, scorer_calls, spec, threshold_xy, threshold_z, batch
+    ):
+        monkeypatch.setattr(cropbox, "_SCORE_BATCH", batch)
+        samples = crafted_sweep_samples()
+        got = stale_frustum_experiment(samples, self.DRIFTS, spec, threshold_xy, threshold_z)
+        assert got == choose_crop_sweep(samples, self.DRIFTS, SCALE_SPECS[spec], threshold_xy, threshold_z)
+        # 30 px loses some items, 200 px every item
+        assert [r.n_lost for r in got] == [0, 0, 1, 2, 5]
+        # the 25 - 8 lost items with a candidate: one call, or one per frame (15 - 4 items, then 10 - 4)
+        assert scorer_calls == ([17] if batch > 1 else [11, 6])
+
+    def test_a_drift_that_loses_every_item_scores_no_batch(self, scorer_calls):
+        samples = crafted_sweep_samples()
+        got = stale_frustum_experiment(samples, [200.0], "small_short", 0.6, 0.8)
+        assert got == choose_crop_sweep(samples, [200.0], SCALE_SPECS["small_short"], 0.6, 0.8)
+        assert got == [DriftRow(200.0, 0.0, 0.0, 5, 5)]
+        assert scorer_calls == []
