@@ -4,9 +4,9 @@ Objects are binned by average physical size into four scale classes, each with
 a fixed crop extent and voxel grid. Candidate crop centers come from point
 statistics of subdivided frustums; recall curves sweep crop side and height
 against per-axis intersection-over-itself thresholds to pick minimal sizes.
-Dataset passes walk the samples frame by frame (split_frames): a frame's
-cloud is projected once for all its objects, and recall curves score the
-candidates in batches.
+Dataset passes walk the samples frame by frame (split_frames), and
+score_samples scores each object's candidates for recall curves and the
+stale-proposal sweep.
 """
 
 from __future__ import annotations
@@ -285,6 +285,8 @@ class SizeSearchConfig:
             raise GeometryError("size candidates must be finite and positive")
         for name in ("threshold_xy", "threshold_z"):
             validate_threshold(name, getattr(self, name))
+        if not self.fr_fc:
+            raise GeometryError("need at least one subdivision")
         for pair in self.fr_fc:
             check_subdivision(*pair)
         self.side_candidates = sorted(float(s) for s in self.side_candidates)
@@ -311,19 +313,6 @@ CURVE_CSV_HEADER = csv_header(CurvePoint)
 curve_point_to_csv_row = csv_line
 
 
-#: Candidate centers scored together at 3 sides x 3 heights. The scorer's
-#: arrays are centers x sides (crop_scores) and centers x sides x heights (the
-#: volume maxima), so a batch closes at the first frame boundary where
-#: centers x sides x max(heights, 3) reaches 9 * _SCORE_BATCH; its memory
-#: stays bounded however large the dataset or the size sweep.
-_SCORE_BATCH = 1024
-
-
-def score_batch_full(n_centers: int, n_sides: int, n_heights: int) -> bool:
-    """Whether a score batch of n_centers candidates at n_sides x n_heights sizes closes (see _SCORE_BATCH)."""
-    return n_centers * n_sides * max(n_heights, 3) >= 9 * _SCORE_BATCH
-
-
 def split_frames(samples: Sequence[ObjectSample]) -> Iterator[tuple[list[ObjectSample], CloudProjection]]:
     """(frame, projection) per run of consecutive samples that share one cloud, camera and pose.
 
@@ -343,6 +332,64 @@ def split_frames(samples: Sequence[ObjectSample]) -> Iterator[tuple[list[ObjectS
         yield frame, projection
 
 
+#: Candidate centers scored together at 3 sides x 3 heights (see score_samples).
+_SCORE_BATCH = 1024
+
+
+def score_samples(
+    samples: Sequence[ObjectSample],
+    variants: Sequence[tuple[int, int, float]],
+    sides: Sequence[float],
+    heights: Sequence[float],
+    mode: CenterMode = "average",
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Each object's best crop scores under each variant, one score batch at a time.
+
+    A variant (fr, fc, du) shifts every rect du px along +u and splits it
+    fr x fc; candidate_centers (in mode) gives the object's centers in it.
+    Each batch is (slots, xy, z, volume), one row per (variant, object) with
+    candidates: slots = variant * len(samples) + sample, xy[r, s] is the
+    best footprint IoI over the object's candidates at sides[s], z[r, h] the
+    best vertical IoI at heights[h], and volume[r, s, h] the best product of
+    the two over candidates, the candidate best_cropbox would pick. Each
+    entry equals what ioi() reports for that crop. An object whose
+    subfrustums are all empty under a variant has no row.
+
+    The samples are walked frame by frame (split_frames): each frame's cloud
+    is projected once for every variant, and the candidates are scored with
+    crop_scores in batches of about _SCORE_BATCH centers at 3 x 3 sizes. A
+    batch's arrays are centers x sides (crop_scores) and centers x sides x
+    heights (the volume maxima), so it closes at the first frame boundary
+    where centers x sides x max(heights, 3) reaches 9 * _SCORE_BATCH, or at
+    the last frame; its memory stays bounded however large the dataset or
+    the size sweep.
+    """
+    n = len(samples)
+    batch: list[tuple[int, OrientedBox3, np.ndarray]] = []  # (slot, box, centers)
+    n_centers = first = 0  # first: the frame's first sample index
+    for frame, projection in split_frames(samples):
+        for v, (fr, fc, du) in enumerate(variants):
+            for slot, s in enumerate(frame, v * n + first):
+                r = s.rect
+                rect = r if du == 0 else Rect2(r.u_min + du, r.v_min, r.u_max + du, r.v_max)
+                try:
+                    centers = candidate_centers(
+                        s.cloud, rect, s.intrinsics, s.pose, fr, fc, mode, projection=projection
+                    )
+                except NoCandidatesError:
+                    continue
+                batch.append((slot, s.gt_box, centers))
+                n_centers += len(centers)
+        first += len(frame)
+        if batch and (first == n or n_centers * len(sides) * max(len(heights), 3) >= 9 * _SCORE_BATCH):
+            slots, boxes, per_object = zip(*batch)
+            xy, z = crop_scores(boxes, per_object, sides, heights)
+            starts = np.cumsum([0] + [len(c) for c in per_object[:-1]])
+            volume = np.maximum.reduceat(xy[:, :, None] * z[:, None, :], starts)
+            yield np.array(slots), np.maximum.reduceat(xy, starts), np.maximum.reduceat(z, starts), volume
+            batch, n_centers = [], 0
+
+
 def recall_curves(
     dataset: Sequence[ObjectSample],
     cfg: SizeSearchConfig,
@@ -357,12 +404,7 @@ def recall_curves(
     best product - the same candidate best_cropbox would pick. Curves are
     therefore non-decreasing in side at fixed height and vice versa.
     Recalls, bound and bound_satisfied come from a RecallReport over the
-    integer counts.
-
-    The dataset is walked frame by frame (split_frames): each frame's cloud
-    is projected once for all its objects and configurations, and the
-    candidates are scored in batches of about _SCORE_BATCH centers at 3x3
-    sizes, fewer for larger size sweeps.
+    integer counts, tallied over score_samples' batches.
 
     Objects whose subfrustums are all empty count as permanent misses.
     """
@@ -376,37 +418,13 @@ def recall_curves(
     n_xy = np.zeros((len(cfg.fr_fc), len(sides)), dtype=int)
     n_z = np.zeros((len(cfg.fr_fc), len(heights)), dtype=int)
     n_vol = np.zeros((len(cfg.fr_fc), len(sides), len(heights)), dtype=int)
-
-    def score(batch: list[tuple[int, OrientedBox3, np.ndarray]]) -> None:
-        config = [ci for ci, _, _ in batch]
-        xy, z = crop_scores([box for _, box, _ in batch], [c for _, _, c in batch], sides, heights)
-        starts = np.cumsum([0] + [len(c) for _, _, c in batch[:-1]])
-        # each object's best over its candidates, tallied as int: np.add.at casts
-        # bool values to the int counters in a slow loop
-        np.add.at(n_xy, config, (np.maximum.reduceat(xy, starts) >= cfg.threshold_xy).astype(int))
-        np.add.at(n_z, config, (np.maximum.reduceat(z, starts) >= cfg.threshold_z).astype(int))
-        np.add.at(n_vol, config, (np.maximum.reduceat(xy[:, :, None] * z[:, None, :], starts) >= t3).astype(int))
-
-    # (config position, box, centers) of every object with candidates
-    batch: list[tuple[int, OrientedBox3, np.ndarray]] = []
-    n_centers = 0
-    for frame, projection in split_frames(dataset):
-        for ci, (fr, fc) in enumerate(cfg.fr_fc):
-            for item in frame:
-                try:
-                    centers = candidate_centers(
-                        item.cloud, item.rect, item.intrinsics, pose=item.pose, fr=fr, fc=fc, mode=mode,
-                        projection=projection,
-                    )
-                except NoCandidatesError:
-                    continue
-                batch.append((ci, item.gt_box, centers))
-                n_centers += len(centers)
-        if score_batch_full(n_centers, len(sides), len(heights)):
-            score(batch)
-            batch, n_centers = [], 0
-    if batch:
-        score(batch)
+    variants = [(fr, fc, 0) for fr, fc in cfg.fr_fc]
+    for slots, xy, z, volume in score_samples(dataset, variants, sides, heights, mode):
+        config = slots // len(dataset)
+        # tallied as int: np.add.at casts bool values to the int counters in a slow loop
+        np.add.at(n_xy, config, (xy >= cfg.threshold_xy).astype(int))
+        np.add.at(n_z, config, (z >= cfg.threshold_z).astype(int))
+        np.add.at(n_vol, config, (volume >= t3).astype(int))
 
     points: list[CurvePoint] = []
     for ci, (fr, fc) in enumerate(cfg.fr_fc):

@@ -251,7 +251,11 @@ def unproject_grid(us: np.ndarray, vs: np.ndarray, depth: np.ndarray, k: CameraI
 
 def pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     """Pixel centers of a width x height image: the u row (column + 0.5) and
-    the v column (row + 0.5), which broadcast together to the full grid."""
+    the v column (row + 0.5), which broadcast together to the full grid.
+
+    A depth image's camera-frame points are
+    ``unproject_grid(*pixel_centers(width, height), depth, k)``.
+    """
     return np.arange(width) + 0.5, (np.arange(height) + 0.5)[:, None]
 
 

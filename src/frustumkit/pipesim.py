@@ -23,12 +23,11 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .cropbox import THRESHOLD_DEFAULT, ObjectSample, candidate_centers, get_scale_spec, score_batch_full, split_frames
-from .cropbox import best_cropbox  # unused here: perfbench's traced run wraps it in this module
+from .cropbox import THRESHOLD_DEFAULT, ObjectSample, get_scale_spec, score_samples
+from .cropbox import best_cropbox, candidate_centers  # unused here: perfbench's traced run wraps them in this module
 from .csvio import csv_header, csv_line, csv_value, csv_values, write_csv
-from .errors import GeometryError, NoCandidatesError
-from .geometry import OrientedBox3, Rect2
-from .ioi import crop_scores, validate_threshold
+from .errors import GeometryError
+from .ioi import validate_threshold
 
 Mode = Literal["sequential", "pipelined"]
 PIPELINE_MODES = get_args(Mode)
@@ -204,15 +203,14 @@ def stale_frustum_experiment(
     and u_max round to one float64 value is rejected before any work.
 
     A sample counts toward recall_volume only when its best crop is positive
-    on both axes; see DriftRow. Samples are walked frame by frame
-    (split_frames), and each frame's cloud is projected once for every drift.
-    A shifted rect's one 1x1 candidate center leaves best_cropbox no choice,
-    so the crops are scored in batches with crop_scores, each closed at a
-    frame boundary by recall_curves' rule (score_batch_full); each entry
-    equals what ioi() reports for that crop.
+    on both axes; see DriftRow. A shifted rect's one 1x1 candidate center
+    leaves best_cropbox no choice, so the crops are those score_samples
+    scores, each equal to what ioi() reports.
     """
     if not samples:
         raise GeometryError("stale_frustum_experiment needs at least one sample")
+    if len(drifts_px) == 0:
+        raise GeometryError("stale_frustum_experiment needs at least one drift")
     if not all(0 <= d < math.inf for d in drifts_px):
         raise GeometryError("drift values must be finite and >= 0")
     for drift in drifts_px:
@@ -231,36 +229,12 @@ def stale_frustum_experiment(
     n = len(samples)
     xy = np.zeros((len(drifts_px), n))
     z = np.zeros_like(xy)
-    lost = np.zeros(xy.shape, dtype=bool)
-    # (flat [d, i] slot, box, 1x1 center) of every item with a candidate
-    batch: list[tuple[int, OrientedBox3, np.ndarray]] = []
-
-    def score() -> None:
-        slots, boxes, centers = zip(*batch)
-        batch_xy, batch_z = crop_scores(boxes, centers, [scale.crop_side], [scale.crop_height])
+    lost = np.ones(xy.shape, dtype=bool)
+    variants = [(1, 1, drift) for drift in drifts_px]
+    for slots, batch_xy, batch_z, _ in score_samples(samples, variants, [scale.crop_side], [scale.crop_height]):
         np.put(xy, slots, batch_xy[:, 0])
         np.put(z, slots, batch_z[:, 0])
-        batch.clear()
-
-    first = 0  # the frame's first sample index
-    for frame, projection in split_frames(samples):
-        for d, drift in enumerate(drifts_px):
-            for slot, sample in enumerate(frame, d * n + first):
-                rect = sample.rect
-                shifted = Rect2(rect.u_min + drift, rect.v_min, rect.u_max + drift, rect.v_max)
-                try:
-                    center = candidate_centers(
-                        sample.cloud, shifted, sample.intrinsics, sample.pose, projection=projection
-                    )
-                except NoCandidatesError:
-                    lost.flat[slot] = True
-                    continue
-                batch.append((slot, sample.gt_box, center))
-        first += len(frame)
-        if score_batch_full(len(batch), 1, 1):
-            score()
-    if batch:
-        score()
+        np.put(lost, slots, False)
     n_pos = np.count_nonzero((xy >= threshold_xy) & (z >= threshold_z), axis=1)
     return [
         DriftRow(

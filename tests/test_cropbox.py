@@ -619,6 +619,10 @@ class TestSizeSearchConfig:
         with pytest.raises(GeometryError, match="^need at least one side and one height candidate$"):
             SizeSearchConfig(side_candidates=sides, height_candidates=heights)
 
+    def test_rejects_an_empty_subdivision_list(self):
+        with pytest.raises(GeometryError, match="^need at least one subdivision$"):
+            SizeSearchConfig(side_candidates=[1.0], height_candidates=[1.0], fr_fc=[])
+
     def test_rejects_bad_thresholds(self):
         with pytest.raises(GeometryError):
             SizeSearchConfig(side_candidates=[1.0], height_candidates=[1.0], threshold_xy=0.0)

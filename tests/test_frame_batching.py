@@ -2,7 +2,7 @@
 
 ``recall_curves``, ``stale_frustum_experiment`` and ``encode-check`` walk the
 samples with ``split_frames``, which projects each frame's cloud once, and
-recall curves score candidate crops in batches. The references below are the
+the first two score candidate crops in batches (``score_samples``). The references below are the
 per-object loops they replaced: ``candidate_centers`` without a projection
 for every object, subdivision and drift, and ``ioi()`` for every crop.
 """
@@ -150,8 +150,10 @@ def dataset():
     return synthetic_frames(seed=7, n_frames=16, n_objects=3, n_clutter=300, per_object=150)
 
 
+@pytest.mark.parametrize("batch", [cropbox._SCORE_BATCH, 1], ids=["default-batch", "batch-per-frame"])
 @pytest.mark.parametrize("mode", ["average", "median"])
-def test_recall_curves_equal_the_per_object_reference(dataset, mode, monkeypatch):
+def test_recall_curves_equal_the_per_object_reference(dataset, mode, batch, monkeypatch):
+    monkeypatch.setattr(cropbox, "_SCORE_BATCH", batch)
     # 5x5 listed twice gets its rows twice; 3x3 and 1x1 in between
     cfg = SizeSearchConfig([0.5, 0.9, 1.6], [0.4, 0.8, 1.6], fr_fc=[(5, 5), (1, 1), (3, 3), (5, 5)])
     batches = []
@@ -166,7 +168,10 @@ def test_recall_curves_equal_the_per_object_reference(dataset, mode, monkeypatch
     want = reference_recall_curves(dataset, cfg, mode)
     assert got == want
     assert got[:9] == got[27:]  # the repeated 5x5 entry
-    assert len(batches) >= 2 and sum(batches) > cropbox._SCORE_BATCH
+    if batch > 1:
+        assert len(batches) >= 2 and sum(batches) > batch
+    else:
+        assert len(batches) == 16  # one per frame
     assert 0.0 < min(p.recall_xy for p in got) < max(p.recall_xy for p in got) < 1.0
 
 

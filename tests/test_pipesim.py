@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frustumkit import cropbox, pipesim
+from frustumkit import cropbox
 from frustumkit.cropbox import SCALE_SPECS, ObjectSample, best_cropbox, candidate_centers, choose_crop
 from frustumkit.errors import GeometryError, NoCandidatesError, UnsupportedScaleError
 from frustumkit.geometry import CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, project_cloud, project_points
@@ -308,6 +308,10 @@ class TestStaleFrustum:
         with pytest.raises(GeometryError):
             stale_frustum_experiment([], [0.0])
 
+    def test_empty_drift_list_rejected(self):
+        with pytest.raises(GeometryError, match="^stale_frustum_experiment needs at least one drift$"):
+            stale_frustum_experiment(make_centered_samples(2), [])
+
     def test_unknown_scale_name_rejected(self):
         with pytest.raises(UnsupportedScaleError, match="unknown scale class: 'bogus'"):
             stale_frustum_experiment(make_centered_samples(2), [0.0], spec="bogus")
@@ -385,13 +389,13 @@ class TestStaleSweepAgainstChooseCrop:
     def scorer_calls(self, monkeypatch):
         """The number of candidates in each crop_scores call the sweep makes."""
         calls = []
-        scorer = pipesim.crop_scores
+        scorer = cropbox.crop_scores
 
         def counting(boxes, centers, sides, heights):
             calls.append(len(boxes))
             return scorer(boxes, centers, sides, heights)
 
-        monkeypatch.setattr(pipesim, "crop_scores", counting)
+        monkeypatch.setattr(cropbox, "crop_scores", counting)
         return calls
 
     def test_crafted_samples_clip_and_overhang_their_crops(self):
