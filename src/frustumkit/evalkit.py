@@ -63,17 +63,23 @@ def match(
     validate_threshold("iou_thresh", iou_thresh)
     if len({d.category for d in dets}) > 1:
         raise GeometryError("match expects detections of a single category")
+    return _match(dets, iou_3d([(d.box, gt) for d in dets for gt in gts]), len(gts), iou_thresh)
+
+
+def _match(dets: Sequence[Detection], ious: Sequence[float], n_gt: int, iou_thresh: float) -> MatchResult:
+    # the greedy matching of match(), on precomputed IoUs: ious[di * n_gt + gi]
+    # is the IoU of detection di and gt gi
     order = _ranked([d.score for d in dets])
-    taken = [False] * len(gts)
+    taken = [False] * n_gt
     tp: list[bool] = []
     pairs: list[tuple[int, int, float]] = []
     for di in order:
         best_gi = -1
         best_iou = 0.0
-        for gi, gt in enumerate(gts):
+        for gi in range(n_gt):
             if taken[gi]:
                 continue
-            v = iou_3d(dets[di].box, gt)
+            v = ious[di * n_gt + gi]
             if v >= iou_thresh and v > best_iou:
                 best_iou = v
                 best_gi = gi
@@ -159,25 +165,36 @@ Frame = tuple[Sequence[Detection], Sequence[LabeledBox]]
 
 
 def evaluate(frames: Sequence[Frame], iou_thresh: float = IOU_THRESH_DEFAULT) -> EvalReport:
-    """Pool per-frame, per-category matches into category AP and mean metrics."""
+    """Pool per-frame, per-category matches into category AP and mean metrics.
+
+    The IoUs of every same-category (detection, label) pair of every frame
+    come from one iou_3d call, which clips all of them together.
+    """
     validate_threshold("iou_thresh", iou_thresh)
-    # per category: the (score, is_tp) flags, the label count and the matched pairs' metrics
-    categories: dict[str, dict] = {}
-    iou_values: list[float] = []
-    orientation_values: list[float] = []
+    # per frame and category: its detections, its labels' boxes and its first pair's index
+    groups = []
+    pairs = []
     for dets, gts in frames:
         for name in sorted({d.category for d in dets} | {g.category for g in gts}):
             cat_dets = [d for d in dets if d.category == name]
             cat_gts = [g.box for g in gts if g.category == name]
-            b = categories.setdefault(name, {"flags": [], "n_gt": 0, "metrics": []})
-            b["n_gt"] += len(cat_gts)
-            result = match(cat_dets, cat_gts, iou_thresh)
-            b["flags"].extend(zip(result.scores, result.tp))
-            for di, gi, iou in result.pairs:
-                row = center_size_metrics(cat_dets[di].box, cat_gts[gi])
-                b["metrics"].append(row)
-                iou_values.append(iou)
-                orientation_values.append(row.orientation_score)
+            groups.append((name, cat_dets, cat_gts, len(pairs)))
+            pairs.extend((d.box, gt) for d in cat_dets for gt in cat_gts)
+    ious = iou_3d(pairs)
+    # per category: the (score, is_tp) flags, the label count and the matched pairs' metrics
+    categories: dict[str, dict] = {}
+    iou_values: list[float] = []
+    orientation_values: list[float] = []
+    for name, cat_dets, cat_gts, first in groups:
+        b = categories.setdefault(name, {"flags": [], "n_gt": 0, "metrics": []})
+        b["n_gt"] += len(cat_gts)
+        result = _match(cat_dets, ious[first : first + len(cat_dets) * len(cat_gts)], len(cat_gts), iou_thresh)
+        b["flags"].extend(zip(result.scores, result.tp))
+        for di, gi, iou in result.pairs:
+            row = center_size_metrics(cat_dets[di].box, cat_gts[gi])
+            b["metrics"].append(row)
+            iou_values.append(iou)
+            orientation_values.append(row.orientation_score)
 
     rows = []
     for name in sorted(categories):

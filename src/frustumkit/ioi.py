@@ -11,11 +11,11 @@ multiply into a volume positivity threshold.
 candidate crops in one vectorized pass with the same arithmetic, so each of
 its entries equals what ``ioi()`` reports. Both take a box's corners from
 ``geometry.footprint_corners`` (one box at a time, or all boxes in one array
-call) and clip a box footprint to a crop with the same four axis passes:
-``_clip_to_box`` runs ``_clip_axis`` per polygon, and ``_clip_pass`` is its
-batched twin over many rows at once.
-``iou_3d`` clips with ``_clip_to_box`` too, in its first box's frame. The
-polygon clipping and areas of the package live here.
+call). ``iou_3d`` scores many pairs of boxes in one call, each in its first
+box's frame. All three clip a box footprint to a rectangle with the one
+clipper, ``_clipped_areas``: four axis passes of ``_clip_pass`` over many
+rows at once, then the shoelace area. The polygon clipping and areas of the
+package live here.
 """
 
 from __future__ import annotations
@@ -50,54 +50,6 @@ def _clamp01(v: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def _polygon_area(polygon: Sequence[tuple[float, float]]) -> float:
-    """Absolute shoelace area of a simple polygon (0.0 below 3 vertices)."""
-    n = len(polygon)
-    if n < 3:
-        return 0.0
-    acc = 0.0
-    for i in range(n):
-        x1, y1 = polygon[i]
-        x2, y2 = polygon[(i + 1) % n]
-        acc += x1 * y2 - x2 * y1
-    return abs(acc) * 0.5
-
-
-def _clip_axis(
-    poly: Sequence[tuple[float, float]], axis: int, bound: float, keep_le: bool
-) -> list[tuple[float, float]]:
-    # One Sutherland-Hodgman pass against an axis-aligned half plane.
-    out: list[tuple[float, float]] = []
-    n = len(poly)
-    for i in range(n):
-        cur = poly[i]
-        nxt = poly[(i + 1) % n]
-        if keep_le:
-            cur_in = cur[axis] <= bound
-            nxt_in = nxt[axis] <= bound
-        else:
-            cur_in = cur[axis] >= bound
-            nxt_in = nxt[axis] >= bound
-        if cur_in:
-            out.append(cur)
-        if cur_in != nxt_in:
-            t = (bound - cur[axis]) / (nxt[axis] - cur[axis])
-            if axis == 0:
-                out.append((bound, cur[1] + t * (nxt[1] - cur[1])))
-            else:
-                out.append((cur[0] + t * (nxt[0] - cur[0]), bound))
-    return out
-
-
-def _clip_to_box(
-    poly: Sequence[tuple[float, float]], x_min: float, y_min: float, x_max: float, y_max: float
-) -> list[tuple[float, float]]:
-    """A convex polygon clipped to [x_min, x_max] x [y_min, y_max] by four axis passes, in this order."""
-    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
-        poly = _clip_axis(poly, axis, bound, keep_le)
-    return poly
-
-
 def _successors(n: np.ndarray, width: int) -> np.ndarray:
     # flat index, into a (len(n), width) array, of each vertex's successor:
     # the next slot, and the row's first for its last vertex. Slots past a
@@ -111,10 +63,12 @@ def _successors(n: np.ndarray, width: int) -> np.ndarray:
 def _clip_pass(
     px: np.ndarray, py: np.ndarray, n: np.ndarray, axis: int, bound: np.ndarray, keep_le: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # _clip_axis on every row at once: row r holds the polygon
-    # (px[r, :n[r]], py[r, :n[r]]), zero-padded; the output keeps the scalar
-    # pass's vertex order and arithmetic. Slots are addressed by flat index,
-    # and a cut point is computed only where an edge crosses the bound.
+    # One Sutherland-Hodgman pass against an axis-aligned half plane, on
+    # every row at once: row r holds the polygon (px[r, :n[r]], py[r, :n[r]]),
+    # zero-padded. Each vertex inside is kept, in order, and followed by the
+    # cut point (bound, o + t * (o_next - o)) where its edge crosses the bound.
+    # Slots are addressed by flat index, and a cut point is computed only
+    # where an edge crosses.
     a, o = (px, py) if axis == 0 else (py, px)
     n_rows, width = a.shape
     vertex = np.arange(width) < n[:, None]
@@ -145,6 +99,25 @@ def _clip_pass(
     return (out_a, out_o, n_out) if axis == 0 else (out_o, out_a, n_out)
 
 
+def _clipped_areas(
+    px: np.ndarray, py: np.ndarray, x_min: np.ndarray, y_min: np.ndarray, x_max: np.ndarray, y_max: np.ndarray
+) -> np.ndarray:
+    """Area of each row's convex polygon (px[r], py[r]) clipped to [x_min[r], x_max[r]] x [y_min[r], y_max[r]].
+
+    The package's one clipper: four _clip_pass passes, in the order x_min,
+    x_max, y_min, y_max, then the absolute shoelace sum, added vertex by
+    vertex from the first term (a sum from 0.0 would differ only in the
+    sign of a zero, which abs() drops). A clip below 3 vertices has area 0.
+    """
+    n = np.full(len(px), px.shape[1])
+    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
+        px, py, n = _clip_pass(px, py, n, axis, bound, keep_le)
+    nxt = _successors(n, px.shape[1])
+    term = px * py.take(nxt, mode="clip") - px.take(nxt, mode="clip") * py
+    acc = np.cumsum(np.where(np.arange(px.shape[1]) < n[:, None], term, 0.0), axis=1)[:, -1]
+    return np.where(n >= 3, np.abs(acc) * 0.5, 0.0)
+
+
 def _footprint_ioi(
     quad: Sequence[tuple[float, float]], box_area: float, crop_cx: float, crop_cy: float, side: float
 ) -> float:
@@ -154,7 +127,9 @@ def _footprint_ioi(
     # fast path: every corner inside the crop -> the whole footprint survives
     if all(x_min <= x <= x_max and y_min <= y <= y_max for x, y in quad):
         return 1.0
-    return _clamp01(_polygon_area(_clip_to_box(quad, x_min, y_min, x_max, y_max)) / box_area)
+    px, py = np.array(quad).T[:, None]  # one row of four x and of four y
+    area = _clipped_areas(px, py, *np.array([[x_min], [y_min], [x_max], [y_max]]))
+    return _clamp01(float(area[0]) / box_area)
 
 
 def _footprint_iois(
@@ -164,9 +139,9 @@ def _footprint_iois(
     # _footprint_ioi on every row at once: row r scores box row_box[r], whose
     # corners are qx[b], qy[b] (four each) and area box_areas[b], against
     # the crop at (crop_cx[r], crop_cy[r]) with side sides[r]. The same fast
-    # path, clip order, shoelace sum and clamp, so each entry equals the
-    # scalar result. Every corner lies inside a crop exactly when the
-    # corners' extents do, so the fast path compares four extents per row.
+    # path, clipper and clamp, so each entry equals the one-box result.
+    # Every corner lies inside a crop exactly when the corners' extents do,
+    # so the fast path compares four extents per row.
     hs = 0.5 * sides
     x_min, x_max = crop_cx - hs, crop_cx + hs
     y_min, y_max = crop_cy - hs, crop_cy + hs
@@ -179,16 +154,8 @@ def _footprint_iois(
     if clip.size == 0:
         return out
     clip_box = row_box[clip]
-    px, py, n = qx.take(clip_box, axis=0), qy.take(clip_box, axis=0), np.full(clip.size, 4)
-    for axis, bound, keep_le in ((0, x_min, False), (0, x_max, True), (1, y_min, False), (1, y_max, True)):
-        px, py, n = _clip_pass(px, py, n, axis, bound[clip], keep_le)
-    # the shoelace terms, summed vertex by vertex as _polygon_area adds them
-    # (a running sum from the first term; it differs from acc = 0.0 + ... only
-    # in the sign of a zero, which abs() drops)
-    nxt = _successors(n, px.shape[1])
-    term = px * py.take(nxt, mode="clip") - px.take(nxt, mode="clip") * py
-    acc = np.cumsum(np.where(np.arange(px.shape[1]) < n[:, None], term, 0.0), axis=1)[:, -1]
-    area = np.where(n >= 3, np.abs(acc) * 0.5, 0.0)
+    px, py = qx.take(clip_box, axis=0), qy.take(clip_box, axis=0)
+    area = _clipped_areas(px, py, x_min[clip], y_min[clip], x_max[clip], y_max[clip])
     ratio = area / box_areas[clip_box]
     out[clip] = np.where(ratio > 1.0, 1.0, ratio)
     return out
@@ -277,33 +244,41 @@ def iou_2d(a: Rect2, b: Rect2) -> float:
     return _clamp01(inter / union)
 
 
-def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
-    """IoU of two gravity-aligned oriented boxes (exact, via polygon clipping).
+def iou_3d(pairs: Sequence[tuple[OrientedBox3, OrientedBox3]]) -> list[float]:
+    """IoU of each pair (a, b) of gravity-aligned oriented boxes (exact, via polygon clipping).
 
     Both boxes are vertical extrusions of their footprints, so the
     intersection volume is the clipped footprint area times the z overlap.
     b's footprint corners move into a's frame, where a's footprint is the
-    box [-w/2, w/2] x [-d/2, d/2], and ``_clip_to_box`` clips them to it.
-    Footprints whose centres lie farther apart in xy than the sum of their
-    half-diagonals are disjoint and give 0 without a clip.
+    box [-w/2, w/2] x [-d/2, d/2]. Pairs with no z overlap, and footprints
+    whose centres lie farther apart in xy than the sum of their
+    half-diagonals (disjoint), give 0 without a clip; the other pairs are
+    clipped together, in one ``_clipped_areas`` call.
     """
-    z_lo = max(a.z_interval[0], b.z_interval[0])
-    z_hi = min(a.z_interval[1], b.z_interval[1])
-    dz = z_hi - z_lo
-    if dz <= 0.0:
-        return 0.0
-    ax, ay = float(a.center[0]), float(a.center[1])
-    reach = 0.5 * math.hypot(a.width, a.depth) + 0.5 * math.hypot(b.width, b.depth)
-    if math.hypot(float(b.center[0]) - ax, float(b.center[1]) - ay) > reach:
-        return 0.0
-    c, s = math.cos(a.yaw), math.sin(a.yaw)
-    quad = [(c * (x - ax) + s * (y - ay), c * (y - ay) - s * (x - ax)) for x, y in oriented_box_footprint(b)]
-    hw, hd = 0.5 * a.width, 0.5 * a.depth
-    inter = _polygon_area(_clip_to_box(quad, -hw, -hd, hw, hd)) * dz
-    union = a.volume + b.volume - inter
-    if union <= 0.0:
-        return 0.0
-    return _clamp01(inter / union)
+    out = [0.0] * len(pairs)
+    rows = []  # (pair index, z overlap, b's corners in a's frame, a's half width and depth)
+    for i, (a, b) in enumerate(pairs):
+        dz = min(a.z_interval[1], b.z_interval[1]) - max(a.z_interval[0], b.z_interval[0])
+        if dz <= 0.0:
+            continue
+        ax, ay = float(a.center[0]), float(a.center[1])
+        reach = 0.5 * math.hypot(a.width, a.depth) + 0.5 * math.hypot(b.width, b.depth)
+        if math.hypot(float(b.center[0]) - ax, float(b.center[1]) - ay) > reach:
+            continue
+        c, s = math.cos(a.yaw), math.sin(a.yaw)
+        quad = [(c * (x - ax) + s * (y - ay), c * (y - ay) - s * (x - ax)) for x, y in oriented_box_footprint(b)]
+        rows.append((i, dz, quad, 0.5 * a.width, 0.5 * a.depth))
+    if not rows:
+        return out
+    index, dz, quads, hw, hd = zip(*rows)
+    px, py = np.array(quads).transpose(2, 0, 1)
+    hw, hd = np.array(hw), np.array(hd)
+    for i, dz_i, area in zip(index, dz, _clipped_areas(px, py, -hw, -hd, hw, hd).tolist()):
+        a, b = pairs[i]
+        inter = area * dz_i
+        union = a.volume + b.volume - inter
+        out[i] = 0.0 if union <= 0.0 else _clamp01(inter / union)
+    return out
 
 
 # ---------------------------------------------------------------------------

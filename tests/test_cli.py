@@ -33,9 +33,18 @@ from frustumkit.cli import (
 )
 from frustumkit.cropbox import SCALE_SPECS
 from frustumkit.errors import ManifestError
-from frustumkit.geometry import Rect2, project_cloud, read_cloud_binary, rect_points, write_cloud_binary
+from frustumkit.geometry import (
+    CameraIntrinsics,
+    OrientedBox3,
+    Rect2,
+    RigidTransform,
+    project_cloud,
+    read_cloud_binary,
+    rect_points,
+    write_cloud_binary,
+)
 from frustumkit.head import read_anchor_csv
-from frustumkit.manifest import iter_object_samples, load_manifest, record_to_json
+from frustumkit.manifest import ManifestObject, iter_object_samples, load_manifest, record_to_json
 
 SEED = 7
 N_SCENES = 4
@@ -186,6 +195,41 @@ def test_recall_curves_rows_and_bound(dataset, tmp_path):
     for row in rows:
         assert row["bound_satisfied"] == "1"
         assert float(row["recall_volume"]) >= float(row["bound"]) - 1e-12
+
+
+def test_volume_recall_takes_the_best_product_over_candidates(tmp_path):
+    """An object whose two candidates trade footprint IoI for vertical IoI: neither crop is volume-positive.
+
+    Identity pose, so world (x, y, z) is camera (x, y, depth) and z is the
+    boxes' vertical axis. The unit box sits at (0, 0, 5); its 3x3 rect holds
+    two single-point subfrustums, whose averages are the points themselves.
+    Under a 1 x 1 crop, A = (0, 0, 5.5) keeps the whole footprint and half the
+    height, B = (0.5, 0, 5) half the footprint and the whole height: each
+    axis is recalled by some candidate, but the best product is 0.5, below
+    0.8 * 0.8, so volume recall is 0 where max xy * max z would give 1. A
+    2 m side keeps B's whole footprint too, and volume recall is 1.
+    """
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
+    # A projects to (u, v) = (50, 50), B to (60, 50): tiles (1, 1) and (1, 2)
+    write_cloud_binary(np.array([[0.0, 0.0, 5.5], [0.5, 0.0, 5.0]]), str(tmp_path / "cloud.bin"))
+    obj = ManifestObject("chair", Rect2(30.0, 44.0, 66.0, 56.0), OrientedBox3((0.0, 0.0, 5.0), 1.0, 1.0, 1.0, 0.0))
+    frame = {
+        "cloud": "cloud.bin",
+        "intrinsics": record_to_json(k),
+        "pose": record_to_json(RigidTransform.identity()),
+        "objects": [record_to_json(obj)],
+    }
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"categories": ["chair"], "frames": [frame]}))
+    out = tmp_path / "curves.csv"
+    argv = ["recall-curves", "--manifest", str(manifest), "--out", str(out), "--fr-fc", "3x3"]
+    argv += ["--sides", "1,2", "--heights", "1", "--threshold-xy", "0.8", "--threshold-z", "0.8"]
+    assert main(argv) == EXIT_OK
+    with open(out, newline="") as fh:
+        fields = ("side_m", "recall_xy", "recall_z", "recall_volume", "bound_satisfied")
+        rows = [tuple(row[f] for f in fields) for row in csv.DictReader(fh)]
+    # at side 1 the per-axis recalls (1 and 1) bound volume recall below by 1, and the product misses it
+    assert rows == [("1", "1", "1", "0", "0"), ("2", "1", "1", "1", "1")]
 
 
 # argv for each subcommand that writes files, given (manifest, detections, output dir)

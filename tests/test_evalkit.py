@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from frustumkit.errors import GeometryError
+from frustumkit import evalkit
 from frustumkit.evalkit import (
     CategoryEval,
     Detection,
@@ -23,7 +24,8 @@ from frustumkit.evalkit import (
     write_histogram_csv,
 )
 from frustumkit.geometry import OrientedBox3
-from frustumkit.ioi import iou_3d
+
+from clip_reference import iou_3d_one
 
 
 def box(x, y, z, w=1.0, d=1.0, h=1.0, yaw=0.0):
@@ -48,7 +50,7 @@ def greedy_match_oracle(dets, gts, thresh):
     tp = {}
     pairs = []
     for di in order:
-        candidates = [(iou_3d(dets[di].box, gts[gi]), -gi, gi) for gi in sorted(free)]
+        candidates = [(iou_3d_one(dets[di].box, gts[gi]), -gi, gi) for gi in sorted(free)]
         candidates = [c for c in candidates if c[0] >= thresh]
         if candidates:
             # max IoU; on exact IoU ties the largest -gi i.e. the lowest index
@@ -68,7 +70,7 @@ class TestMatch:
         result = match(dets, gts)
         assert result.tp == (True, True)
         assert result.scores == (0.9, 0.8)
-        assert set(result.pairs) == {(0, 0, iou_3d(gts[0], gts[0])), (1, 1, iou_3d(gts[1], gts[1]))}
+        assert set(result.pairs) == {(0, 0, iou_3d_one(gts[0], gts[0])), (1, 1, iou_3d_one(gts[1], gts[1]))}
 
     def test_two_detections_one_gt_keeps_higher_score(self):
         gt = box(0, 0, 0)
@@ -77,7 +79,7 @@ class TestMatch:
         # detection 1 (score 0.7) is evaluated first and claims the gt
         assert result.scores == (0.7, 0.4)
         assert result.tp == (True, False)
-        assert result.pairs == ((1, 0, iou_3d(dets[1].box, gt)),)
+        assert result.pairs == ((1, 0, iou_3d_one(dets[1].box, gt)),)
 
     def test_equal_scores_break_by_input_index(self):
         gt = box(0, 0, 0)
@@ -85,7 +87,7 @@ class TestMatch:
         result = match(dets, [gt])
         # det 0 claims the only gt despite the lower IoU; det 1 is an FP
         assert result.tp == (True, False)
-        assert result.pairs == ((0, 0, iou_3d(dets[0].box, gt)),)
+        assert result.pairs == ((0, 0, iou_3d_one(dets[0].box, gt)),)
 
     def test_gt_iou_ties_pick_lowest_index(self):
         gts = [box(0, 0, 0), box(0, 0, 0)]
@@ -116,7 +118,7 @@ class TestMatch:
             order, tp, pairs = greedy_match_oracle(dets, gts, 0.25)
             assert got.scores == tuple(dets[i].score for i in order)
             assert got.tp == tuple(tp)
-            assert got.pairs == tuple((di, gi, iou_3d(dets[di].box, gts[gi])) for di, gi in pairs)
+            assert got.pairs == tuple((di, gi, iou_3d_one(dets[di].box, gts[gi])) for di, gi in pairs)
 
 
 class TestAveragePrecision:
@@ -243,6 +245,70 @@ class TestEvaluate:
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("category,") and len(lines) == 2
+
+    def tied_frames(self):
+        """Four frames, four categories: score ties, a category with no labels and one with no detections."""
+        frame0 = (
+            [
+                # three chairs tied at 0.8: the first claims the gt at (0, 0)
+                # by input order, though the third overlaps it more
+                Detection(box(0.3, 0, 0), "chair", 0.8),
+                Detection(box(3.2, 0.1, 0), "chair", 0.8),
+                Detection(box(0.05, 0.05, 0), "chair", 0.8),
+                Detection(box(0.1, 3, 0, w=2.0, d=1.0, h=0.8, yaw=0.35), "table", 0.6),
+                Detection(box(5, 5, 0), "lamp", 0.9),
+            ],
+            [
+                LabeledBox("chair", box(0, 0, 0)),
+                LabeledBox("chair", box(3, 0, 0)),
+                LabeledBox("table", box(0, 3, 0, w=2.0, d=1.0, h=0.8, yaw=0.3)),
+            ],
+        )
+        frame1 = (
+            [
+                Detection(box(-4, 0, 0), "chair", 0.8),
+                Detection(box(1.1, 1, 0, yaw=0.6), "chair", 0.8),
+                Detection(box(0, 0, 0), "table", 0.3),
+            ],
+            [LabeledBox("chair", box(1, 1, 0, yaw=0.7)), LabeledBox("sofa", box(-2, -2, 0, w=2.0))],
+        )
+        return [frame0, frame1, ([], [LabeledBox("table", box(2, 2, 0))]), ([], [])]
+
+    def count_iou_calls(self, monkeypatch) -> list[int]:
+        """The pair count of each iou_3d call evaluate makes from here on."""
+        calls: list[int] = []
+        iou_3d = evalkit.iou_3d
+        monkeypatch.setattr(evalkit, "iou_3d", lambda pairs: calls.append(len(pairs)) or iou_3d(pairs))
+        return calls
+
+    def test_one_iou_call_scores_every_pair_of_every_frame(self, monkeypatch):
+        calls = self.count_iou_calls(monkeypatch)
+        report = evaluate(self.tied_frames())
+        # same-category pairs: chairs 3 x 2 + 2 x 1, tables 1 x 1 + 1 x 0, lamp 1 x 0
+        assert calls == [9]
+        # pooled at 0.8 for the chairs: TP, TP, FP (frame 0), FP, TP (frame 1) over 3 gts
+        assert [repr(row) for row in report.rows] == [
+            "CategoryEval(category='chair', n_gt=3, n_det=5, ap=0.8666666666666667, recall=1.0, "
+            "mean_d_xyz=0.2078689325833264, mean_d_wdh=0.0, mean_orientation_score=0.9983347217593419)",
+            "CategoryEval(category='lamp', n_gt=0, n_det=1, ap=0.0, recall=0.0, "
+            "mean_d_xyz=nan, mean_d_wdh=nan, mean_orientation_score=nan)",
+            "CategoryEval(category='sofa', n_gt=1, n_det=0, ap=0.0, recall=0.0, "
+            "mean_d_xyz=nan, mean_d_wdh=nan, mean_orientation_score=nan)",
+            "CategoryEval(category='table', n_gt=2, n_det=2, ap=0.5, recall=0.5, "
+            "mean_d_xyz=0.1, mean_d_wdh=0.0, mean_orientation_score=0.9987502603949663)",
+        ]
+        # frame 0's chairs (0.7 / 1.3, then the one at (3, 0)), its table, frame 1's chair
+        assert report.iou_values == (0.5384615384615384, 0.5624999999999998, 0.8523373672126966, 0.7647544463095625)
+        assert report.orientation_values == (1.0, 1.0, 0.9987502603949663, 0.9950041652780257)
+
+    def test_no_detections_make_one_empty_iou_call(self, monkeypatch):
+        calls = self.count_iou_calls(monkeypatch)
+        report = evaluate([([], [LabeledBox("table", box(2, 2, 0))]), ([], [])])
+        (row,) = report.rows
+        assert (row.category, row.n_gt, row.n_det, row.ap, row.recall) == ("table", 1, 0, 0.0, 0.0)
+        assert math.isnan(row.mean_d_xyz) and report.iou_values == () == report.orientation_values
+        assert evaluate([]).rows == ()
+        assert calls == [0, 0]
 
     def test_histogram_csv_bins_cover_unit_interval(self, tmp_path):
         path = tmp_path / "h.csv"

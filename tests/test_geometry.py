@@ -42,8 +42,11 @@ from frustumkit.geometry import (
     unproject_grid,
     write_cloud_binary,
 )
-from frustumkit.ioi import _clip_to_box, _polygon_area, crop_scores
+from frustumkit import ioi
+from frustumkit.ioi import crop_scores
 from frustumkit.voxelizer import voxelize
+
+from clip_reference import polygon_area
 
 K = CameraIntrinsics(fx=520.0, fy=515.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -548,16 +551,32 @@ class TestFrustumCenter:
             self._center(np.zeros((1, 3)), "centroid")
 
 
-class TestClipping:
-    def test_fully_inside_box_keeps_exact_area(self):
-        box = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
-        poly = _clip_to_box(oriented_box_footprint(box), -1.5, -1.5, 1.5, 1.5)
-        assert _polygon_area(poly) == 1.0
-        assert len(poly) == 4
+def clip_one(monkeypatch, poly, x_min, y_min, x_max, y_max) -> tuple[float, int]:
+    """ioi._clipped_areas on one polygon: its clipped area and the clip's vertex count."""
+    counts = []
+    clip_pass = ioi._clip_pass
 
-    def test_disjoint_footprints_clip_to_nothing(self):
+    def spy(*args):
+        px, py, n = clip_pass(*args)
+        counts.append(n.tolist())
+        return px, py, n
+
+    with monkeypatch.context() as m:
+        m.setattr(ioi, "_clip_pass", spy)
+        px, py = np.array(poly, dtype=np.float64).T[:, None]
+        [area] = ioi._clipped_areas(px, py, *(np.array([v], dtype=np.float64) for v in (x_min, y_min, x_max, y_max)))
+    assert len(counts) == 4  # one pass per side of the rectangle
+    return float(area), counts[-1][0]
+
+
+class TestClipping:
+    def test_fully_inside_box_keeps_exact_area(self, monkeypatch):
+        box = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
+        assert clip_one(monkeypatch, oriented_box_footprint(box), -1.5, -1.5, 1.5, 1.5) == (1.0, 4)
+
+    def test_disjoint_footprints_clip_to_nothing(self, monkeypatch):
         box = OrientedBox3(center=(10.0, 10.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.4)
-        assert _clip_to_box(oriented_box_footprint(box), -1.0, -1.0, 1.0, 1.0) == []
+        assert clip_one(monkeypatch, oriented_box_footprint(box), -1.0, -1.0, 1.0, 1.0) == (0.0, 0)
 
     def test_area_matches_monte_carlo_oracle(self):
         """Clipped area (scored footprint IoI times box area) agrees with rejection sampling."""
@@ -607,13 +626,15 @@ class TestClipping:
             areas = xy[0] * box.width * box.depth
             assert all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
 
-    def test_polygon_area_shoelace(self):
-        assert _polygon_area([(0, 0), (2, 0), (2, 1), (0, 1)]) == 2.0
-        assert _polygon_area([(0, 0), (1, 0)]) == 0.0
+    def test_polygon_area_shoelace(self, monkeypatch):
+        assert clip_one(monkeypatch, [(0, 0), (2, 0), (2, 1), (0, 1)], -5, -5, 5, 5) == (2.0, 4)
+        # clockwise, the same area; below 3 vertices, none
+        assert clip_one(monkeypatch, [(0, 1), (2, 1), (2, 0), (0, 0)], -5, -5, 5, 5) == (2.0, 4)
+        assert clip_one(monkeypatch, [(0, 0), (1, 0)], -5, -5, 5, 5) == (0.0, 2)
 
-    def test_clip_to_aabb_half_overlap_exact(self):
-        poly = _clip_to_box([(0.5, -1.0), (2.5, -1.0), (2.5, 1.0), (0.5, 1.0)], -1.5, -1.5, 1.5, 1.5)
-        assert _polygon_area(poly) == 2.0
+    def test_clip_to_aabb_half_overlap_exact(self, monkeypatch):
+        poly = [(0.5, -1.0), (2.5, -1.0), (2.5, 1.0), (0.5, 1.0)]
+        assert clip_one(monkeypatch, poly, -1.5, -1.5, 1.5, 1.5) == (2.0, 4)
 
     def test_footprint_corners_are_ccw(self):
         box = OrientedBox3(center=(0, 0, 0.5), width=2.0, depth=1.0, height=1.0, yaw=0.7)
@@ -624,7 +645,7 @@ class TestClipping:
             x2, y2 = quad[(i + 1) % 4]
             signed += x1 * y2 - x2 * y1
         assert signed > 0
-        assert _polygon_area(quad) == pytest.approx(2.0, rel=1e-12)
+        assert polygon_area(quad) == pytest.approx(2.0, rel=1e-12)
 
     def test_footprint_corners_on_arrays_equal_each_box_footprint(self):
         """The corner rule on arrays of boxes gives each box's oriented_box_footprint, bit for bit.

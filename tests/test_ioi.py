@@ -15,9 +15,6 @@ from frustumkit.geometry import Aabb3, OrientedBox3, Rect2, oriented_box_footpri
 from frustumkit import ioi as ioi_module
 from frustumkit.ioi import (
     IoiBreakdown,
-    _clamp01,
-    _clip_to_box,
-    _polygon_area,
     crop_scores,
     ioi,
     iou_2d,
@@ -26,6 +23,8 @@ from frustumkit.ioi import (
     recall_from_breakdowns,
     recall_lower_bound,
 )
+
+from clip_reference import clip_to_box, footprint_ioi, iou_3d_one
 
 
 def random_pair(rng) -> tuple[OrientedBox3, Aabb3]:
@@ -43,6 +42,19 @@ def random_pair(rng) -> tuple[OrientedBox3, Aabb3]:
         height=rng.uniform(0.3, 2.5),
     )
     return box, crop
+
+
+def count_clipped_rows(monkeypatch) -> list[int]:
+    """The row count of each _clip_pass call from here on, the one clipper's passes."""
+    rows: list[int] = []
+    clip_pass = ioi_module._clip_pass
+
+    def counting(px, *args):
+        rows.append(len(px))
+        return clip_pass(px, *args)
+
+    monkeypatch.setattr(ioi_module, "_clip_pass", counting)
+    return rows
 
 
 class TestWorkedSquares:
@@ -143,14 +155,7 @@ class TestCropScores:
             ]
             calls.append((boxes, [b.center[None] for b in boxes], [2.0], [1.0], on_edge))
 
-        clipped_rows = []
-        clip_pass = ioi_module._clip_pass
-
-        def counting(px, *args):
-            clipped_rows.append(len(px))
-            return clip_pass(px, *args)
-
-        monkeypatch.setattr(ioi_module, "_clip_pass", counting)
+        clipped_rows = count_clipped_rows(monkeypatch)
         clip_sizes = Counter()
         for boxes, centers, sides, heights, on_edge in calls:
             clipped_rows.clear()
@@ -162,18 +167,23 @@ class TestCropScores:
                 for s, side in enumerate(sides):
                     hs = 0.5 * side
                     bounds = (center[0] - hs, center[1] - hs, center[0] + hs, center[1] + hs)
-                    clip_sizes[len(_clip_to_box(oriented_box_footprint(box), *bounds))] += 1
+                    quad = oriented_box_footprint(box)
+                    clip_sizes[len(clip_to_box(quad, *bounds))] += 1
+                    assert xy[r, s] == footprint_ioi(quad, box.width * box.depth, *bounds)
                     for h, height in enumerate(heights):
                         ref = ioi(box, Aabb3(center=center, side=side, height=height))
                         assert xy[r, s] == ref.ioi_xy
                         assert z[r, h] == ref.ioi_z
                         assert xy[r, s] * z[r, h] == ref.ioi_3d
             if on_edge:
-                # corners on the crop's edges: whole, with no clip pass
+                # corners on the crop's edges: whole, with no clip pass in
+                # crop_scores or in ioi()
                 assert clipped_rows == [] and xy.tolist() == [[1.0], [1.0]]
             elif on_edge is False:
-                # one ulp outside: every row clipped, to a sliver less than whole
-                assert clipped_rows == [2] * 4 and np.all(xy < 1.0)
+                # one ulp outside: every row clipped, to a sliver less than
+                # whole; crop_scores clips both rows in one call (four passes
+                # of 2 rows), then ioi() clips one row per crop
+                assert clipped_rows == [2] * 4 + [1] * 8 and np.all(xy < 1.0)
         # the batch covered empty clips and clips of 5 or more vertices
         assert clip_sizes[0] > 0 and sum(n for k, n in clip_sizes.items() if k >= 5) > 0
 
@@ -183,7 +193,7 @@ class TestCropScores:
         far = OrientedBox3(center=(5.0, 5.0, 0.5), width=0.5, depth=0.4, height=1.0, yaw=0.3)
         centers = [np.array([[0.0, 0.0, 0.5], [0.3, 0.1, 0.5]]), np.array([[0.0, 0.0, 0.5]])]
         xy, z = crop_scores([diamond, far], centers, [0.9, 1.2], [1.0])
-        assert len(_clip_to_box(oriented_box_footprint(diamond), -0.45, -0.45, 0.45, 0.45)) == 8
+        assert len(clip_to_box(oriented_box_footprint(diamond), -0.45, -0.45, 0.45, 0.45)) == 8
         for r, (box, center) in enumerate([(diamond, centers[0][0]), (diamond, centers[0][1]), (far, centers[1][0])]):
             for s, side in enumerate([0.9, 1.2]):
                 assert xy[r, s] == ioi(box, Aabb3(center=center, side=side, height=1.0)).ioi_xy
@@ -253,25 +263,23 @@ class TestMonteCarloAgreement:
 class TestIoU3D:
     def test_identical_boxes(self):
         box = OrientedBox3(center=(1, 2, 0.5), width=0.8, depth=0.6, height=1.1, yaw=0.9)
-        assert iou_3d(box, box) == pytest.approx(1.0, abs=1e-12)
+        assert iou_3d([(box, box)]) == pytest.approx([1.0], abs=1e-12)
 
     def test_disjoint_heights(self):
         a = OrientedBox3(center=(0, 0, 0.5), width=1, depth=1, height=1, yaw=0.0)
         b = OrientedBox3(center=(0, 0, 5.0), width=1, depth=1, height=1, yaw=0.0)
-        assert iou_3d(a, b) == 0.0
+        assert iou_3d([(a, b)]) == [0.0]
 
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(55)
-        for _ in range(300):
-            a_box, _ = random_pair(rng)
-            b_box, _ = random_pair(rng)
-            assert iou_3d(a_box, b_box) == pytest.approx(iou_3d(b_box, a_box), abs=1e-12)
+        pairs = [(random_pair(rng)[0], random_pair(rng)[0]) for _ in range(300)]
+        assert iou_3d(pairs) == pytest.approx(iou_3d([(b, a) for a, b in pairs]), abs=1e-12)
 
     def test_axis_aligned_half_overlap_closed_form(self):
         a = OrientedBox3(center=(0, 0, 0.5), width=2, depth=2, height=1, yaw=0.0)
         b = OrientedBox3(center=(1, 0, 0.5), width=2, depth=2, height=1, yaw=0.0)
         # intersection 1x2x1 = 2, union 4 + 4 - 2 = 6
-        assert iou_3d(a, b) == pytest.approx(2.0 / 6.0, abs=1e-12)
+        assert iou_3d([(a, b)]) == pytest.approx([2.0 / 6.0], abs=1e-12)
 
     @pytest.mark.parametrize(
         "a, b, expected",
@@ -315,22 +323,13 @@ class TestIoU3D:
         ],
     )
     def test_hand_cases(self, a, b, expected):
-        assert iou_3d(a, b) == pytest.approx(expected, abs=1e-12)
+        assert iou_3d([(a, b)]) == pytest.approx([expected], abs=1e-12)
 
     def test_footprints_beyond_reach_skip_the_clip(self, monkeypatch):
         # pairs whose centre distance lies within 1e-15 to 1e-3 (relative) of
         # the sum of the half-diagonals, on both sides; the clipping path
-        # (the reference below) decides every pair, and only pairs within
-        # reach may clip
-        def clipped(a, b):
-            dz = min(a.z_interval[1], b.z_interval[1]) - max(a.z_interval[0], b.z_interval[0])
-            c, s = math.cos(a.yaw), math.sin(a.yaw)
-            ax, ay = float(a.center[0]), float(a.center[1])
-            quad = [(c * (x - ax) + s * (y - ay), c * (y - ay) - s * (x - ax)) for x, y in oriented_box_footprint(b)]
-            hw, hd = 0.5 * a.width, 0.5 * a.depth
-            inter = _polygon_area(_clip_to_box(quad, -hw, -hd, hw, hd)) * dz
-            return _clamp01(inter / (a.volume + b.volume - inter))
-
+        # (the reference, told to clip every pair) decides every pair, and
+        # only the rows of pairs within reach may reach the clipper
         rng = np.random.default_rng(2024)
         pairs = []
         for i in range(2000):
@@ -348,12 +347,66 @@ class TestIoU3D:
             )
             within = math.hypot(b.center[0] - a.center[0], b.center[1] - a.center[1]) <= reach
             pairs.append((a, b, within))
-        want = [clipped(a, b) for a, b, _ in pairs]
-        clips = []
-        monkeypatch.setattr(ioi_module, "_clip_to_box", lambda *args: clips.append(1) or _clip_to_box(*args))
-        assert [iou_3d(a, b) for a, b, _ in pairs] == want
-        assert len(clips) == sum(within for _, _, within in pairs)
-        assert 0 < len(clips) < len(pairs)
+        want = [iou_3d_one(a, b, clip=True) for a, b, _ in pairs]
+        clipped_rows = count_clipped_rows(monkeypatch)
+        assert iou_3d([(a, b) for a, b, _ in pairs]) == want
+        n_within = sum(within for _, _, within in pairs)
+        # the pairs within reach are clipped together: four passes over their rows
+        assert clipped_rows == [n_within] * 4
+        assert 0 < n_within < len(pairs)
+
+    def test_equals_the_scalar_reference_bit_for_bit(self):
+        """On 12,000 random pairs, overlapping, apart in xy or in z, each IoU has the reference's bits."""
+        rng = np.random.default_rng(4242)
+        pairs = []
+        for _ in range(12_000):
+            a, _ = random_pair(rng)
+            b = OrientedBox3(
+                center=a.center + rng.uniform([-2, -2, -1.5], [2, 2, 1.5]),
+                width=rng.uniform(0.2, 2.0), depth=rng.uniform(0.2, 2.0), height=rng.uniform(0.2, 2.0),
+                yaw=rng.uniform(-np.pi, np.pi),
+            )
+            pairs.append((a, b))
+        got = iou_3d(pairs)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [iou_3d_one(a, b).hex() for a, b in pairs]
+        # the draw covers partial overlaps and zeros
+        assert sum(0.0 < v < 1.0 for v in got) > 2500 and got.count(0.0) > 2500
+
+    def test_crafted_pairs(self, monkeypatch):
+        """z-disjoint, beyond reach, at reach exactly, identical and touching pairs in one call."""
+        unit = dict(width=1.0, depth=1.0, height=1.0)
+        a = OrientedBox3(center=(0.0, 0.0, 0.5), yaw=0.0, **unit)
+        turned = OrientedBox3(center=(0.3, -0.2, 0.5), width=1.2, depth=0.7, height=0.9, yaw=0.8)
+        # 3-4-5 boxes: centres 5 apart, half-diagonals 2.5 each, so the
+        # distance equals the reach exactly; the footprints meet at a corner
+        wide = dict(width=3.0, depth=4.0, height=1.0, yaw=0.0)
+        at_reach = (OrientedBox3(center=(0.0, 0.0, 0.5), **wide), OrientedBox3(center=(3.0, 4.0, 0.5), **wide))
+        assert math.hypot(3.0, 4.0) == 0.5 * math.hypot(3.0, 4.0) + 0.5 * math.hypot(3.0, 4.0) == 5.0
+        # (pair, reaches the clipper, IoU)
+        cases = [
+            ((a, OrientedBox3(center=(0.0, 0.0, 2.5), yaw=0.0, **unit)), False, 0.0),  # z-disjoint
+            ((a, OrientedBox3(center=(0.2, 0.1, 1.5), yaw=0.3, **unit)), False, 0.0),  # z faces touch: dz = 0
+            ((a, OrientedBox3(center=(1.5, 0.0, 0.5), yaw=0.0, **unit)), False, 0.0),  # beyond reach (sqrt 2)
+            (at_reach, True, 0.0),
+            ((turned, turned), True, None),  # identical
+            ((a, OrientedBox3(center=(1.0, 0.0, 0.5), yaw=0.0, **unit)), True, 0.0),  # xy faces touch
+            ((a, OrientedBox3(center=(0.5, 0.0, 0.5), yaw=0.0, **unit)), True, 1.0 / 3.0),  # half overlap
+        ]
+        clipped_rows = count_clipped_rows(monkeypatch)
+        got = iou_3d([pair for pair, _, _ in cases])
+        assert [v.hex() for v in got] == [iou_3d_one(*pair).hex() for pair, _, _ in cases]
+        for v, (_, _, expected) in zip(got, cases):
+            assert v == pytest.approx(1.0 if expected is None else expected, abs=1e-12)
+        assert clipped_rows == [sum(clips for _, clips, _ in cases)] * 4
+
+    def test_no_pairs_and_no_clip(self, monkeypatch):
+        clipped_rows = count_clipped_rows(monkeypatch)
+        far = OrientedBox3(center=(9.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
+        near = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=1.0, height=1.0, yaw=0.0)
+        assert iou_3d([]) == []
+        assert iou_3d([(near, far), (far, near)]) == [0.0, 0.0]
+        assert clipped_rows == []
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(91)
@@ -374,7 +427,7 @@ class TestIoU3D:
             )
             est, stderr = mc_intersection_volume(a, b, n_samples=100_000, seed=400 + trial)
             union = a.volume + b.volume - est
-            got = iou_3d(a, b)
+            [got] = iou_3d([(a, b)])
             # propagate the MC error through the ratio loosely
             tol = 4.0 * (stderr / max(union, 1e-9)) * (1.0 + got) + 1e-9
             assert abs(got - est / union) <= tol, f"trial {trial}"
