@@ -295,7 +295,13 @@ class SizeSearchConfig:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One recall-curve sample at a (subdivision, center mode, crop size) point."""
+    """One recall-curve sample at a (subdivision, center mode, crop size) point.
+
+    ``bound`` is the per-crop lower bound on ``recall_volume``
+    (``recall_xy + recall_z - 1``, floored at 0). Each axis's recall takes
+    its own best candidate, so ``bound_satisfied`` can read 0 when an
+    object's best-footprint and best-vertical candidates differ.
+    """
 
     fr: int
     fc: int
@@ -404,7 +410,8 @@ def recall_curves(
     best product - the same candidate best_cropbox would pick. Curves are
     therefore non-decreasing in side at fixed height and vice versa.
     Recalls, bound and bound_satisfied come from a RecallReport over the
-    integer counts, tallied over score_samples' batches.
+    integer counts, tallied over score_samples' batches; the bound holds
+    per crop, not for these per-axis maxima (see CurvePoint).
 
     Objects whose subfrustums are all empty count as permanent misses.
     """

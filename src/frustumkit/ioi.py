@@ -7,15 +7,17 @@ vertical extrusions of their square footprint, the 3D ratio factors exactly
 into a footprint term and a height term, and per-axis positivity thresholds
 multiply into a volume positivity threshold.
 
-``ioi()`` scores one crop; ``crop_scores`` scores many boxes against their
-candidate crops in one vectorized pass with the same arithmetic, so each of
-its entries equals what ``ioi()`` reports. Both take a box's corners from
-``geometry.footprint_corners`` (one box at a time, or all boxes in one array
-call). ``iou_3d`` scores many pairs of boxes in one call, each in its first
-box's frame. All three clip a box footprint to a rectangle with the one
-clipper, ``_clipped_areas``: four axis passes of ``_clip_pass`` over many
-rows at once, then the shoelace area. The polygon clipping and areas of the
-package live here.
+``crop_scores`` scores many boxes against their candidate crops in one
+vectorized pass, by one footprint rule (``_footprint_iois``) and one
+vertical rule (``_z_iois``). ``ioi()`` scores one crop by the same two
+rules, and settles on its own only a footprint whole in the crop, so each
+entry of ``crop_scores`` equals what ``ioi()`` reports. Both take a box's
+corners from ``geometry.footprint_corners`` (one box at a time, or all boxes
+in one array call). ``iou_3d`` scores many pairs of boxes in one call, each
+in its first box's frame. All three clip a box footprint to a rectangle with
+the one clipper, ``_clipped_areas``: four axis passes of ``_clip_pass`` over
+many rows at once, then the shoelace area. The polygon clipping and areas of
+the package live here.
 """
 
 from __future__ import annotations
@@ -118,30 +120,17 @@ def _clipped_areas(
     return np.where(n >= 3, np.abs(acc) * 0.5, 0.0)
 
 
-def _footprint_ioi(
-    quad: Sequence[tuple[float, float]], box_area: float, crop_cx: float, crop_cy: float, side: float
-) -> float:
-    hs = 0.5 * side
-    x_min, x_max = crop_cx - hs, crop_cx + hs
-    y_min, y_max = crop_cy - hs, crop_cy + hs
-    # fast path: every corner inside the crop -> the whole footprint survives
-    if all(x_min <= x <= x_max and y_min <= y <= y_max for x, y in quad):
-        return 1.0
-    px, py = np.array(quad).T[:, None]  # one row of four x and of four y
-    area = _clipped_areas(px, py, *np.array([[x_min], [y_min], [x_max], [y_max]]))
-    return _clamp01(float(area[0]) / box_area)
-
-
 def _footprint_iois(
     qx: np.ndarray, qy: np.ndarray, box_areas: np.ndarray, row_box: np.ndarray,
     crop_cx: np.ndarray, crop_cy: np.ndarray, sides: np.ndarray,
 ) -> np.ndarray:
-    # _footprint_ioi on every row at once: row r scores box row_box[r], whose
-    # corners are qx[b], qy[b] (four each) and area box_areas[b], against
-    # the crop at (crop_cx[r], crop_cy[r]) with side sides[r]. The same fast
-    # path, clipper and clamp, so each entry equals the one-box result.
-    # Every corner lies inside a crop exactly when the corners' extents do,
-    # so the fast path compares four extents per row.
+    # The footprint IoI of every row at once: row r scores box row_box[r],
+    # whose corners are qx[b], qy[b] (four each) and area box_areas[b],
+    # against the crop at (crop_cx[r], crop_cy[r]) with side sides[r]. A
+    # footprint whole in its crop scores 1.0 without a clip: every corner
+    # lies inside a crop exactly when the corners' extents do, so that
+    # check compares four extents per row. The other rows are clipped
+    # together, and their area ratio is clamped to 1.
     hs = 0.5 * sides
     x_min, x_max = crop_cx - hs, crop_cx + hs
     y_min, y_max = crop_cy - hs, crop_cy + hs
@@ -161,19 +150,36 @@ def _footprint_iois(
     return out
 
 
+def _z_iois(b_lo, b_hi, box_h, crop_z, heights):
+    # The vertical IoI: the share of a box's z-interval [b_lo, b_hi], of
+    # height box_h, inside the crop centred at crop_z with height heights;
+    # 0.0 where they do not overlap. Floats, or arrays that broadcast
+    # together (crop_scores passes columns of rows against a row of heights).
+    half = 0.5 * heights
+    overlap = np.minimum(b_hi, crop_z + half) - np.maximum(b_lo, crop_z - half)
+    ratio = overlap / box_h
+    return np.where(overlap <= 0.0, 0.0, np.where(ratio > 1.0, 1.0, ratio))
+
+
 def ioi(box: OrientedBox3, crop: Aabb3) -> IoiBreakdown:
     """Full IoI breakdown of a ground-truth box against an axis-aligned crop.
 
     The volume ratio is stored as the exact product of the two factor ratios,
-    which is what makes per-axis threshold products meaningful.
+    which is what makes per-axis threshold products meaningful. Both ratios
+    come from crop_scores' rules (``_footprint_iois`` scoring one row, and
+    ``_z_iois``); only a footprint whole in the crop is settled here, in
+    Python floats, without building a row.
     """
     quad = oriented_box_footprint(box)
-    xy = _footprint_ioi(quad, box.width * box.depth, float(crop.center[0]), float(crop.center[1]), crop.side)
-    # vertical extent: the share of the box's z-interval inside the crop's
-    b_lo, b_hi = box.z_interval
-    crop_cz = float(crop.center[2])
-    overlap = min(b_hi, crop_cz + 0.5 * crop.height) - max(b_lo, crop_cz - 0.5 * crop.height)
-    z = 0.0 if overlap <= 0.0 else _clamp01(overlap / box.height)
+    cx, cy, cz = crop.center.tolist()
+    hs = 0.5 * crop.side
+    if all(cx - hs <= x <= cx + hs and cy - hs <= y <= cy + hs for x, y in quad):
+        xy = 1.0
+    else:
+        px, py = np.array(quad).T[:, None]  # one row of four x and of four y
+        row = np.array([[box.width * box.depth], [cx], [cy], [crop.side]])
+        xy = float(_footprint_iois(px, py, row[0], np.zeros(1, np.intp), *row[1:])[0])
+    z = float(_z_iois(*box.z_interval, box.height, cz, crop.height))
     return IoiBreakdown(ioi_xy=xy, ioi_z=z, ioi_3d=xy * z)
 
 
@@ -189,12 +195,12 @@ def crop_scores(
     box, then center by center: with row r standing for center c of its box,
     xy[r, s] is the footprint IoI of the crop at c with side sides[s], and
     z[r, h] the vertical IoI of the one with height heights[h]. The crop
-    (c, sides[s], heights[h]) has volume IoI xy[r, s] * z[r, h]: each entry is
-    exactly what ioi() reports for it. All rows are scored in one vectorized
-    pass, so callers batch many boxes per call: every box's footprint corners
-    (``footprint_corners`` on arrays), area and z-interval are built once per
-    call, and only the rows whose footprint is not whole in its crop are
-    clipped.
+    (c, sides[s], heights[h]) has volume IoI xy[r, s] * z[r, h], and ioi()
+    reports these exact values: it scores by the same rules. All rows are
+    scored in one vectorized pass, so callers batch many boxes per call:
+    every box's footprint corners (``footprint_corners`` on arrays), area and
+    z-interval are built once per call, and only the rows whose footprint is
+    not whole in its crop are clipped.
     """
     sides = np.asarray(sides, dtype=np.float64)
     heights = np.asarray(heights, dtype=np.float64)
@@ -206,8 +212,8 @@ def crop_scores(
     n_rows, n_sides = len(crop), len(sides)
 
     # every box's footprint corners, area and z-interval in one array pass:
-    # footprint_corners and ioi()'s arithmetic on arrays of the box fields,
-    # one contiguous row per field
+    # footprint_corners and box.z_interval's arithmetic on arrays of the box
+    # fields, one contiguous row per field
     center = np.array([b.center for b in boxes]).reshape(-1, 3)
     fields = np.array([(b.width, b.depth, b.height, b.yaw) for b in boxes], dtype=np.float64)
     w, d, h, yaw = fields.reshape(-1, 4).T.copy()
@@ -219,14 +225,9 @@ def crop_scores(
         np.tile(sides, n_rows),
     ).reshape(n_rows, n_sides)
 
-    # ioi()'s z rule, broadcast over (row, height)
     half = 0.5 * h
     b_lo, b_hi = (center[:, 2] - half)[owner, None], (center[:, 2] + half)[owner, None]
-    c_lo, c_hi = crop[:, 2, None] - 0.5 * heights, crop[:, 2, None] + 0.5 * heights
-    overlap = np.minimum(b_hi, c_hi) - np.maximum(b_lo, c_lo)
-    ratio = overlap / h[owner, None]
-    z = np.where(overlap <= 0.0, 0.0, np.where(ratio > 1.0, 1.0, ratio))
-    return xy, z
+    return xy, _z_iois(b_lo, b_hi, h[owner, None], crop[:, 2, None], heights)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,8 @@ class RecallReport:
     @property
     def bound_satisfied(self) -> bool:
         # integer form of recall_volume >= recall_xy + recall_z - 1, immune to
-        # float rounding in the division
+        # float rounding in the division. It holds per crop, as
+        # recall_from_breakdowns counts, not for recall_curves' per-axis maxima
         return self.n_pos_volume >= max(0, self.n_pos_xy + self.n_pos_z - self.n_total)
 
 

@@ -1,4 +1,4 @@
-"""Scalar reference for the polygon clipper and 3D IoU, one polygon at a time.
+"""Scalar reference for the polygon clipper, 3D IoU and the vertical IoI, one polygon at a time.
 
 frustumkit clips every footprint with one batched clipper
 (``ioi._clipped_areas``, four ``_clip_pass`` passes over many rows at once).
@@ -98,3 +98,10 @@ def footprint_ioi(
     if all(x_min <= x <= x_max and y_min <= y <= y_max for x, y in quad):
         return 1.0
     return clamp01(polygon_area(clip_to_box(quad, x_min, y_min, x_max, y_max)) / box_area)
+
+
+def z_ioi(box: OrientedBox3, crop_z: float, height: float) -> float:
+    """Share of the box's z-interval inside the crop centred at crop_z with the given height."""
+    b_lo, b_hi = box.z_interval
+    overlap = min(b_hi, crop_z + 0.5 * height) - max(b_lo, crop_z - 0.5 * height)
+    return 0.0 if overlap <= 0.0 else clamp01(overlap / box.height)

@@ -798,6 +798,11 @@ def test_netshape_forward_rejects_big_grids(capsys, no_count_draw):
     assert err == "frustumkit netshape: forward_naive is capped at 32^3 grids; got dims (198, 198, 102)\n"
 
 
+def test_netshape_check_rejects_zero_categories(capsys):
+    assert main(["netshape", "check", "--scale", "medium_tall", "--categories", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "frustumkit netshape: n_categories must be >= 1\n"
+
+
 # --- dhs -----------------------------------------------------------------------------------
 
 

@@ -55,8 +55,9 @@ class TestRangeImage:
                 lambda: DhsImage(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2))),
                 "channels must share one shape",
             ),
+            (lambda: DhsImage(np.zeros(3), np.zeros((1, 3)), np.zeros((1, 3))), "channel d must be 2D"),
         ],
-        ids=["range-image-1d", "dhs-channel-shapes-differ"],
+        ids=["range-image-1d", "dhs-channel-shapes-differ", "dhs-channel-1d"],
     )
     def test_array_shapes_rejected(self, make, message):
         with pytest.raises(GeometryError, match=f"^{message}$"):

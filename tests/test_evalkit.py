@@ -140,6 +140,10 @@ class TestAveragePrecision:
     def test_no_gt_with_detections_gives_zero(self):
         assert average_precision([(0.9, False)], 0) == 0.0
 
+    def test_negative_gt_count_rejected(self):
+        with pytest.raises(GeometryError, match="^n_gt must be >= 0$"):
+            average_precision([(0.9, True)], -1)
+
     def test_relabeling_fp_to_tp_never_decreases_ap(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

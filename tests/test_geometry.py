@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frustumkit import geometry
@@ -673,10 +673,13 @@ class TestClipping:
 
 class TestYawNormalization:
     @given(st.floats(-50.0, 50.0))
+    @example(np.nextafter(-math.pi, -math.inf))  # the modulo lands on +pi, which wraps to -pi
     @settings(max_examples=200, deadline=None)
     def test_wraps_into_canonical_interval(self, yaw):
         w = normalize_yaw(yaw)
         assert -math.pi <= w < math.pi
+        if yaw == np.nextafter(-math.pi, -math.inf):
+            assert w == -math.pi
         # same heading up to 2*pi
         assert math.isclose(math.cos(w), math.cos(yaw), abs_tol=1e-9)
         assert math.isclose(math.sin(w), math.sin(yaw), abs_tol=1e-9)

@@ -24,7 +24,7 @@ from frustumkit.ioi import (
     recall_lower_bound,
 )
 
-from clip_reference import clip_to_box, footprint_ioi, iou_3d_one
+from clip_reference import clip_to_box, footprint_ioi, iou_3d_one, z_ioi
 
 
 def random_pair(rng) -> tuple[OrientedBox3, Aabb3]:
@@ -89,6 +89,9 @@ class TestWorkedSquares:
         a = Rect2(-0.5, -0.5, 0.5, 0.5)
         region = Rect2(-1.5, -1.5, 1.5, 1.5)
         assert iou_2d(a, region) == iou_2d(region, a)
+        # rects sharing only a corner, or nothing, have no intersection
+        for other in (Rect2(0.5, 0.5, 1.5, 1.5), Rect2(2.0, 2.0, 3.0, 3.0)):
+            assert iou_2d(a, other) == iou_2d(other, a) == 0.0
         # reversing roles: a crop-sized box against a box-sized crop
         big_box = OrientedBox3(center=(0, 0, 0.5), width=3.0, depth=3.0, height=1.0, yaw=0.0)
         small_crop = Aabb3(center=(0, 0, 0.5), side=1.0, height=1.0)
@@ -128,10 +131,14 @@ class TestFactorization:
         with pytest.raises(AssertionError):
             IoiBreakdown(ioi_xy=0.5, ioi_z=0.5, ioi_3d=0.3)
 
+    def test_breakdown_rejects_a_ratio_outside_the_unit_interval(self):
+        with pytest.raises(AssertionError, match=r"^ioi_xy = 1\.5 outside \[0, 1\]$"):
+            IoiBreakdown(ioi_xy=1.5, ioi_z=1.0, ioi_3d=1.5)
+
 
 class TestCropScores:
     def test_every_entry_equals_the_per_pair_oracle(self, monkeypatch):
-        """Over several boxes per call, xy, z and their product equal ioi() on the crop each entry stands for."""
+        """Over several boxes per call, xy, z and their product equal ioi() and the scalar reference on each crop."""
         rng = np.random.default_rng(31)
         calls = []
         for _ in range(40):
@@ -156,9 +163,15 @@ class TestCropScores:
             calls.append((boxes, [b.center[None] for b in boxes], [2.0], [1.0], on_edge))
 
         clipped_rows = count_clipped_rows(monkeypatch)
+        scored_rows = []  # rows of each _footprint_iois call
+        footprint_iois = ioi_module._footprint_iois
+        monkeypatch.setattr(
+            ioi_module, "_footprint_iois", lambda *a: scored_rows.append(len(a[-1])) or footprint_iois(*a)
+        )
         clip_sizes = Counter()
         for boxes, centers, sides, heights, on_edge in calls:
             clipped_rows.clear()
+            scored_rows.clear()
             xy, z = crop_scores(boxes, centers, sides, heights)
             n_rows = sum(len(c) for c in centers)
             assert xy.shape == (n_rows, len(sides)) and z.shape == (n_rows, len(heights))
@@ -171,19 +184,22 @@ class TestCropScores:
                     clip_sizes[len(clip_to_box(quad, *bounds))] += 1
                     assert xy[r, s] == footprint_ioi(quad, box.width * box.depth, *bounds)
                     for h, height in enumerate(heights):
+                        assert z[r, h] == z_ioi(box, float(center[2]), height)
                         ref = ioi(box, Aabb3(center=center, side=side, height=height))
                         assert xy[r, s] == ref.ioi_xy
                         assert z[r, h] == ref.ioi_z
                         assert xy[r, s] * z[r, h] == ref.ioi_3d
             if on_edge:
                 # corners on the crop's edges: whole, with no clip pass in
-                # crop_scores or in ioi()
+                # crop_scores or in ioi(), and no footprint row in ioi()
                 assert clipped_rows == [] and xy.tolist() == [[1.0], [1.0]]
+                assert scored_rows == [2]
             elif on_edge is False:
                 # one ulp outside: every row clipped, to a sliver less than
                 # whole; crop_scores clips both rows in one call (four passes
                 # of 2 rows), then ioi() clips one row per crop
                 assert clipped_rows == [2] * 4 + [1] * 8 and np.all(xy < 1.0)
+                assert scored_rows == [2, 1, 1]
         # the batch covered empty clips and clips of 5 or more vertices
         assert clip_sizes[0] > 0 and sum(n for k, n in clip_sizes.items() if k >= 5) > 0
 

@@ -25,6 +25,8 @@ from frustumkit.manifest import (
     ManifestFrame,
     ManifestObject,
     load_detections,
+    load_manifest,
+    manifest_to_json,
     parse_json,
     record_from_json,
     record_to_json,
@@ -47,9 +49,11 @@ RECORD_TYPES = (CameraIntrinsics, RigidTransform, OrientedBox3, ManifestObject, 
 
 def _bits(value: object) -> object:
     """A value as comparable bits: floats by their IEEE bytes, arrays by dtype,
-    shape and bytes, records field by field."""
+    shape and bytes, records field by field, tuples entry by entry."""
     if dataclasses.is_dataclass(value):
         return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, float):
@@ -83,6 +87,19 @@ def test_a_detections_file_written_by_record_to_json_loads_back(tmp_path):
     manifest = Manifest(root=tmp_path, categories=("chair", "table"), anchors_path=None, frames=(frame,) * 3)
     loaded = load_detections(path, manifest)
     assert [[_bits(d) for d in f] for f in loaded] == [[_bits(d) for d in f] for f in frames]
+
+
+def test_a_manifest_written_by_manifest_to_json_loads_back(tmp_path):
+    """Every key manifest_to_json writes, the optional anchors and range image included, loads back."""
+    root = tmp_path.resolve()
+    for name in ("cloud.bin", "frame.rng", "anchors.csv"):
+        (root / name).write_bytes(b"")
+    frame = ManifestFrame(root / "cloud.bin", root / "frame.rng", INTRINSICS, POSE, (RECORDS["manifest-object"],))
+    manifest = Manifest(root, ("chair", "table"), anchors_path=root / "anchors.csv", frames=(frame,) * 2)
+    path = root / "manifest.json"
+    path.write_text(manifest_to_json(manifest))
+    assert json.loads(path.read_text())["anchors"] == "anchors.csv"
+    assert _bits(load_manifest(path)) == _bits(manifest)
 
 
 @pytest.mark.parametrize(

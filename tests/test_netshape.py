@@ -86,6 +86,10 @@ class TestPropagate:
         with pytest.raises(ShapePlanError, match="layer 0"):
             propagate((2, 2, 2, 1), [LayerSpec("conv3d", kernel=3, channels_out=1, padding="valid")])
 
+    def test_input_shape_needs_four_entries(self):
+        with pytest.raises(ShapePlanError, match=re.escape("4 positive ints (x, y, z, c), got (8, 8, 8)")):
+            propagate((8, 8, 8), [LayerSpec("dropout")])
+
     def test_dense_before_reduce_errors(self):
         with pytest.raises(ShapePlanError, match="dense"):
             propagate((4, 4, 4, 1), [LayerSpec("dense", channels_out=7)])
@@ -239,6 +243,12 @@ class TestForwardNaive:
         plan = propagate((16, 16, 16, 1), default_layers(1))
         with pytest.raises(ShapePlanError, match="do not match"):
             forward_naive(make_grid((8, 8, 8)), plan, weights_seed=0)
+
+    def test_weight_count_must_match_plan(self):
+        plan = propagate((8, 8, 8, 1), default_layers(1))
+        weights = init_weights(plan, seed=0)[:-1]
+        with pytest.raises(ShapePlanError, match="^expected 14 weight entries, got 13$"):
+            forward_with_weights(make_grid((8, 8, 8)), plan, weights)
 
     def test_single_conv_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
