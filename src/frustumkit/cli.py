@@ -61,7 +61,6 @@ from .geometry import CENTER_MODES, project_cloud, read_cloud_binary, write_clou
 from .head import (
     Anchor,
     HeadVector,
-    LossWeights,
     compute_anchors,
     decode,
     encode,
@@ -349,7 +348,6 @@ def _cmd_encode_check(args: argparse.Namespace) -> int:
             worst_round_trip = max(worst_round_trip, err)
             n_checked += 1
     rng = np.random.default_rng(args.seed)
-    weights = LossWeights()
     worst_fd = 0.0
     for _ in range(args.fd_cases):
         vecs = []
@@ -367,7 +365,7 @@ def _cmd_encode_check(args: argparse.Namespace) -> int:
                     lh=float(rng.normal(0.0, 0.5)),
                 )
             )
-        worst_fd = max(worst_fd, fd_check(vecs[0], vecs[1], weights))
+        worst_fd = max(worst_fd, fd_check(vecs[0], vecs[1]))
     print(
         f"encode-check: {n_checked} objects round-trip (max abs error {worst_round_trip:.3g}), "
         f"{n_skipped} skipped with center outside crop; "
@@ -585,6 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
+        p.allow_abbrev = False  # one spelling per flag: a prefix is an unknown argument
     return parser
 
 

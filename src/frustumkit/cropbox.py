@@ -44,7 +44,6 @@ from .ioi import IoiBreakdown, RecallReport, crop_scores, ioi, validate_threshol
 class ScaleSpec:
     """One scale class: crop extent in meters and its voxel grid dimensions."""
 
-    name: str
     crop_side: float
     crop_height: float
     grid: tuple[int, int, int]
@@ -62,10 +61,10 @@ class ScaleSpec:
 #: The four supported scale classes. Grid dims keep cells near isotropic and
 #: even-sized for strided convolutions; tall objects trade footprint for height.
 SCALE_SPECS: dict[str, ScaleSpec] = {
-    "small_short": ScaleSpec("small_short", crop_side=1.6, crop_height=1.5, grid=(198, 198, 102)),
-    "medium_short": ScaleSpec("medium_short", crop_side=3.2, crop_height=1.7, grid=(198, 198, 102)),
-    "large_short": ScaleSpec("large_short", crop_side=4.8, crop_height=2.2, grid=(198, 198, 102)),
-    "medium_tall": ScaleSpec("medium_tall", crop_side=2.8, crop_height=3.0, grid=(134, 134, 134)),
+    "small_short": ScaleSpec(crop_side=1.6, crop_height=1.5, grid=(198, 198, 102)),
+    "medium_short": ScaleSpec(crop_side=3.2, crop_height=1.7, grid=(198, 198, 102)),
+    "large_short": ScaleSpec(crop_side=4.8, crop_height=2.2, grid=(198, 198, 102)),
+    "medium_tall": ScaleSpec(crop_side=2.8, crop_height=3.0, grid=(134, 134, 134)),
 }
 
 #: Class boundaries in meters on (max of average width/depth, average height).
@@ -146,8 +145,7 @@ def candidate_centers(
     ascending cloud index starting from 0.0, and a median is the value a
     stable sort puts in the middle, so of equal values (0.0 and -0.0) point
     order decides. A 1x1 split is the rect itself: its one row comes
-    straight from rect_points, with no band lookup and no tile bins, and
-    its median is selected (np.partition), not sorted.
+    straight from rect_points, with no band lookup and no tile bins.
 
     ``projection`` is a project_cloud of this very cloud, camera and pose (by
     identity), so that the objects of one frame share one projection;
@@ -170,15 +168,9 @@ def candidate_centers(
         # the axis-0 sum adds the points in point order from 0.0, as the tile bins below do
         if mode == "average":
             return inside.sum(axis=0, keepdims=True) / point.size
-        # selection picks the stable sort's value; of 0.0 and -0.0 it may pick
-        # either, where the stable sort takes the column's (middle - negatives)-th
-        # zero in point order
-        middle = (point.size - 1) // 2
-        center = np.partition(inside, middle, axis=0)[[middle]]
-        for c in np.flatnonzero(center[0] == 0):
-            column = inside[:, c]
-            center[0, c] = column[np.flatnonzero(column == 0)[middle - np.count_nonzero(column < 0)]]
-        return center
+        columns = inside.T.copy()  # each coordinate contiguous for its sort
+        columns.sort(axis=1, kind="stable")
+        return columns[:, [(point.size - 1) // 2]].T
     n_tiles = fr * fc
     counts = np.bincount(tiles, minlength=n_tiles)
     full = counts.nonzero()[0]
@@ -438,8 +430,6 @@ def recall_curves(
         for si, side in enumerate(sides):
             for hi, height in enumerate(heights):
                 report = RecallReport(
-                    threshold_xy=cfg.threshold_xy,
-                    threshold_z=cfg.threshold_z,
                     n_total=len(dataset),
                     n_pos_xy=int(n_xy[ci, si]),
                     n_pos_z=int(n_z[ci, hi]),

@@ -157,6 +157,7 @@ class CategoryEval:
 class EvalReport:
     rows: tuple[CategoryEval, ...]
     # every matched pair, frame by frame, categories in name order within a frame
+    # (not set order, which PYTHONHASHSEED moves)
     iou_values: tuple[float, ...]  # IoU of each pair
     orientation_values: tuple[float, ...]  # orientation score of each pair
 

@@ -112,7 +112,7 @@ class HeadVector:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights: orientation, center, size."""
+    """Term weights: orientation, center, size; a one-hot weighting isolates one group's term."""
 
     w_orientation: float = 1.0
     w_center: float = 1.0

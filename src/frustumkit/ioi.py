@@ -348,8 +348,6 @@ def recall_lower_bound(recall_xy: float, recall_z: float) -> float:
 class RecallReport:
     """Positivity counts and recalls for a fixed set of (box, crop) pairs."""
 
-    threshold_xy: float
-    threshold_z: float
     n_total: int
     n_pos_xy: int
     n_pos_z: int
@@ -398,8 +396,6 @@ def recall_from_breakdowns(
     n_z = sum(1 for b in breakdowns if b.ioi_z >= threshold_z)
     n_vol = sum(1 for b in breakdowns if b.ioi_3d >= t3)
     report = RecallReport(
-        threshold_xy=threshold_xy,
-        threshold_z=threshold_z,
         n_total=len(breakdowns),
         n_pos_xy=n_xy,
         n_pos_z=n_z,

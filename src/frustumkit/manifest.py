@@ -63,13 +63,24 @@ def _float_sized_int(token: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_json(data: str | bytes, what: str) -> object:
-    """Strict json.loads: malformed text, non-UTF-8 bytes, NaN/Infinity tokens
-    and numbers that overflow a float all raise ManifestError."""
+    """Strict json.loads: malformed text, non-UTF-8 bytes, NaN/Infinity tokens,
+    numbers that overflow a float and an object that repeats a key all raise
+    ManifestError."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         return json.loads(
             text,
+            object_pairs_hook=_unique_keys,
             parse_constant=_reject_constant,
             parse_float=_finite_float,
             parse_int=_float_sized_int,

@@ -145,6 +145,14 @@ def test_bad_flag_value_is_usage_error(dataset, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_flag_prefix_is_usage_error(dataset, tmp_path, capsys):
+    """Each flag has one spelling: --man is not taken for --manifest, nor --dr for --drifts."""
+    out = tmp_path / "x.csv"
+    assert main(["stale-sweep", "--man", str(dataset), "--dr", "0,4", "--out", str(out)]) == EXIT_USAGE
+    assert "the following arguments are required: --manifest, --drifts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- gen-scenes ----------------------------------------------------------------
 
 
@@ -1034,6 +1042,28 @@ def test_manifest_rejects_bad_numbers(dataset, tmp_path, capsys, path, literal, 
     assert not (tmp_path / "a.csv").exists()
 
 
+def _repeat_first_yaw(text: str) -> bytes:
+    """The first box's "yaw" key given twice, the first time as 0.0; json.loads alone keeps the last."""
+    assert '"yaw": ' in text
+    return text.replace('"yaw": ', '"yaw": 0.0, "yaw": ', 1).encode()
+
+
+def test_manifest_rejects_a_repeated_key(dataset, tmp_path, capsys):
+    assert _run_anchors_on_manifest_text(dataset, tmp_path, _repeat_first_yaw(dataset.read_text())) == EXIT_IO
+    assert "is not valid JSON: duplicate key 'yaw'" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_evaluate_rejects_a_repeated_detection_key(dataset, perfect_detections, tmp_path, capsys):
+    dets = tmp_path / "dets.json"
+    dets.write_bytes(_repeat_first_yaw(perfect_detections.read_text()))
+    code = main(
+        ["evaluate", "--manifest", str(dataset), "--dets", str(dets), "--out-prefix", str(tmp_path / "e")]
+    )
+    assert code == EXIT_IO
+    assert f"detections file {dets} is not valid JSON: duplicate key 'yaw'" in capsys.readouterr().err
+
+
 def _record_key_errors(name: str, block: str, locate, missing: str) -> dict:
     """An unknown key, a missing key and a value that is not an object, each for
     the record that ``locate(data)`` names as ``(holder, key)``."""
@@ -1218,6 +1248,7 @@ def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
         (b'[{"kind": "conv3d", "channels_out": "8"}]', EXIT_USAGE, "conv3d requires a positive channels_out"),
         (b'[{"kernel": 2, "stride": 2}]', EXIT_IO, "layer entry: missing keys ['kind']"),
         (b'[{"kind": "dropout", "rate": 0.5}]', EXIT_IO, "layer entry: unknown keys ['rate']"),
+        (b'[{"kind": "conv3d", "kind": "dropout"}]', EXIT_IO, "layer list is not valid JSON: duplicate key 'kind'"),
         (b"[5]", EXIT_IO, "layer entry must be a JSON object"),
         (b'{"kind": "dropout"}', EXIT_IO, "layer list JSON must be a top-level array"),
         # too big for the naive forward pass: refused before anything is allocated
@@ -1251,6 +1282,7 @@ def test_evaluate_detections_not_utf8_is_io_error(dataset, tmp_path, capsys):
         "string-channels",
         "missing-kind",
         "unknown-key",
+        "repeated-key",
         "entry-not-object",
         "not-an-array",
         "forward-conv-kernel",

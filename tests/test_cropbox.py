@@ -317,7 +317,7 @@ class TestCentersInPointOrder:
             assert order_shows  # some tile's median is a zero whose sign only point order decides
 
     def test_one_by_one_median_zero_has_the_stable_sorts_sign(self):
-        """The 1x1 median selects its value, and a zero keeps the sign the stable sort gives it."""
+        """The 1x1 median is the stable sort's lower middle, so a zero keeps the sign point order gives it."""
         rng = np.random.default_rng(9)
         pose = RigidTransform.identity()
         rect = Rect2(0.0, 0.0, float(K.width), float(K.height))
@@ -363,7 +363,7 @@ class TestCentersInPointOrder:
 
 
 class TestBestCropbox:
-    SPEC = ScaleSpec("test", crop_side=1.0, crop_height=1.0, grid=(4, 4, 4))
+    SPEC = ScaleSpec(crop_side=1.0, crop_height=1.0, grid=(4, 4, 4))
 
     def test_single_candidate_matches_the_general_path(self):
         gt = OrientedBox3(center=(0.2, -0.1, 0.6), width=0.9, depth=0.7, height=0.8, yaw=0.4)
@@ -392,7 +392,7 @@ class TestBestCropbox:
 
     def test_tie_keeps_first_candidate(self):
         gt = OrientedBox3(center=(0.0, 0.0, 0.5), width=1.0, depth=0.25, height=1.0, yaw=0.0)
-        spec = ScaleSpec("tiny", crop_side=0.5, crop_height=1.0, grid=(2, 2, 2))
+        spec = ScaleSpec(crop_side=0.5, crop_height=1.0, grid=(2, 2, 2))
         candidates = [np.array([0.125, 0.0, 0.5]), np.array([-0.125, 0.0, 0.5])]
         crop, breakdown = best_cropbox(gt, candidates, spec)
         mirrored = ioi(gt, Aabb3(center=candidates[1], side=0.5, height=1.0))

@@ -114,7 +114,7 @@ def reference_recall_curves(dataset, cfg, mode) -> list[CurvePoint]:
                 n_z[hi] += max(row[hi] for row in z) >= cfg.threshold_z
         for si, side in enumerate(sides):
             for hi, height in enumerate(heights):
-                report = RecallReport(cfg.threshold_xy, cfg.threshold_z, len(dataset), n_xy[si], n_z[hi], n_vol[si][hi])
+                report = RecallReport(len(dataset), n_xy[si], n_z[hi], n_vol[si][hi])
                 points.append(
                     CurvePoint(
                         fr, fc, mode, side, height, report.recall_xy, report.recall_z, report.recall_volume,

@@ -443,7 +443,7 @@ class TestTileBands:
         assert tiles.tolist() == k.tolist() + (k * n).tolist()
         # the voxel grid over the same [0, 8]^3 puts each point in the cell of the same index
         crop = Aabb3(center=(4.0, 4.0, 4.0), side=8.0, height=8.0)
-        grid = voxelize(points, crop, ScaleSpec("d", 8.0, 8.0, (n, n, n)))
+        grid = voxelize(points, crop, ScaleSpec(8.0, 8.0, (n, n, n)))
         x, y, _ = np.unravel_index(grid.cells, grid.dims)
         assert sorted(zip(y.tolist(), x.tolist())) == sorted(divmod(t, n) for t in tiles.tolist())
 

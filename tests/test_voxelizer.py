@@ -23,7 +23,7 @@ from frustumkit.voxelizer import (
     write_voxel_grid,
 )
 
-SPEC = ScaleSpec("unit2", crop_side=2.0, crop_height=1.5, grid=(8, 8, 6))
+SPEC = ScaleSpec(crop_side=2.0, crop_height=1.5, grid=(8, 8, 6))
 CROP = Aabb3(center=(0.0, 0.0, 0.75), side=2.0, height=1.5)
 
 
@@ -41,20 +41,20 @@ class TestVoxelize:
         assert grid.total_points == expected
 
     def test_single_point_lands_in_its_cell(self):
-        spec = ScaleSpec("d", crop_side=2.0, crop_height=2.0, grid=(2, 2, 2))
+        spec = ScaleSpec(crop_side=2.0, crop_height=2.0, grid=(2, 2, 2))
         crop = Aabb3(center=(1.0, 1.0, 1.0), side=2.0, height=2.0)  # spans [0,2]^3
         grid = voxelize(np.array([[0.5, 1.5, 0.25]]), crop, spec)
         assert grid.data[0, 1, 0] == 1
         assert grid.total_points == 1
 
     def test_interior_face_goes_to_higher_cell(self):
-        spec = ScaleSpec("d", crop_side=2.0, crop_height=2.0, grid=(2, 2, 2))
+        spec = ScaleSpec(crop_side=2.0, crop_height=2.0, grid=(2, 2, 2))
         crop = Aabb3(center=(1.0, 1.0, 1.0), side=2.0, height=2.0)
         grid = voxelize(np.array([[1.0, 0.5, 0.5]]), crop, spec)  # exactly on x face
         assert grid.data[1, 0, 0] == 1
 
     def test_crop_extremes(self):
-        spec = ScaleSpec("d", crop_side=2.0, crop_height=2.0, grid=(2, 2, 2))
+        spec = ScaleSpec(crop_side=2.0, crop_height=2.0, grid=(2, 2, 2))
         crop = Aabb3(center=(1.0, 1.0, 1.0), side=2.0, height=2.0)
         grid = voxelize(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]), crop, spec)
         assert grid.data[0, 0, 0] == 1  # min corner in first cell
