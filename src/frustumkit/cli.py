@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +41,7 @@ from .cropbox import (
     CURVE_CSV_HEADER,
     SCALE_SPECS,
 )
-from .csvio import write_lines
+from .csvio import csv_values, write_csv
 from .dhs import D_MAX_DEFAULT, H_MAX_DEFAULT, H_MIN_DEFAULT, depth_to_dhs, read_range_image, write_range_image
 from .errors import (
     EncodeDomainError,
@@ -148,6 +150,23 @@ def _check_non_negative(args: argparse.Namespace) -> None:
             raise FrustumKitError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b) and stat.S_ISREG(os.stat(a).st_mode)
+    except OSError:  # a path not yet written: the same file if both resolve to one name
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args: argparse.Namespace, *outputs: str | None) -> None:
+    """Refuse, before anything is written, a run whose outputs name one regular file twice or name its
+    ``--manifest`` or ``--dets``; a device or FIFO such as ``/dev/null`` may be named twice."""
+    named = [p for p in outputs if p is not None]
+    for i, out in enumerate(named):
+        for other in (*named[:i], args.manifest, getattr(args, "dets", None)):
+            if other is not None and _same_file(out, other):
+                raise FrustumKitError(f"output {out} and {other} name the same file")
+
+
 def _pick(items: Sequence, index: int, item: str, holder: str):
     if not 0 <= index < len(items):
         raise FrustumKitError(f"{item} index {index} out of range ({holder} has {len(items)} {item}s)")
@@ -245,6 +264,7 @@ def _cmd_gen_scenes(args: argparse.Namespace) -> int:
 
 
 def _cmd_dhs(args: argparse.Namespace) -> int:
+    _check_outputs(args, args.out + ".f32", args.out + ".u8" if args.uint8 else None)
     manifest = load_manifest(args.manifest)
     frame = _pick(manifest.frames, args.frame, "frame", "manifest")
     if frame.range_image_path is None:
@@ -266,8 +286,9 @@ def _cmd_dhs(args: argparse.Namespace) -> int:
 
 
 def _cmd_recall_curves(args: argparse.Namespace) -> int:
+    _check_outputs(args, args.out)
     manifest, curves = _search_curves(args)
-    write_lines(args.out, CURVE_CSV_HEADER, curves)
+    write_csv(args.out, CURVE_CSV_HEADER, map(csv_values, curves), "\n")
     print(f"recall-curves: wrote {len(curves)} rows over {manifest.n_objects} objects -> {args.out}")
     return EXIT_OK
 
@@ -280,6 +301,7 @@ def _cmd_select_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_voxelize(args: argparse.Namespace) -> int:
+    _check_outputs(args, args.out, args.sparse)
     manifest = load_manifest(args.manifest)
     frame = _pick(manifest.frames, args.frame, "frame", "manifest")
     obj = _pick(frame.objects, args.object, "object", "frame")
@@ -303,6 +325,7 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
 
 
 def _cmd_anchors(args: argparse.Namespace) -> int:
+    _check_outputs(args, args.out)
     manifest = load_manifest(args.manifest)
     anchors = _anchors_from_labels(manifest)
     write_anchor_csv(anchors, args.out)
@@ -381,6 +404,10 @@ def _cmd_encode_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    categories_csv = args.out_prefix + "_categories.csv"
+    iou_csv = args.out_prefix + "_iou_hist.csv"
+    ori_csv = args.out_prefix + "_orientation_hist.csv"
+    _check_outputs(args, categories_csv, iou_csv, ori_csv)
     manifest = load_manifest(args.manifest)
     detections = load_detections(args.dets, manifest)
     frames = [
@@ -388,9 +415,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for dets, frame in zip(detections, manifest.frames)
     ]
     report = evaluate(frames, iou_thresh=args.iou)
-    categories_csv = args.out_prefix + "_categories.csv"
-    iou_csv = args.out_prefix + "_iou_hist.csv"
-    ori_csv = args.out_prefix + "_orientation_hist.csv"
     write_category_csv(report.rows, categories_csv)
     write_histogram_csv(report.iou_values, iou_csv)
     write_histogram_csv(report.orientation_values, ori_csv)
@@ -417,6 +441,7 @@ def _cmd_pipesim(args: argparse.Namespace) -> int:
 
 
 def _cmd_stale_sweep(args: argparse.Namespace) -> int:
+    _check_outputs(args, args.out)
     manifest = load_manifest(args.manifest)
     drifts = _parse_floats(args.drifts, "--drifts")
     rows = stale_frustum_experiment(
@@ -426,7 +451,7 @@ def _cmd_stale_sweep(args: argparse.Namespace) -> int:
         threshold_xy=args.threshold_xy,
         threshold_z=args.threshold_z,
     )
-    write_lines(args.out, DRIFT_CSV_HEADER, rows)
+    write_csv(args.out, DRIFT_CSV_HEADER, map(csv_values, rows), "\n")
     first, last = rows[0], rows[-1]
     print(
         f"stale-sweep: mean ioi_3d {first.mean_ioi_3d:.4f} @ drift {first.drift_px:g}px -> "
@@ -616,10 +641,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FrustumKitError as exc:
         print(f"frustumkit {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def console_main() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ A record's header and its rows both come from its dataclass fields. Every
 value follows one rule (:func:`csv_value`): a bool is ``1`` or ``0``, a string
 is written as is, NaN is an empty field, and any other number is
 ``format(v, ".12g")``, which reads as ``str()`` for an int below 10**12.
-:func:`write_csv` ends lines in ``\\r\\n`` and quotes fields where needed;
-:func:`write_lines` ends them in ``\\n``.
+One writer, :func:`write_csv`, joins and quotes every table by the csv
+module's rule; its lines end in ``\\r\\n`` unless the caller names ``\\n``.
 """
 
 from __future__ import annotations
@@ -53,15 +53,9 @@ def csv_line(record: object) -> str:
     return ",".join(csv_values(record))
 
 
-def write_csv(path: str | Path, header: str, rows: Iterable[Iterable[object]]) -> None:
-    """A UTF-8 table in the csv module's default dialect; rows are written as given."""
+def write_csv(path: str | Path, header: str, rows: Iterable[Iterable[object]], line_end: str = "\r\n") -> None:
+    """A UTF-8 table in the csv module's default dialect, each line ending in ``line_end``; rows go as given."""
     with open_output(path, "w") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow(header.split(","))
         writer.writerows(rows)
-
-
-def write_lines(path: str | Path, header: str, records: Iterable[object]) -> None:
-    """A UTF-8 table of one :func:`csv_line` per record, every line ending in ``\\n``."""
-    with open_output(path, "w") as fh:
-        fh.write("\n".join([header, *map(csv_line, records)]) + "\n")

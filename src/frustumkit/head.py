@@ -119,14 +119,10 @@ class LossWeights:
     w_size: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, w in (
-            ("w_orientation", self.w_orientation),
-            ("w_center", self.w_center),
-            ("w_size", self.w_size),
-        ):
-            if w < 0 or not math.isfinite(w):
+        for name, _ in _LOSS_TERMS:
+            if not (0 <= getattr(self, name) < math.inf):
                 raise GeometryError(f"{name} must be finite and non-negative")
-        if self.w_orientation == 0 and self.w_center == 0 and self.w_size == 0:
+        if not any(getattr(self, name) for name, _ in _LOSS_TERMS):
             raise GeometryError("at least one of the three box-term weights must be positive")
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,17 @@ def test_flag_prefix_is_usage_error(dataset, tmp_path, capsys):
     assert main(["stale-sweep", "--man", str(dataset), "--dr", "0,4", "--out", str(out)]) == EXIT_USAGE
     assert "the following arguments are required: --manifest, --drifts" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_console_script_returns_the_exit_code():
+    """The installed ``frustumkit`` script calls its ``[project.scripts]`` target with no
+    arguments and exits with what it returns; the target is ``main``, which reads ``argv``."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["frustumkit"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry(["netshape", "check", "--categories", "0"]) == EXIT_USAGE
+    assert entry(["pipesim", "--t2d", "29", "--t3d", "48", "--mode", "pipelined"]) == EXIT_OK
 
 
 # --- gen-scenes ----------------------------------------------------------------
@@ -406,6 +419,73 @@ def test_anchors_round_trip(dataset, tmp_path):
     assert set(anchors) == present
     for anchor in anchors.values():
         assert anchor.a_w > 0 and anchor.a_d > 0 and anchor.a_h > 0
+
+
+# --- an output never overwrites an input or another output of its run ------------
+
+
+@pytest.mark.parametrize("name", ["same-path", "symlink", "hard-link", "dangling-symlink"])
+def test_voxelize_refuses_one_file_for_the_grid_and_the_sparse_csv(dataset, tmp_path, capsys, name):
+    grid = tmp_path / "g.vox"
+    other = grid if name == "same-path" else tmp_path / "other"
+    if name in ("symlink", "hard-link"):
+        grid.write_bytes(b"old")
+    if name == "hard-link":
+        os.link(grid, other)
+    elif name != "same-path":
+        other.symlink_to(grid)
+    argv = ["voxelize", "--manifest", str(dataset), "--out", str(grid), "--sparse", str(other)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"frustumkit voxelize: output {other} and {grid} name the same file\n"
+    if name in ("symlink", "hard-link"):
+        assert grid.read_bytes() == b"old"
+    else:
+        assert not grid.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_voxelize_may_name_a_device_twice(dataset, capsys):
+    argv = ["voxelize", "--manifest", str(dataset), "--out", "/dev/null", "--sparse", "/dev/null"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.endswith("wrote /dev/null, /dev/null\n")
+
+
+@pytest.mark.parametrize("spelling", ["same-path", "symlink"])
+def test_anchors_refuses_to_overwrite_its_manifest(dataset, tmp_path, capsys, spelling):
+    manifest = tmp_path / "m.json"
+    shutil.copyfile(dataset, manifest)
+    out = manifest
+    if spelling == "symlink":
+        out = tmp_path / "link.json"
+        out.symlink_to(manifest)
+    assert main(["anchors", "--manifest", str(manifest), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"frustumkit anchors: output {out} and {manifest} name the same file\n"
+    assert manifest.read_bytes() == dataset.read_bytes()
+
+
+def test_evaluate_refuses_to_overwrite_its_detections(dataset, perfect_detections, tmp_path, capsys):
+    dets = tmp_path / "e_categories.csv"
+    shutil.copyfile(perfect_detections, dets)
+    argv = ["evaluate", "--manifest", str(dataset), "--dets", str(dets), "--out-prefix", str(tmp_path / "e")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"frustumkit evaluate: output {dets} and {dets} name the same file\n"
+    assert dets.read_bytes() == perfect_detections.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == [dets.name]
+
+
+@pytest.mark.parametrize("uint8, code", [(True, EXIT_USAGE), (False, EXIT_OK)])
+def test_dhs_refuses_only_the_outputs_it_writes(dataset, tmp_path, capsys, uint8, code):
+    data = tmp_path / "data"
+    shutil.copytree(dataset.parent, data)
+    manifest = data / "frame0.u8"
+    (data / "manifest.json").rename(manifest)
+    text = manifest.read_bytes()
+    argv = ["dhs", "--manifest", str(manifest), "--out", str(data / "frame0"), *(["--uint8"] if uint8 else [])]
+    assert main(argv) == code
+    assert manifest.read_bytes() == text
+    assert (data / "frame0.f32").exists() == (not uint8)
+    if uint8:
+        assert capsys.readouterr().err == f"frustumkit dhs: output {manifest} and {manifest} name the same file\n"
 
 
 # --- encode-check ------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from frustumkit.cropbox import CURVE_CSV_HEADER, CurvePoint, curve_point_to_csv_row
-from frustumkit.csvio import csv_value, write_lines
+from frustumkit.csvio import csv_value, csv_values, write_csv
 from frustumkit.evalkit import EVAL_CSV_HEADER, CategoryEval, write_category_csv, write_histogram_csv
 from frustumkit.head import ANCHOR_CSV_HEADER, Anchor, write_anchor_csv
 from frustumkit.pipesim import DRIFT_CSV_HEADER, DriftRow, StageTiming, drift_row_to_csv, simulate, write_trace_csv
@@ -71,7 +71,8 @@ def test_curve_and_drift_lines():
 
 def test_lf_table(tmp_path):
     path = tmp_path / "stale.csv"
-    write_lines(path, DRIFT_CSV_HEADER, [DriftRow(0.0, 1.0, 1.0, 3, 0), DriftRow(4.0, 0.75, 0.5, 3, 1)])
+    rows = [DriftRow(0.0, 1.0, 1.0, 3, 0), DriftRow(4.0, 0.75, 0.5, 3, 1)]
+    write_csv(path, DRIFT_CSV_HEADER, map(csv_values, rows), "\n")
     assert path.read_bytes() == b"drift_px,mean_ioi_3d,recall_volume,n_items,n_lost\n0,1,1,3,0\n4,0.75,0.5,3,1\n"
 
 

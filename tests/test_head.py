@@ -109,8 +109,9 @@ class TestHeadVectorValidation:
         [
             (lambda: HeadVector(1.0, 0.0, 0.5, 0.5, 0.5, math.inf, 0.0, 0.0), "lw must be finite"),
             (lambda: LossWeights(0.0, 0.0, 0.0), "at least one of the three box-term weights must be positive"),
+            (lambda: LossWeights(-0.0, 0, 0.0), "at least one of the three box-term weights must be positive"),
         ],
-        ids=["lw-inf", "all-weights-zero"],
+        ids=["lw-inf", "all-weights-zero", "signed-zero-weights"],
     )
     def test_bad_values_rejected(self, make, message):
         with pytest.raises(GeometryError, match=f"^{message}$"):
@@ -203,6 +204,12 @@ class TestLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(GeometryError):
             LossWeights(w_center=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["w_orientation", "w_center", "w_size"])
+    def test_each_weight_must_be_finite(self, name, value):
+        with pytest.raises(GeometryError, match=f"^{name} must be finite and non-negative$"):
+            LossWeights(**{name: value})
 
 
 class TestGradient:
