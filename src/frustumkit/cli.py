@@ -23,12 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
+# assign_scale, best_cropbox, candidate_centers, encode, decode and fd_check go unused
+# here: perfbench's traced run wraps them in this module too
 from .cropbox import (
     TARGET_XY_DEFAULT,
     TARGET_Z_DEFAULT,
     THRESHOLD_DEFAULT,
     SizeSearchConfig,
-    assign_scale,  # these three go unused here: perfbench's traced run wraps them in this module too
+    assign_scale,
     best_cropbox,
     candidate_centers,
     check_subdivision,
@@ -37,14 +39,12 @@ from .cropbox import (
     own_scale_spec,
     recall_curves,
     select_min_size,
-    split_frames,
     CURVE_CSV_HEADER,
     SCALE_SPECS,
 )
 from .csvio import csv_values, write_csv
-from .dhs import D_MAX_DEFAULT, H_MAX_DEFAULT, H_MIN_DEFAULT, depth_to_dhs, read_range_image, write_range_image
+from .dhs import D_MAX_DEFAULT, H_MAX_DEFAULT, H_MIN_DEFAULT, depth_to_dhs, read_range_image
 from .errors import (
-    EncodeDomainError,
     FrustumKitError,
     InfeasibleSizeError,
     InvariantViolation,
@@ -59,26 +59,19 @@ from .evalkit import (
     write_category_csv,
     write_histogram_csv,
 )
-from .geometry import CENTER_MODES, project_cloud, read_cloud_binary, write_cloud_binary
+from .geometry import CENTER_MODES, project_cloud, read_cloud_binary
 from .head import (
     Anchor,
-    HeadVector,
     compute_anchors,
     decode,
     encode,
     fd_check,
+    gradient_check,
     read_anchor_csv,
+    round_trip_error,
     write_anchor_csv,
 )
-from .manifest import (
-    Manifest,
-    ManifestFrame,
-    ManifestObject,
-    iter_object_samples,
-    load_detections,
-    load_manifest,
-    manifest_to_json,
-)
+from .manifest import Manifest, iter_object_samples, load_detections, load_manifest
 from .netshape import (
     NAIVE_DIM_CAP,
     check_naive_size,
@@ -98,7 +91,7 @@ from .pipesim import (
     stale_frustum_experiment,
     write_trace_csv,
 )
-from .scenegen import CATEGORY_PRESETS, DEFAULT_DENSITY, random_scene, render
+from .scenegen import DEFAULT_DENSITY, random_scene, write_dataset
 from .voxelizer import voxelize, write_sparse_csv, write_voxel_grid
 
 EXIT_OK = 0
@@ -150,21 +143,39 @@ def _check_non_negative(args: argparse.Namespace) -> None:
             raise FrustumKitError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
-def _same_file(a: str, b: str) -> bool:
+def _file_key(path: str | Path) -> tuple[int, int] | str | None:
+    """What every name of one file shares: a regular file's device and inode, or the resolved name of a
+    path not yet written; None for a device, FIFO or directory, which may be named twice."""
     try:
-        return os.path.samefile(a, b) and stat.S_ISREG(os.stat(a).st_mode)
-    except OSError:  # a path not yet written: the same file if both resolve to one name
-        return os.path.realpath(a) == os.path.realpath(b)
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
 
-def _check_outputs(args: argparse.Namespace, *outputs: str | None) -> None:
-    """Refuse, before anything is written, a run whose outputs name one regular file twice or name its
-    ``--manifest`` or ``--dets``; a device or FIFO such as ``/dev/null`` may be named twice."""
-    named = [p for p in outputs if p is not None]
-    for i, out in enumerate(named):
-        for other in (*named[:i], args.manifest, getattr(args, "dets", None)):
-            if other is not None and _same_file(out, other):
-                raise FrustumKitError(f"output {out} and {other} name the same file")
+def _check_outputs(outputs: Sequence[str | None], inputs: Sequence[str | Path | None]) -> None:
+    """Refuse outputs that name one regular file twice or name one of the inputs; a device or FIFO such
+    as ``/dev/null`` may be named twice."""
+    named: dict = {}
+    for out in filter(None, outputs):
+        key = _file_key(out)
+        if key in named:
+            raise FrustumKitError(f"output {out} and {named[key]} name the same file")
+        if key is not None:
+            named[key] = out
+    for path in filter(None, inputs if named else ()):
+        if (out := named.get(_file_key(path))) is not None:
+            raise FrustumKitError(f"output {out} and {path} name the same file")
+
+
+def _load_manifest(args: argparse.Namespace, *outputs: str | None) -> Manifest:
+    """``--manifest``, loaded once no output names another output, the manifest or ``--dets``, and returned
+    once none names a cloud, range image or anchors file that the manifest names: before any write."""
+    _check_outputs(outputs, (args.manifest, getattr(args, "dets", None)))
+    manifest = load_manifest(args.manifest)
+    files = (p for frame in manifest.frames for p in (frame.cloud_path, frame.range_image_path))
+    _check_outputs(outputs, (manifest.anchors_path, *files))
+    return manifest
 
 
 def _pick(items: Sequence, index: int, item: str, holder: str):
@@ -192,9 +203,10 @@ def _anchors_from_labels(manifest: Manifest) -> dict[str, Anchor]:
     return compute_anchors(boxes_by_category)
 
 
-def _search_curves(args: argparse.Namespace) -> tuple[Manifest, list]:
-    """A search command's manifest and recall curves; checks the manifest, then the flags, then the labels."""
-    manifest = load_manifest(args.manifest)
+def _search_curves(args: argparse.Namespace, *outputs: str | None) -> tuple[Manifest, list]:
+    """A search command's manifest and recall curves; checks the manifest and outputs, then the flags, then
+    the labels."""
+    manifest = _load_manifest(args, *outputs)
     cfg = SizeSearchConfig(
         side_candidates=_parse_floats(args.sides, "--sides"),
         height_candidates=_parse_floats(args.heights, "--heights"),
@@ -209,63 +221,23 @@ def _search_curves(args: argparse.Namespace) -> tuple[Manifest, list]:
 
 
 def _cmd_gen_scenes(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    frames: list[ManifestFrame] = []
-    n_rendered = 0
-    n_kept = 0
-    for i in range(args.count):
-        spec = random_scene(
+    specs = (
+        random_scene(
             seed=args.seed + i,
             n_objects=args.objects,
             occlusion=not args.no_occlusion,
             density=args.density,
             with_floor=not args.no_floor,
         )
-        scene = render(spec)
-        # made once a scene has rendered, so a run rejected by its first scene leaves nothing behind
-        out.mkdir(parents=True, exist_ok=True)
-        cloud_path = (out / f"scene_{i:04d}.cloud").resolve()
-        write_cloud_binary(scene.cloud, cloud_path)
-        range_path = None
-        if not args.no_range_images:
-            range_path = (out / f"scene_{i:04d}.rng").resolve()
-            write_range_image(scene.range_image, range_path)
-        objects = tuple(
-            ManifestObject(category=o.category, rect=o.rect, box=o.box)
-            for o in scene.objects
-            if o.rect is not None
-        )
-        n_rendered += len(scene.objects)
-        n_kept += len(objects)
-        frames.append(
-            ManifestFrame(
-                cloud_path=cloud_path,
-                range_image_path=range_path,
-                intrinsics=spec.intrinsics,
-                pose=spec.pose,
-                objects=objects,
-            )
-        )
-    out.mkdir(parents=True, exist_ok=True)  # --count 0 still writes an empty manifest
-    manifest = Manifest(
-        root=out.resolve(),
-        categories=tuple(sorted(CATEGORY_PRESETS)),
-        anchors_path=None,
-        frames=tuple(frames),
+        for i in range(args.count)
     )
-    manifest_file = out / "manifest.json"
-    with open_output(manifest_file, "w") as fh:
-        fh.write(manifest_to_json(manifest))
-    print(
-        f"gen-scenes: wrote {args.count} scenes, kept {n_kept}/{n_rendered} "
-        f"labeled objects -> {manifest_file}"
-    )
+    manifest_file, n_kept, n_rendered = write_dataset(args.out, specs, range_images=not args.no_range_images)
+    print(f"gen-scenes: wrote {args.count} scenes, kept {n_kept}/{n_rendered} labeled objects -> {manifest_file}")
     return EXIT_OK
 
 
 def _cmd_dhs(args: argparse.Namespace) -> int:
-    _check_outputs(args, args.out + ".f32", args.out + ".u8" if args.uint8 else None)
-    manifest = load_manifest(args.manifest)
+    manifest = _load_manifest(args, args.out + ".f32", args.out + ".u8" if args.uint8 else None)
     frame = _pick(manifest.frames, args.frame, "frame", "manifest")
     if frame.range_image_path is None:
         raise FrustumKitError(f"frame {args.frame} has no range image in the manifest")
@@ -286,8 +258,7 @@ def _cmd_dhs(args: argparse.Namespace) -> int:
 
 
 def _cmd_recall_curves(args: argparse.Namespace) -> int:
-    _check_outputs(args, args.out)
-    manifest, curves = _search_curves(args)
+    manifest, curves = _search_curves(args, args.out)
     write_csv(args.out, CURVE_CSV_HEADER, map(csv_values, curves), "\n")
     print(f"recall-curves: wrote {len(curves)} rows over {manifest.n_objects} objects -> {args.out}")
     return EXIT_OK
@@ -301,8 +272,7 @@ def _cmd_select_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_voxelize(args: argparse.Namespace) -> int:
-    _check_outputs(args, args.out, args.sparse)
-    manifest = load_manifest(args.manifest)
+    manifest = _load_manifest(args, args.out, args.sparse)
     frame = _pick(manifest.frames, args.frame, "frame", "manifest")
     obj = _pick(frame.objects, args.object, "object", "frame")
     check_subdivision(args.fr, args.fc)
@@ -325,8 +295,7 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
 
 
 def _cmd_anchors(args: argparse.Namespace) -> int:
-    _check_outputs(args, args.out)
-    manifest = load_manifest(args.manifest)
+    manifest = _load_manifest(args, args.out)
     anchors = _anchors_from_labels(manifest)
     write_anchor_csv(anchors, args.out)
     for name in sorted(anchors):
@@ -345,50 +314,8 @@ def _cmd_encode_check(args: argparse.Namespace) -> int:
         anchors = read_anchor_csv(anchors_path)
     else:
         anchors = _anchors_from_labels(manifest)
-    worst_round_trip = 0.0
-    n_checked = 0
-    n_skipped = 0
-    for frame, projection in split_frames(_samples(manifest)):
-        for sample in frame:
-            if sample.category not in anchors:
-                raise FrustumKitError(f"no anchor for category {sample.category!r}")
-            anchor = anchors[sample.category]
-            crop, _ = choose_crop(projection, sample.rect, sample.gt_box, own_scale_spec(sample.gt_box))
-            try:
-                vec = encode(sample.gt_box, crop, anchor)
-            except EncodeDomainError:
-                n_skipped += 1
-                continue
-            back = decode(vec, crop, anchor)
-            err = max(
-                float(np.max(np.abs(back.center - sample.gt_box.center))),
-                abs(back.width - sample.gt_box.width),
-                abs(back.depth - sample.gt_box.depth),
-                abs(back.height - sample.gt_box.height),
-                abs(float(np.cos(back.yaw) - np.cos(sample.gt_box.yaw))),
-                abs(float(np.sin(back.yaw) - np.sin(sample.gt_box.yaw))),
-            )
-            worst_round_trip = max(worst_round_trip, err)
-            n_checked += 1
-    rng = np.random.default_rng(args.seed)
-    worst_fd = 0.0
-    for _ in range(args.fd_cases):
-        vecs = []
-        for _ in range(2):
-            yaw = rng.uniform(-np.pi, np.pi)
-            vecs.append(
-                HeadVector(
-                    ori_cos=float(np.cos(yaw)),
-                    ori_sin=float(np.sin(yaw)),
-                    tx=float(rng.uniform(0.0, 1.0)),
-                    ty=float(rng.uniform(0.0, 1.0)),
-                    tz=float(rng.uniform(0.0, 1.0)),
-                    lw=float(rng.normal(0.0, 0.5)),
-                    ld=float(rng.normal(0.0, 0.5)),
-                    lh=float(rng.normal(0.0, 0.5)),
-                )
-            )
-        worst_fd = max(worst_fd, fd_check(vecs[0], vecs[1]))
+    worst_round_trip, n_checked, n_skipped = round_trip_error(_samples(manifest), anchors)
+    worst_fd = gradient_check(args.seed, args.fd_cases)
     print(
         f"encode-check: {n_checked} objects round-trip (max abs error {worst_round_trip:.3g}), "
         f"{n_skipped} skipped with center outside crop; "
@@ -407,8 +334,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     categories_csv = args.out_prefix + "_categories.csv"
     iou_csv = args.out_prefix + "_iou_hist.csv"
     ori_csv = args.out_prefix + "_orientation_hist.csv"
-    _check_outputs(args, categories_csv, iou_csv, ori_csv)
-    manifest = load_manifest(args.manifest)
+    manifest = _load_manifest(args, categories_csv, iou_csv, ori_csv)
     detections = load_detections(args.dets, manifest)
     frames = [
         (dets, [LabeledBox(o.category, o.box) for o in frame.objects])
@@ -441,8 +367,7 @@ def _cmd_pipesim(args: argparse.Namespace) -> int:
 
 
 def _cmd_stale_sweep(args: argparse.Namespace) -> int:
-    _check_outputs(args, args.out)
-    manifest = load_manifest(args.manifest)
+    manifest = _load_manifest(args, args.out)
     drifts = _parse_floats(args.drifts, "--drifts")
     rows = stale_frustum_experiment(
         _samples(manifest),

@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .cropbox import ObjectSample, choose_crop, own_scale_spec, split_frames
 from .csvio import _record_fields, csv_header, csv_values, write_csv
-from .errors import EncodeDomainError, GeometryError
+from .errors import EncodeDomainError, FrustumKitError, GeometryError
 from .geometry import Aabb3, OrientedBox3, normalize_yaw
 
 
@@ -234,3 +235,56 @@ def fd_check(
         denom = max(abs(analytic[i]), abs(fd), 1e-6)
         worst = max(worst, abs(analytic[i] - fd) / denom)
     return worst
+
+
+def round_trip_error(samples: Iterable[ObjectSample], anchors: Mapping[str, Anchor]) -> tuple[float, int, int]:
+    """The worst encode -> decode error over the samples, with the objects checked and skipped.
+
+    Each object is encoded in the crop that choose_crop picks at its own scale
+    class; one whose center leaves that crop (EncodeDomainError) is skipped. The
+    error is the largest absolute difference in a center coordinate, a size, or
+    the heading's cos or sin. A category without an anchor is a FrustumKitError.
+    """
+    worst = 0.0
+    n_checked = 0
+    n_skipped = 0
+    for frame, projection in split_frames(samples):
+        for sample in frame:
+            if sample.category not in anchors:
+                raise FrustumKitError(f"no anchor for category {sample.category!r}")
+            anchor = anchors[sample.category]
+            gt = sample.gt_box
+            crop, _ = choose_crop(projection, sample.rect, gt, own_scale_spec(gt))
+            try:
+                vec = encode(gt, crop, anchor)
+            except EncodeDomainError:
+                n_skipped += 1
+                continue
+            back = decode(vec, crop, anchor)
+            worst = max(
+                worst,
+                float(np.max(np.abs(back.center - gt.center))),
+                abs(back.width - gt.width),
+                abs(back.depth - gt.depth),
+                abs(back.height - gt.height),
+                abs(float(np.cos(back.yaw) - np.cos(gt.yaw))),
+                abs(float(np.sin(back.yaw) - np.sin(gt.yaw))),
+            )
+            n_checked += 1
+    return worst, n_checked, n_skipped
+
+
+def gradient_check(seed: int, n_cases: int) -> float:
+    """The worst fd_check disagreement over n_cases (pred, target) pairs of seeded head vectors."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_cases):
+        worst = max(worst, fd_check(_seeded_vector(rng), _seeded_vector(rng)))
+    return worst
+
+
+def _seeded_vector(rng: np.random.Generator) -> HeadVector:
+    yaw = rng.uniform(-np.pi, np.pi)
+    centers = [float(rng.uniform(0.0, 1.0)) for _ in range(3)]
+    log_sizes = [float(rng.normal(0.0, 0.5)) for _ in range(3)]
+    return HeadVector(float(np.cos(yaw)), float(np.sin(yaw)), *centers, *log_sizes)

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .dhs import RangeImage
+from .dhs import RangeImage, write_range_image
 from .errors import GeometryError
 from .geometry import (
     CameraIntrinsics,
@@ -40,7 +42,10 @@ from .geometry import (
     pixel_centers,
     project_points,
     unproject_grid,
+    write_cloud_binary,
 )
+from .manifest import Manifest, ManifestFrame, ManifestObject, manifest_to_json
+from .outfile import open_output
 
 #: relative slack for "strictly nearer" in occlusion tests and for the
 #: parallelogram parameter range in ray hits
@@ -390,3 +395,37 @@ def random_scene(
         occlusion=occlusion,
         seed=seed,
     )
+
+
+def write_dataset(out: str | Path, specs: Iterable[SceneSpec], range_images: bool = True) -> tuple[Path, int, int]:
+    """Render spec i as scene i and write the dataset: ``scene_%04d.cloud``, with
+    ``range_images`` its ``scene_%04d.rng``, and ``manifest.json``, which labels the
+    objects that kept a rect. Returns the manifest's path and the labeled objects
+    kept and rendered.
+
+    The directory is made once the first scene has rendered, so specs rejected
+    at the first scene leave nothing behind; no specs give an empty manifest.
+    """
+    out = Path(out)
+    frames: list[ManifestFrame] = []
+    n_rendered = 0
+    for i, spec in enumerate(specs):
+        scene = render(spec)
+        out.mkdir(parents=True, exist_ok=True)
+        cloud_path = (out / f"scene_{i:04d}.cloud").resolve()
+        write_cloud_binary(scene.cloud, cloud_path)
+        range_path = None
+        if range_images:
+            range_path = (out / f"scene_{i:04d}.rng").resolve()
+            write_range_image(scene.range_image, range_path)
+        objects = tuple(ManifestObject(o.category, o.rect, o.box) for o in scene.objects if o.rect is not None)
+        frames.append(ManifestFrame(cloud_path, range_path, spec.intrinsics, spec.pose, objects))
+        n_rendered += len(scene.objects)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = Manifest(
+        root=out.resolve(), categories=tuple(sorted(CATEGORY_PRESETS)), anchors_path=None, frames=tuple(frames)
+    )
+    manifest_path = out / "manifest.json"
+    with open_output(manifest_path, "w") as fh:
+        fh.write(manifest_to_json(manifest))
+    return manifest_path, manifest.n_objects, n_rendered

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -185,6 +186,21 @@ def test_gen_scenes_objects_have_conservative_rects(dataset):
         assert sample.rect.width > 0 and sample.rect.height > 0
         projection = project_cloud(sample.cloud, sample.intrinsics, sample.pose)
         assert rect_points(projection, sample.rect).size > 0
+
+
+def test_gen_scenes_flags_write_the_recorded_bytes(tmp_path, capsys):
+    """Every gen-scenes flag changed from its default, against sha256 digests recorded at f13a52e."""
+    out = tmp_path / "g"
+    argv = ["gen-scenes", "--out", str(out), "--count", "3", "--seed", "5", "--objects", "4", "--density", "200"]
+    assert main([*argv, "--no-occlusion", "--no-floor", "--no-range-images"]) == EXIT_OK
+    expected = f"gen-scenes: wrote 3 scenes, kept 12/12 labeled objects -> {out / 'manifest.json'}\n"
+    assert capsys.readouterr().out == expected
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == {
+        "manifest.json": "610f76dd17232a227dafafcb3b2e583c06f2062c1e812ec54e40ba02e41354bc",
+        "scene_0000.cloud": "bcffe5b37845bea1d45f5a51b04540dd9fc80481c51d8674ed9551d7320e5a26",
+        "scene_0001.cloud": "9d37b188d65b8a9d9cd7f249c6d97b04dd4e1f117c9058ef0522722f7ecdc262",
+        "scene_0002.cloud": "ae812f3460c8e6254ef3f5d1d9ffa5342ddfc8c8a834210923030ae7f1c7d7d0",
+    }
 
 
 # --- recall-curves / select-size ------------------------------------------------
@@ -488,6 +504,49 @@ def test_dhs_refuses_only_the_outputs_it_writes(dataset, tmp_path, capsys, uint8
         assert capsys.readouterr().err == f"frustumkit dhs: output {manifest} and {manifest} name the same file\n"
 
 
+REPRODUCTIONS = {
+    "voxelize": (["voxelize", "--frame", "0", "--object", "0"], "scene_0000.cloud"),
+    "recall-curves": (["recall-curves", "--sides", "1.6", "--heights", "1.5"], "scene_0001.rng"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["same-path", "symlink", "hard-link"])
+@pytest.mark.parametrize("command", sorted(REPRODUCTIONS))
+def test_an_output_may_not_name_a_file_the_manifest_names(dataset, tmp_path, capsys, command, spelling):
+    """recall-curves reads no range image, and still may not write over one."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset.parent, data)
+    argv, name = REPRODUCTIONS[command]
+    target = (data / name).resolve()
+    text = target.read_bytes()
+    out = data / name
+    if spelling == "symlink":
+        out = tmp_path / "link"
+        out.symlink_to(target)
+    elif spelling == "hard-link":
+        out = tmp_path / "hard"
+        os.link(target, out)
+    assert main([argv[0], "--manifest", str(data / "manifest.json"), *argv[1:], "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"frustumkit {command}: output {out} and {target} name the same file\n"
+    assert target.read_bytes() == text
+    assert out.is_symlink() == (spelling == "symlink")
+
+
+def test_anchors_may_not_write_over_the_manifests_anchors_file(dataset, tmp_path, capsys):
+    """anchors does not read the file the manifest names, but encode-check does: it is refused too."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset.parent, data)
+    anchors_csv = data / "anchors.csv"
+    anchors_csv.write_text("hand-tuned\n")
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["anchors"] = anchors_csv.name
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["anchors", "--manifest", str(data / "manifest.json"), "--out", str(anchors_csv)]) == EXIT_USAGE
+    expected = f"frustumkit anchors: output {anchors_csv} and {anchors_csv.resolve()} name the same file\n"
+    assert capsys.readouterr().err == expected
+    assert anchors_csv.read_text() == "hand-tuned\n"
+
+
 # --- encode-check ------------------------------------------------------------------
 
 
@@ -496,6 +555,15 @@ def test_encode_check_passes_on_clean_data(dataset, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "round-trip" in out and "gradient check" in out
+
+
+def test_encode_check_prints_the_recorded_line(dataset, capsys):
+    """The success line on the session dataset, as f13a52e printed it."""
+    assert main(["encode-check", "--manifest", str(dataset), "--seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "encode-check: 8 objects round-trip (max abs error 3.33e-16), 0 skipped with center outside crop; "
+        "gradient check over 50 cases (max rel disagreement 1.5e-08)\n"
+    )
 
 
 def test_encode_check_round_trip_above_the_tolerance_is_invariant_violation(dataset, capsys):

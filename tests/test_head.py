@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frustumkit.errors import EncodeDomainError, GeometryError
-from frustumkit.geometry import Aabb3, OrientedBox3, normalize_yaw
+from frustumkit.cropbox import ObjectSample
+from frustumkit.errors import EncodeDomainError, FrustumKitError, GeometryError
+from frustumkit.geometry import Aabb3, CameraIntrinsics, OrientedBox3, Rect2, RigidTransform, normalize_yaw
 from frustumkit.head import (
     Anchor,
     HeadVector,
@@ -17,9 +18,11 @@ from frustumkit.head import (
     decode,
     encode,
     fd_check,
+    gradient_check,
     loss,
     loss_grad,
     read_anchor_csv,
+    round_trip_error,
     write_anchor_csv,
 )
 
@@ -246,3 +249,31 @@ class TestGradient:
             fd_check(v, v, eps=1e-2)
         with pytest.raises(GeometryError):
             fd_check(v, v, eps=1e-9)
+
+
+def cube_sample(cube_z, box_z):
+    """A chair at depth box_z whose frame's cloud is a 0.8 m point cube at depth cube_z, seen straight
+    ahead by an identity-pose camera, both inside its rect."""
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120)
+    xs = np.linspace(-0.4, 0.4, 5)
+    cube = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3) + [0.0, 0.0, cube_z]
+    box = OrientedBox3(np.array([0.0, 0.0, box_z]), 0.5, 0.5, 0.9, 0.3)
+    return ObjectSample("chair", cube, Rect2(40.0, 20.0, 120.0, 100.0), box, k, RigidTransform.identity())
+
+
+class TestDatasetChecks:
+    def test_a_center_outside_its_crop_is_skipped_not_checked(self):
+        # the crop is centred on the cube's points, 7 m beyond the second box's center
+        samples = [cube_sample(3.0, 3.0), cube_sample(10.0, 3.0)]
+        worst, n_checked, n_skipped = round_trip_error(samples, {"chair": ANCHOR})
+        assert (n_checked, n_skipped) == (1, 1)
+        assert 0.0 <= worst < 1e-12
+        assert round_trip_error(samples[1:], {"chair": ANCHOR}) == (0.0, 0, 1)
+
+    def test_a_category_without_an_anchor_is_refused(self):
+        with pytest.raises(FrustumKitError, match="^no anchor for category 'chair'$"):
+            round_trip_error([cube_sample(3.0, 3.0)], {"table": ANCHOR})
+
+    def test_gradient_check_is_seeded(self):
+        assert gradient_check(3, 50) == gradient_check(3, 50) < 1e-6
+        assert gradient_check(3, 0) == 0.0
